@@ -29,12 +29,7 @@ from .newtonian import (
 )
 from .polarization import ellipsoid_pt, hs_bounds, polarization_tensor
 from .shapeopt import OptProblem, minimize_trace
-from .transmission import (
-    decay_check,
-    default_interior_sample,
-    interior_field,
-    solve_density,
-)
+from .transmission import _basis_fields, decay_check, default_interior_sample
 
 __all__ = ["run_criterion", "run_all", "CRITERIA"]
 
@@ -165,21 +160,13 @@ def criterion_07() -> dict:
     best_square = float("inf")
     grid = discretize(ELLIPSE21, 256)
     sample = default_interior_sample(ELLIPSE21, grid)
-    for k in (0.5, 2.0, 10.0):
-        for j in range(2):
-            a = np.zeros(2)
-            a[j] = 1.0
-            rep = interior_field(grid, solve_density(grid, k, a), a, sample)
-            worst_smooth = max(worst_smooth, rep.delta)
+    for _, _, rep in _basis_fields(grid, (0.5, 2.0, 10.0), sample):
+        worst_smooth = max(worst_smooth, rep.delta)
     ok = ok and worst_smooth <= 1e-6
     gs = discretize(SQUARE, 256)
     ss = default_interior_sample(SQUARE, gs)
-    for k in (0.5, 2.0):
-        for j in range(2):
-            a = np.zeros(2)
-            a[j] = 1.0
-            rep = interior_field(gs, solve_density(gs, k, a), a, ss)
-            best_square = min(best_square, rep.delta)
+    for _, _, rep in _basis_fields(gs, (0.5, 2.0), ss):
+        best_square = min(best_square, rep.delta)
     ok = ok and best_square >= 1e-2
     return _record(
         7,
@@ -198,13 +185,8 @@ def criterion_08() -> dict:
         grid = discretize(shape, 256)
         sample = default_interior_sample(shape, grid)
         factors = (b_ax / (a_ax + b_ax), a_ax / (a_ax + b_ax))
-        for j in range(2):
-            direction = np.zeros(2)
-            direction[j] = 1.0
-            rep = interior_field(
-                grid, solve_density(grid, k, direction), direction, sample
-            )
-            target = direction / (1.0 + (k - 1.0) * factors[j])
+        for _, j, rep in _basis_fields(grid, [k], sample):
+            target = np.eye(2)[j] / (1.0 + (k - 1.0) * factors[j])
             worst = max(worst, float(np.max(np.abs(rep.mean_gradient - target))))
     return _record(
         8,

@@ -44,7 +44,7 @@ from .newtonian import (
 from .polarization import ellipsoid_pt, hs_bounds, polarization_tensor
 from .serialize import to_csv, to_json, to_jsonl
 from .shapeopt import OptProblem, minimize_trace, overlay_svg
-from .transmission import default_interior_sample, interior_field, solve_density
+from .transmission import _basis_fields, default_interior_sample
 
 __all__ = ["RunConfig", "parse_shape", "run", "main"]
 
@@ -208,6 +208,7 @@ def _parse_floats(text: str, flag: str) -> list[float]:
             out.append(float(piece))
         except ValueError as exc:
             raise ConfigError(f"{flag}: '{piece}' is not a number") from exc
+        _expect(np.isfinite(out[-1]), f"{flag}: '{piece}' is not a finite number")
     return out
 
 
@@ -295,33 +296,24 @@ def _cmd_bounds(cfg: RunConfig):
 
 def _cmd_eshelby(cfg: RunConfig):
     shape = cfg.shape
-    d = shape_dim(shape)
-    n = cfg.nodes() if d == 2 else cfg.grid3()
-    grid = discretize(shape, n)
+    if shape_dim(shape) != 2:
+        raise ConfigError("--shape: eshelby requires a 2D shape")
+    grid = discretize(shape, cfg.nodes())
     sample = default_interior_sample(shape, grid)
-    header = ["shape", "k", "direction", "mean_gx", "mean_gy"]
-    if d == 3:
-        header.append("mean_gz")
-    header.append("delta")
+    header = ["shape", "k", "direction", "mean_gx", "mean_gy", "delta"]
     rows = []
     worst = 0.0
-    for k in cfg.ks:
-        for j in range(d):
-            a = np.zeros(d)
-            a[j] = 1.0
-            fr = interior_field(grid, solve_density(grid, k, a), a, sample)
-            worst = max(worst, fr.delta)
-            rows.append(
-                [cfg.shape_label, k, j + 1]
-                + [float(g) for g in fr.mean_gradient]
-                + [fr.delta]
-            )
+    for k, j, fr in _basis_fields(grid, cfg.ks, sample):
+        worst = max(worst, fr.delta)
+        rows.append(
+            [cfg.shape_label, k, j + 1] + [float(g) for g in fr.mean_gradient] + [fr.delta]
+        )
     passed = worst <= cfg.tolerance
     report = {
         "command": "eshelby",
         "shape": cfg.shape_label,
         "ks": list(cfg.ks),
-        "n": n,
+        "n": cfg.nodes(),
         "max_delta": worst,
         "delta_tol": cfg.tolerance,
         "passed": passed,
@@ -596,8 +588,8 @@ def _make_config(args: argparse.Namespace) -> RunConfig:
         ks = tuple(values)
     lame = _parse_lame(args.lame) if getattr(args, "lame", None) else None
     tol = getattr(args, "tol", None)
-    if tol is not None and tol <= 0:
-        raise ConfigError("--tol: must be positive")
+    if tol is not None and not (0 < tol < np.inf):
+        raise ConfigError("--tol: must be positive and finite")
     n = getattr(args, "n", None)
     if n is not None and n < 16:
         raise ConfigError("--n: must be at least 16")

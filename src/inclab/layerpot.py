@@ -125,18 +125,20 @@ def _directional_kernel_sum(grid, q, points, directions):
 def npo_matrix(grid: BoundaryGrid) -> NpoOperator:
     """Assemble the dense K* matrix on a 2D boundary grid.
 
-    Off-diagonal entries are the plain kernel times the target-free weight;
-    the diagonal uses the smooth-curve limit kappa/(4 pi) on parametrized
-    curves and is zero on polygon grids (the kernel vanishes identically
-    along each straight edge).
+    With nodes and normals as complex numbers z and nu, the off-diagonal
+    entry (x, y) is Re(nu(x) / (z(x) - z(y))) w(y) / 2 pi, the plain kernel
+    times the target-free weight.  The diagonal uses the smooth-curve limit
+    kappa/(4 pi) on parametrized curves and is zero on polygon grids (the
+    kernel vanishes identically along each straight edge).  K* does not
+    depend on the contrast, so one matrix serves every solve on the grid.
     """
     if grid.dim != 2:
         raise InvalidShapeError("K* matrices are assembled for 2D grids only")
-    dx = grid.nodes[:, None, :] - grid.nodes[None, :, :]
-    r2 = (dx * dx).sum(-1)
-    np.fill_diagonal(r2, 1.0)
-    num = (dx * grid.normals[:, None, :]).sum(-1)
-    mat = num / (2 * np.pi * r2) * grid.weights[None, :]
+    z = grid.nodes[:, 0] + 1j * grid.nodes[:, 1]
+    nu = grid.normals[:, 0] + 1j * grid.normals[:, 1]
+    diff = z[:, None] - z[None, :]
+    np.fill_diagonal(diff, 1.0)
+    mat = np.divide(nu[:, None], diff, out=diff).real * (grid.weights / (2 * np.pi))
     if grid.curvature is not None:
         np.fill_diagonal(mat, grid.curvature / (4 * np.pi) * grid.weights)
     else:

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigError, InvalidShapeError, SolveError
 from .geometry import BoundaryGrid, Ellipse, Ellipsoid, ShapeSpec, measure
 from .newtonian import depolarization_factors, depolarization_factors_2d
-from .transmission import Contrast, _as_contrast, solve_density
+from .transmission import Contrast, _as_contrast, _basis_densities
 
 __all__ = [
     "PolarizationTensor",
@@ -74,10 +74,11 @@ class BoundReport:
 def polarization_tensor(grid: BoundaryGrid, k) -> PolarizationTensor:
     """Polarization tensor from boundary solves (2D grids).
 
-    One solve per basis direction; entry (i, j) is the j-th moment of the
-    i-th density.  The matrix is symmetrized by averaging and the raw
-    asymmetry is recorded.  3D ellipsoid grids delegate to the closed
-    form; other 3D surfaces have no dense-solve path.
+    One K* assembly and one factorization give the densities of all basis
+    directions; entry (i, j) is the j-th moment of the i-th density.  The
+    matrix is symmetrized by averaging and the raw asymmetry is recorded.
+    3D ellipsoid grids delegate to the closed form; other 3D surfaces have
+    no dense-solve path.
     """
     contrast = _as_contrast(k)
     if grid.dim == 3:
@@ -87,13 +88,8 @@ def polarization_tensor(grid: BoundaryGrid, k) -> PolarizationTensor:
             "3D polarization tensors are only available through the "
             "ellipsoid closed form"
         )
-    d = grid.dim
-    raw = np.empty((d, d))
-    for i in range(d):
-        a = np.zeros(d)
-        a[i] = 1.0
-        phi = solve_density(grid, contrast, a)
-        raw[i] = (grid.nodes * (phi.values * grid.weights)[:, None]).sum(axis=0)
+    (phis,) = _basis_densities(grid, [contrast])
+    raw = (phis * grid.weights[:, None]).T @ grid.nodes
     asymmetry = float(np.max(np.abs(raw - raw.T)))
     M = 0.5 * (raw + raw.T)
     return PolarizationTensor(

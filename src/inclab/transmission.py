@@ -29,6 +29,7 @@ from .geometry import (
 from .errors import InvalidShapeError
 from .layerpot import (
     Density,
+    NpoOperator,
     _directional_kernel_sum,
     _fine_grid,
     npo_matrix,
@@ -59,8 +60,8 @@ class Contrast:
     k: float
 
     def __post_init__(self):
-        if not (self.k > 0.0) or self.k == 1.0:
-            raise ConfigError("contrast k must be positive and different from 1")
+        if not (0.0 < self.k < np.inf) or self.k == 1.0:
+            raise ConfigError("contrast k must be finite, positive and different from 1")
 
     @property
     def coupling(self) -> float:
@@ -116,28 +117,56 @@ class DecayReport:
     passed: bool
 
 
+def _solve(op: NpoOperator, contrast: Contrast, rhs: np.ndarray) -> np.ndarray:
+    """Solve (coupling I - K*) x = rhs for every column of ``rhs`` at once.
+
+    One factorization serves all columns.  Every column's relative residual
+    must come back at 1e-10 or better and every entry must be finite,
+    otherwise a SolveError is raised; a NaN fails the test.
+    """
+    system = np.negative(op.matrix)
+    system.flat[:: len(system) + 1] += contrast.coupling
+    values = np.linalg.solve(system, rhs)
+    scale = np.maximum(1.0, np.max(np.abs(rhs), axis=0))
+    residual = np.max(np.abs(system @ values - rhs), axis=0) / scale
+    if not (np.all(residual <= 1e-10) and np.all(np.isfinite(values))):
+        raise SolveError(
+            f"boundary solve residual {np.max(residual):.3e} exceeds 1e-10 or the "
+            "density is not finite; the system is unexpectedly ill-conditioned"
+        )
+    return values
+
+
+def _basis_densities(grid: BoundaryGrid, ks) -> list[np.ndarray]:
+    """Densities for the basis directions e_1..e_d: one (n, d) array per contrast.
+
+    K* is assembled once for the grid and serves every contrast; column j
+    solves the system with right-hand side n_j.
+    """
+    op = npo_matrix(grid)
+    return [_solve(op, _as_contrast(k), grid.normals) for k in ks]
+
+
+def _basis_fields(grid: BoundaryGrid, ks, sample: InteriorSample):
+    """Yield (k, j, FieldReport) for every contrast in ``ks`` and direction e_j."""
+    eye = np.eye(grid.dim)
+    for k, phis in zip(ks, _basis_densities(grid, ks)):
+        for j in range(grid.dim):
+            yield k, j, interior_field(grid, Density(phis[:, j], grid), eye[j], sample)
+
+
 def solve_density(grid: BoundaryGrid, k, a) -> Density:
     """Solve the boundary equation for the layer density of direction ``a``.
 
-    Dense direct solve of the Nystrom system; the relative residual must
-    come back at 1e-10 or better, otherwise a SolveError is raised.
+    Dense direct solve of the Nystrom system on a freshly assembled K*,
+    guarded as in ``_solve``.  Basis directions are cheaper through
+    ``_basis_densities``, which shares one K* and one factorization.
     """
     contrast = _as_contrast(k)
     a = np.asarray(a, dtype=float)
     if a.shape != (grid.dim,):
         raise ConfigError(f"direction must be a {grid.dim}-vector")
-    op = npo_matrix(grid)
-    system = contrast.coupling * np.eye(grid.n) - op.matrix
-    rhs = grid.normals @ a
-    values = np.linalg.solve(system, rhs)
-    scale = max(1.0, float(np.max(np.abs(rhs))))
-    residual = float(np.max(np.abs(system @ values - rhs))) / scale
-    if residual > 1e-10:
-        raise SolveError(
-            f"boundary solve residual {residual:.3e} exceeds 1e-10; "
-            "the system is unexpectedly ill-conditioned"
-        )
-    return Density(values, grid)
+    return Density(_solve(npo_matrix(grid), contrast, grid.normals @ a), grid)
 
 
 def interior_field(
@@ -182,18 +211,9 @@ def lambda_map(
     contrast = _as_contrast(k)
     if sample is None:
         sample = default_interior_sample(grid.shape, grid)
-    d = grid.dim
-    cols = []
-    deltas = []
-    for j in range(d):
-        a = np.zeros(d)
-        a[j] = 1.0
-        phi = solve_density(grid, contrast, a)
-        rep = interior_field(grid, phi, a, sample)
-        cols.append(rep.mean_gradient)
-        deltas.append(rep.delta)
-    matrix = np.stack(cols, axis=1)
-    deltas = np.asarray(deltas)
+    reports = [rep for _, _, rep in _basis_fields(grid, [contrast], sample)]
+    matrix = np.stack([rep.mean_gradient for rep in reports], axis=1)
+    deltas = np.array([rep.delta for rep in reports])
     det = float(np.linalg.det(matrix))
     invertible = abs(det) > 1e-12
     return LambdaReport(
@@ -223,23 +243,15 @@ def k_independence_check(
     grid = discretize(shape, n)
     if sample is None:
         sample = default_interior_sample(shape, grid)
-    d = grid.dim
-    records = []
-    for contrast in contrasts:
-        for j in range(d):
-            a = np.zeros(d)
-            a[j] = 1.0
-            phi = solve_density(grid, contrast, a)
-            rep = interior_field(grid, phi, a, sample)
-            records.append(
-                {
-                    "k": contrast.k,
-                    "direction": j + 1,
-                    "mean_gradient": tuple(float(v) for v in rep.mean_gradient),
-                    "delta": rep.delta,
-                }
-            )
-    return records
+    return [
+        {
+            "k": contrast.k,
+            "direction": j + 1,
+            "mean_gradient": tuple(float(v) for v in rep.mean_gradient),
+            "delta": rep.delta,
+        }
+        for contrast, j, rep in _basis_fields(grid, contrasts, sample)
+    ]
 
 
 def flux_continuity_check(

@@ -80,6 +80,28 @@ def test_config_error_exit_2(capsys):
     assert "--shape" in err
 
 
+def test_non_finite_values_are_config_errors(capsys):
+    for argv, flag in (
+        (("pt", "--shape", "disk", "--k", "inf"), "--k"),
+        (("eshelby", "--shape", "disk", "--k", "2,nan"), "--k"),
+        (("pt", "--shape", "polygon:0,0,1,0,nan,1", "--k", "3"), "--shape"),
+        (("elastic-identity", "--lame", "2,1,inf,0.5"), "--lame"),
+        (("pt", "--shape", "disk", "--k", "3", "--tol", "nan"), "--tol"),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2
+        assert flag in err
+        assert out == ""
+
+
+def test_eshelby_refuses_3d_shapes(capsys):
+    for shape in ("ellipsoid:2,1.5,1", "box:0.5,0.5,0.5"):
+        code, out, err = _run(capsys, "eshelby", "--shape", shape, "--k", "2")
+        assert code == 2
+        assert "--shape" in err
+        assert out == ""
+
+
 def test_numerical_failure_exit_1(capsys):
     # the square is genuinely non-uniform, so the uniformity check fails
     code, out, _ = _run(capsys, "eshelby", "--shape", "square", "--k", "2", "--n", "128")

@@ -6,8 +6,11 @@ from hypothesis import strategies as st
 from inclab import (
     ConfigError,
     Contrast,
+    Density,
     Ellipse,
+    FourierStar,
     Polygon,
+    SolveError,
     decay_check,
     default_interior_sample,
     discretize,
@@ -15,8 +18,15 @@ from inclab import (
     interior_field,
     k_independence_check,
     lambda_map,
+    layerpot,
+    polarization_tensor,
     solve_density,
+    transmission,
 )
+from inclab.cli import run
+
+SQUARE = Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
+STAR = FourierStar(1.0, ((3, 0.2, 0.0), (5, 0.05, 0.03)))
 
 contrast = st.floats(0.1, 20.0).filter(lambda k: abs(k - 1.0) > 0.05)
 
@@ -28,6 +38,9 @@ def test_contrast_validation():
         Contrast(-2.0)
     with pytest.raises(ConfigError):
         Contrast(1.0)
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ConfigError):
+            Contrast(bad)
 
 
 @settings(max_examples=20, deadline=None)
@@ -135,3 +148,83 @@ def test_far_field_decay_rate():
 def test_solve_rejects_wrong_direction_dimension(ellipse21_grid):
     with pytest.raises(ConfigError):
         solve_density(ellipse21_grid, 2.0, np.array([1.0, 0.0, 0.0]))
+
+
+def _reference_densities(grid, k):
+    """Per-direction densities from the real-form K* <x - y, n(x)> w(y) / (2 pi |x - y|^2)."""
+    dx = grid.nodes[:, None, :] - grid.nodes[None, :, :]
+    r2 = (dx * dx).sum(-1)
+    np.fill_diagonal(r2, 1.0)
+    K = (dx * grid.normals[:, None, :]).sum(-1) / (2 * np.pi * r2) * grid.weights[None, :]
+    if grid.curvature is not None:
+        np.fill_diagonal(K, grid.curvature / (4 * np.pi) * grid.weights)
+    else:
+        np.fill_diagonal(K, 0.0)
+    system = (k + 1.0) / (2.0 * (k - 1.0)) * np.eye(grid.n) - K
+    return [np.linalg.solve(system, grid.normals[:, j]) for j in range(grid.dim)]
+
+
+def _close(got, ref, rtol=1e-13):
+    return np.max(np.abs(np.asarray(got) - ref)) <= rtol * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("shape", [Ellipse(2.0, 1.0), STAR, SQUARE], ids=["ellipse", "star", "square"])
+def test_shared_solve_matches_per_direction_reference(shape):
+    grid = discretize(shape, 192)
+    sample = default_interior_sample(shape, grid)
+    eye = np.eye(2)
+    for k in (0.5, 3.0):
+        phis = _reference_densities(grid, k)
+        raw = np.array([(grid.nodes * (phi * grid.weights)[:, None]).sum(axis=0) for phi in phis])
+        assert _close(polarization_tensor(grid, k).M, 0.5 * (raw + raw.T))
+        ref = [interior_field(grid, Density(phi, grid), eye[j], sample) for j, phi in enumerate(phis)]
+        rep = lambda_map(grid, k, sample)
+        assert _close(rep.matrix, np.stack([r.mean_gradient for r in ref], axis=1))
+        # delta is already relative to the mean gradient, so its scale is 1
+        assert np.max(np.abs(rep.deltas - [r.delta for r in ref])) <= 1e-13
+    ks = (0.5, 2.0, 10.0)
+    records = k_independence_check(shape, ks, n=192, sample=sample)
+    assert [(r["k"], r["direction"]) for r in records] == [(k, j) for k in ks for j in (1, 2)]
+    for rec in records:
+        phi = _reference_densities(grid, rec["k"])[rec["direction"] - 1]
+        a = eye[rec["direction"] - 1]
+        ref = interior_field(grid, Density(phi, grid), a, sample)
+        assert _close(rec["mean_gradient"], ref.mean_gradient)
+        assert abs(rec["delta"] - ref.delta) <= 1e-13
+
+
+def _count_assemblies(monkeypatch):
+    grids = []
+
+    def counting(grid):
+        grids.append(grid)
+        return layerpot.npo_matrix(grid)
+
+    monkeypatch.setattr(transmission, "npo_matrix", counting)
+    return grids
+
+
+def test_one_assembly_per_grid(monkeypatch, capsys, ellipse21_grid):
+    grids = _count_assemblies(monkeypatch)
+    polarization_tensor(ellipse21_grid, 3.0)
+    assert grids == [ellipse21_grid]
+    grids.clear()
+    k_independence_check(Ellipse(2.0, 1.0), (0.5, 2.0, 10.0), n=128)
+    assert len(grids) == 1
+    grids.clear()
+    assert run(["eshelby", "--shape", "ellipse:2,1", "--k", "0.5,2,10", "--n", "128"]) == 0
+    capsys.readouterr()
+    assert len(grids) == 1
+
+
+def test_solve_guard_fails_closed_on_nan(monkeypatch, ellipse21_grid):
+    def poisoned(grid):
+        op = layerpot.npo_matrix(grid)
+        op.matrix[3, 5] = np.nan
+        return op
+
+    monkeypatch.setattr(transmission, "npo_matrix", poisoned)
+    with pytest.raises(SolveError):
+        solve_density(ellipse21_grid, 2.0, np.array([1.0, 0.0]))
+    with pytest.raises(SolveError):
+        polarization_tensor(ellipse21_grid, 2.0)
