@@ -17,10 +17,8 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
-import numpy as np
-
 from inclab.serialize import to_json, to_jsonl
-from inclab.shapeopt import OptProblem, minimize_trace, overlay_svg
+from inclab.shapeopt import OptProblem, disk_verdict, minimize_trace, overlay_svg
 
 
 def main() -> int:
@@ -30,33 +28,28 @@ def main() -> int:
     parser.add_argument("--n", type=int, default=256, help="boundary nodes per shape evaluation")
     parser.add_argument("--max-iter", type=int, default=4000, help="Nelder-Mead iteration cap")
     parser.add_argument(
-        "--start", type=float, nargs=2, default=(0.2, 0.1),
+        "--start", type=float, nargs=2, default=None,
         metavar=("EPS2", "EPS3"),
-        help="initial cosine amplitudes of modes 2 and 3",
+        help="initial cosine amplitudes of modes 2 and 3 (default: OptProblem.start)",
     )
     parser.add_argument("--out", default="artifacts", help="output directory")
     args = parser.parse_args()
 
     problem = OptProblem(k=args.k, m_max=args.m_max, n=args.n, max_iter=args.max_iter)
-    initial = np.zeros(problem.dof)
-    initial[0] = args.start[0]
-    if problem.dof > 2:
-        initial[2] = args.start[1]
+    initial = problem.start() if args.start is None else problem.start(args.start)
 
     trace = minimize_trace(problem, initial)
     disk = problem.disk_value
-    rel_gap = trace.gap / disk
-    max_coeff = float(np.max(np.abs(trace.final_coefficients)))
-    undercut = (disk - trace.final_objective) / disk
+    verdict = disk_verdict(problem, trace)
 
     os.makedirs(args.out, exist_ok=True)
     summary = {
         "k": args.k,
         "disk_value": disk,
         "final_objective": trace.final_objective,
-        "relative_gap": rel_gap,
-        "max_abs_coefficient": max_coeff,
-        "undercut": undercut,
+        "relative_gap": verdict["relative_gap"],
+        "max_abs_coefficient": verdict["max_coefficient"],
+        "undercut": verdict["disk_undercut"],
         "evaluations": trace.evaluations,
         "converged": trace.converged,
         "final_coefficients": trace.final_coefficients,
@@ -72,10 +65,10 @@ def main() -> int:
           f"{trace.evaluations} objective evaluations")
     print(f"disk trace value     {disk:.12f}")
     print(f"best trace found     {trace.final_objective:.12f}")
-    print(f"relative gap         {rel_gap:.3e}")
-    print(f"max |coefficient|    {max_coeff:.3e}")
+    print(f"relative gap         {verdict['relative_gap']:.3e}")
+    print(f"max |coefficient|    {verdict['max_coefficient']:.3e}")
     print(f"artifacts in {args.out}/")
-    if undercut > 1e-5:
+    if verdict["disk_undercut"] > verdict["undercut_tol"]:
         print("WARNING: best shape undercuts the disk beyond numerical noise")
         return 1
     print("the disk is the minimizer to within search resolution")

@@ -20,7 +20,7 @@ from .geometry import (
     discretize,
     interior_points,
 )
-from .hodograph import hodograph_map, leading_coefficient, univalence_check
+from .hodograph import slit_certificate
 from .layerpot import Density, jump_check, npo_matrix
 from .newtonian import (
     carlson_rd,
@@ -28,7 +28,7 @@ from .newtonian import (
     quadratic_interior_fit,
 )
 from .polarization import ellipsoid_pt, hs_bounds, polarization_tensor
-from .shapeopt import OptProblem, minimize_trace
+from .shapeopt import OptProblem, disk_verdict, minimize_trace
 from .transmission import _basis_fields, decay_check, default_interior_sample
 
 __all__ = ["run_criterion", "run_all", "CRITERIA"]
@@ -43,6 +43,12 @@ STAR3 = FourierStar(1.0, ((3, 0.2, 0.0),))
 
 def _record(cid: int, name: str, passed: bool, detail: str) -> dict:
     return {"id": cid, "name": name, "passed": bool(passed), "detail": detail}
+
+
+def _tol(value: float) -> str:
+    """A tolerance as the details write it: 1e-4, not 0.0001 or 1e-04."""
+    mantissa, exponent = f"{value:.0e}".split("e")
+    return f"{mantissa}e{int(exponent)}"
 
 
 def criterion_01() -> dict:
@@ -280,55 +286,33 @@ def criterion_11() -> dict:
 
 def criterion_12() -> dict:
     """Hodograph boundary identity, univalence, slit, leading coefficient."""
-    a, b = 2.0, 1.0
-    theta = 2 * np.pi * np.arange(512) / 512
-    w = a * np.cos(theta) + 1j * b * np.sin(theta)
-    boundary_dev = float(np.max(np.abs(hodograph_map(a, b, w) - 1j * np.imag(w))))
-    from .hodograph import ellipse_exterior_map
-
-    fmap = ellipse_exterior_map(a, b)
-    report = univalence_check(
-        lambda z: hodograph_map(a, b, fmap(np.asarray(z, dtype=complex)))
-    )
-    slit_err = max(
-        abs(report.slit[0] - complex(0.0, -b)), abs(report.slit[1] - complex(0.0, b))
-    )
-    alpha_err = abs(leading_coefficient(a, b) - b / (a + b))
-    passed = (
-        boundary_dev <= 1e-10
-        and report.passed
-        and slit_err <= 1e-10
-        and alpha_err <= 1e-4
-    )
+    cert = slit_certificate(2.0, 1.0)
+    alpha_err = abs(cert["leading_coefficient"] - cert["leading_coefficient_target"])
     return _record(
         12,
         "hodograph slit map",
-        passed,
-        f"boundary identity {boundary_dev:.2e} (tol 1e-10); univalence "
-        f"{report.passed}; slit endpoint error {slit_err:.2e} (tol 1e-10); "
-        f"leading coefficient error {alpha_err:.2e} (tol 1e-4)",
+        cert["passed"],
+        f"boundary identity {cert['boundary_identity_deviation']:.2e} "
+        f"(tol {_tol(cert['boundary_identity_tol'])}); univalence {cert['univalent']}; "
+        f"slit endpoint error {cert['slit_endpoint_error']:.2e} "
+        f"(tol {_tol(cert['slit_tol'])}); leading coefficient error {alpha_err:.2e} "
+        f"(tol {_tol(cert['leading_coefficient_tol'])})",
     )
 
 
 def criterion_13() -> dict:
     """Trace minimization over star shapes converges to the disk."""
     problem = OptProblem(k=3.0)
-    start = np.zeros(problem.dof)
-    start[0] = 0.2
-    start[2] = 0.1
-    trace = minimize_trace(problem, start)
-    disk_value = problem.disk_value
-    rel_gap = trace.gap / disk_value
-    max_coeff = float(np.max(np.abs(trace.final_coefficients)))
-    best = min(r["objective"] for r in trace.history)
-    undercut = (disk_value - best) / disk_value
-    passed = rel_gap <= 1e-3 and max_coeff <= 1e-2 and undercut <= 1e-5
+    trace = minimize_trace(problem, problem.start())
+    verdict = disk_verdict(problem, trace)
     return _record(
         13,
         "trace-minimal shape is the disk",
-        passed,
-        f"relative gap {rel_gap:.2e} (tol 1e-3); max coefficient {max_coeff:.2e} "
-        f"(tol 1e-2); best undercut {undercut:.2e} (cap 1e-5); "
+        verdict["passed"],
+        f"relative gap {verdict['relative_gap']:.2e} (tol {_tol(verdict['gap_tol'])}); "
+        f"max coefficient {verdict['max_coefficient']:.2e} "
+        f"(tol {_tol(verdict['coefficient_tol'])}); best undercut "
+        f"{verdict['disk_undercut']:.2e} (cap {_tol(verdict['undercut_tol'])}); "
         f"{trace.evaluations} evaluations",
     )
 

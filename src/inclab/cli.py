@@ -30,12 +30,7 @@ from .geometry import (
     interior_points,
     shape_dim,
 )
-from .hodograph import (
-    ellipse_exterior_map,
-    hodograph_map,
-    leading_coefficient,
-    univalence_check,
-)
+from .hodograph import slit_certificate
 from .newtonian import (
     depolarization_factors,
     depolarization_factors_2d,
@@ -43,7 +38,7 @@ from .newtonian import (
 )
 from .polarization import ellipsoid_pt, hs_bounds, polarization_tensor
 from .serialize import to_csv, to_json, to_jsonl
-from .shapeopt import OptProblem, minimize_trace, overlay_svg
+from .shapeopt import OptProblem, disk_verdict, minimize_trace, overlay_svg
 from .transmission import _basis_fields, default_interior_sample
 
 __all__ = ["RunConfig", "parse_shape", "run", "main"]
@@ -129,74 +124,62 @@ def parse_shape(text: str) -> tuple[str, ShapeSpec]:
     else:
         label = raw
     kind, _, params = raw.partition(":")
-    kind = kind.strip().lower()
-    values = _parse_floats(params, "--shape")
+    return label, _build_shape(kind.strip().lower(), _parse_floats(params, "--shape"))
+
+
+def _build_shape(kind: str, v: list[float]) -> ShapeSpec:
+    """Shape of type ``kind`` from its parameters in the inline ``--shape`` order.
+
+    Every value must be finite and their count must fit the type; a
+    violation, or a constructor's refusal, is a ConfigError naming --shape.
+    """
+    for value in v:
+        _expect(np.isfinite(value), f"--shape: '{value}' is not a finite number")
+    n = len(v)
+    forms = {
+        "ellipse": (n == 2, "a,b"),
+        "ellipsoid": (n == 3, "c1,c2,c3"),
+        "box": (n == 3, "h1,h2,h3"),
+        "polygon": (n >= 6 and n % 2 == 0, "x1,y1,x2,y2,... (at least 3 vertices)"),
+        "star": (n >= 4 and (n - 1) % 3 == 0, "r0,m,c,s[,m,c,s...]"),
+    }
+    _expect(kind in forms, f"--shape: unknown shape type '{kind}'")
+    _expect(forms[kind][0], f"--shape: {kind} takes {forms[kind][1]}")
     try:
         if kind == "ellipse":
-            _expect(len(values) == 2, "--shape: ellipse takes a,b")
-            return label, Ellipse(values[0], values[1])
+            return Ellipse(v[0], v[1])
         if kind == "ellipsoid":
-            _expect(len(values) == 3, "--shape: ellipsoid takes c1,c2,c3")
-            return label, Ellipsoid(values[0], values[1], values[2])
+            return Ellipsoid(v[0], v[1], v[2])
         if kind == "box":
-            _expect(len(values) == 3, "--shape: box takes h1,h2,h3")
-            return label, Box((values[0], values[1], values[2]))
+            return Box((v[0], v[1], v[2]))
         if kind == "polygon":
-            _expect(
-                len(values) >= 6 and len(values) % 2 == 0,
-                "--shape: polygon takes x1,y1,x2,y2,... (at least 3 vertices)",
-            )
-            verts = tuple(
-                (values[i], values[i + 1]) for i in range(0, len(values), 2)
-            )
-            return label, Polygon(verts)
-        if kind == "star":
-            _expect(
-                len(values) >= 4 and (len(values) - 1) % 3 == 0,
-                "--shape: star takes r0,m,c,s[,m,c,s...]",
-            )
-            modes = tuple(
-                (int(values[i]), values[i + 1], values[i + 2])
-                for i in range(1, len(values), 3)
-            )
-            return label, FourierStar(values[0], modes)
+            return Polygon(tuple(zip(v[0::2], v[1::2])))
+        modes = zip(v[1::3], v[2::3], v[3::3])
+        return FourierStar(v[0], tuple((int(m), c, s) for m, c, s in modes))
     except InvalidShapeError as exc:
         raise ConfigError(f"--shape: {exc}") from exc
-    raise ConfigError(f"--shape: unknown shape type '{kind}'")
+
+
+# JSON type -> its fields flattened into the inline parameter order
+_JSON_FIELDS = {
+    "ellipse": lambda p: [p["a"], p["b"]],
+    "ellipsoid": lambda p: [p["c1"], p["c2"], p["c3"]],
+    "box": lambda p: list(p["half"]),
+    "polygon": lambda p: [v for x, y in p["vertices"] for v in (x, y)],
+    "star": lambda p: [p["r0"]] + [v for m, c, s in p["modes"] for v in (m, c, s)],
+}
 
 
 def _shape_from_json(payload, path: str) -> tuple[str, ShapeSpec]:
     if not isinstance(payload, dict) or "type" not in payload:
         raise ConfigError(f"--shape: {path} must be an object with a 'type' field")
     kind = str(payload["type"]).lower()
+    fields = _JSON_FIELDS.get(kind, lambda p: [])
     try:
-        if kind == "ellipse":
-            shape = Ellipse(float(payload["a"]), float(payload["b"]))
-        elif kind == "ellipsoid":
-            shape = Ellipsoid(
-                float(payload["c1"]), float(payload["c2"]), float(payload["c3"])
-            )
-        elif kind == "box":
-            shape = Box(tuple(float(h) for h in payload["half"]))
-        elif kind == "polygon":
-            shape = Polygon(
-                tuple((float(x), float(y)) for x, y in payload["vertices"])
-            )
-        elif kind == "star":
-            shape = FourierStar(
-                float(payload["r0"]),
-                tuple(
-                    (int(m), float(c), float(s)) for m, c, s in payload["modes"]
-                ),
-            )
-        else:
-            raise ConfigError(f"--shape: unknown shape type '{kind}' in {path}")
+        values = [float(v) for v in fields(payload)]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"--shape: malformed '{kind}' entry in {path}: {exc}") from exc
-    except InvalidShapeError as exc:
-        raise ConfigError(f"--shape: {exc}") from exc
-    label = os.path.basename(path)
-    return label, shape
+    return os.path.basename(path), _build_shape(kind, values)
 
 
 def _parse_floats(text: str, flag: str) -> list[float]:
@@ -228,17 +211,17 @@ def _parse_lame(text: str) -> LameParams:
 # ---------------------------------------------------------------------------
 
 
-def _closed_form_available(shape: ShapeSpec) -> bool:
-    return isinstance(shape, (Ellipse, Ellipsoid))
+def _tensor(cfg: RunConfig):
+    """Polarization tensor: closed form on ellipsoids, boundary solve otherwise."""
+    if isinstance(cfg.shape, Ellipsoid):
+        return ellipsoid_pt(cfg.shape, cfg.k)
+    return polarization_tensor(discretize(cfg.shape, cfg.nodes()), cfg.k)
 
 
 def _cmd_pt(cfg: RunConfig):
     shape = cfg.shape
     k = cfg.k
-    if isinstance(shape, Ellipsoid):
-        pt = ellipsoid_pt(shape, k)
-    else:
-        pt = polarization_tensor(discretize(shape, cfg.nodes()), k)
+    pt = _tensor(cfg)
     report = {
         "command": "pt",
         "shape": cfg.shape_label,
@@ -252,7 +235,7 @@ def _cmd_pt(cfg: RunConfig):
         "asymmetry_tol": cfg.tolerance,
     }
     passed = pt.asymmetry <= cfg.tolerance
-    if _closed_form_available(shape):
+    if isinstance(shape, (Ellipse, Ellipsoid)):
         closed = ellipsoid_pt(shape, k).M
         dev = float(np.max(np.abs(pt.M - closed)))
         report["closed_form_M"] = closed
@@ -264,19 +247,13 @@ def _cmd_pt(cfg: RunConfig):
 
 
 def _cmd_bounds(cfg: RunConfig):
-    shape = cfg.shape
-    k = cfg.k
-    if isinstance(shape, Ellipsoid):
-        pt = ellipsoid_pt(shape, k)
-    else:
-        pt = polarization_tensor(discretize(shape, cfg.nodes()), k)
-    rep = hs_bounds(pt)
+    rep = hs_bounds(_tensor(cfg))
     slack_floor = cfg.tolerance
     passed = rep.slack1 >= -slack_floor and rep.slack2 >= -slack_floor
     report = {
         "command": "bounds",
         "shape": cfg.shape_label,
-        "k": k,
+        "k": cfg.k,
         "n": cfg.nodes(),
         "form": rep.form,
         "trace_M": rep.tr_M,
@@ -398,58 +375,17 @@ def _cmd_hodograph(cfg: RunConfig):
     shape = cfg.shape
     if not isinstance(shape, Ellipse):
         raise ConfigError("--shape: hodograph requires an ellipse shape")
-    a, b = shape.a, shape.b
-    theta = 2 * np.pi * np.arange(512) / 512
-    w = a * np.cos(theta) + 1j * b * np.sin(theta)
-    boundary_dev = float(np.max(np.abs(hodograph_map(a, b, w) - 1j * np.imag(w))))
-    fmap = ellipse_exterior_map(a, b)
-    rep = univalence_check(
-        lambda z: hodograph_map(a, b, fmap(np.asarray(z, dtype=complex)))
-    )
-    slit_err = max(
-        abs(rep.slit[0] - complex(0.0, -b)), abs(rep.slit[1] - complex(0.0, b))
-    )
-    alpha = leading_coefficient(a, b)
-    alpha_err = abs(alpha - b / (a + b))
-    tol = cfg.tolerance
-    passed = (
-        boundary_dev <= tol and rep.passed and slit_err <= tol and alpha_err <= 1e-4
-    )
-    report = {
-        "command": "hodograph",
-        "shape": cfg.shape_label,
-        "boundary_identity_deviation": boundary_dev,
-        "boundary_identity_tol": tol,
-        "univalent": rep.passed,
-        "min_abs_derivative": rep.min_abs_derivative,
-        "max_real_deviation": rep.max_real_deviation,
-        "real_deviation_tol": 1e-8,
-        "rings_simple": rep.rings_simple,
-        "slit": [
-            {"re": rep.slit[0].real, "im": rep.slit[0].imag},
-            {"re": rep.slit[1].real, "im": rep.slit[1].imag},
-        ],
-        "slit_endpoint_error": slit_err,
-        "slit_tol": tol,
-        "leading_coefficient": alpha,
-        "leading_coefficient_target": b / (a + b),
-        "leading_coefficient_tol": 1e-4,
-        "passed": passed,
-    }
-    return report, None, passed
+    cert = slit_certificate(shape.a, shape.b, cfg.tolerance)
+    report = {"command": "hodograph", "shape": cfg.shape_label, **cert}
+    return report, None, cert["passed"]
 
 
 def _cmd_shapeopt(cfg: RunConfig):
     problem = OptProblem(k=cfg.k, n=cfg.nodes())
-    start = np.zeros(problem.dof)
-    start[0] = 0.2
-    start[2] = 0.1
+    start = problem.start()
     trace = minimize_trace(problem, start)
-    rel_gap = trace.gap / problem.disk_value
-    max_coeff = float(np.max(np.abs(trace.final_coefficients)))
-    best = min(r["objective"] for r in trace.history)
-    undercut = (problem.disk_value - best) / problem.disk_value
-    passed = rel_gap <= cfg.tolerance and max_coeff <= 1e-2 and undercut <= 1e-5
+    verdict = disk_verdict(problem, trace, cfg.tolerance)
+    passed = verdict.pop("passed")
     out_dir = cfg.out if cfg.out is not None else "."
     os.makedirs(out_dir, exist_ok=True)
     trace_path = os.path.join(out_dir, "shapeopt_trace.jsonl")
@@ -467,12 +403,7 @@ def _cmd_shapeopt(cfg: RunConfig):
         "disk_value": problem.disk_value,
         "final_objective": trace.final_objective,
         "gap": trace.gap,
-        "relative_gap": rel_gap,
-        "gap_tol": cfg.tolerance,
-        "max_coefficient": max_coeff,
-        "coefficient_tol": 1e-2,
-        "disk_undercut": undercut,
-        "undercut_tol": 1e-5,
+        **verdict,
         "evaluations": trace.evaluations,
         "converged": trace.converged,
         "trace_file": trace_path,

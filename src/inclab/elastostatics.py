@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidShapeError
 from .geometry import BoundaryGrid
-from .layerpot import _guard
+from .layerpot import _green_sides, _guard
 
 __all__ = [
     "LameParams",
@@ -217,14 +217,7 @@ def trace_identity_check(
     else:
         res_diff = _relative(diff_lhs, diff_rhs, floor)
 
-    green_lhs = np.empty_like(points)
-    green_rhs = np.empty_like(points)
-    for i, x in enumerate(points):
-        dx = x[None, :] - grid.nodes
-        r = np.linalg.norm(dx, axis=1)
-        flux = (dx * grid.normals).sum(-1) / r**3
-        green_lhs[i] = (dx * (flux * grid.weights)[:, None]).sum(axis=0)
-        green_rhs[i] = -((grid.normals / r[:, None]) * grid.weights[:, None]).sum(axis=0)
+    green_lhs, green_rhs = _green_sides(grid, points)
     worst_green = _relative(green_lhs, green_rhs, floor)
 
     return IdentityReport(

@@ -28,6 +28,7 @@ __all__ = [
     "leading_coefficient",
     "exterior_grid",
     "univalence_check",
+    "slit_certificate",
 ]
 
 #: Points this far inside the unit circle still count as boundary; the
@@ -254,3 +255,46 @@ def univalence_check(
         rings_simple=rings_simple,
         passed=passed,
     )
+
+
+def slit_certificate(a: float, b: float, tol: float = 1e-10) -> dict:
+    """The hodograph argument checked on the ellipse (a, b), tolerances included.
+
+    Fields of the ``hodograph`` report, in its order: the boundary identity
+    on 512 points and the slit endpoints (against -ib, ib) must come within
+    ``tol``, the univalence certificate of the map composed with the
+    exterior uniformizer (turned by i for a tall ellipse) must pass with
+    its rim within 1e-8 of the imaginary axis, and the fitted leading
+    coefficient must come within 1e-4 of b/(a+b).
+    """
+    theta = 2 * np.pi * np.arange(512) / 512
+    w = a * np.cos(theta) + 1j * b * np.sin(theta)
+    boundary_dev = float(np.max(np.abs(hodograph_map(a, b, w) - 1j * np.imag(w))))
+    fmap = ellipse_exterior_map(a, b)
+    turn = 1j if fmap.rotated else 1
+    rep = univalence_check(
+        lambda z: hodograph_map(a, b, turn * fmap(np.asarray(z, dtype=complex)))
+    )
+    slit_err = max(
+        abs(rep.slit[0] - complex(0.0, -b)), abs(rep.slit[1] - complex(0.0, b))
+    )
+    alpha, target = leading_coefficient(a, b), b / (a + b)
+    return {
+        "boundary_identity_deviation": boundary_dev,
+        "boundary_identity_tol": tol,
+        "univalent": rep.passed,
+        "min_abs_derivative": rep.min_abs_derivative,
+        "max_real_deviation": rep.max_real_deviation,
+        "real_deviation_tol": 1e-8,
+        "rings_simple": rep.rings_simple,
+        "slit": [{"re": end.real, "im": end.imag} for end in rep.slit],
+        "slit_endpoint_error": slit_err,
+        "slit_tol": tol,
+        "leading_coefficient": alpha,
+        "leading_coefficient_target": target,
+        "leading_coefficient_tol": 1e-4,
+        "passed": (
+            boundary_dev <= tol and rep.passed and slit_err <= tol
+            and abs(alpha - target) <= 1e-4
+        ),
+    }

@@ -156,27 +156,27 @@ def _newtonian_flux(shape: ShapeSpec, points: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Newtonian potential, radial path
 
+def _ray_exit_quadric(q: np.ndarray, dirs: np.ndarray, semi_axes) -> np.ndarray:
+    # Positive root t of sum_i ((q_i + t d_i) / s_i)^2 = 1 for each ray d from
+    # q inside the axis-aligned ellipse or ellipsoid with semi-axes s.
+    inv = 1.0 / np.asarray(semi_axes, dtype=float)
+    qa, da = q * inv, dirs * inv
+    A = (da * da).sum(-1)
+    B = 2.0 * (qa * da).sum(-1)
+    C = (qa * qa).sum(-1) - 1.0
+    disc = B * B - 4 * A * C
+    return (-B + np.sqrt(disc)) / (2 * A)
+
+
 def _ray_exit_ellipse(shape: Ellipse, x: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     R = _rotation(-shape.rotation)
     q = (x - np.asarray(shape.center)) @ R.T
-    d = dirs @ R.T
-    inv = np.array([1.0 / shape.a, 1.0 / shape.b])
-    qa, da = q * inv, d * inv
-    A = (da * da).sum(-1)
-    B = 2.0 * (qa * da).sum(-1)
-    C = (qa * qa).sum(-1) - 1.0
-    disc = B * B - 4 * A * C
-    return (-B + np.sqrt(disc)) / (2 * A)
+    return _ray_exit_quadric(q, dirs @ R.T, (shape.a, shape.b))
 
 
 def _ray_exit_ellipsoid(shape: Ellipsoid, x: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    inv = np.array([1.0 / shape.c1, 1.0 / shape.c2, 1.0 / shape.c3])
-    qa, da = (x - np.asarray(shape.center)) * inv, dirs * inv
-    A = (da * da).sum(-1)
-    B = 2.0 * (qa * da).sum(-1)
-    C = (qa * qa).sum(-1) - 1.0
-    disc = B * B - 4 * A * C
-    return (-B + np.sqrt(disc)) / (2 * A)
+    q = x - np.asarray(shape.center)
+    return _ray_exit_quadric(q, dirs, (shape.c1, shape.c2, shape.c3))
 
 
 def _ray_exit_star(shape: FourierStar, x: np.ndarray, dirs: np.ndarray) -> np.ndarray:

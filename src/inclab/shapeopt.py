@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize as _nelder_mead
 
 from .errors import ConfigError, InvalidShapeError
 from .geometry import FourierStar, ShapeSpec, discretize, measure
@@ -30,6 +29,7 @@ __all__ = [
     "coefficients_to_star",
     "objective",
     "minimize_trace",
+    "disk_verdict",
     "bound_gap_scan",
     "overlay_svg",
 ]
@@ -73,6 +73,15 @@ class OptProblem:
     @property
     def disk_value(self) -> float:
         return minimal_trace_target(self.k, self.area, 2)
+
+    def start(self, amplitudes=(0.2, 0.1)) -> np.ndarray:
+        """Non-circular search start: cosine amplitudes of modes 2 and 3
+        (mode 3 only when searched), every other coefficient zero."""
+        start = np.zeros(self.dof)
+        start[0] = amplitudes[0]
+        if self.dof > 2:
+            start[2] = amplitudes[1]
+        return start
 
 
 @dataclass
@@ -136,6 +145,8 @@ def minimize_trace(problem: OptProblem, initial_coeffs) -> OptTrace:
     evaluation is logged.  The reported gap is measured against the
     closed-form minimal trace at the problem's area.
     """
+    from scipy.optimize import minimize as _nelder_mead
+
     x0 = np.asarray(initial_coeffs, dtype=float).copy()
     if x0.shape != (problem.dof,):
         raise ConfigError(f"expected {problem.dof} initial coefficients")
@@ -185,6 +196,28 @@ def minimize_trace(problem: OptProblem, initial_coeffs) -> OptTrace:
     trace.converged = converged
     trace.evaluations = len(trace.history)
     return trace
+
+
+def disk_verdict(problem: OptProblem, trace: OptTrace, gap_tol: float = 1e-3) -> dict:
+    """Whether a finished search found the disk, each number beside its tolerance.
+
+    Relative gap of the final objective to the disk value at most
+    ``gap_tol``, largest final coefficient at most 1e-2, and relative
+    undercut of the disk value by the best evaluation at most 1e-5.
+    """
+    disk = problem.disk_value
+    rel_gap = trace.gap / disk
+    max_coeff = float(np.max(np.abs(trace.final_coefficients)))
+    undercut = (disk - min(r["objective"] for r in trace.history)) / disk
+    return {
+        "relative_gap": rel_gap,
+        "gap_tol": gap_tol,
+        "max_coefficient": max_coeff,
+        "coefficient_tol": 1e-2,
+        "disk_undercut": undercut,
+        "undercut_tol": 1e-5,
+        "passed": rel_gap <= gap_tol and max_coeff <= 1e-2 and undercut <= 1e-5,
+    }
 
 
 def bound_gap_scan(shapes, k, n: int = 256) -> list[dict]:

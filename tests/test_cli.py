@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -53,6 +55,27 @@ def test_parse_shape_from_json_file(tmp_path):
     bad.write_text('{"type": "ellipse", "a": 3.0}')
     with pytest.raises(ConfigError):
         parse_shape(f"@{bad}")
+    star = tmp_path / "star.json"
+    star.write_text('{"type": "star", "r0": 1.0, "modes": [[3, 0.2, 0.0], [5, 0.0, 0.1]]}')
+    assert parse_shape(f"@{star}")[1] == FourierStar(1.0, ((3, 0.2, 0.0), (5, 0.0, 0.1)))
+    square = tmp_path / "square.json"
+    square.write_text('{"type": "polygon", "vertices": [[0,0], [1,0], [1,1], [0,1]]}')
+    assert parse_shape(f"@{square}")[1] == parse_shape("square")[1]
+    for name, text, message in (
+        ("blob.json", '{"type": "blob"}', "--shape: unknown shape type 'blob'"),
+        ("nan.json", '{"type":"polygon","vertices":[[0,0],[1,0],[NaN,1]]}',
+         "--shape: 'nan' is not a finite number"),
+        ("inf.json", '{"type":"ellipse","a":Infinity,"b":1}',
+         "--shape: 'inf' is not a finite number"),
+        ("box.json", '{"type": "box", "half": [0.5, 0.5]}', "--shape: box takes h1,h2,h3"),
+        ("cw.json", '{"type":"polygon","vertices":[[0,0],[0,1],[1,1],[1,0]]}',
+         "--shape: polygon vertices must be counterclockwise"),
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            parse_shape(f"@{path}")
+        assert str(info.value) == message
 
 
 def test_pt_passes_on_ellipse(capsys):
@@ -80,8 +103,14 @@ def test_config_error_exit_2(capsys):
     assert "--shape" in err
 
 
-def test_non_finite_values_are_config_errors(capsys):
+def test_non_finite_values_are_config_errors(capsys, tmp_path):
+    nan_polygon = tmp_path / "nan_polygon.json"
+    nan_polygon.write_text('{"type":"polygon","vertices":[[0,0],[1,0],[NaN,1]]}')
+    inf_ellipse = tmp_path / "inf_ellipse.json"
+    inf_ellipse.write_text('{"type":"ellipse","a":Infinity,"b":1}')
     for argv, flag in (
+        (("pt", "--shape", f"@{nan_polygon}", "--k", "3"), "--shape"),
+        (("pt", "--shape", f"@{inf_ellipse}", "--k", "3"), "--shape"),
         (("pt", "--shape", "disk", "--k", "inf"), "--k"),
         (("eshelby", "--shape", "disk", "--k", "2,nan"), "--k"),
         (("pt", "--shape", "polygon:0,0,1,0,nan,1", "--k", "3"), "--shape"),
@@ -164,12 +193,17 @@ def test_hodograph_requires_ellipse(capsys):
     assert "ellipse" in err
 
 
-def test_hodograph_runs(capsys):
-    code, out, _ = _run(capsys, "hodograph", "--shape", "ellipse:2,1")
+@pytest.mark.parametrize("a, b", [(2, 1), (1, 2), (0.7, 2.5)])
+def test_hodograph_runs(capsys, a, b):
+    # a tall ellipse (b > a) goes through the rotated exterior map
+    code, out, _ = _run(capsys, "hodograph", "--shape", f"ellipse:{a},{b}")
     assert code == 0
     rep = json.loads(out)
     assert rep["univalent"] is True
     assert rep["slit_endpoint_error"] <= 1e-10
+    ends = [complex(p["re"], p["im"]) for p in rep["slit"]]
+    assert ends == pytest.approx([-1j * b, 1j * b], abs=1e-10)
+    assert rep["leading_coefficient"] == pytest.approx(b / (a + b), abs=1e-4)
 
 
 def test_elastic_identity_runs(capsys):
@@ -204,3 +238,14 @@ def test_out_directory_written(capsys, tmp_path):
     path = os.path.join(out_dir, "pt.json")
     with open(path, "r", encoding="utf-8") as fh:
         assert fh.read() == out
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is imported by the shape search only, not by the CLI
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = "import sys, inclab, inclab.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

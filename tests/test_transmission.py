@@ -8,7 +8,9 @@ from inclab import (
     Contrast,
     Density,
     Ellipse,
+    Ellipsoid,
     FourierStar,
+    InvalidShapeError,
     Polygon,
     SolveError,
     decay_check,
@@ -16,6 +18,7 @@ from inclab import (
     discretize,
     flux_continuity_check,
     interior_field,
+    jump_check,
     k_independence_check,
     lambda_map,
     layerpot,
@@ -143,6 +146,21 @@ def test_far_field_decay_rate():
     assert rep.passed
     assert rep.expected == pytest.approx(2.0)
     assert rep.rel_error <= 0.2
+
+
+def test_decay_check_refuses_3d_shapes():
+    # K* is assembled on 2D grids only, so no 3D decay test can run
+    with pytest.raises(InvalidShapeError):
+        decay_check(Ellipsoid(2.0, 1.5, 1.0), 3.0, (1.0, 0.0, 0.0))
+
+
+def test_close_evaluation_checks_refuse_polygon_grids(square_grid):
+    # the shared probe helper needs a smooth parametrized grid
+    values = np.ones(square_grid.n)
+    with pytest.raises(InvalidShapeError):
+        jump_check(square_grid, Density(values, square_grid))
+    with pytest.raises(InvalidShapeError):
+        flux_continuity_check(square_grid, Density(values, square_grid), 3.0, (1.0, 0.0))
 
 
 def test_solve_rejects_wrong_direction_dimension(ellipse21_grid):
