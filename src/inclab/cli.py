@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elastostatics import LameParams, kolosov, trace_identity_check
-from .errors import ConfigError, InclabError, InvalidShapeError
+from .errors import ConfigError, InclabError, InvalidShapeError, ResolutionError
 from .geometry import (
     Box,
     Ellipse,
@@ -154,8 +154,7 @@ def _build_shape(kind: str, v: list[float]) -> ShapeSpec:
             return Box((v[0], v[1], v[2]))
         if kind == "polygon":
             return Polygon(tuple(zip(v[0::2], v[1::2])))
-        modes = zip(v[1::3], v[2::3], v[3::3])
-        return FourierStar(v[0], tuple((int(m), c, s) for m, c, s in modes))
+        return FourierStar(v[0], tuple(zip(v[1::3], v[2::3], v[3::3])))
     except InvalidShapeError as exc:
         raise ConfigError(f"--shape: {exc}") from exc
 
@@ -211,11 +210,21 @@ def _parse_lame(text: str) -> LameParams:
 # ---------------------------------------------------------------------------
 
 
+def _grid(cfg: RunConfig):
+    """Boundary grid of the configured shape at ``--n``; a refusal names its flag."""
+    try:
+        return discretize(cfg.shape, cfg.nodes())
+    except ResolutionError as exc:
+        raise ConfigError(f"--n: {exc}") from exc
+    except InvalidShapeError as exc:
+        raise ConfigError(f"--shape: {exc}") from exc
+
+
 def _tensor(cfg: RunConfig):
     """Polarization tensor: closed form on ellipsoids, boundary solve otherwise."""
     if isinstance(cfg.shape, Ellipsoid):
         return ellipsoid_pt(cfg.shape, cfg.k)
-    return polarization_tensor(discretize(cfg.shape, cfg.nodes()), cfg.k)
+    return polarization_tensor(_grid(cfg), cfg.k)
 
 
 def _cmd_pt(cfg: RunConfig):
@@ -275,7 +284,7 @@ def _cmd_eshelby(cfg: RunConfig):
     shape = cfg.shape
     if shape_dim(shape) != 2:
         raise ConfigError("--shape: eshelby requires a 2D shape")
-    grid = discretize(shape, cfg.nodes())
+    grid = _grid(cfg)
     sample = default_interior_sample(shape, grid)
     header = ["shape", "k", "direction", "mean_gx", "mean_gy", "delta"]
     rows = []

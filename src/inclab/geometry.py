@@ -1,16 +1,24 @@
 """Shape descriptions, boundary grids, and interior sampling.
 
-Shapes are plain dataclasses.  ``discretize`` turns a shape into a
-quadrature-ready boundary grid: equispaced-parameter trapezoid nodes for
-smooth curves (spectrally accurate), per-edge Gauss-Legendre panels with
-dyadic grading into the corners for polygons, and a Gauss-Legendre x
-trapezoid product grid for ellipsoids.  All normals are outward unit
-vectors; all weights are positive and sum to the surface measure.
+Shapes are frozen dataclasses, and each class carries its own geometry:
+``dim``, ``measure``, ``scale``, ``center_point``, ``bbox``, ``margin_ok``,
+``default_margin`` and ``boundary_grid``, plus ``outline`` on the 2D
+shapes and ``curve_frame`` on the smooth curves.  The module functions
+``discretize``, ``measure``, ``shape_dim``, ``shape_scale`` and
+``shape_center`` call those methods.
+
+``discretize`` turns a shape into a quadrature-ready boundary grid:
+equispaced-parameter trapezoid nodes for smooth curves (spectrally
+accurate), per-edge Gauss-Legendre panels with dyadic grading into the
+corners for polygons, and a Gauss-Legendre x trapezoid product grid for
+ellipsoids.  All normals are outward unit vectors; all weights are
+positive and sum to the surface measure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -20,9 +28,45 @@ from .errors import EmptySampleError, InvalidShapeError, ResolutionError
 PANEL_ORDER = 8
 CORNER_DEPTH = 6
 
+# ``margin_ok(pts, margin)`` is True where a conservative bound on a point's
+# clearance to the boundary is at least margin - _MARGIN_SLACK.
+_MARGIN_SLACK = 1e-12
+
+# Angles at which a star's radius is sampled for its area, extent, default
+# margin and positivity check.
+_STAR_ANGLES = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
+
+
+class _PlaneShape:
+    """Geometry shared by the 2D shapes, which each define ``outline``."""
+
+    dim: ClassVar[int] = 2
+
+    def bbox(self) -> tuple[np.ndarray, np.ndarray]:
+        p = self.outline(1024)
+        return p.min(axis=0), p.max(axis=0)
+
+
+class _SmoothCurve(_PlaneShape):
+    """A 2D shape with a smooth 2 pi-periodic parametrization ``curve_frame``."""
+
+    def outline(self, count: int) -> np.ndarray:
+        """Curve positions at ``count`` equispaced parameters."""
+        t = 2 * np.pi * np.arange(count) / count
+        return self.curve_frame(t)[0]
+
+    def boundary_grid(self, n) -> BoundaryGrid:
+        n = int(n)
+        if n < 64:
+            raise ResolutionError("smooth curves need n >= 64")
+        t = 2 * np.pi * np.arange(n) / n
+        p, normals, speed, kappa = self.curve_frame(t)
+        w = speed * (2 * np.pi / n)
+        return BoundaryGrid(self, p, normals, w, params=t, speed=speed, curvature=kappa)
+
 
 @dataclass(frozen=True)
-class Ellipse:
+class Ellipse(_SmoothCurve):
     """Ellipse with semi-axes ``a``, ``b``, optional center and rotation."""
 
     a: float
@@ -34,9 +78,40 @@ class Ellipse:
         if not (self.a > 0 and self.b > 0):
             raise InvalidShapeError("ellipse semi-axes must be positive")
 
+    def curve_frame(self, t: np.ndarray):
+        """Positions, outward normals, speed and curvature at parameters ``t``."""
+        a, b = self.a, self.b
+        p = np.stack([a * np.cos(t), b * np.sin(t)], axis=1)
+        d1 = np.stack([-a * np.sin(t), b * np.cos(t)], axis=1)
+        speed = np.linalg.norm(d1, axis=1)
+        kappa = a * b / speed**3
+        R = _rotation(self.rotation)
+        p = p @ R.T + np.asarray(self.center)
+        d1 = d1 @ R.T
+        return p, _outward_normals(d1, speed), speed, kappa
+
+    def measure(self) -> float:
+        return np.pi * self.a * self.b
+
+    def scale(self) -> float:
+        return max(self.a, self.b)
+
+    def center_point(self) -> np.ndarray:
+        return np.asarray(self.center, dtype=float)
+
+    def margin_ok(self, pts: np.ndarray, margin: float) -> np.ndarray:
+        # analytic bound: the clearance is at least min(a, b) (1 - rho)
+        R = _rotation(-self.rotation)
+        q = (pts - np.asarray(self.center)) @ R.T
+        rho = np.sqrt((q[:, 0] / self.a) ** 2 + (q[:, 1] / self.b) ** 2)
+        return min(self.a, self.b) * (1.0 - rho) >= margin - _MARGIN_SLACK
+
+    def default_margin(self) -> float:
+        return 0.25 * min(self.a, self.b)
+
 
 @dataclass(frozen=True)
-class Polygon:
+class Polygon(_PlaneShape):
     """Simple polygon, vertices in counterclockwise order."""
 
     vertices: tuple[tuple[float, float], ...]
@@ -51,9 +126,76 @@ class Polygon:
         if not _is_simple(v):
             raise InvalidShapeError("polygon must be simple (no self-intersection)")
 
+    def outline(self, count: int) -> np.ndarray:
+        """The vertices; a polygon's outline needs no sampling."""
+        return np.asarray(self.vertices)
+
+    def measure(self) -> float:
+        return float(_signed_area(np.asarray(self.vertices)))
+
+    def scale(self) -> float:
+        v = np.asarray(self.vertices)
+        return float(np.max(np.linalg.norm(v - v.mean(axis=0), axis=1)))
+
+    def center_point(self) -> np.ndarray:
+        v = np.asarray(self.vertices)
+        x, y = v[:, 0], v[:, 1]
+        xr, yr = np.roll(x, -1), np.roll(y, -1)
+        cross = x * yr - xr * y
+        area = cross.sum() / 2.0
+        cx = np.sum((x + xr) * cross) / (6 * area)
+        cy = np.sum((y + yr) * cross) / (6 * area)
+        return np.array([cx, cy])
+
+    def margin_ok(self, pts: np.ndarray, margin: float) -> np.ndarray:
+        # exact edge distances
+        v = np.asarray(self.vertices)
+        inside = _points_in_polygon(pts, v)
+        return inside & (_dist_to_segments(pts, v) >= margin - _MARGIN_SLACK)
+
+    def default_margin(self) -> float:
+        v = np.asarray(self.vertices)
+        peri = np.sum(np.linalg.norm(np.diff(v, axis=0, append=v[:1]), axis=1))
+        return 0.4 * self.measure() / peri  # fraction of the inradius bound
+
+    def boundary_grid(self, n) -> BoundaryGrid:
+        n_per_edge = int(n)
+        if n_per_edge < 16:
+            raise ResolutionError("polygons need n >= 16 per edge")
+        verts = np.asarray(self.vertices, dtype=float)
+        q = PANEL_ORDER
+        base = max(2, int(np.ceil(n_per_edge / q)))
+        bp = np.linspace(0.0, 1.0, base + 1)
+        pieces: list[tuple[float, float]] = []
+        lo, hi = bp[0], bp[1]
+        pieces += [(lo + (hi - lo) * s0, lo + (hi - lo) * s1) for s0, s1 in _panel_breaks()]
+        pieces += [(bp[i], bp[i + 1]) for i in range(1, base - 1)]
+        lo, hi = bp[-2], bp[-1]
+        pieces += [(hi - (hi - lo) * s1, hi - (hi - lo) * s0) for s0, s1 in reversed(_panel_breaks())]
+        gx, gw = np.polynomial.legendre.leggauss(q)
+        nodes, normals, weights = [], [], []
+        m = len(verts)
+        for e in range(m):
+            v0, v1 = verts[e], verts[(e + 1) % m]
+            edge = v1 - v0
+            elen = float(np.linalg.norm(edge))
+            tang = edge / elen
+            nrm = np.array([tang[1], -tang[0]])
+            for lo, hi in pieces:
+                xs = v0 + (0.5 * (hi - lo) * gx + 0.5 * (hi + lo))[:, None] * edge
+                nodes.append(xs)
+                normals.append(np.broadcast_to(nrm, (q, 2)))
+                weights.append(0.5 * (hi - lo) * gw * elen)
+        return BoundaryGrid(
+            self,
+            np.concatenate(nodes),
+            np.ascontiguousarray(np.concatenate(normals)),
+            np.concatenate(weights),
+        )
+
 
 @dataclass(frozen=True)
-class FourierStar:
+class FourierStar(_SmoothCurve):
     """Star-shaped curve r(t) = r0 (1 + sum eps_m cos mt + del_m sin mt).
 
     ``modes`` is a sequence of (m, cos_coefficient, sin_coefficient) with
@@ -72,14 +214,52 @@ class FourierStar:
                 raise InvalidShapeError("star modes must be integers >= 2")
             norm.append((int(m), float(c), float(s)))
         object.__setattr__(self, "modes", tuple(norm))
-        t = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
-        if np.min(_star_radius(self, t)) <= 0:
+        if np.min(self.sampled_radius()) <= 0:
             raise InvalidShapeError("star radius must stay strictly positive")
+
+    def sampled_radius(self) -> np.ndarray:
+        """The radius at 4096 equispaced angles."""
+        return _star_radius(self, _STAR_ANGLES)
+
+    def curve_frame(self, t: np.ndarray):
+        """Positions, outward normals, speed and curvature at parameters ``t``."""
+        r, r1, r2 = _star_radius_derivs(self, t)
+        ct, st = np.cos(t), np.sin(t)
+        p = np.stack([r * ct, r * st], axis=1)
+        d1 = np.stack([r1 * ct - r * st, r1 * st + r * ct], axis=1)
+        speed = np.sqrt(r * r + r1 * r1)
+        kappa = (r * r + 2 * r1 * r1 - r * r2) / speed**3
+        return p, _outward_normals(d1, speed), speed, kappa
+
+    def measure(self) -> float:
+        r = self.sampled_radius()
+        return float(0.5 * np.mean(r * r) * 2 * np.pi)
+
+    def scale(self) -> float:
+        return float(np.max(self.sampled_radius()))
+
+    def center_point(self) -> np.ndarray:
+        return np.zeros(2)
+
+    def margin_ok(self, pts: np.ndarray, margin: float) -> np.ndarray:
+        # dense-polyline distance: chords of a curve underestimate the true
+        # clearance, never overestimate it on the inside
+        t = 2 * np.pi * np.arange(2048) / 2048
+        r = _star_radius(self, t)
+        poly = np.stack([r * np.cos(t), r * np.sin(t)], axis=1)
+        theta = np.arctan2(pts[:, 1], pts[:, 0])
+        inside = np.linalg.norm(pts, axis=1) < _star_radius(self, theta)
+        return inside & (_dist_to_segments(pts, poly) >= margin - _MARGIN_SLACK)
+
+    def default_margin(self) -> float:
+        return 0.25 * float(np.min(self.sampled_radius()))
 
 
 @dataclass(frozen=True)
 class Ellipsoid:
     """Axis-aligned ellipsoid with semi-axes ``c1, c2, c3 > 0``."""
+
+    dim: ClassVar[int] = 3
 
     c1: float
     c2: float
@@ -90,6 +270,55 @@ class Ellipsoid:
         if not (self.c1 > 0 and self.c2 > 0 and self.c3 > 0):
             raise InvalidShapeError("ellipsoid semi-axes must be positive")
 
+    def measure(self) -> float:
+        return 4.0 / 3.0 * np.pi * self.c1 * self.c2 * self.c3
+
+    def scale(self) -> float:
+        return max(self.c1, self.c2, self.c3)
+
+    def center_point(self) -> np.ndarray:
+        return np.asarray(self.center, dtype=float)
+
+    def bbox(self) -> tuple[np.ndarray, np.ndarray]:
+        c = np.array([self.c1, self.c2, self.c3])
+        ctr = np.asarray(self.center)
+        return ctr - c, ctr + c
+
+    def margin_ok(self, pts: np.ndarray, margin: float) -> np.ndarray:
+        # analytic bound: the clearance is at least min(c) (1 - rho)
+        c = np.array([self.c1, self.c2, self.c3])
+        rho = np.sqrt((((pts - np.asarray(self.center)) / c) ** 2).sum(axis=1))
+        return np.min(c) * (1.0 - rho) >= margin - _MARGIN_SLACK
+
+    def default_margin(self) -> float:
+        return 0.25 * min(self.c1, self.c2, self.c3)
+
+    def boundary_grid(self, n) -> BoundaryGrid:
+        if isinstance(n, tuple):
+            n_pol, n_az = n
+        else:
+            n_pol, n_az = int(n), 2 * int(n)
+        if n_pol < 16 or n_az < 32:
+            raise ResolutionError("ellipsoids need at least a 16 x 32 grid")
+        c1, c2, c3 = self.c1, self.c2, self.c3
+        u, wu = np.polynomial.legendre.leggauss(n_pol)
+        phi = 2 * np.pi * np.arange(n_az) / n_az
+        wphi = 2 * np.pi / n_az
+        U, P = np.meshgrid(u, phi, indexing="ij")
+        s = np.sqrt(1.0 - U * U)
+        rel = np.stack([c1 * s * np.cos(P), c2 * s * np.sin(P), c3 * U], axis=-1).reshape(-1, 3)
+        nodes = rel + np.asarray(self.center)
+        jac = np.sqrt(
+            (c2 * c3) ** 2 * (1 - U * U) * np.cos(P) ** 2
+            + (c1 * c3) ** 2 * (1 - U * U) * np.sin(P) ** 2
+            + (c1 * c2) ** 2 * U * U
+        )
+        weights = (jac * wu[:, None] * wphi).reshape(-1)
+        grad = rel / np.array([c1 * c1, c2 * c2, c3 * c3])
+        normals = grad / np.linalg.norm(grad, axis=1)[:, None]
+        spacing = np.full(len(nodes), max(c1, c2, c3) * np.pi / min(n_pol, n_az // 2))
+        return BoundaryGrid(self, nodes, normals, weights, spacing=spacing)
+
 
 @dataclass(frozen=True)
 class Box:
@@ -99,12 +328,38 @@ class Box:
     no boundary grid.
     """
 
+    dim: ClassVar[int] = 3
+
     half: tuple[float, float, float]
     center: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
         if not all(h > 0 for h in self.half):
             raise InvalidShapeError("box half-extents must be positive")
+
+    def measure(self) -> float:
+        h = self.half
+        return 8.0 * h[0] * h[1] * h[2]
+
+    def scale(self) -> float:
+        return float(np.linalg.norm(self.half))
+
+    def center_point(self) -> np.ndarray:
+        return np.asarray(self.center, dtype=float)
+
+    def bbox(self) -> tuple[np.ndarray, np.ndarray]:
+        c, h = np.asarray(self.center), np.asarray(self.half)
+        return c - h, c + h
+
+    def margin_ok(self, pts: np.ndarray, margin: float) -> np.ndarray:
+        d = np.asarray(self.half) - np.abs(pts - np.asarray(self.center))
+        return np.min(d, axis=1) >= margin - _MARGIN_SLACK
+
+    def default_margin(self) -> float:
+        return 0.2 * min(self.half)
+
+    def boundary_grid(self, n) -> BoundaryGrid:
+        raise InvalidShapeError("no boundary grid for Box")
 
 
 ShapeSpec = Ellipse | Polygon | FourierStar | Ellipsoid | Box
@@ -192,28 +447,9 @@ def _rotation(phi: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def curve_frame(shape: Ellipse | FourierStar, t: np.ndarray):
-    """Positions, outward normals, speed and curvature at parameters ``t``."""
-    if isinstance(shape, Ellipse):
-        a, b = shape.a, shape.b
-        p = np.stack([a * np.cos(t), b * np.sin(t)], axis=1)
-        d1 = np.stack([-a * np.sin(t), b * np.cos(t)], axis=1)
-        speed = np.linalg.norm(d1, axis=1)
-        kappa = a * b / speed**3
-        R = _rotation(shape.rotation)
-        p = p @ R.T + np.asarray(shape.center)
-        d1 = d1 @ R.T
-    elif isinstance(shape, FourierStar):
-        r, r1, r2 = _star_radius_derivs(shape, t)
-        ct, st = np.cos(t), np.sin(t)
-        p = np.stack([r * ct, r * st], axis=1)
-        d1 = np.stack([r1 * ct - r * st, r1 * st + r * ct], axis=1)
-        speed = np.sqrt(r * r + r1 * r1)
-        kappa = (r * r + 2 * r1 * r1 - r * r2) / speed**3
-    else:
-        raise InvalidShapeError(f"not a smooth curve: {type(shape).__name__}")
-    normals = np.stack([d1[:, 1], -d1[:, 0]], axis=1) / speed[:, None]
-    return p, normals, speed, kappa
+def _outward_normals(d1: np.ndarray, speed: np.ndarray) -> np.ndarray:
+    # the tangent turned clockwise: outward on a counterclockwise curve
+    return np.stack([d1[:, 1], -d1[:, 0]], axis=1) / speed[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -227,19 +463,7 @@ def discretize(shape: ShapeSpec, n) -> BoundaryGrid:
     (polar count; azimuthal is doubled) or an (n_polar, n_azimuth) pair for
     ellipsoids.
     """
-    if isinstance(shape, (Ellipse, FourierStar)):
-        n = int(n)
-        if n < 64:
-            raise ResolutionError("smooth curves need n >= 64")
-        t = 2 * np.pi * np.arange(n) / n
-        p, normals, speed, kappa = curve_frame(shape, t)
-        w = speed * (2 * np.pi / n)
-        return BoundaryGrid(shape, p, normals, w, params=t, speed=speed, curvature=kappa)
-    if isinstance(shape, Polygon):
-        return _discretize_polygon(shape, int(n))
-    if isinstance(shape, Ellipsoid):
-        return _discretize_ellipsoid(shape, n)
-    raise InvalidShapeError(f"no boundary grid for {type(shape).__name__}")
+    return shape.boundary_grid(n)
 
 
 def _panel_breaks() -> list[tuple[float, float]]:
@@ -251,184 +475,29 @@ def _panel_breaks() -> list[tuple[float, float]]:
     return segs
 
 
-def _discretize_polygon(shape: Polygon, n_per_edge: int) -> BoundaryGrid:
-    if n_per_edge < 16:
-        raise ResolutionError("polygons need n >= 16 per edge")
-    verts = np.asarray(shape.vertices, dtype=float)
-    q = PANEL_ORDER
-    base = max(2, int(np.ceil(n_per_edge / q)))
-    bp = np.linspace(0.0, 1.0, base + 1)
-    pieces: list[tuple[float, float]] = []
-    lo, hi = bp[0], bp[1]
-    pieces += [(lo + (hi - lo) * s0, lo + (hi - lo) * s1) for s0, s1 in _panel_breaks()]
-    pieces += [(bp[i], bp[i + 1]) for i in range(1, base - 1)]
-    lo, hi = bp[-2], bp[-1]
-    pieces += [(hi - (hi - lo) * s1, hi - (hi - lo) * s0) for s0, s1 in reversed(_panel_breaks())]
-    gx, gw = np.polynomial.legendre.leggauss(q)
-    nodes, normals, weights = [], [], []
-    m = len(verts)
-    for e in range(m):
-        v0, v1 = verts[e], verts[(e + 1) % m]
-        edge = v1 - v0
-        elen = float(np.linalg.norm(edge))
-        tang = edge / elen
-        nrm = np.array([tang[1], -tang[0]])
-        for lo, hi in pieces:
-            xs = v0 + (0.5 * (hi - lo) * gx + 0.5 * (hi + lo))[:, None] * edge
-            nodes.append(xs)
-            normals.append(np.broadcast_to(nrm, (q, 2)))
-            weights.append(0.5 * (hi - lo) * gw * elen)
-    return BoundaryGrid(
-        shape,
-        np.concatenate(nodes),
-        np.ascontiguousarray(np.concatenate(normals)),
-        np.concatenate(weights),
-    )
-
-
-def _discretize_ellipsoid(shape: Ellipsoid, n) -> BoundaryGrid:
-    if isinstance(n, tuple):
-        n_pol, n_az = n
-    else:
-        n_pol, n_az = int(n), 2 * int(n)
-    if n_pol < 16 or n_az < 32:
-        raise ResolutionError("ellipsoids need at least a 16 x 32 grid")
-    c1, c2, c3 = shape.c1, shape.c2, shape.c3
-    u, wu = np.polynomial.legendre.leggauss(n_pol)
-    phi = 2 * np.pi * np.arange(n_az) / n_az
-    wphi = 2 * np.pi / n_az
-    U, P = np.meshgrid(u, phi, indexing="ij")
-    s = np.sqrt(1.0 - U * U)
-    rel = np.stack([c1 * s * np.cos(P), c2 * s * np.sin(P), c3 * U], axis=-1).reshape(-1, 3)
-    nodes = rel + np.asarray(shape.center)
-    jac = np.sqrt(
-        (c2 * c3) ** 2 * (1 - U * U) * np.cos(P) ** 2
-        + (c1 * c3) ** 2 * (1 - U * U) * np.sin(P) ** 2
-        + (c1 * c2) ** 2 * U * U
-    )
-    weights = (jac * wu[:, None] * wphi).reshape(-1)
-    grad = rel / np.array([c1 * c1, c2 * c2, c3 * c3])
-    normals = grad / np.linalg.norm(grad, axis=1)[:, None]
-    spacing = np.full(len(nodes), max(c1, c2, c3) * np.pi / min(n_pol, n_az // 2))
-    return BoundaryGrid(shape, nodes, normals, weights, spacing=spacing)
-
-
 # ---------------------------------------------------------------------------
 # measure
 
 def measure(shape: ShapeSpec) -> float:
     """Area (2D) or volume (3D) enclosed by the shape."""
-    if isinstance(shape, Ellipse):
-        return np.pi * shape.a * shape.b
-    if isinstance(shape, Polygon):
-        return float(_signed_area(np.asarray(shape.vertices)))
-    if isinstance(shape, FourierStar):
-        t = 2 * np.pi * np.arange(4096) / 4096
-        r = _star_radius(shape, t)
-        return float(0.5 * np.mean(r * r) * 2 * np.pi)
-    if isinstance(shape, Ellipsoid):
-        return 4.0 / 3.0 * np.pi * shape.c1 * shape.c2 * shape.c3
-    if isinstance(shape, Box):
-        h = shape.half
-        return 8.0 * h[0] * h[1] * h[2]
-    raise InvalidShapeError(f"unknown shape {type(shape).__name__}")
+    return shape.measure()
 
 
 def shape_dim(shape: ShapeSpec) -> int:
-    return 3 if isinstance(shape, (Ellipsoid, Box)) else 2
+    return shape.dim
 
 
 def shape_scale(shape: ShapeSpec) -> float:
     """Characteristic linear size (largest center-to-boundary distance)."""
-    if isinstance(shape, Ellipse):
-        return max(shape.a, shape.b)
-    if isinstance(shape, Polygon):
-        v = np.asarray(shape.vertices)
-        return float(np.max(np.linalg.norm(v - v.mean(axis=0), axis=1)))
-    if isinstance(shape, FourierStar):
-        t = 2 * np.pi * np.arange(4096) / 4096
-        return float(np.max(_star_radius(shape, t)))
-    if isinstance(shape, Ellipsoid):
-        return max(shape.c1, shape.c2, shape.c3)
-    if isinstance(shape, Box):
-        return float(np.linalg.norm(shape.half))
-    raise InvalidShapeError(f"unknown shape {type(shape).__name__}")
+    return shape.scale()
 
 
 def shape_center(shape: ShapeSpec) -> np.ndarray:
-    if isinstance(shape, Ellipse):
-        return np.asarray(shape.center, dtype=float)
-    if isinstance(shape, Polygon):
-        v = np.asarray(shape.vertices)
-        x, y = v[:, 0], v[:, 1]
-        xr, yr = np.roll(x, -1), np.roll(y, -1)
-        cross = x * yr - xr * y
-        area = cross.sum() / 2.0
-        cx = np.sum((x + xr) * cross) / (6 * area)
-        cy = np.sum((y + yr) * cross) / (6 * area)
-        return np.array([cx, cy])
-    if isinstance(shape, FourierStar):
-        return np.zeros(2)
-    if isinstance(shape, Ellipsoid):
-        return np.asarray(shape.center, dtype=float)
-    if isinstance(shape, Box):
-        return np.asarray(shape.center, dtype=float)
-    raise InvalidShapeError(f"unknown shape {type(shape).__name__}")
+    return shape.center_point()
 
 
 # ---------------------------------------------------------------------------
 # interior sampling
-
-def _margin_ok(shape: ShapeSpec, pts: np.ndarray, margin: float) -> np.ndarray:
-    """True where a point keeps at least ``margin`` distance to the boundary.
-
-    Conservative per shape: analytic bounds for ellipses/ellipsoids/boxes,
-    exact edge distances for polygons, dense-polyline distance for stars
-    (chords of a curve underestimate the true clearance, never overestimate
-    it on the inside).
-    """
-    eps = 1e-12
-    if isinstance(shape, Ellipse):
-        R = _rotation(-shape.rotation)
-        q = (pts - np.asarray(shape.center)) @ R.T
-        rho = np.sqrt((q[:, 0] / shape.a) ** 2 + (q[:, 1] / shape.b) ** 2)
-        return min(shape.a, shape.b) * (1.0 - rho) >= margin - eps
-    if isinstance(shape, Ellipsoid):
-        c = np.array([shape.c1, shape.c2, shape.c3])
-        rho = np.sqrt((((pts - np.asarray(shape.center)) / c) ** 2).sum(axis=1))
-        return np.min(c) * (1.0 - rho) >= margin - eps
-    if isinstance(shape, Box):
-        d = np.asarray(shape.half) - np.abs(pts - np.asarray(shape.center))
-        return np.min(d, axis=1) >= margin - eps
-    if isinstance(shape, Polygon):
-        v = np.asarray(shape.vertices)
-        inside = _points_in_polygon(pts, v)
-        return inside & (_dist_to_segments(pts, v) >= margin - eps)
-    if isinstance(shape, FourierStar):
-        t = 2 * np.pi * np.arange(2048) / 2048
-        r = _star_radius(shape, t)
-        poly = np.stack([r * np.cos(t), r * np.sin(t)], axis=1)
-        theta = np.arctan2(pts[:, 1], pts[:, 0])
-        inside = np.linalg.norm(pts, axis=1) < _star_radius(shape, theta)
-        return inside & (_dist_to_segments(pts, poly) >= margin - eps)
-    raise InvalidShapeError(f"unknown shape {type(shape).__name__}")
-
-
-def _bbox(shape: ShapeSpec) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(shape, Box):
-        c, h = np.asarray(shape.center), np.asarray(shape.half)
-        return c - h, c + h
-    if isinstance(shape, Ellipsoid):
-        c = np.array([shape.c1, shape.c2, shape.c3])
-        ctr = np.asarray(shape.center)
-        return ctr - c, ctr + c
-    if isinstance(shape, Polygon):
-        v = np.asarray(shape.vertices)
-        return v.min(axis=0), v.max(axis=0)
-    t = 2 * np.pi * np.arange(1024) / 1024
-    p, _, _, _ = curve_frame(shape, t)
-    return p.min(axis=0), p.max(axis=0)
-
 
 def interior_points(shape: ShapeSpec, count: int, margin: float) -> InteriorSample:
     """Deterministic quasi-uniform interior points with a boundary margin.
@@ -439,8 +508,8 @@ def interior_points(shape: ShapeSpec, count: int, margin: float) -> InteriorSamp
     """
     if count < 1:
         raise EmptySampleError("count must be positive")
-    d = shape_dim(shape)
-    lo, hi = _bbox(shape)
+    d = shape.dim
+    lo, hi = shape.bbox()
     lo, hi = lo + margin, hi - margin
     if np.any(hi < lo):
         raise EmptySampleError("margin leaves no interior room")
@@ -449,21 +518,16 @@ def interior_points(shape: ShapeSpec, count: int, margin: float) -> InteriorSamp
     for k in (k0, k0 + 2, k0 + 4):
         axes = [np.linspace(lo[i], hi[i], k) for i in range(d)]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-        pool.append(mesh[_margin_ok(shape, mesh, margin)])
-        total = np.concatenate(pool)
-        if len(_dedupe(total)) >= count:
+        pool.append(mesh[shape.margin_ok(mesh, margin)])
+        cand = _dedupe(np.concatenate(pool))
+        if len(cand) >= count:
             break
-    cand = _dedupe(np.concatenate(pool))
     if len(cand) < count and d == 2:
-        center = shape_center(shape)
-        t = 2 * np.pi * np.arange(64) / 64
-        if isinstance(shape, Polygon):
-            bnd = np.asarray(shape.vertices)
-        else:
-            bnd, _, _, _ = curve_frame(shape, t)
+        center = shape.center_point()
+        bnd = shape.outline(64)
         for s in (0.85, 0.7, 0.5, 0.3):
             ring = center + s * (bnd - center)
-            pool.append(ring[_margin_ok(shape, ring, margin)])
+            pool.append(ring[shape.margin_ok(ring, margin)])
         cand = _dedupe(np.concatenate(pool))
     if len(cand) < count:
         raise EmptySampleError(f"only {len(cand)} interior points fit margin {margin}")

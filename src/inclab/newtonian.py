@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,7 +52,6 @@ from .geometry import (
     _star_radius,
     discretize,
     interior_points,
-    measure,
     shape_dim,
 )
 
@@ -126,21 +126,13 @@ def _flux_u(r: np.ndarray, dim: int) -> np.ndarray:
     return 1.0 / (8.0 * np.pi * r)
 
 
-_GRID_CACHE: dict = {}
+# Boundary resolution of the flux route per shape class; boxes have no grid.
+_FLUX_N = {Ellipse: 512, FourierStar: 512, Polygon: 48, Ellipsoid: (48, 96)}
 
 
+@lru_cache(maxsize=16)
 def _flux_grid(shape: ShapeSpec):
-    key = shape
-    if key not in _GRID_CACHE:
-        if isinstance(shape, (Ellipse, FourierStar)):
-            _GRID_CACHE[key] = discretize(shape, 512)
-        elif isinstance(shape, Polygon):
-            _GRID_CACHE[key] = discretize(shape, 48)
-        elif isinstance(shape, Ellipsoid):
-            _GRID_CACHE[key] = discretize(shape, (48, 96))
-        else:
-            raise InvalidShapeError(f"no boundary grid for {type(shape).__name__}")
-    return _GRID_CACHE[key]
+    return discretize(shape, _FLUX_N.get(type(shape)))
 
 
 def _newtonian_flux(shape: ShapeSpec, points: np.ndarray) -> np.ndarray:
@@ -182,8 +174,7 @@ def _ray_exit_ellipsoid(shape: Ellipsoid, x: np.ndarray, dirs: np.ndarray) -> np
 def _ray_exit_star(shape: FourierStar, x: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     # Bisection on |x + t d| - R(angle(x + t d)); valid when the ray leaves
     # the star exactly once, which holds for the interior samples used here.
-    t = 2 * np.pi * np.arange(4096) / 4096
-    hi = np.full(len(dirs), 2.5 * float(np.max(_star_radius(shape, t))))
+    hi = np.full(len(dirs), 2.5 * shape.scale())
     lo = np.zeros(len(dirs))
 
     def outside(tt):
@@ -379,20 +370,7 @@ def _default_margin(shape: ShapeSpec) -> float:
     """Default clearance for fit samples: deep enough that boundary-rule
     error is negligible, shallow enough that the sample sees the shape's
     non-quadratic behavior (the separation the residual check relies on)."""
-    if isinstance(shape, Ellipse):
-        return 0.25 * min(shape.a, shape.b)
-    if isinstance(shape, Ellipsoid):
-        return 0.25 * min(shape.c1, shape.c2, shape.c3)
-    if isinstance(shape, Box):
-        return 0.2 * min(shape.half)
-    if isinstance(shape, FourierStar):
-        t = 2 * np.pi * np.arange(4096) / 4096
-        return 0.25 * float(np.min(_star_radius(shape, t)))
-    if isinstance(shape, Polygon):
-        v = np.asarray(shape.vertices)
-        peri = np.sum(np.linalg.norm(np.diff(v, axis=0, append=v[:1]), axis=1))
-        return 0.4 * measure(shape) / peri  # fraction of the inradius bound
-    raise InvalidShapeError(f"unknown shape {type(shape).__name__}")
+    return shape.default_margin()
 
 
 def quadratic_interior_fit(

@@ -255,11 +255,6 @@ def _label(shape: ShapeSpec) -> str:
     return name
 
 
-def _sample_outline(shape: ShapeSpec, count: int = 512) -> np.ndarray:
-    grid = discretize(shape, max(count, 64))
-    return grid.nodes
-
-
 def overlay_svg(problem: OptProblem, trace: OptTrace, initial_coeffs) -> str:
     """SVG overlay of the initial shape, the optimized shape, and the disk.
 
@@ -271,8 +266,8 @@ def overlay_svg(problem: OptProblem, trace: OptTrace, initial_coeffs) -> str:
     )
     disk_r = float(np.sqrt(problem.area / np.pi))
     curves = [
-        (_sample_outline(initial), "#888888", "4 3", "initial"),
-        (_sample_outline(trace.final_shape), "#c0392b", "", "optimized"),
+        (initial.outline(512), "#888888", "4 3", "initial"),
+        (trace.final_shape.outline(512), "#c0392b", "", "optimized"),
     ]
     theta = 2 * np.pi * np.arange(256) / 256
     disk = disk_r * np.stack([np.cos(theta), np.sin(theta)], axis=1)

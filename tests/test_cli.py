@@ -101,6 +101,12 @@ def test_config_error_exit_2(capsys):
     code, _, err = _run(capsys, "pt", "--shape", "nonagon:1", "--k", "2")
     assert code == 2
     assert "--shape" in err
+    for argv, message in (
+        (("pt", "--shape", "disk", "--n", "32"), "config error: --n: smooth curves need n >= 64\n"),
+        (("pt", "--shape", "box:1,1,1"), "config error: --shape: no boundary grid for Box\n"),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out, err) == (2, "", message)
 
 
 def test_non_finite_values_are_config_errors(capsys, tmp_path):
@@ -121,6 +127,18 @@ def test_non_finite_values_are_config_errors(capsys, tmp_path):
         assert code == 2
         assert flag in err
         assert out == ""
+
+
+@pytest.mark.parametrize("from_json", [False, True])
+def test_non_integer_star_modes_are_config_errors(capsys, tmp_path, from_json):
+    text = "star:1,2.5,0.1,0"
+    if from_json:
+        star = tmp_path / "star.json"
+        star.write_text('{"type":"star","r0":1,"modes":[[2.5,0.1,0]]}')
+        text = f"@{star}"
+    code, out, err = _run(capsys, "pt", "--shape", text, "--k", "3")
+    assert (code, out) == (2, "")
+    assert err == "config error: --shape: star modes must be integers >= 2\n"
 
 
 def test_eshelby_refuses_3d_shapes(capsys):

@@ -1,3 +1,5 @@
+import typing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,8 @@ from inclab import (
     shape_dim,
     shape_scale,
 )
+from inclab.geometry import ShapeSpec
+from inclab.newtonian import _default_margin
 
 axis = st.floats(0.3, 4.0, allow_nan=False)
 
@@ -135,3 +139,103 @@ def test_shape_scale_positive():
 def test_discretize_rejects_tiny_resolution():
     with pytest.raises(Exception):
         discretize(Ellipse(1.0, 1.0), 4)
+
+
+# What measure, shape_dim, shape_scale, shape_center, the bounding box, the
+# fit margin and the margin test (indices of the lattice points that keep a
+# 0.1 clearance) returned when each was an isinstance chain over the five
+# classes; the methods that replaced them must reproduce every bit.
+RECORDED = [
+    (
+        Ellipse(2.0, 1.0, center=(0.3, -0.2), rotation=0.4),
+        dict(
+            measure=6.283185307179586,
+            dim=2,
+            scale=2.0,
+            center=[0.3, -0.2],
+            bbox=([-1.5828329086406556, -1.4062053465690185],
+                  [2.1828329086406555, 1.0062053465690186]),
+            margin=0.25,
+            keeps=[18, 19, 26, 27, 28, 34, 35, 36, 42, 43, 44, 51, 52],
+        ),
+    ),
+    (
+        Polygon(((1.0, 0.0), (0.0, 0.7), (-0.6, 0.0), (0.0, -0.7))),
+        dict(
+            measure=1.1199999999999999,
+            dim=2,
+            scale=0.9,
+            center=[0.13333333333333333, 0.0],
+            bbox=([-0.6, -0.7], [1.0, 0.7]),
+            margin=0.10454539054542855,
+            keeps=[35, 36],
+        ),
+    ),
+    (
+        FourierStar(1.0, ((3, 0.2, 0.0), (5, 0.05, 0.03))),
+        dict(
+            measure=3.209765214172692,
+            dim=2,
+            scale=1.2536275643479273,
+            center=[0.0, 0.0],
+            bbox=([-0.9165381766587389, -1.0625498182287016],
+                  [1.2525785229719628, 1.0654532424356113]),
+            margin=0.18659310891301814,
+            keeps=[26, 27, 28, 29, 35, 36, 43, 44],
+        ),
+    ),
+    (
+        Ellipsoid(2.0, 1.5, 1.0, center=(0.1, 0.2, -0.3)),
+        dict(
+            measure=12.566370614359172,
+            dim=3,
+            scale=2.0,
+            center=[0.1, 0.2, -0.3],
+            bbox=([-1.9, -1.3, -1.3], [2.1, 1.7, 0.7]),
+            margin=0.25,
+            keeps=[91, 99, 147, 154, 155, 156, 162, 163, 164, 171, 211, 218, 219, 220,
+                   226, 227, 228, 234, 235, 236, 243, 275, 282, 283, 284, 290, 291, 292,
+                   298, 299, 300, 307, 339, 346, 347, 348, 354, 355, 356, 362, 363, 364,
+                   411, 419, 427],
+        ),
+    ),
+    (
+        Box((0.5, 0.4, 0.3), center=(0.1, 0.0, -0.2)),
+        dict(
+            measure=0.48,
+            dim=3,
+            scale=0.7071067811865476,
+            center=[0.1, 0.0, -0.2],
+            bbox=([-0.4, -0.4, -0.5], [0.6, 0.4, 0.09999999999999998]),
+            margin=0.06,
+            keeps=[219, 227, 283, 291],
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "shape, want", RECORDED, ids=[type(shape).__name__ for shape, _ in RECORDED]
+)
+def test_shape_geometry_matches_recorded_values(shape, want):
+    d = want["dim"]
+    axis_points = np.linspace(-2.1, 2.1, 8)
+    lattice = np.stack(np.meshgrid(*[axis_points] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    lo, hi = shape.bbox()
+    assert shape_dim(shape) == d
+    assert measure(shape) == want["measure"]
+    assert shape_scale(shape) == want["scale"]
+    assert shape_center(shape).tolist() == want["center"]
+    assert (lo.tolist(), hi.tolist()) == want["bbox"]
+    assert _default_margin(shape) == want["margin"]
+    assert np.flatnonzero(shape.margin_ok(lattice, 0.1)).tolist() == want["keeps"]
+
+
+def test_every_shape_class_has_the_geometry_methods():
+    methods = (
+        "measure", "scale", "center_point", "bbox", "margin_ok", "default_margin", "boundary_grid"
+    )
+    for cls in typing.get_args(ShapeSpec):
+        assert cls.dim in (2, 3)
+        for name in methods + (("outline",) if cls.dim == 2 else ()):
+            assert callable(getattr(cls, name, None)), f"{cls.__name__}.{name}"

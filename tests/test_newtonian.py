@@ -125,6 +125,19 @@ def test_routes_agree_on_star_shape():
     assert np.max(np.abs(a - c)) <= 5e-6
 
 
+def test_flux_grid_cache_is_bounded():
+    from inclab.newtonian import _flux_grid
+
+    shapes = [Ellipse(1.0 + 0.05 * i, 1.0) for i in range(20)]
+    for shape in shapes:
+        newtonian_potential(shape, [[0.1, 0.2]])
+    assert _flux_grid.cache_info().currsize <= 16
+    # the latest shape is still cached: asking again discretizes nothing
+    misses = _flux_grid.cache_info().misses
+    assert _flux_grid(Ellipse(1.0 + 0.05 * 19, 1.0)) is _flux_grid(shapes[-1])
+    assert _flux_grid.cache_info().misses == misses
+
+
 def test_routes_agree_inside_polygon():
     shape = Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
     pts = np.array([[0.5, 0.5], [0.3, 0.6]])
