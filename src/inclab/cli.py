@@ -463,56 +463,49 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, shape=None, needs_k=False, multi_k=False):
-        p = sub.add_parser(name, help=help_text)
-        if shape is not None:
-            p.add_argument(
-                "--shape",
-                required=(shape == "required"),
-                default=None if shape == "required" else shape,
+    def add(name, help_text, flags, shape=None, k_help="conductivity contrast"):
+        """Subcommand ``name`` taking only the options in ``flags``; ``shape``
+        is the --shape default (required when None)."""
+        options = {
+            "--shape": dict(
+                required=shape is None,
+                default=shape,
                 help="inline form 'type:params' (ellipse:a,b, ellipsoid:c1,c2,c3, "
                 "box:h1,h2,h3, polygon:x1,y1,..., star:r0,m,c,s[,...]), an alias "
                 "(disk, square, kite, star), or @file.json",
-            )
-        if needs_k:
-            p.add_argument(
-                "--k",
-                default="3",
-                help="conductivity contrast (comma list allowed)" if multi_k
-                else "conductivity contrast",
-            )
-        p.add_argument("--lame", default=None, help="lam,mu,lam_inc,mu_inc")
-        p.add_argument("--n", type=int, default=None, help="boundary resolution")
-        p.add_argument("--tol", type=float, default=None, help="check tolerance")
-        p.add_argument("--out", default=None, help="artifact output directory")
-        p.add_argument(
-            "--format",
-            dest="fmt",
-            choices=("json", "csv"),
-            default=None,
-            help="stdout format",
-        )
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-        return p
+            ),
+            "--k": dict(default="3", help=k_help),
+            "--lame": dict(default=None, help="lam,mu,lam_inc,mu_inc"),
+            "--n": dict(type=int, default=None, help="boundary resolution"),
+            "--tol": dict(type=float, default=None, help="check tolerance"),
+            "--out": dict(default=None, help="artifact output directory"),
+            "--format": dict(
+                dest="fmt", choices=("json", "csv"), default=None, help="stdout format"
+            ),
+            "--seed": dict(type=int, default=0, help="seed for sampled checks"),
+        }
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            p.add_argument(flag, **options[flag])
 
-    add("pt", "polarization tensor of a shape", shape="required", needs_k=True)
-    add("bounds", "trace bounds and their slack", shape="required", needs_k=True)
+    add("pt", "polarization tensor of a shape", "--shape --k --n --tol --out")
+    add("bounds", "trace bounds and their slack", "--shape --k --n --tol --out")
     add(
         "eshelby",
         "interior-field uniformity table",
-        shape="required",
-        needs_k=True,
-        multi_k=True,
+        "--shape --k --n --tol --out --format",
+        k_help="conductivity contrast (comma list allowed)",
     )
-    add("newtonian", "quadratic interior-potential fit", shape="required")
+    add("newtonian", "quadratic interior-potential fit", "--shape --tol --out")
     add(
         "elastic-identity",
         "elastic single-layer trace identities",
+        "--shape --lame --n --tol --out",
         shape="ellipsoid:2,1.5,1",
     )
-    add("hodograph", "slit-map certificate for an ellipse", shape="required")
-    add("shapeopt", "trace-minimizing shape search", needs_k=True)
-    add("suite", "full acceptance battery")
+    add("hodograph", "slit-map certificate for an ellipse", "--shape --tol --out")
+    add("shapeopt", "trace-minimizing shape search", "--k --n --tol --out")
+    add("suite", "full acceptance battery", "--seed --out")
     return parser
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvalidShapeError
-from .geometry import BoundaryGrid
+from .geometry import BoundaryGrid, _pair_blocks
 from .layerpot import _green_sides, _guard
 
 __all__ = [
@@ -132,13 +132,12 @@ def elastic_single_layer(
     a1, a2 = _alphas(lam, mu)
     out = np.empty((len(points), 3))
     wpsi = psi * grid.weights[:, None]
-    for i, x in enumerate(points):
-        dx = x[None, :] - grid.nodes
-        r = np.linalg.norm(dx, axis=1)
-        iso = -(a1 / (4 * np.pi)) * (wpsi / r[:, None]).sum(axis=0)
-        proj = (dx * wpsi).sum(axis=1) / r**3
-        rad = -(a2 / (4 * np.pi)) * (dx * proj[:, None]).sum(axis=0)
-        out[i] = iso + rad
+    for rows, dx, r2 in _pair_blocks(points, grid.nodes):
+        r = np.sqrt(r2)
+        iso = -(a1 / (4 * np.pi)) * ((1.0 / r) @ wpsi)
+        proj = np.einsum("jps,sj->ps", dx, wpsi) / r**3
+        rad = -(a2 / (4 * np.pi)) * (dx * proj).sum(axis=-1).T
+        out[rows] = iso + rad
     return out
 
 
@@ -156,9 +155,8 @@ def plain_kernel_moment(grid: BoundaryGrid, values: np.ndarray, points) -> np.nd
     flat = values if values.ndim == 2 else values[:, None]
     out = np.empty((len(points), flat.shape[1]))
     wvals = flat * grid.weights[:, None]
-    for i, x in enumerate(points):
-        r = np.linalg.norm(x[None, :] - grid.nodes, axis=1)
-        out[i] = (wvals / r[:, None]).sum(axis=0)
+    for rows, _, r2 in _pair_blocks(points, grid.nodes):
+        out[rows] = (1.0 / np.sqrt(r2)) @ wvals
     out /= 4 * np.pi
     return out if values.ndim == 2 else out[:, 0]
 

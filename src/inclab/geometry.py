@@ -36,6 +36,10 @@ _MARGIN_SLACK = 1e-12
 # margin and positivity check.
 _STAR_ANGLES = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
 
+# Point-node pairs ``_pair_blocks`` holds at once (a block is never smaller
+# than one target row).
+_CHUNK = 1 << 17
+
 
 class _PlaneShape:
     """Geometry shared by the 2D shapes, which each define ``outline``."""
@@ -536,13 +540,37 @@ def interior_points(shape: ShapeSpec, count: int, margin: float) -> InteriorSamp
 
 
 def _dedupe(pts: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    if len(pts) == 0:
-        return pts
-    out = [pts[0]]
-    for p in pts[1:]:
-        if np.min(np.linalg.norm(np.asarray(out) - p, axis=1)) > tol:
-            out.append(p)
-    return np.asarray(out)
+    """``pts`` without each point that an earlier point lies within ``tol`` of.
+
+    This keeps what a greedy first-come loop keeps whenever near points
+    coincide exactly, as the lattice and ring pools of ``interior_points`` do.
+    """
+    idx = np.arange(len(pts))
+    keep = np.ones(len(pts), dtype=bool)
+    for rows, _, r2 in _pair_blocks(pts, pts):
+        earlier = idx[None, :] < idx[rows, None]
+        keep[rows] = ~((r2 <= tol * tol) & earlier).any(axis=1)
+    return pts[keep]
+
+
+# ---------------------------------------------------------------------------
+# point-node pairs
+
+def _pair_blocks(points: np.ndarray, nodes: np.ndarray):
+    """Every difference x - y of a target point and a node, block by block.
+
+    Walks ``points`` in row blocks of at most max(_CHUNK, n) pairs for n
+    nodes and yields ``(rows, dx, r2)``: the slice of ``points`` covered,
+    the component-major differences dx[j, p, s] = x_p[j] - y_s[j] of shape
+    (d, rows, n), and r2 = |x_p - y_s|^2 of shape (rows, n).  Each block's
+    arrays are fresh, so a caller may overwrite them.
+    """
+    step = max(1, _CHUNK // max(len(nodes), 1))
+    nodes_t = np.ascontiguousarray(nodes.T)[:, None, :]
+    for i0 in range(0, len(points), step):
+        rows = slice(i0, i0 + step)
+        dx = points[rows].T[:, :, None] - nodes_t
+        yield rows, dx, np.einsum("jps,jps->ps", dx, dx)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidShapeError, NearBoundaryError
-from .geometry import BoundaryGrid, discretize, shape_scale
-
-_CHUNK = 4 << 20  # max pairwise entries held at once during evaluation
+from .geometry import BoundaryGrid, _pair_blocks, discretize, shape_scale
 
 
 @dataclass
@@ -49,76 +47,58 @@ def _values(phi) -> np.ndarray:
 
 
 def _guard(grid: BoundaryGrid, points: np.ndarray) -> None:
-    d2 = ((points[:, None, :] - grid.nodes[None, :, :]) ** 2).sum(-1)
-    idx = np.argmin(d2, axis=1)
-    dist = np.sqrt(d2[np.arange(len(points)), idx])
-    bad = dist < 2.0 * grid.spacing[idx]
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise NearBoundaryError(
-            f"point {points[i]} is {dist[i]:.3e} from the boundary; "
-            f"need >= {2 * grid.spacing[idx[i]]:.3e} for this grid"
-        )
+    for rows, _, r2 in _pair_blocks(points, grid.nodes):
+        idx = np.argmin(r2, axis=1)
+        dist = np.sqrt(r2[np.arange(len(idx)), idx])
+        bad = dist < 2.0 * grid.spacing[idx]
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise NearBoundaryError(
+                f"point {points[rows][i]} is {dist[i]:.3e} from the boundary; "
+                f"need >= {2 * grid.spacing[idx[i]]:.3e} for this grid"
+            )
 
 
 def single_layer_eval(grid: BoundaryGrid, phi, points: np.ndarray) -> np.ndarray:
     """S[phi] at off-boundary points (guarded against near-boundary loss)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     _guard(grid, points)
-    return _single_layer_raw(grid, _values(phi), points)
+    q = _values(phi) * grid.weights
+    out = np.empty(len(points))
+    for rows, _, r2 in _pair_blocks(points, grid.nodes):
+        if grid.dim == 2:
+            out[rows] = (np.log(r2) / (4 * np.pi)) @ q
+        else:
+            out[rows] = (-1.0 / (4 * np.pi * np.sqrt(r2))) @ q
+    return out
 
 
 def single_layer_gradient(grid: BoundaryGrid, phi, points: np.ndarray) -> np.ndarray:
     """grad S[phi] at off-boundary points (guarded)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     _guard(grid, points)
-    return _single_layer_gradient_raw(grid, _values(phi), points)
-
-
-def _single_layer_raw(grid, values, points):
-    q = values * grid.weights
-    out = np.empty(len(points))
-    step = max(1, _CHUNK // grid.n)
-    for i0 in range(0, len(points), step):
-        dx = points[i0 : i0 + step, None, :] - grid.nodes[None, :, :]
-        r2 = (dx * dx).sum(-1)
-        if grid.dim == 2:
-            out[i0 : i0 + step] = (np.log(r2) / (4 * np.pi)) @ q
-        else:
-            out[i0 : i0 + step] = (-1.0 / (4 * np.pi * np.sqrt(r2))) @ q
-    return out
-
-
-def _single_layer_gradient_raw(grid, values, points):
-    q = values * grid.weights
+    q = _values(phi) * grid.weights
     out = np.empty((len(points), grid.dim))
-    step = max(1, _CHUNK // grid.n)
-    for i0 in range(0, len(points), step):
-        dx = points[i0 : i0 + step, None, :] - grid.nodes[None, :, :]
-        r2 = (dx * dx).sum(-1)
+    for rows, dx, r2 in _pair_blocks(points, grid.nodes):
         if grid.dim == 2:
             ker = 1.0 / (2 * np.pi * r2)
         else:
             ker = 1.0 / (4 * np.pi * r2 * np.sqrt(r2))
-        out[i0 : i0 + step] = np.einsum("ps,psd->pd", ker, dx * q[None, :, None])
+        dx *= ker
+        out[rows] = (dx @ q).T
     return out
 
 
 def _directional_kernel_sum(grid, q, points, directions):
     """sum_s <x - y_s, dir(x)> / (2 pi |x - y_s|^2) q_s, chunked over x."""
     out = np.empty(len(points))
-    sx, sy = grid.nodes[:, 0], grid.nodes[:, 1]
-    step = max(1, _CHUNK // grid.n)
-    for i0 in range(0, len(points), step):
-        dx = points[i0 : i0 + step, 0:1] - sx[None, :]
-        dy = points[i0 : i0 + step, 1:2] - sy[None, :]
-        num = dx * directions[i0 : i0 + step, 0:1]
-        num += dy * directions[i0 : i0 + step, 1:2]
-        dx *= dx
-        dy *= dy
-        dx += dy
-        num /= dx
-        out[i0 : i0 + step] = (num @ q) / (2 * np.pi)
+    for rows, dx, r2 in _pair_blocks(points, grid.nodes):
+        num, dy = dx
+        num *= directions[rows, 0:1]
+        dy *= directions[rows, 1:2]
+        num += dy
+        num /= r2
+        out[rows] = (num @ q) / (2 * np.pi)
     return out
 
 
@@ -221,10 +201,9 @@ def _green_sides(grid: BoundaryGrid, points: np.ndarray):
     unguarded, and the caller judges the residual."""
     lhs = np.empty_like(points)
     rhs = np.empty_like(points)
-    for i, x in enumerate(points):
-        dx = x[None, :] - grid.nodes
-        r = np.linalg.norm(dx, axis=1)
-        flux = (dx * grid.normals).sum(-1) / r**3
-        lhs[i] = (dx * (flux * grid.weights)[:, None]).sum(axis=0)
-        rhs[i] = -(grid.normals / r[:, None] * grid.weights[:, None]).sum(axis=0)
+    for rows, dx, r2 in _pair_blocks(points, grid.nodes):
+        r = np.sqrt(r2)
+        flux = np.einsum("jps,sj->ps", dx, grid.normals) / r**3
+        lhs[rows] = ((dx * flux) @ grid.weights).T
+        rhs[rows] = -(1.0 / r) @ (grid.normals * grid.weights[:, None])
     return lhs, rhs

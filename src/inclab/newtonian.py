@@ -48,6 +48,7 @@ from .geometry import (
     InteriorSample,
     Polygon,
     ShapeSpec,
+    _pair_blocks,
     _rotation,
     _star_radius,
     discretize,
@@ -138,10 +139,9 @@ def _flux_grid(shape: ShapeSpec):
 def _newtonian_flux(shape: ShapeSpec, points: np.ndarray) -> np.ndarray:
     grid = _flux_grid(shape)
     out = np.empty(len(points))
-    for i, x in enumerate(points):
-        dx = x[None, :] - grid.nodes
-        r = np.linalg.norm(dx, axis=1)
-        out[i] = np.sum(_flux_u(r, grid.dim) * (dx * grid.normals).sum(-1) * grid.weights)
+    for rows, dx, r2 in _pair_blocks(points, grid.nodes):
+        flux = np.einsum("jps,sj->ps", dx, grid.normals)
+        out[rows] = (_flux_u(np.sqrt(r2), grid.dim) * flux) @ grid.weights
     return out
 
 

@@ -109,6 +109,28 @@ def test_config_error_exit_2(capsys):
         assert (code, out, err) == (2, "", message)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pt", "--shape", "disk", "--format", "csv"),
+        ("bounds", "--shape", "disk", "--lame", "2,1,1,0.5"),
+        ("eshelby", "--shape", "disk", "--seed", "4"),
+        ("newtonian", "--shape", "disk", "--n", "999"),
+        ("elastic-identity", "--format", "csv"),
+        ("hodograph", "--shape", "ellipse:2,1", "--n", "128"),
+        ("shapeopt", "--k", "3", "--seed", "4"),
+        ("suite", "--tol", "1e-3"),
+    ],
+)
+def test_subcommands_refuse_flags_they_do_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
+
+
 def test_non_finite_values_are_config_errors(capsys, tmp_path):
     nan_polygon = tmp_path / "nan_polygon.json"
     nan_polygon.write_text('{"type":"polygon","vertices":[[0,0],[1,0],[NaN,1]]}')

@@ -19,7 +19,8 @@ from inclab import (
     shape_dim,
     shape_scale,
 )
-from inclab.geometry import ShapeSpec
+from inclab import geometry
+from inclab.geometry import ShapeSpec, _dedupe
 from inclab.newtonian import _default_margin
 
 axis = st.floats(0.3, 4.0, allow_nan=False)
@@ -129,6 +130,61 @@ def test_interior_points_respect_margin():
         axis=1,
     )
     assert np.all(d >= 0.25 - 1e-3)
+
+
+def _greedy_dedupe(pts, tol=1e-9):
+    """First-come loop: keep a point unless a kept point lies within tol."""
+    out = [pts[0]]
+    for p in pts[1:]:
+        if np.min(np.linalg.norm(np.asarray(out) - p, axis=1)) > tol:
+            out.append(p)
+    return np.asarray(out)
+
+
+_KITE = Polygon(((1.0, 0.0), (0.0, 0.7), (-0.6, 0.0), (0.0, -0.7)))
+
+
+@pytest.mark.parametrize(
+    "shape, count, margin",
+    [
+        (Ellipse(2.0, 1.0, center=(0.3, -0.2), rotation=0.4), 110, 0.2),
+        (_KITE, 112, 0.3),  # lattices fall short: the boundary rings top up
+        (FourierStar(1.0, ((3, 0.2, 0.0),)), 110, 0.2),
+        (Ellipsoid(2.0, 1.5, 1.0), 80, 0.25),
+        (Box((0.5, 0.4, 0.3)), 30, 0.1),
+    ],
+)
+def test_dedupe_matches_greedy_loop_on_interior_pools(monkeypatch, shape, count, margin):
+    pools = []
+
+    def spy(pts, tol=1e-9):
+        pools.append(pts)
+        return _dedupe(pts, tol)
+
+    monkeypatch.setattr(geometry, "_dedupe", spy)
+    interior_points(shape, count, margin)
+    assert pools
+    for pool in pools:
+        np.testing.assert_array_equal(_dedupe(pool), _greedy_dedupe(pool))
+
+
+def test_dedupe_keeps_first_copies_across_blocks(monkeypatch):
+    rng = np.random.default_rng(5)
+    base = rng.random((40, 2))
+    pool = base[rng.integers(0, 40, 300)]
+    want = _greedy_dedupe(pool)
+    assert len(want) < len(pool)
+    np.testing.assert_array_equal(_dedupe(pool), want)
+    monkeypatch.setattr(geometry, "_CHUNK", 7 * len(pool) + 3)
+    np.testing.assert_array_equal(_dedupe(pool), want)
+
+
+def test_interior_points_order_is_that_of_the_greedy_dedupe(monkeypatch):
+    got = interior_points(Ellipse(2.0, 1.0), 1600, 0.05).points
+    monkeypatch.setattr(geometry, "_dedupe", _greedy_dedupe)
+    want = interior_points(Ellipse(2.0, 1.0), 1600, 0.05).points
+    assert got.shape == (1600, 2)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_shape_scale_positive():

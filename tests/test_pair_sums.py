@@ -1,0 +1,176 @@
+"""Every point-by-node boundary sum against a per-point reference.
+
+The evaluators walk point-node pairs in blocks (``geometry._pair_blocks``).
+Each is checked here against a plain NumPy sum taken one target point at a
+time, at the default block budget and at one that ends the targets in a
+partial block.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from inclab import (
+    Ellipse,
+    Ellipsoid,
+    NearBoundaryError,
+    Polygon,
+    discretize,
+    elastic_single_layer,
+    interior_points,
+    newtonian_potential,
+    plain_kernel_moment,
+    single_layer_eval,
+    single_layer_gradient,
+)
+from inclab import geometry
+from inclab.layerpot import _directional_kernel_sum, _green_sides, _guard
+from inclab.newtonian import _flux_grid
+
+SHAPES = {
+    "ellipse": (Ellipse(2.0, 1.0), 128, 0.3),
+    "square": (Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))), 16, 0.15),
+    "ellipsoid": (Ellipsoid(2.0, 1.5, 1.0), (32, 64), 0.45),
+}
+CHUNKS = ["default", "split"]
+COUNT = 23  # targets; a prime, so no block size divides it
+
+
+def _setup(monkeypatch, name, chunk, grid=None):
+    shape, n, margin = SHAPES[name]
+    grid = discretize(shape, n) if grid is None else grid
+    if chunk == "split":
+        # five target rows per block, so the 23 targets end in a partial block of three
+        monkeypatch.setattr(geometry, "_CHUNK", 5 * grid.n + grid.n // 2)
+    return grid, interior_points(shape, COUNT, margin).points
+
+
+def _per_point(points, nodes, term):
+    """term(x - y, |x - y|) summed over the nodes y, for one x at a time."""
+    out = []
+    for x in points:
+        dx = x - nodes
+        out.append(term(dx, np.sqrt((dx * dx).sum(axis=1))))
+    return np.array(out)
+
+
+def _assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _density(grid):
+    return 1.0 + grid.nodes[:, 0] - 0.5 * grid.nodes[:, 1]
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("name", list(SHAPES))
+def test_single_layer_and_gradient_match_per_point_sums(monkeypatch, name, chunk):
+    grid, pts = _setup(monkeypatch, name, chunk)
+    q = _density(grid) * grid.weights
+    if grid.dim == 2:
+        value = lambda dx, r: np.sum(np.log(r) / (2 * np.pi) * q)
+        grad = lambda dx, r: (dx * (q / (2 * np.pi * r**2))[:, None]).sum(axis=0)
+    else:
+        value = lambda dx, r: np.sum(-q / (4 * np.pi * r))
+        grad = lambda dx, r: (dx * (q / (4 * np.pi * r**3))[:, None]).sum(axis=0)
+    _assert_close(single_layer_eval(grid, _density(grid), pts), _per_point(pts, grid.nodes, value))
+    _assert_close(
+        single_layer_gradient(grid, _density(grid), pts), _per_point(pts, grid.nodes, grad)
+    )
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("name", ["ellipse", "square"])
+def test_directional_kernel_sum_matches_per_point_sums(monkeypatch, name, chunk):
+    grid, pts = _setup(monkeypatch, name, chunk)
+    q = _density(grid) * grid.weights
+    angle = np.arange(len(pts))
+    dirs = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    want = np.array(
+        [
+            np.sum((x - grid.nodes) @ d / (2 * np.pi * ((x - grid.nodes) ** 2).sum(axis=1)) * q)
+            for x, d in zip(pts, dirs)
+        ]
+    )
+    _assert_close(_directional_kernel_sum(grid, q, pts, dirs), want)
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("name", list(SHAPES))
+def test_newtonian_flux_matches_per_point_sums(monkeypatch, name, chunk):
+    grid, pts = _setup(monkeypatch, name, chunk, grid=_flux_grid(SHAPES[name][0]))
+    if grid.dim == 2:
+        u = lambda r: (1.0 - 2.0 * np.log(r)) / (8.0 * np.pi)
+    else:
+        u = lambda r: 1.0 / (8.0 * np.pi * r)
+    term = lambda dx, r: np.sum(u(r) * (dx * grid.normals).sum(axis=1) * grid.weights)
+    _assert_close(newtonian_potential(grid.shape, pts), _per_point(pts, grid.nodes, term))
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_surface_sums_match_per_point_sums(monkeypatch, chunk):
+    grid, pts = _setup(monkeypatch, "ellipsoid", chunk)
+    w = grid.weights
+    lhs, rhs = _green_sides(grid, pts)
+    flux = lambda dx, r: (dx * grid.normals).sum(axis=1) / r**3
+    _assert_close(
+        lhs, _per_point(pts, grid.nodes, lambda dx, r: (dx * (flux(dx, r) * w)[:, None]).sum(0))
+    )
+    _assert_close(
+        rhs, _per_point(pts, grid.nodes, lambda dx, r: -(grid.normals * (w / r)[:, None]).sum(0))
+    )
+
+    lam, mu = 2.0, 1.0
+    a1 = 0.5 * (1.0 / mu + 1.0 / (2.0 * mu + lam))
+    a2 = 0.5 * (1.0 / mu - 1.0 / (2.0 * mu + lam))
+    psi = grid.normals * _density(grid)[:, None]
+    wpsi = psi * w[:, None]
+
+    def kelvin(dx, r):
+        iso = -(a1 / (4 * np.pi)) * (wpsi / r[:, None]).sum(axis=0)
+        proj = (dx * wpsi).sum(axis=1) / r**3
+        return iso - (a2 / (4 * np.pi)) * (dx * proj[:, None]).sum(axis=0)
+
+    _assert_close(elastic_single_layer(grid, psi, pts, lam, mu), _per_point(pts, grid.nodes, kelvin))
+
+    for values in (grid.normals, _density(grid)):
+        wv = values * (w if values.ndim == 1 else w[:, None])
+        moment = lambda dx, r: (wv / (r if values.ndim == 1 else r[:, None])).sum(0) / (4 * np.pi)
+        _assert_close(plain_kernel_moment(grid, values, pts), _per_point(pts, grid.nodes, moment))
+
+
+def test_guard_names_the_first_offender_in_a_later_block(monkeypatch):
+    grid, pts = _setup(monkeypatch, "ellipse", "split")
+    pts = pts.copy()
+    pts[13] = grid.nodes[40] - 1e-3 * grid.normals[40]
+    pts[19] = grid.nodes[90] - 1e-4 * grid.normals[90]
+    for x in pts:
+        d = np.sqrt(((x - grid.nodes) ** 2).sum(axis=1))
+        j = int(np.argmin(d))
+        if d[j] < 2.0 * grid.spacing[j]:
+            break
+    want = (
+        f"point {x} is {d[j]:.3e} from the boundary; "
+        f"need >= {2 * grid.spacing[j]:.3e} for this grid"
+    )
+    with pytest.raises(NearBoundaryError) as exc:
+        _guard(grid, pts)
+    assert str(exc.value) == want
+    assert np.array_equal(x, pts[13])
+
+
+def test_single_layer_eval_memory_is_bounded():
+    # 2,000 targets x 4,096 nodes: 8.2M pairs, 62.5 MiB per pair array held whole
+    grid = discretize(Ellipse(2.0, 1.0), 4096)
+    xs, ys = np.meshgrid(np.linspace(-1.0, 1.0, 50), np.linspace(-0.5, 0.5, 40))
+    pts = np.stack([xs.ravel(), ys.ravel()], axis=1)
+    density = np.ones(grid.n)
+    tracemalloc.start()
+    try:
+        single_layer_eval(grid, density, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
