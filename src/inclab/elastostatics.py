@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvalidShapeError
-from .geometry import BoundaryGrid, _pair_blocks
-from .layerpot import _green_sides, _guard
+from .geometry import BoundaryGrid
+from .layerpot import _green_sides, _guarded_blocks
 
 __all__ = [
     "LameParams",
@@ -128,11 +128,10 @@ def elastic_single_layer(
     if psi.shape != (grid.n, 3):
         raise ConfigError("density must supply one 3-vector per grid node")
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    _guard(grid, points)
     a1, a2 = _alphas(lam, mu)
     out = np.empty((len(points), 3))
     wpsi = psi * grid.weights[:, None]
-    for rows, dx, r2 in _pair_blocks(points, grid.nodes):
+    for rows, dx, r2 in _guarded_blocks(grid, points):
         r = np.sqrt(r2)
         iso = -(a1 / (4 * np.pi)) * ((1.0 / r) @ wpsi)
         proj = np.einsum("jps,sj->ps", dx, wpsi) / r**3
@@ -151,11 +150,10 @@ def plain_kernel_moment(grid: BoundaryGrid, values: np.ndarray, points) -> np.nd
         raise InvalidShapeError("the plain kernel moment is a 3D surface integral")
     values = np.asarray(values, dtype=float)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    _guard(grid, points)
     flat = values if values.ndim == 2 else values[:, None]
     out = np.empty((len(points), flat.shape[1]))
     wvals = flat * grid.weights[:, None]
-    for rows, _, r2 in _pair_blocks(points, grid.nodes):
+    for rows, _, r2 in _guarded_blocks(grid, points):
         out[rows] = (1.0 / np.sqrt(r2)) @ wvals
     out /= 4 * np.pi
     return out if values.ndim == 2 else out[:, 0]

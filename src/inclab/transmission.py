@@ -250,23 +250,17 @@ def k_independence_check(
     ]
 
 
-def flux_continuity_check(
-    grid: BoundaryGrid,
-    phi: Density,
-    k,
-    a,
-    h: float | None = None,
-) -> float:
+def flux_continuity_check(grid: BoundaryGrid, phi: Density, k, a) -> float:
     """Max mismatch of k x (interior normal flux) against the exterior flux.
 
-    The one-sided normal derivatives of the layer potential come from
-    ``layerpot._one_sided_derivatives``; the mismatch is relative to the
-    largest exterior flux, or absolute below 1.
+    The one-sided normal derivatives come from ``_one_sided_derivatives``
+    (order-16 expansions about centers 2 node spacings off each side, 8n
+    source nodes); the mismatch is relative to the largest exterior flux,
+    or absolute below 1.
     """
     contrast = _as_contrast(k)
-    a = np.asarray(a, dtype=float)
-    applied = grid.normals @ a
-    outer, inner = (applied + d for d in _one_sided_derivatives(grid, phi.values, h))
+    applied = grid.normals @ np.asarray(a, dtype=float)
+    outer, inner = _one_sided_derivatives(grid, phi.values) + applied
     scale = max(1.0, float(np.max(np.abs(outer))))
     return float(np.max(np.abs(contrast.k * inner - outer))) / scale
 

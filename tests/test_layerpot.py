@@ -11,9 +11,11 @@ from inclab import (
     discretize,
     green_identity_check,
     jump_check,
+    layerpot,
     npo_matrix,
     single_layer_eval,
     single_layer_gradient,
+    solve_density,
 )
 
 axis = st.floats(0.5, 3.0, allow_nan=False)
@@ -26,6 +28,29 @@ def test_jump_relation_ellipse(ellipse21_grid):
         ellipse21_grid.normals[:, 1],
     ):
         assert jump_check(ellipse21_grid, Density(values, ellipse21_grid)) <= 1e-4
+
+
+def test_close_evaluation_jump_to_machine_precision_on_ellipse(ellipse21_grid):
+    # the outer and inner limits come from separate expansions, so their
+    # difference measures the jump rather than imposing it
+    grid = ellipse21_grid
+    solved = solve_density(grid, 3.0, np.array([1.0, 0.0])).values
+    for values in (np.ones(grid.n), grid.normals[:, 0], grid.normals[:, 1], solved):
+        outer, inner = layerpot._one_sided_derivatives(grid, values)
+        assert np.max(np.abs(outer - inner - values)) <= 1e-12
+        assert jump_check(grid, Density(values, grid)) <= 1e-12
+
+
+def test_close_evaluation_builds_one_grid_of_8n_nodes(monkeypatch, ellipse21_grid):
+    sizes = []
+
+    def spy(shape, n):
+        sizes.append(n)
+        return discretize(shape, n)
+
+    monkeypatch.setattr(layerpot, "discretize", spy)
+    jump_check(ellipse21_grid, Density(np.ones(ellipse21_grid.n), ellipse21_grid))
+    assert sizes == [8 * ellipse21_grid.n]
 
 
 def test_green_identity_inside_ellipsoid():

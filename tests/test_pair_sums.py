@@ -25,7 +25,7 @@ from inclab import (
     single_layer_gradient,
 )
 from inclab import geometry
-from inclab.layerpot import _directional_kernel_sum, _green_sides, _guard
+from inclab.layerpot import _green_sides, _one_sided_derivatives, upsample_periodic
 from inclab.newtonian import _flux_grid
 
 SHAPES = {
@@ -82,19 +82,26 @@ def test_single_layer_and_gradient_match_per_point_sums(monkeypatch, name, chunk
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)
-@pytest.mark.parametrize("name", ["ellipse", "square"])
-def test_directional_kernel_sum_matches_per_point_sums(monkeypatch, name, chunk):
-    grid, pts = _setup(monkeypatch, name, chunk)
-    q = _density(grid) * grid.weights
-    angle = np.arange(len(pts))
-    dirs = np.stack([np.cos(angle), np.sin(angle)], axis=1)
-    want = np.array(
-        [
-            np.sum((x - grid.nodes) @ d / (2 * np.pi * ((x - grid.nodes) ** 2).sum(axis=1)) * q)
-            for x, d in zip(pts, dirs)
-        ]
-    )
-    _assert_close(_directional_kernel_sum(grid, q, pts, dirs), want)
+def test_one_sided_derivatives_match_per_center_sums(monkeypatch, chunk):
+    # quadrature by expansion: order 16 about centers 2 spacings off each
+    # side of every node, summed over 8n source nodes
+    grid = discretize(SHAPES["ellipse"][0], 128)
+    fine = discretize(grid.shape, 8 * grid.n)
+    if chunk == "split":
+        # five centers per block, so the 256 centers end in a partial block of one
+        monkeypatch.setattr(geometry, "_CHUNK", 5 * fine.n + fine.n // 2)
+    values = _density(grid)
+    q = upsample_periodic(values, fine.n) * fine.weights / (2 * np.pi)
+    to_z = np.array([1.0, 1j])
+    w = fine.nodes @ to_z
+    want = []
+    for side in (1.0, -1.0):
+        for x, nu, h in zip(grid.nodes @ to_z, grid.normals @ to_z, grid.spacing):
+            c = x + side * 2.0 * h * nu
+            t = (c - x) / (c - w)
+            g = np.sum(q * sum(t**p for p in range(17)) / (c - w))
+            want.append((nu * g).real)
+    _assert_close(_one_sided_derivatives(grid, values).ravel(), np.array(want))
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)
@@ -156,7 +163,7 @@ def test_guard_names_the_first_offender_in_a_later_block(monkeypatch):
         f"need >= {2 * grid.spacing[j]:.3e} for this grid"
     )
     with pytest.raises(NearBoundaryError) as exc:
-        _guard(grid, pts)
+        single_layer_eval(grid, _density(grid), pts)
     assert str(exc.value) == want
     assert np.array_equal(x, pts[13])
 

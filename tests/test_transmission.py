@@ -141,6 +141,20 @@ def test_flux_continuity_across_boundary(ellipse21_grid):
     assert flux_continuity_check(ellipse21_grid, phi, k, a) <= 1e-3
 
 
+def test_close_evaluation_converges_on_a_star():
+    star = FourierStar(1.0, ((5, 0.2, 0.0),))
+    a = np.array([1.0, 0.0])
+    jumps, fluxes = [], []
+    for n in (128, 256, 512):
+        grid = discretize(star, n)
+        phi = solve_density(grid, 3.0, a)
+        jumps.append(jump_check(grid, phi))
+        fluxes.append(flux_continuity_check(grid, phi, 3.0, a))
+    for errors in (jumps, fluxes):
+        assert errors[0] > errors[1] > errors[2]
+        assert errors[2] <= 1e-10
+
+
 def test_far_field_decay_rate():
     rep = decay_check(Ellipse(1.0, 1.0), 3.0, (1.0, 0.0))
     assert rep.passed
@@ -155,7 +169,7 @@ def test_decay_check_refuses_3d_shapes():
 
 
 def test_close_evaluation_checks_refuse_polygon_grids(square_grid):
-    # the shared probe helper needs a smooth parametrized grid
+    # close evaluation needs a smooth parametrized grid
     values = np.ones(square_grid.n)
     with pytest.raises(InvalidShapeError):
         jump_check(square_grid, Density(values, square_grid))
