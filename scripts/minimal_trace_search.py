@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Search for the area-constrained shape minimizing the polarization-tensor trace.
 
-Runs the Nelder-Mead search over area-preserving Fourier perturbations of
-the disk, then reports how far the best shape found sits above the disk
+Runs BFGS on the analytic shape gradient over area-preserving Fourier
+perturbations of the disk, then reports how far the best shape found sits above the disk
 value and how large its residual perturbation coefficients are.  Artifacts
 written to the output directory:
 
@@ -26,7 +26,7 @@ def main() -> int:
     parser.add_argument("--k", type=float, default=3.0, help="conductivity contrast (> 1)")
     parser.add_argument("--m-max", type=int, default=6, help="highest Fourier mode perturbed")
     parser.add_argument("--n", type=int, default=256, help="boundary nodes per shape evaluation")
-    parser.add_argument("--max-iter", type=int, default=4000, help="Nelder-Mead iteration cap")
+    parser.add_argument("--max-iter", type=int, default=4000, help="BFGS iteration cap")
     parser.add_argument(
         "--start", type=float, nargs=2, default=None,
         metavar=("EPS2", "EPS3"),

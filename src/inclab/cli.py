@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -390,7 +390,11 @@ def _cmd_hodograph(cfg: RunConfig):
 
 
 def _cmd_shapeopt(cfg: RunConfig):
-    problem = OptProblem(k=cfg.k, n=cfg.nodes())
+    problem = OptProblem(k=cfg.k)
+    try:
+        problem = replace(problem, n=cfg.nodes())
+    except ConfigError as exc:
+        raise ConfigError(f"--n: {exc}") from exc
     start = problem.start()
     trace = minimize_trace(problem, start)
     verdict = disk_verdict(problem, trace, cfg.tolerance)

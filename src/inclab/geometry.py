@@ -218,12 +218,14 @@ class FourierStar(_SmoothCurve):
                 raise InvalidShapeError("star modes must be integers >= 2")
             norm.append((int(m), float(c), float(s)))
         object.__setattr__(self, "modes", tuple(norm))
-        if np.min(self.sampled_radius()) <= 0:
+        # one sample of the radius serves the positivity check, measure,
+        # scale and default_margin; only its three summaries are kept
+        r = _star_radius(self, _STAR_ANGLES)
+        if np.min(r) <= 0:
             raise InvalidShapeError("star radius must stay strictly positive")
-
-    def sampled_radius(self) -> np.ndarray:
-        """The radius at 4096 equispaced angles."""
-        return _star_radius(self, _STAR_ANGLES)
+        object.__setattr__(self, "_area", float(0.5 * np.mean(r * r) * 2 * np.pi))
+        object.__setattr__(self, "_r_max", float(np.max(r)))
+        object.__setattr__(self, "_r_min", float(np.min(r)))
 
     def curve_frame(self, t: np.ndarray):
         """Positions, outward normals, speed and curvature at parameters ``t``."""
@@ -236,11 +238,10 @@ class FourierStar(_SmoothCurve):
         return p, _outward_normals(d1, speed), speed, kappa
 
     def measure(self) -> float:
-        r = self.sampled_radius()
-        return float(0.5 * np.mean(r * r) * 2 * np.pi)
+        return self._area
 
     def scale(self) -> float:
-        return float(np.max(self.sampled_radius()))
+        return self._r_max
 
     def center_point(self) -> np.ndarray:
         return np.zeros(2)
@@ -256,7 +257,7 @@ class FourierStar(_SmoothCurve):
         return inside & (_dist_to_segments(pts, poly) >= margin - _MARGIN_SLACK)
 
     def default_margin(self) -> float:
-        return 0.25 * float(np.min(self.sampled_radius()))
+        return 0.25 * self._r_min
 
 
 @dataclass(frozen=True)
@@ -540,17 +541,15 @@ def interior_points(shape: ShapeSpec, count: int, margin: float) -> InteriorSamp
 
 
 def _dedupe(pts: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """``pts`` without each point that an earlier point lies within ``tol`` of.
+    """``pts`` without each point whose coordinates, rounded to multiples of
+    ``tol``, repeat those of an earlier point; order is kept.
 
-    This keeps what a greedy first-come loop keeps whenever near points
-    coincide exactly, as the lattice and ring pools of ``interior_points`` do.
+    One sort of the rounded coordinates.  This keeps what a greedy
+    first-come loop at distance ``tol`` keeps whenever near points coincide
+    exactly, as the lattice and ring pools of ``interior_points`` do.
     """
-    idx = np.arange(len(pts))
-    keep = np.ones(len(pts), dtype=bool)
-    for rows, _, r2 in _pair_blocks(pts, pts):
-        earlier = idx[None, :] < idx[rows, None]
-        keep[rows] = ~((r2 <= tol * tol) & earlier).any(axis=1)
-    return pts[keep]
+    _, first = np.unique(np.rint(pts / tol), axis=0, return_index=True)
+    return pts[np.sort(first)]
 
 
 # ---------------------------------------------------------------------------

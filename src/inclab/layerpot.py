@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidShapeError, NearBoundaryError
-from .geometry import BoundaryGrid, _pair_blocks, discretize
+from .geometry import _CHUNK, BoundaryGrid, _pair_blocks, discretize
 
 
 @dataclass
@@ -99,19 +99,50 @@ def npo_matrix(grid: BoundaryGrid) -> NpoOperator:
     kappa/(4 pi) on parametrized curves and is zero on polygon grids (the
     kernel vanishes identically along each straight edge).  K* does not
     depend on the contrast, so one matrix serves every solve on the grid.
+    Rows are assembled in blocks of at most max(2^17, n) entries, so the
+    complex temporary never holds the whole matrix.
     """
     if grid.dim != 2:
         raise InvalidShapeError("K* matrices are assembled for 2D grids only")
     z = grid.nodes[:, 0] + 1j * grid.nodes[:, 1]
     nu = grid.normals[:, 0] + 1j * grid.normals[:, 1]
-    diff = z[:, None] - z[None, :]
-    np.fill_diagonal(diff, 1.0)
-    mat = np.divide(nu[:, None], diff, out=diff).real * (grid.weights / (2 * np.pi))
+    w = grid.weights / (2 * np.pi)
+    mat = np.empty((grid.n, grid.n))
+    step = max(1, _CHUNK // grid.n)
+    for i0 in range(0, grid.n, step):
+        rows = slice(i0, i0 + step)
+        diff = z[rows, None] - z[None, :]
+        np.fill_diagonal(diff[:, i0:], 1.0)
+        np.multiply(np.divide(nu[rows, None], diff, out=diff).real, w, out=mat[rows])
     if grid.curvature is not None:
         np.fill_diagonal(mat, grid.curvature / (4 * np.pi) * grid.weights)
     else:
         np.fill_diagonal(mat, 0.0)
     return NpoOperator(matrix=mat, grid=grid)
+
+
+def tangential_derivative(grid: BoundaryGrid, values) -> np.ndarray:
+    """Tangential derivative of S[values] at the nodes of a smooth 2D grid.
+
+    The principal value of the kernel -Im(nu(x) / (z(x) - z(y))) w(y) / 2 pi
+    (the imaginary half of ``npo_matrix``'s division; the tangent is i nu)
+    by the alternating-point trapezoid rule: each node sums over the nodes
+    an odd number of places away, at doubled weights.  Even nodes face odd
+    nodes and back, so one (n/2) x (n/2) reciprocal serves both halves.
+    ``values`` is (n,) or (n, m) with one density per column.
+    """
+    if grid.params is None:
+        raise InvalidShapeError("tangential derivatives need a smooth parametrized grid")
+    if grid.n % 2:
+        raise InvalidShapeError("the alternating-point rule needs an even node count")
+    z = grid.nodes[:, 0] + 1j * grid.nodes[:, 1]
+    nu = grid.normals[:, 0] + 1j * grid.normals[:, 1]
+    q = (_values(values).T * (grid.weights / np.pi)).T
+    inv = 1.0 / (z[0::2, None] - z[None, 1::2])
+    out = np.empty(q.shape)
+    out[0::2] = -(nu[0::2, None] * inv).imag @ q[1::2]
+    out[1::2] = (nu[1::2, None] * inv.T).imag @ q[0::2]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -36,13 +36,16 @@ class PolarizationTensor:
 
     ``asymmetry`` is the largest entry-wise mismatch between the raw
     moment matrix and its transpose before symmetrization (zero for
-    closed-form evaluations).
+    closed-form evaluations).  ``densities`` holds the solved (n, d) layer
+    densities of the basis directions, one per column (None for closed
+    forms).
     """
 
     M: np.ndarray
     k: Contrast
     volume: float
     asymmetry: float = 0.0
+    densities: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -76,7 +79,8 @@ def polarization_tensor(grid: BoundaryGrid, k) -> PolarizationTensor:
 
     One K* assembly and one factorization give the densities of all basis
     directions; entry (i, j) is the j-th moment of the i-th density.  The
-    matrix is symmetrized by averaging and the raw asymmetry is recorded.
+    matrix is symmetrized by averaging, the raw asymmetry is recorded, and
+    the densities are handed back.
     3D ellipsoid grids delegate to the closed form; other 3D surfaces have
     no dense-solve path.
     """
@@ -97,15 +101,16 @@ def polarization_tensor(grid: BoundaryGrid, k) -> PolarizationTensor:
         k=contrast,
         volume=float(measure(grid.shape)),
         asymmetry=asymmetry,
+        densities=phis,
     )
 
 
 def ellipsoid_pt(shape: ShapeSpec, k) -> PolarizationTensor:
     """Closed-form polarization tensor of an ellipse or ellipsoid.
 
-    Diagonal in the axis frame with entries |Omega|(k-1)/(1+(k-1)a_j)
-    where a_j are the depolarization factors; rotated ellipses are
-    conjugated back into the ambient frame.
+    Diagonal in the axis frame with entries |Omega|/(1/(k-1) + a_j), where
+    a_j are the depolarization factors (finite for k up to the float
+    maximum); rotated ellipses are conjugated back into the ambient frame.
     """
     contrast = _as_contrast(k)
     if isinstance(shape, Ellipsoid):
@@ -118,8 +123,7 @@ def ellipsoid_pt(shape: ShapeSpec, k) -> PolarizationTensor:
     else:
         raise InvalidShapeError("closed-form PT exists for ellipses and ellipsoids only")
     vol = float(measure(shape))
-    km1 = contrast.k - 1.0
-    diag = vol * km1 / (1.0 + km1 * factors)
+    diag = vol / (1.0 / (contrast.k - 1.0) + factors)
     M = np.diag(diag)
     if rot is not None:
         M = rot @ M @ rot.T

@@ -65,8 +65,9 @@ class Contrast:
 
         Always exceeds 1/2 in absolute value for admissible k, keeping the
         boundary operator away from the adjoint double-layer spectrum.
+        Halving last keeps it finite for k up to the float maximum.
         """
-        return (self.k + 1.0) / (2.0 * (self.k - 1.0))
+        return (self.k + 1.0) / (self.k - 1.0) / 2.0
 
 
 def _as_contrast(k) -> Contrast:

@@ -7,6 +7,7 @@ from inclab import (
     Density,
     Ellipse,
     Ellipsoid,
+    InvalidShapeError,
     NearBoundaryError,
     discretize,
     green_identity_check,
@@ -51,6 +52,56 @@ def test_close_evaluation_builds_one_grid_of_8n_nodes(monkeypatch, ellipse21_gri
     monkeypatch.setattr(layerpot, "discretize", spy)
     jump_check(ellipse21_grid, Density(np.ones(ellipse21_grid.n), ellipse21_grid))
     assert sizes == [8 * ellipse21_grid.n]
+
+
+def _npo_one_block(grid):
+    """K* assembled as one n x n complex division, the reference for the row blocks."""
+    z = grid.nodes[:, 0] + 1j * grid.nodes[:, 1]
+    nu = grid.normals[:, 0] + 1j * grid.normals[:, 1]
+    diff = z[:, None] - z[None, :]
+    np.fill_diagonal(diff, 1.0)
+    mat = (nu[:, None] / diff).real * (grid.weights / (2 * np.pi))
+    diag = 0.0 if grid.curvature is None else grid.curvature / (4 * np.pi) * grid.weights
+    np.fill_diagonal(mat, diag)
+    return mat
+
+
+@pytest.mark.parametrize("chunk", [None, 7 * 256 + 3])
+def test_npo_matrix_row_blocks_match_one_block(monkeypatch, ellipse21_grid, square_grid, chunk):
+    # the square's 1,408 nodes take several blocks at the default size; the
+    # small size ends the ellipse's 256 rows in a partial block of 4
+    if chunk is not None:
+        monkeypatch.setattr(layerpot, "_CHUNK", chunk)
+    for grid in (ellipse21_grid, square_grid):
+        np.testing.assert_array_equal(npo_matrix(grid).matrix, _npo_one_block(grid))
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_tangential_derivative_of_cosine_on_unit_circle(circle_grid, m):
+    # on the unit circle S[cos mt] = -cos(mt) / 2m, whose t-derivative is sin(mt) / 2
+    t = circle_grid.params
+    got = layerpot.tangential_derivative(circle_grid, np.cos(m * t))
+    assert np.max(np.abs(got - 0.5 * np.sin(m * t))) <= 1e-12
+
+
+def test_tangential_derivative_takes_density_columns(ellipse21_grid):
+    t = ellipse21_grid.params
+    columns = np.stack([np.cos(t), np.sin(2 * t) + 0.3], axis=1)
+    both = layerpot.tangential_derivative(ellipse21_grid, columns)
+    for j in range(2):
+        np.testing.assert_allclose(
+            both[:, j],
+            layerpot.tangential_derivative(ellipse21_grid, columns[:, j]),
+            rtol=0,
+            atol=1e-14,
+        )
+
+
+def test_tangential_derivative_refuses_odd_and_polygon_grids(square_grid):
+    with pytest.raises(InvalidShapeError):
+        layerpot.tangential_derivative(discretize(Ellipse(1.0, 1.0), 255), np.ones(255))
+    with pytest.raises(InvalidShapeError):
+        layerpot.tangential_derivative(square_grid, np.ones(square_grid.n))
 
 
 def test_green_identity_inside_ellipsoid():

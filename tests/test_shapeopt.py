@@ -13,7 +13,9 @@ from inclab import (
     minimize_trace,
     overlay_svg,
 )
-from inclab.shapeopt import objective
+from inclab import shapeopt
+from inclab.cli import run
+from inclab.shapeopt import disk_verdict, objective
 
 coeff = st.floats(-0.25, 0.25)
 
@@ -27,6 +29,8 @@ def test_problem_validation():
         OptProblem(k=3.0, m_max=1)
     with pytest.raises(ConfigError):
         OptProblem(k=3.0, n=64)
+    with pytest.raises(ConfigError):
+        OptProblem(k=3.0, n=255)
 
 
 def test_dof_layout():
@@ -55,7 +59,7 @@ def test_zero_coefficients_give_disk():
 
 def test_objective_at_disk_matches_target():
     problem = OptProblem(k=3.0)
-    val = objective(problem, np.zeros(problem.dof))
+    val = objective(problem, np.zeros(problem.dof))[0]
     assert val == pytest.approx(problem.disk_value, rel=1e-9)
 
 
@@ -65,15 +69,17 @@ def test_objective_reflection_invariance():
     problem = OptProblem(k=3.0, m_max=3)
     x = np.array([0.1, 0.07, -0.05, 0.12])
     mirrored = np.array([0.1, -0.07, -0.05, -0.12])
-    assert objective(problem, x) == pytest.approx(
-        objective(problem, mirrored), rel=1e-10
+    assert objective(problem, x)[0] == pytest.approx(
+        objective(problem, mirrored)[0], rel=1e-10
     )
 
 
 def test_objective_penalizes_invalid_coefficients():
     problem = OptProblem(k=3.0, m_max=2)
     bad = np.array([5.0, 5.0])
-    assert objective(problem, bad) == pytest.approx(10 * problem.disk_value)
+    value, gradient = objective(problem, bad)
+    assert value == pytest.approx(10 * problem.disk_value)
+    np.testing.assert_array_equal(gradient, np.zeros(problem.dof))
 
 
 def test_objective_above_disk_for_perturbed_shapes():
@@ -81,7 +87,70 @@ def test_objective_above_disk_for_perturbed_shapes():
     rng = np.random.default_rng(7)
     for _ in range(5):
         x = rng.uniform(-0.15, 0.15, size=problem.dof)
-        assert objective(problem, x) >= problem.disk_value - 1e-9
+        assert objective(problem, x)[0] >= problem.disk_value - 1e-9
+
+
+@pytest.mark.parametrize(
+    "problem, x",
+    [
+        (OptProblem(k=3.0, m_max=4), np.array([0.08, -0.05, 0.0, 0.06, -0.04, 0.03])),
+        (
+            OptProblem(k=7.0, area=2.0, m_max=5, n=192),
+            np.array([-0.1, 0.04, 0.05, 0.0, 0.0, -0.07, 0.03, 0.02]),
+        ),
+    ],
+)
+def test_gradient_matches_central_differences(problem, x):
+    _, gradient = objective(problem, x)
+    h = 1e-5
+    central = np.array(
+        [
+            (objective(problem, x + h * e)[0] - objective(problem, x - h * e)[0]) / (2 * h)
+            for e in np.eye(problem.dof)
+        ]
+    )
+    assert np.linalg.norm(gradient - central) <= 1e-6 * np.linalg.norm(central)
+
+
+def test_gradient_vanishes_at_disk():
+    # every coefficient direction is a rotation-free deformation of the
+    # disk, which is stationary for the trace
+    problem = OptProblem(k=3.0)
+    _, gradient = objective(problem, np.zeros(problem.dof))
+    assert np.linalg.norm(gradient) <= 1e-12
+
+
+def test_criterion_13_problem_converges_in_few_evaluations():
+    problem = OptProblem(k=3.0)
+    trace = minimize_trace(problem, problem.start())
+    assert trace.converged
+    assert trace.evaluations <= 100
+    assert disk_verdict(problem, trace)["passed"]
+
+
+def test_search_calls_objective_through_the_module_once_per_record(monkeypatch):
+    calls = []
+    original = shapeopt.objective
+
+    def counted(problem, coeffs):
+        calls.append(np.array(coeffs))
+        return original(problem, coeffs)
+
+    monkeypatch.setattr(shapeopt, "objective", counted)
+    problem = OptProblem(k=1.5, m_max=2, n=128)
+    trace = minimize_trace(problem, np.array([0.15, -0.1]))
+    assert len(calls) == len(trace.history) == trace.evaluations
+    for c, rec in zip(calls, trace.history):
+        assert list(c) == rec["coefficients"]
+    assert trace.final_objective in [r["objective"] for r in trace.history]
+
+
+def test_cli_refuses_odd_node_count(capsys):
+    code = run(["shapeopt", "--k", "3", "--n", "255"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("config error: --n: ")
 
 
 def test_small_search_reaches_disk():
