@@ -5,14 +5,17 @@ closed forms or independently derived oracles and returns a record with a
 pass/fail verdict and the measured numbers.  The battery is what the test
 suite asserts and what the ``suite`` subcommand prints; nothing here is
 tuned per-run — tolerances are fixed at the values the package promises.
+Where a criterion checks what a subcommand checks, both read the numbers,
+the pass rule and the default tolerance from one verdict function.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .elastostatics import LameParams, trace_identity_check
+from .elastostatics import LameParams, identity_verdict
 from .geometry import (
+    Box,
     Ellipse,
     Ellipsoid,
     FourierStar,
@@ -22,14 +25,10 @@ from .geometry import (
 )
 from .hodograph import slit_certificate
 from .layerpot import Density, jump_check, npo_matrix
-from .newtonian import (
-    carlson_rd,
-    depolarization_factors,
-    quadratic_interior_fit,
-)
-from .polarization import ellipsoid_pt, hs_bounds, polarization_tensor
+from .newtonian import depolarization_factors, quadratic_interior_fit, quadratic_verdict
+from .polarization import bounds_verdict, polarization_tensor, pt_verdict
 from .shapeopt import OptProblem, disk_verdict, minimize_trace
-from .transmission import _basis_fields, decay_check, default_interior_sample
+from .transmission import decay_check, default_interior_sample, uniformity_verdict
 
 __all__ = ["run_criterion", "run_all", "CRITERIA"]
 
@@ -54,9 +53,10 @@ def _tol(value: float) -> str:
 def criterion_01() -> dict:
     """One-sided normal-derivative jump of the single layer."""
     grid = discretize(ELLIPSE21, 256)
-    worst = 0.0
-    for values in (np.ones(grid.n), grid.normals[:, 0], grid.normals[:, 1]):
-        worst = max(worst, jump_check(grid, Density(values, grid)))
+    worst = float(np.max([
+        jump_check(grid, Density(values, grid))
+        for values in (np.ones(grid.n), grid.normals[:, 0], grid.normals[:, 1])
+    ]))
     return _record(
         1,
         "single-layer jump relation",
@@ -67,14 +67,14 @@ def criterion_01() -> dict:
 
 def criterion_02() -> dict:
     """Pointwise half-value of the NP operator on the constant density."""
-    worst = 0.0
+    devs = []
     details = []
     for shape in (DISK, ELLIPSE21):
         grid = discretize(shape, 256)
         row = npo_matrix(grid).apply(np.ones(grid.n))
-        dev = float(np.max(np.abs(row - 0.5)))
-        details.append(f"{type(shape).__name__}({shape.a:g},{shape.b:g}): {dev:.3e}")
-        worst = max(worst, dev)
+        devs.append(float(np.max(np.abs(row - 0.5))))
+        details.append(f"{type(shape).__name__}({shape.a:g},{shape.b:g}): {devs[-1]:.3e}")
+    worst = float(np.max(devs))
     return _record(
         2,
         "NP operator on the constant density",
@@ -106,11 +106,12 @@ def criterion_03() -> dict:
 def criterion_04() -> dict:
     """Disk polarization tensor closed form across contrasts."""
     grid = discretize(DISK, 256)
-    worst = 0.0
+    errors = []
     for k in (0.5, 2.0, 3.0, 10.0):
         target = 2 * np.pi * (k - 1.0) / (k + 1.0)
         M = polarization_tensor(grid, k).M
-        worst = max(worst, float(np.max(np.abs(M - target * np.eye(2)))) / abs(target))
+        errors.append(float(np.max(np.abs(M - target * np.eye(2)))) / abs(target))
+    worst = float(np.max(errors))
     return _record(
         4,
         "disk polarization tensor",
@@ -122,16 +123,14 @@ def criterion_04() -> dict:
 def criterion_05() -> dict:
     """Boundary-solve PT agrees with the ellipse closed form."""
     grid = discretize(ELLIPSE21, 256)
-    worst = 0.0
-    for k in (2.0, 5.0):
-        bem = polarization_tensor(grid, k).M
-        closed = ellipsoid_pt(ELLIPSE21, k).M
-        worst = max(worst, float(np.max(np.abs(bem - closed))))
+    verdicts = [pt_verdict(ELLIPSE21, polarization_tensor(grid, k)) for k in (2.0, 5.0)]
+    worst = float(np.max([v["closed_form_deviation"] for v in verdicts]))
     return _record(
         5,
         "ellipse PT vs closed form",
-        worst <= 1e-6,
-        f"max entry difference {worst:.3e} over k in {{2, 5}} (tol 1e-6)",
+        all(v["passed"] for v in verdicts),
+        f"max entry difference {worst:.3e} over k in {{2, 5}} "
+        f"(tol {_tol(verdicts[0]['closed_form_tol'])})",
     )
 
 
@@ -148,52 +147,46 @@ def criterion_06() -> dict:
     ok = True
     notes = []
     for label, shape, expect_sat in shapes:
-        report = hs_bounds(polarization_tensor(discretize(shape, 256), 3.0))
-        holds = report.slack1 >= -1e-5 and report.slack2 >= -1e-5
-        sat = abs(report.slack2) <= 1e-5
-        this_ok = holds and (sat == expect_sat)
+        verdict = bounds_verdict(polarization_tensor(discretize(shape, 256), 3.0))
+        this_ok = verdict["passed"] and verdict["saturated2"] == expect_sat
         if label in ("square", "star3"):
-            this_ok = this_ok and report.slack2 >= 1e-3
+            this_ok = this_ok and verdict["slack2"] >= 1e-3
         ok = ok and this_ok
-        notes.append(f"{label}: slack2={report.slack2:.2e}")
+        notes.append(f"{label}: slack2={verdict['slack2']:.2e}")
     return _record(6, "trace bounds and their saturation", ok, "; ".join(notes))
 
 
 def criterion_07() -> dict:
     """Uniform interior field on the ellipse, non-uniform on the square."""
-    ok = True
-    worst_smooth = 0.0
-    best_square = float("inf")
     grid = discretize(ELLIPSE21, 256)
-    sample = default_interior_sample(ELLIPSE21, grid)
-    for _, _, rep in _basis_fields(grid, (0.5, 2.0, 10.0), sample):
-        worst_smooth = max(worst_smooth, rep.delta)
-    ok = ok and worst_smooth <= 1e-6
+    smooth = uniformity_verdict(
+        grid, (0.5, 2.0, 10.0), default_interior_sample(ELLIPSE21, grid)
+    )
     gs = discretize(SQUARE, 256)
-    ss = default_interior_sample(SQUARE, gs)
-    for _, _, rep in _basis_fields(gs, (0.5, 2.0), ss):
-        best_square = min(best_square, rep.delta)
-    ok = ok and best_square >= 1e-2
+    square = uniformity_verdict(gs, (0.5, 2.0), default_interior_sample(SQUARE, gs))
+    best_square = float(np.min([row["delta"] for row in square["rows"]]))
     return _record(
         7,
         "interior-field uniformity dichotomy",
-        ok,
-        f"ellipse max delta {worst_smooth:.2e} (tol 1e-6); "
+        smooth["passed"] and best_square >= 1e-2,
+        f"ellipse max delta {smooth['max_delta']:.2e} (tol {_tol(smooth['delta_tol'])}); "
         f"square min delta {best_square:.2e} (floor 1e-2)",
     )
 
 
 def criterion_08() -> dict:
     """Interior gradient slope matches the two-axis closed form."""
-    worst = 0.0
+    errors = []
     for (a_ax, b_ax), k in (((2.0, 1.0), 2.0), ((2.0, 1.0), 5.0), ((3.0, 2.0), 4.0)):
         shape = Ellipse(a_ax, b_ax)
         grid = discretize(shape, 256)
         sample = default_interior_sample(shape, grid)
         factors = (b_ax / (a_ax + b_ax), a_ax / (a_ax + b_ax))
-        for _, j, rep in _basis_fields(grid, [k], sample):
+        for row in uniformity_verdict(grid, [k], sample)["rows"]:
+            j = row["direction"] - 1
             target = np.eye(2)[j] / (1.0 + (k - 1.0) * factors[j])
-            worst = max(worst, float(np.max(np.abs(rep.mean_gradient - target))))
+            errors.append(float(np.max(np.abs([row["mean_gx"], row["mean_gy"]] - target))))
+    worst = float(np.max(errors))
     return _record(
         8,
         "interior slope closed form",
@@ -204,28 +197,19 @@ def criterion_08() -> dict:
 
 def criterion_09() -> dict:
     """Quadratic interior potential exactly on ellipsoids, not on boxes."""
-    from .geometry import Box
-
-    rep3 = quadratic_interior_fit(Ellipsoid(2.0, 1.5, 1.0))
-    facs = np.asarray(depolarization_factors(Ellipsoid(2.0, 1.5, 1.0)).values)
-    diag_err = float(np.max(np.abs(np.diag(rep3.A) - facs / 2.0)))
-    rep2 = quadratic_interior_fit(ELLIPSE21)
-    cube = quadratic_interior_fit(Box((0.5, 0.5, 0.5)))
-    square = quadratic_interior_fit(SQUARE)
-    passed = (
-        rep3.rms_residual <= 1e-6
-        and diag_err <= 1e-5
-        and rep2.rms_residual <= 1e-6
-        and cube.rms_residual >= 1e-3
-        and square.rms_residual >= 1e-3
-    )
+    ellipsoid = quadratic_verdict(Ellipsoid(2.0, 1.5, 1.0))
+    ellipse = quadratic_verdict(ELLIPSE21)
+    cube = quadratic_interior_fit(Box((0.5, 0.5, 0.5))).rms_residual
+    square = quadratic_interior_fit(SQUARE).rms_residual
+    passed = ellipsoid["passed"] and ellipse["passed"] and cube >= 1e-3 and square >= 1e-3
     return _record(
         9,
         "quadratic interior potential dichotomy",
         passed,
-        f"ellipsoid resid {rep3.rms_residual:.2e} diag err {diag_err:.2e}; "
-        f"ellipse resid {rep2.rms_residual:.2e}; cube {cube.rms_residual:.2e}, "
-        f"square {square.rms_residual:.2e} (floors 1e-3)",
+        f"ellipsoid resid {ellipsoid['quadratic_fit']['rms_residual']:.2e} "
+        f"diag err {ellipsoid['diag_vs_half_factors']:.2e}; "
+        f"ellipse resid {ellipse['quadratic_fit']['rms_residual']:.2e}; "
+        f"cube {cube:.2e}, square {square:.2e} (floors 1e-3)",
     )
 
 
@@ -234,15 +218,14 @@ def criterion_10(seed: int = 0) -> dict:
     from scipy.integrate import quad
 
     rng = np.random.default_rng(seed)
-    ok = True
-    worst_sum = 0.0
-    worst_quad = 0.0
+    sums = []
+    quads = []
     sphere = np.asarray(depolarization_factors(Ellipsoid(1.0, 1.0, 1.0)).values)
     sphere_exact = bool(np.all(sphere == 1.0 / 3.0))
     for _ in range(5):
         c = 0.5 + 2.5 * rng.random(3)
         vals = np.asarray(depolarization_factors(Ellipsoid(*c)).values)
-        worst_sum = max(worst_sum, abs(float(vals.sum()) - 1.0))
+        sums.append(abs(float(vals.sum()) - 1.0))
         for j in range(3):
 
             def integrand(s, j=j, c=c):
@@ -250,7 +233,8 @@ def criterion_10(seed: int = 0) -> dict:
                 return 1.0 / ((s + c[j] ** 2) * prod)
 
             ref = 0.5 * c[0] * c[1] * c[2] * quad(integrand, 0.0, np.inf)[0]
-            worst_quad = max(worst_quad, abs(ref - vals[j]))
+            quads.append(abs(ref - vals[j]))
+    worst_sum, worst_quad = float(np.max(sums)), float(np.max(quads))
     ok = worst_sum <= 1e-10 and sphere_exact and worst_quad <= 1e-8
     return _record(
         10,
@@ -266,21 +250,16 @@ def criterion_11() -> dict:
     shape = Ellipsoid(2.0, 1.5, 1.0)
     grid = discretize(shape, (64, 128))
     pts = interior_points(shape, 20, 0.3)
-    rep = trace_identity_check(grid, LameParams(2.0, 1.0, 1.0, 0.5), pts.points)
-    eq = trace_identity_check(grid, LameParams(2.0, 1.0, 2.0, 1.0), pts.points)
-    passed = (
-        rep.matrix_phase <= 1e-6
-        and rep.inclusion_phase <= 1e-6
-        and rep.green <= 1e-6
-        and eq.difference == 0.0
-    )
+    rep = identity_verdict(grid, LameParams(2.0, 1.0, 1.0, 0.5), pts.points)
+    eq = identity_verdict(grid, LameParams(2.0, 1.0, 2.0, 1.0), pts.points)
     return _record(
         11,
         "elastic trace identities",
-        passed,
-        f"residuals: matrix {rep.matrix_phase:.2e}, inclusion "
-        f"{rep.inclusion_phase:.2e}, inverse-distance {rep.green:.2e} (tol 1e-6); "
-        f"equal-phase difference {eq.difference:.1e}",
+        rep["passed"] and eq["residual_difference"] == 0.0,
+        f"residuals: matrix {rep['residual_matrix_phase']:.2e}, inclusion "
+        f"{rep['residual_inclusion_phase']:.2e}, inverse-distance "
+        f"{rep['residual_inverse_distance']:.2e} (tol {_tol(rep['residual_tol'])}); "
+        f"equal-phase difference {eq['residual_difference']:.1e}",
     )
 
 

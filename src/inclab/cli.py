@@ -13,11 +13,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .elastostatics import LameParams, kolosov, trace_identity_check
+from .elastostatics import LameParams, identity_verdict, kolosov
 from .errors import ConfigError, InclabError, InvalidShapeError, ResolutionError
 from .geometry import (
     Box,
@@ -31,15 +31,11 @@ from .geometry import (
     shape_dim,
 )
 from .hodograph import slit_certificate
-from .newtonian import (
-    depolarization_factors,
-    depolarization_factors_2d,
-    quadratic_interior_fit,
-)
-from .polarization import ellipsoid_pt, hs_bounds, polarization_tensor
+from .newtonian import quadratic_verdict
+from .polarization import bounds_verdict, closed_form_pt, polarization_tensor, pt_verdict
 from .serialize import to_csv, to_json, to_jsonl
 from .shapeopt import OptProblem, disk_verdict, minimize_trace, overlay_svg
-from .transmission import _basis_fields, default_interior_sample
+from .transmission import default_interior_sample, uniformity_verdict
 
 __all__ = ["RunConfig", "parse_shape", "run", "main"]
 
@@ -50,24 +46,14 @@ _SHAPE_ALIASES = {
     "star": "star:1,3,0.2,0",
 }
 
-_DEFAULT_TOL = {
-    "pt": 1e-6,
-    "bounds": 1e-5,
-    "eshelby": 1e-6,
-    "newtonian": 1e-6,
-    "elastic-identity": 1e-6,
-    "hodograph": 1e-10,
-    "shapeopt": 1e-3,
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
     """Validated bundle of one subcommand invocation.
 
-    ``tol`` falls back to the subcommand's documented default when the
-    flag is omitted; ``ks`` holds every contrast value parsed from
-    ``--k`` (a comma list is allowed where a table is produced).
+    ``tol`` is None when the flag is omitted, leaving each check its own
+    default; ``ks`` holds every contrast value parsed from ``--k`` (a comma
+    list is allowed where a table is produced).
     """
 
     command: str
@@ -82,10 +68,9 @@ class RunConfig:
     seed: int = 0
 
     @property
-    def tolerance(self) -> float:
-        if self.tol is not None:
-            return self.tol
-        return _DEFAULT_TOL.get(self.command, 1e-6)
+    def tol_args(self) -> tuple:
+        """``(tol,)`` for a check's tolerance argument when --tol was given."""
+        return () if self.tol is None else (self.tol,)
 
     @property
     def k(self) -> float:
@@ -206,7 +191,7 @@ def _parse_lame(text: str) -> LameParams:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (report dict, table-or-None, passed)
+# subcommand handlers: each returns the report dict; its "passed" sets the exit
 # ---------------------------------------------------------------------------
 
 
@@ -221,129 +206,44 @@ def _grid(cfg: RunConfig):
 
 
 def _tensor(cfg: RunConfig):
-    """Polarization tensor: closed form on ellipsoids, boundary solve otherwise."""
-    if isinstance(cfg.shape, Ellipsoid):
-        return ellipsoid_pt(cfg.shape, cfg.k)
-    return polarization_tensor(_grid(cfg), cfg.k)
+    """Polarization tensor: the closed form in 3D, a boundary solve otherwise.
+
+    A 3D shape without a closed form goes to ``_grid``, which refuses it.
+    """
+    closed = closed_form_pt(cfg.shape, cfg.k) if shape_dim(cfg.shape) == 3 else None
+    return closed if closed is not None else polarization_tensor(_grid(cfg), cfg.k)
 
 
 def _cmd_pt(cfg: RunConfig):
-    shape = cfg.shape
-    k = cfg.k
-    pt = _tensor(cfg)
-    report = {
-        "command": "pt",
-        "shape": cfg.shape_label,
-        "k": k,
-        "n": cfg.nodes(),
-        "volume": pt.volume,
-        "M": pt.M,
-        "eigenvalues": np.linalg.eigvalsh(pt.M),
-        "trace": float(np.trace(pt.M)),
-        "asymmetry": pt.asymmetry,
-        "asymmetry_tol": cfg.tolerance,
-    }
-    passed = pt.asymmetry <= cfg.tolerance
-    if isinstance(shape, (Ellipse, Ellipsoid)):
-        closed = ellipsoid_pt(shape, k).M
-        dev = float(np.max(np.abs(pt.M - closed)))
-        report["closed_form_M"] = closed
-        report["closed_form_deviation"] = dev
-        report["closed_form_tol"] = 1e-6
-        passed = passed and dev <= 1e-6
-    report["passed"] = passed
-    return report, None, passed
+    verdict = pt_verdict(cfg.shape, _tensor(cfg), *cfg.tol_args)
+    return {"command": "pt", "shape": cfg.shape_label, "k": cfg.k, "n": cfg.nodes(), **verdict}
 
 
 def _cmd_bounds(cfg: RunConfig):
-    rep = hs_bounds(_tensor(cfg))
-    slack_floor = cfg.tolerance
-    passed = rep.slack1 >= -slack_floor and rep.slack2 >= -slack_floor
-    report = {
-        "command": "bounds",
-        "shape": cfg.shape_label,
-        "k": cfg.k,
-        "n": cfg.nodes(),
-        "form": rep.form,
-        "trace_M": rep.tr_M,
-        "trace_bound_rhs": rep.bound1_rhs,
-        "slack1": rep.slack1,
-        "scaled_inverse_trace": rep.tr_Minv_scaled,
-        "inverse_trace_bound_rhs": rep.bound2_rhs,
-        "slack2": rep.slack2,
-        "slack_floor": -slack_floor,
-        "saturated1": rep.saturated1,
-        "saturated2": rep.saturated2,
-        "saturation_tol": 1e-5,
-        "passed": passed,
-    }
-    return report, None, passed
+    verdict = bounds_verdict(_tensor(cfg), *cfg.tol_args)
+    return {"command": "bounds", "shape": cfg.shape_label, "k": cfg.k, "n": cfg.nodes(), **verdict}
 
 
 def _cmd_eshelby(cfg: RunConfig):
-    shape = cfg.shape
-    if shape_dim(shape) != 2:
+    if shape_dim(cfg.shape) != 2:
         raise ConfigError("--shape: eshelby requires a 2D shape")
     grid = _grid(cfg)
-    sample = default_interior_sample(shape, grid)
-    header = ["shape", "k", "direction", "mean_gx", "mean_gy", "delta"]
-    rows = []
-    worst = 0.0
-    for k, j, fr in _basis_fields(grid, cfg.ks, sample):
-        worst = max(worst, fr.delta)
-        rows.append(
-            [cfg.shape_label, k, j + 1] + [float(g) for g in fr.mean_gradient] + [fr.delta]
-        )
-    passed = worst <= cfg.tolerance
-    report = {
+    try:
+        sample = default_interior_sample(cfg.shape, grid)
+    except ResolutionError as exc:
+        raise ConfigError(f"--n: {exc}") from exc
+    return {
         "command": "eshelby",
         "shape": cfg.shape_label,
         "ks": list(cfg.ks),
         "n": cfg.nodes(),
-        "max_delta": worst,
-        "delta_tol": cfg.tolerance,
-        "passed": passed,
-        "rows": [dict(zip(header, row)) for row in rows],
+        **uniformity_verdict(grid, cfg.ks, sample, cfg.shape_label, *cfg.tol_args),
     }
-    return report, (header, rows), passed
 
 
 def _cmd_newtonian(cfg: RunConfig):
-    shape = cfg.shape
-    fit = quadratic_interior_fit(shape)
-    passed = fit.rms_residual <= cfg.tolerance
-    report = {
-        "command": "newtonian",
-        "shape": cfg.shape_label,
-        "quadratic_fit": {
-            "A": fit.A,
-            "b": fit.b,
-            "c": fit.c,
-            "rms_residual": fit.rms_residual,
-            "residual_tol": cfg.tolerance,
-        },
-        "passed": passed,
-    }
-    if isinstance(shape, Ellipsoid):
-        facs = depolarization_factors(shape)
-        vals = np.asarray(facs.values)
-        dev = float(np.max(np.abs(np.diag(fit.A) - vals / 2.0)))
-        report["depolarization_factors"] = vals
-        report["factor_sum"] = facs.total
-        report["factor_sum_tol"] = 1e-10
-        report["diag_vs_half_factors"] = dev
-        report["diag_tol"] = 1e-5
-        passed = passed and dev <= 1e-5 and abs(facs.total - 1.0) <= 1e-10
-        report["passed"] = passed
-    elif isinstance(shape, Ellipse):
-        vals = np.asarray(depolarization_factors_2d(shape).values)
-        dev = float(np.max(np.abs(np.diag(fit.A) - vals / 2.0)))
-        report["depolarization_factors"] = vals
-        report["diag_vs_half_factors"] = dev
-        report["diag_tol"] = 1e-5
-        passed = passed and dev <= 1e-5
-        report["passed"] = passed
-    return report, None, passed
+    verdict = quadratic_verdict(cfg.shape, *cfg.tol_args)
+    return {"command": "newtonian", "shape": cfg.shape_label, **verdict}
 
 
 def _cmd_elastic_identity(cfg: RunConfig):
@@ -353,40 +253,23 @@ def _cmd_elastic_identity(cfg: RunConfig):
     lame = cfg.lame if cfg.lame is not None else LameParams(2.0, 1.0, 1.0, 0.5)
     grid = discretize(shape, cfg.grid3())
     pts = interior_points(shape, 20, 0.3 * min(shape.c1, shape.c2, shape.c3))
-    rep = trace_identity_check(grid, lame, pts.points)
-    tol = cfg.tolerance
-    passed = (
-        rep.matrix_phase <= tol and rep.inclusion_phase <= tol and rep.green <= tol
-    )
-    report = {
+    return {
         "command": "elastic-identity",
         "shape": cfg.shape_label,
-        "lame": {
-            "lam": lame.lam,
-            "mu": lame.mu,
-            "lam_inc": lame.lam_inc,
-            "mu_inc": lame.mu_inc,
-        },
+        "lame": asdict(lame),
         "kolosov_matrix": kolosov(lame.lam, lame.mu),
         "grid": cfg.grid3(),
         "points": len(pts.points),
-        "residual_matrix_phase": rep.matrix_phase,
-        "residual_inclusion_phase": rep.inclusion_phase,
-        "residual_difference": rep.difference,
-        "residual_inverse_distance": rep.green,
-        "residual_tol": tol,
-        "passed": passed,
+        **identity_verdict(grid, lame, pts.points, *cfg.tol_args),
     }
-    return report, None, passed
 
 
 def _cmd_hodograph(cfg: RunConfig):
     shape = cfg.shape
     if not isinstance(shape, Ellipse):
         raise ConfigError("--shape: hodograph requires an ellipse shape")
-    cert = slit_certificate(shape.a, shape.b, cfg.tolerance)
-    report = {"command": "hodograph", "shape": cfg.shape_label, **cert}
-    return report, None, cert["passed"]
+    cert = slit_certificate(shape.a, shape.b, *cfg.tol_args)
+    return {"command": "hodograph", "shape": cfg.shape_label, **cert}
 
 
 def _cmd_shapeopt(cfg: RunConfig):
@@ -397,7 +280,7 @@ def _cmd_shapeopt(cfg: RunConfig):
         raise ConfigError(f"--n: {exc}") from exc
     start = problem.start()
     trace = minimize_trace(problem, start)
-    verdict = disk_verdict(problem, trace, cfg.tolerance)
+    verdict = disk_verdict(problem, trace, *cfg.tol_args)
     passed = verdict.pop("passed")
     out_dir = cfg.out if cfg.out is not None else "."
     os.makedirs(out_dir, exist_ok=True)
@@ -407,7 +290,7 @@ def _cmd_shapeopt(cfg: RunConfig):
     svg_path = os.path.join(out_dir, "shapeopt_overlay.svg")
     with open(svg_path, "w", encoding="utf-8") as fh:
         fh.write(overlay_svg(problem, trace, start))
-    report = {
+    return {
         "command": "shapeopt",
         "k": cfg.k,
         "area": problem.area,
@@ -423,24 +306,13 @@ def _cmd_shapeopt(cfg: RunConfig):
         "svg_file": svg_path,
         "passed": passed,
     }
-    return report, None, passed
 
 
 def _cmd_suite(cfg: RunConfig):
     from .acceptance import run_all
 
     records = run_all(seed=cfg.seed)
-    lines = []
-    for rec in records:
-        verdict = "PASS" if rec["passed"] else "FAIL"
-        lines.append(f"criterion {rec['id']:02d} {verdict} {rec['name']}: {rec['detail']}")
-    passed = all(rec["passed"] for rec in records)
-    report = {
-        "command": "suite",
-        "criteria": records,
-        "passed": passed,
-    }
-    return report, ("lines", lines), passed
+    return {"command": "suite", "criteria": records, "passed": all(r["passed"] for r in records)}
 
 
 _HANDLERS = {
@@ -547,12 +419,18 @@ def _make_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _emit(cfg: RunConfig, report: dict, table) -> str:
+def _emit(cfg: RunConfig, report: dict) -> str:
+    """The report as printed: one line per criterion for ``suite``, the rows
+    as CSV for ``--format csv``, JSON otherwise."""
     if cfg.command == "suite":
-        return "\n".join(table[1]) + "\n"
-    if cfg.fmt == "csv" and table is not None:
-        header, rows = table
-        return to_csv(header, rows)
+        return "".join(
+            f"criterion {rec['id']:02d} {'PASS' if rec['passed'] else 'FAIL'} "
+            f"{rec['name']}: {rec['detail']}\n"
+            for rec in report["criteria"]
+        )
+    if cfg.fmt == "csv":
+        rows = report["rows"]
+        return to_csv(list(rows[0]), [list(row.values()) for row in rows])
     return to_json(report) + "\n"
 
 
@@ -562,25 +440,22 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _make_config(args)
-        handler = _HANDLERS[cfg.command]
-        report, table, passed = handler(cfg)
+        report = _HANDLERS[cfg.command](cfg)
     except (ConfigError, InvalidShapeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except InclabError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    text = _emit(cfg, report, table)
+    text = _emit(cfg, report)
     sys.stdout.write(text)
     if cfg.out is not None and cfg.command != "shapeopt":
         os.makedirs(cfg.out, exist_ok=True)
-        ext = "csv" if (cfg.fmt == "csv" and table is not None) else (
-            "txt" if cfg.command == "suite" else "json"
-        )
+        ext = "txt" if cfg.command == "suite" else cfg.fmt
         path = os.path.join(cfg.out, f"{cfg.command}.{ext}")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    return 0 if passed else 1
+    return 0 if report["passed"] else 1
 
 
 def main():

@@ -32,6 +32,7 @@ __all__ = [
     "elastic_single_layer",
     "plain_kernel_moment",
     "trace_identity_check",
+    "identity_verdict",
     "kolosov",
 ]
 
@@ -222,6 +223,23 @@ def trace_identity_check(
         difference=res_diff,
         green=worst_green,
     )
+
+
+def identity_verdict(grid: BoundaryGrid, params: LameParams, points, tol: float = 1e-6) -> dict:
+    """The ``elastic-identity`` report's checks, in its order after its setup.
+
+    The matrix-phase, inclusion-phase and inverse-distance residuals must
+    each be at most ``tol``; the difference residual has no bound.
+    """
+    rep = trace_identity_check(grid, params, points)
+    return {
+        "residual_matrix_phase": rep.matrix_phase,
+        "residual_inclusion_phase": rep.inclusion_phase,
+        "residual_difference": rep.difference,
+        "residual_inverse_distance": rep.green,
+        "residual_tol": tol,
+        "passed": rep.matrix_phase <= tol and rep.inclusion_phase <= tol and rep.green <= tol,
+    }
 
 
 def kolosov(lam: float, mu: float) -> float:

@@ -275,9 +275,9 @@ def slit_certificate(a: float, b: float, tol: float = 1e-10) -> dict:
     rep = univalence_check(
         lambda z: hodograph_map(a, b, turn * fmap(np.asarray(z, dtype=complex)))
     )
-    slit_err = max(
-        abs(rep.slit[0] - complex(0.0, -b)), abs(rep.slit[1] - complex(0.0, b))
-    )
+    slit_err = float(np.max(
+        [abs(rep.slit[0] - complex(0.0, -b)), abs(rep.slit[1] - complex(0.0, b))]
+    ))
     alpha, target = leading_coefficient(a, b), b / (a + b)
     return {
         "boundary_identity_deviation": boundary_dev,

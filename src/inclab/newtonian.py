@@ -118,6 +118,15 @@ def depolarization_factors_2d(shape: Ellipse) -> DepolarizationFactors:
     return DepolarizationFactors((b / (a + b), a / (a + b)))
 
 
+def closed_form_factors(shape: ShapeSpec) -> DepolarizationFactors | None:
+    """Factors of an ellipsoid or ellipse; None for shapes without a closed form."""
+    if isinstance(shape, Ellipsoid):
+        return depolarization_factors(shape)
+    if isinstance(shape, Ellipse):
+        return depolarization_factors_2d(shape)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Newtonian potential, boundary-flux path
 
@@ -416,3 +425,37 @@ def quadratic_interior_fit(
     spread = max(float(np.max(vals) - np.min(vals)), 1e-300)
     rms = float(np.sqrt(np.mean(resid**2)) / spread)
     return QuadraticFitReport(A=A, b=b, c=c0, rms_residual=rms, sample=sample)
+
+
+def quadratic_verdict(shape: ShapeSpec, tol: float = 1e-6) -> dict:
+    """The ``newtonian`` report's checks, in its order, each beside its tolerance.
+
+    The fit's residual must be at most ``tol``.  On an ellipse or ellipsoid
+    (fields after ``passed``) diag(A) must come within 1e-5 of half the
+    depolarization factors, and the ellipsoid's three must sum to 1 within 1e-10.
+    """
+    fit = quadratic_interior_fit(shape)
+    out = {
+        "quadratic_fit": {
+            "A": fit.A,
+            "b": fit.b,
+            "c": fit.c,
+            "rms_residual": fit.rms_residual,
+            "residual_tol": tol,
+        },
+        "passed": fit.rms_residual <= tol,
+    }
+    facs = closed_form_factors(shape)
+    if facs is not None:
+        vals = np.asarray(facs.values)
+        dev = float(np.max(np.abs(np.diag(fit.A) - vals / 2.0)))
+        out["depolarization_factors"] = vals
+        sum_ok = True
+        if len(vals) == 3:
+            out["factor_sum"] = facs.total
+            out["factor_sum_tol"] = 1e-10
+            sum_ok = abs(facs.total - 1.0) <= 1e-10
+        out["diag_vs_half_factors"] = dev
+        out["diag_tol"] = 1e-5
+        out["passed"] = out["passed"] and dev <= 1e-5 and sum_ok
+    return out

@@ -16,18 +16,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvalidShapeError, SolveError
-from .geometry import BoundaryGrid, Ellipse, Ellipsoid, ShapeSpec, measure
-from .newtonian import depolarization_factors, depolarization_factors_2d
+from .geometry import BoundaryGrid, ShapeSpec, _rotation, measure
+from .newtonian import closed_form_factors
 from .transmission import Contrast, _as_contrast, _basis_densities
 
 __all__ = [
     "PolarizationTensor",
     "BoundReport",
     "polarization_tensor",
+    "closed_form_pt",
     "ellipsoid_pt",
+    "pt_verdict",
     "hs_bounds",
+    "bounds_verdict",
     "minimal_trace_target",
 ]
+
+# |slack| <= SATURATION_TOL * max(1, |rhs|) counts as equality in a bound
+SATURATION_TOL = 1e-5
 
 
 @dataclass
@@ -86,12 +92,13 @@ def polarization_tensor(grid: BoundaryGrid, k) -> PolarizationTensor:
     """
     contrast = _as_contrast(k)
     if grid.dim == 3:
-        if isinstance(grid.shape, Ellipsoid):
-            return ellipsoid_pt(grid.shape, contrast)
-        raise InvalidShapeError(
-            "3D polarization tensors are only available through the "
-            "ellipsoid closed form"
-        )
+        closed = closed_form_pt(grid.shape, contrast)
+        if closed is None:
+            raise InvalidShapeError(
+                "3D polarization tensors are only available through the "
+                "ellipsoid closed form"
+            )
+        return closed
     (phis,) = _basis_densities(grid, [contrast])
     raw = (phis * grid.weights[:, None]).T @ grid.nodes
     asymmetry = float(np.max(np.abs(raw - raw.T)))
@@ -105,32 +112,61 @@ def polarization_tensor(grid: BoundaryGrid, k) -> PolarizationTensor:
     )
 
 
-def ellipsoid_pt(shape: ShapeSpec, k) -> PolarizationTensor:
-    """Closed-form polarization tensor of an ellipse or ellipsoid.
+def closed_form_pt(shape: ShapeSpec, k) -> PolarizationTensor | None:
+    """Closed-form polarization tensor of an ellipse or ellipsoid; None otherwise.
 
     Diagonal in the axis frame with entries |Omega|/(1/(k-1) + a_j), where
     a_j are the depolarization factors (finite for k up to the float
     maximum); rotated ellipses are conjugated back into the ambient frame.
     """
+    facs = closed_form_factors(shape)
+    if facs is None:
+        return None
     contrast = _as_contrast(k)
-    if isinstance(shape, Ellipsoid):
-        factors = np.asarray(depolarization_factors(shape).values)
-        rot = None
-    elif isinstance(shape, Ellipse):
-        factors = np.asarray(depolarization_factors_2d(shape).values)
-        c, s = np.cos(shape.rotation), np.sin(shape.rotation)
-        rot = np.array([[c, -s], [s, c]])
-    else:
-        raise InvalidShapeError("closed-form PT exists for ellipses and ellipsoids only")
+    factors = np.asarray(facs.values)
     vol = float(measure(shape))
-    diag = vol / (1.0 / (contrast.k - 1.0) + factors)
-    M = np.diag(diag)
-    if rot is not None:
+    M = np.diag(vol / (1.0 / (contrast.k - 1.0) + factors))
+    if len(factors) == 2:
+        rot = _rotation(shape.rotation)
         M = rot @ M @ rot.T
     return PolarizationTensor(M=M, k=contrast, volume=vol, asymmetry=0.0)
 
 
-def hs_bounds(pt: PolarizationTensor, sat_tol: float = 1e-5) -> BoundReport:
+def ellipsoid_pt(shape: ShapeSpec, k) -> PolarizationTensor:
+    """``closed_form_pt``, refusing any shape but an ellipse or ellipsoid."""
+    pt = closed_form_pt(shape, k)
+    if pt is None:
+        raise InvalidShapeError("closed-form PT exists for ellipses and ellipsoids only")
+    return pt
+
+
+def pt_verdict(shape: ShapeSpec, pt: PolarizationTensor, tol: float = 1e-6) -> dict:
+    """The ``pt`` report's checks, in its order after k and n, each beside its tolerance.
+
+    The raw asymmetry must be at most ``tol``; on an ellipse or ellipsoid so
+    must the largest entry-wise deviation from the closed form be at most 1e-6.
+    """
+    out = {
+        "volume": pt.volume,
+        "M": pt.M,
+        "eigenvalues": np.linalg.eigvalsh(pt.M),
+        "trace": float(np.trace(pt.M)),
+        "asymmetry": pt.asymmetry,
+        "asymmetry_tol": tol,
+    }
+    passed = pt.asymmetry <= tol
+    closed = closed_form_pt(shape, pt.k)
+    if closed is not None:
+        dev = float(np.max(np.abs(pt.M - closed.M)))
+        out["closed_form_M"] = closed.M
+        out["closed_form_deviation"] = dev
+        out["closed_form_tol"] = 1e-6
+        passed = passed and dev <= 1e-6
+    out["passed"] = passed
+    return out
+
+
+def hs_bounds(pt: PolarizationTensor, sat_tol: float = SATURATION_TOL) -> BoundReport:
     """Evaluate both trace bounds and flag saturation.
 
     For k > 1: Tr(M) <= |Omega|(k-1)(d-1+1/k) and
@@ -170,6 +206,29 @@ def hs_bounds(pt: PolarizationTensor, sat_tol: float = 1e-5) -> BoundReport:
         saturated2=saturated2,
         form=form,
     )
+
+
+def bounds_verdict(pt: PolarizationTensor, tol: float = 1e-5) -> dict:
+    """The ``bounds`` report's checks, in its order after k and n.
+
+    Both slacks must be at least -``tol``; the saturation flags of
+    ``hs_bounds`` stand beside their relative tolerance.
+    """
+    rep = hs_bounds(pt)
+    return {
+        "form": rep.form,
+        "trace_M": rep.tr_M,
+        "trace_bound_rhs": rep.bound1_rhs,
+        "slack1": rep.slack1,
+        "scaled_inverse_trace": rep.tr_Minv_scaled,
+        "inverse_trace_bound_rhs": rep.bound2_rhs,
+        "slack2": rep.slack2,
+        "slack_floor": -tol,
+        "saturated1": rep.saturated1,
+        "saturated2": rep.saturated2,
+        "saturation_tol": SATURATION_TOL,
+        "passed": rep.slack1 >= -tol and rep.slack2 >= -tol,
+    }
 
 
 def minimal_trace_target(k, volume: float, d: int) -> float:

@@ -226,7 +226,7 @@ def disk_verdict(problem: OptProblem, trace: OptTrace, gap_tol: float = 1e-3) ->
     disk = problem.disk_value
     rel_gap = trace.gap / disk
     max_coeff = float(np.max(np.abs(trace.final_coefficients)))
-    undercut = (disk - min(r["objective"] for r in trace.history)) / disk
+    undercut = (disk - float(np.min([r["objective"] for r in trace.history]))) / disk
     return {
         "relative_gap": rel_gap,
         "gap_tol": gap_tol,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SolveError
+from .errors import ConfigError, EmptySampleError, ResolutionError, SolveError
 from .geometry import (
     BoundaryGrid,
     InteriorSample,
@@ -42,6 +42,7 @@ __all__ = [
     "solve_density",
     "interior_field",
     "default_interior_sample",
+    "uniformity_verdict",
     "lambda_map",
     "k_independence_check",
     "flux_continuity_check",
@@ -144,14 +145,6 @@ def _basis_densities(grid: BoundaryGrid, ks) -> list[np.ndarray]:
     return [_solve(op, _as_contrast(k), grid.normals) for k in ks]
 
 
-def _basis_fields(grid: BoundaryGrid, ks, sample: InteriorSample):
-    """Yield (k, j, FieldReport) for every contrast in ``ks`` and direction e_j."""
-    eye = np.eye(grid.dim)
-    for k, phis in zip(ks, _basis_densities(grid, ks)):
-        for j in range(grid.dim):
-            yield k, j, interior_field(grid, Density(phis[:, j], grid), eye[j], sample)
-
-
 def solve_density(grid: BoundaryGrid, k, a) -> Density:
     """Solve the boundary equation for the layer density of direction ``a``.
 
@@ -188,9 +181,42 @@ def default_interior_sample(
     grid: BoundaryGrid,
     count: int = 40,
 ) -> InteriorSample:
-    """Interior sample clear of the near-boundary evaluation guard."""
-    margin = max(0.12 * shape_scale(shape), 3.0 * float(np.max(grid.spacing)))
-    return interior_points(shape, count, margin)
+    """Interior sample clear of the near-boundary evaluation guard.
+
+    The margin is 0.12 of the shape's scale or 3 node spacings, whichever
+    is larger.  When the spacings set it and too few points fit, the grid
+    is too coarse: ResolutionError instead of EmptySampleError.
+    """
+    floor = 0.12 * shape_scale(shape)
+    guard = 3.0 * float(np.max(grid.spacing))
+    try:
+        return interior_points(shape, count, max(floor, guard))
+    except EmptySampleError as exc:
+        if guard <= floor:
+            raise
+        raise ResolutionError(f"{exc} (3 node spacings): the grid is too coarse") from exc
+
+
+def uniformity_verdict(
+    grid: BoundaryGrid, ks, sample: InteriorSample, label=None, tol: float = 1e-6
+) -> dict:
+    """The ``eshelby`` report's checks, in its order after ks and n.
+
+    The largest gradient deviation over the contrasts ``ks`` and the basis
+    directions must be at most ``tol``; ``rows`` has one record per pair.
+    """
+    eye = np.eye(grid.dim)
+    rows = []
+    for k, phis in zip(ks, _basis_densities(grid, ks)):
+        for j in range(grid.dim):
+            fr = interior_field(grid, Density(phis[:, j], grid), eye[j], sample)
+            gx, gy = (float(g) for g in fr.mean_gradient)
+            rows.append({
+                "shape": label, "k": k, "direction": j + 1,
+                "mean_gx": gx, "mean_gy": gy, "delta": fr.delta,
+            })
+    worst = float(np.max([row["delta"] for row in rows]))
+    return {"max_delta": worst, "delta_tol": tol, "passed": worst <= tol, "rows": rows}
 
 
 def lambda_map(
@@ -208,16 +234,13 @@ def lambda_map(
     contrast = _as_contrast(k)
     if sample is None:
         sample = default_interior_sample(grid.shape, grid)
-    reports = [rep for _, _, rep in _basis_fields(grid, [contrast], sample)]
-    matrix = np.stack([rep.mean_gradient for rep in reports], axis=1)
-    deltas = np.array([rep.delta for rep in reports])
-    det = float(np.linalg.det(matrix))
-    invertible = abs(det) > 1e-12
+    verdict = uniformity_verdict(grid, [contrast], sample, tol=uniform_tol)
+    matrix = np.array([[row["mean_gx"], row["mean_gy"]] for row in verdict["rows"]]).T
     return LambdaReport(
         matrix=matrix,
-        deltas=deltas,
-        uniform=bool(np.all(deltas <= uniform_tol)),
-        invertible=invertible,
+        deltas=np.array([row["delta"] for row in verdict["rows"]]),
+        uniform=verdict["passed"],
+        invertible=abs(float(np.linalg.det(matrix))) > 1e-12,
     )
 
 
@@ -233,21 +256,20 @@ def k_independence_check(
     its relative deviation; uniform shapes keep every deviation small for
     every admissible contrast simultaneously.
     """
-    ks = [float(k) for k in ks]
+    ks = [_as_contrast(k).k for k in ks]
     if len(ks) < 2:
         raise ConfigError("need at least two contrast values to compare")
-    contrasts = [_as_contrast(k) for k in ks]
     grid = discretize(shape, n)
     if sample is None:
         sample = default_interior_sample(shape, grid)
     return [
         {
-            "k": contrast.k,
-            "direction": j + 1,
-            "mean_gradient": tuple(float(v) for v in rep.mean_gradient),
-            "delta": rep.delta,
+            "k": row["k"],
+            "direction": row["direction"],
+            "mean_gradient": (row["mean_gx"], row["mean_gy"]),
+            "delta": row["delta"],
         }
-        for contrast, j, rep in _basis_fields(grid, contrasts, sample)
+        for row in uniformity_verdict(grid, ks, sample)["rows"]
     ]
 
 

@@ -8,8 +8,10 @@ import sys
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from inclab.cli import parse_shape, run
-from inclab import ConfigError, Ellipse, FourierStar, Polygon
+from inclab import ConfigError, Ellipse, FourierStar, Polygon, acceptance, transmission
 
 
 def _run(capsys, *argv):
@@ -107,6 +109,14 @@ def test_config_error_exit_2(capsys):
     ):
         code, out, err = _run(capsys, *argv)
         assert (code, out, err) == (2, "", message)
+
+
+def test_eshelby_refuses_an_n_whose_spacing_empties_the_sample(capsys):
+    # the sample margin is 3 node spacings at this n, nearly the minor semi-axis
+    code, out, err = _run(capsys, "eshelby", "--shape", "ellipse:3,1", "--k", "2", "--n", "64")
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: --n: only 21 interior points fit margin ")
+    assert err.endswith(" (3 node spacings): the grid is too coarse\n")
 
 
 @pytest.mark.parametrize(
@@ -289,3 +299,105 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def _key_paths(obj, prefix=""):
+    """Every key of a parsed report in order, nested ones dotted; the items
+    of a list of objects must share one layout, which counts once."""
+    if isinstance(obj, dict):
+        out = []
+        for key, value in obj.items():
+            out += [prefix + key] + _key_paths(value, f"{prefix}{key}.")
+        return out
+    if isinstance(obj, list) and obj and isinstance(obj[0], dict):
+        layouts = [_key_paths(item, prefix + "[].") for item in obj]
+        assert all(layout == layouts[0] for layout in layouts)
+        return layouts[0]
+    return []
+
+
+_PT = ["command", "shape", "k", "n", "volume", "M", "eigenvalues", "trace", "asymmetry",
+       "asymmetry_tol"]
+_CLOSED_FORM = ["closed_form_M", "closed_form_deviation", "closed_form_tol"]
+_FIT = ["command", "shape", "quadratic_fit", "quadratic_fit.A", "quadratic_fit.b",
+        "quadratic_fit.c", "quadratic_fit.rms_residual", "quadratic_fit.residual_tol", "passed"]
+
+
+@pytest.mark.parametrize(
+    "argv, layout",
+    [
+        (("pt", "--shape", "ellipse:2,1"), _PT + _CLOSED_FORM + ["passed"]),
+        (("pt", "--shape", "square"), _PT + ["passed"]),
+        (("pt", "--shape", "ellipsoid:2,1.5,1"), _PT + _CLOSED_FORM + ["passed"]),
+        (
+            ("bounds", "--shape", "star"),
+            ["command", "shape", "k", "n", "form", "trace_M", "trace_bound_rhs", "slack1",
+             "scaled_inverse_trace", "inverse_trace_bound_rhs", "slack2", "slack_floor",
+             "saturated1", "saturated2", "saturation_tol", "passed"],
+        ),
+        (
+            ("eshelby", "--shape", "ellipse:2,1", "--k", "0.5,2", "--format", "json"),
+            ["command", "shape", "ks", "n", "max_delta", "delta_tol", "passed", "rows",
+             "rows.[].shape", "rows.[].k", "rows.[].direction", "rows.[].mean_gx",
+             "rows.[].mean_gy", "rows.[].delta"],
+        ),
+        (
+            ("newtonian", "--shape", "ellipsoid:2,1.5,1"),
+            _FIT + ["depolarization_factors", "factor_sum", "factor_sum_tol",
+                    "diag_vs_half_factors", "diag_tol"],
+        ),
+        (
+            ("newtonian", "--shape", "ellipse:2,1"),
+            _FIT + ["depolarization_factors", "diag_vs_half_factors", "diag_tol"],
+        ),
+        (("newtonian", "--shape", "square"), _FIT),
+        (
+            ("elastic-identity",),
+            ["command", "shape", "lame", "lame.lam", "lame.mu", "lame.lam_inc", "lame.mu_inc",
+             "kolosov_matrix", "grid", "points", "residual_matrix_phase",
+             "residual_inclusion_phase", "residual_difference", "residual_inverse_distance",
+             "residual_tol", "passed"],
+        ),
+        (
+            ("hodograph", "--shape", "ellipse:2,1"),
+            ["command", "shape", "boundary_identity_deviation", "boundary_identity_tol",
+             "univalent", "min_abs_derivative", "max_real_deviation", "real_deviation_tol",
+             "rings_simple", "slit", "slit.[].re", "slit.[].im", "slit_endpoint_error",
+             "slit_tol", "leading_coefficient", "leading_coefficient_target",
+             "leading_coefficient_tol", "passed"],
+        ),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else None,
+)
+def test_report_layout(capsys, argv, layout):
+    # key order fixes the report bytes and does not depend on the platform
+    code, out, _ = _run(capsys, *argv)
+    assert code in (0, 1)
+    assert _key_paths(json.loads(out)) == layout
+
+
+def test_nan_delta_fails_eshelby_and_criterion_07(capsys, monkeypatch):
+    original = transmission.interior_field
+
+    def nan_field(*args, **kwargs):
+        return replace(original(*args, **kwargs), delta=float("nan"))
+
+    monkeypatch.setattr(transmission, "interior_field", nan_field)
+    argv = ("eshelby", "--shape", "ellipse:2,1", "--k", "2", "--format", "json")
+    code, out, _ = _run(capsys, *argv)
+    rep = json.loads(out)
+    assert code == 1
+    assert (rep["max_delta"], rep["passed"]) == (None, False)
+    assert acceptance.criterion_07()["passed"] is False
+
+
+def test_elastic_identity_default_agrees_with_criterion_11(capsys):
+    code, out, _ = _run(capsys, "elastic-identity")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["residual_tol"] == 1e-6
+    assert acceptance.criterion_11()["detail"].startswith(
+        f"residuals: matrix {rep['residual_matrix_phase']:.2e}, inclusion "
+        f"{rep['residual_inclusion_phase']:.2e}, inverse-distance "
+        f"{rep['residual_inverse_distance']:.2e} (tol 1e-6); "
+    )

@@ -17,6 +17,8 @@ from inclab import (
     minimal_trace_target,
     polarization_tensor,
 )
+from inclab.polarization import PolarizationTensor, bounds_verdict, pt_verdict
+from inclab.transmission import Contrast
 
 contrast = st.floats(0.2, 10.0).filter(lambda k: abs(k - 1.0) > 0.05)
 angle = st.floats(0.0, 2 * np.pi)
@@ -155,3 +157,15 @@ def test_ellipsoid_closed_form_increases_with_contrast():
     shape = Ellipsoid(2.0, 1.5, 1.0)
     traces = [float(np.trace(ellipsoid_pt(shape, k).M)) for k in (1.5, 2.0, 4.0, 8.0)]
     assert all(b > a for a, b in zip(traces, traces[1:]))
+
+
+def test_verdicts_fail_on_a_nan_tensor():
+    pt = PolarizationTensor(M=np.diag([np.nan, 1.0]), k=Contrast(3.0), volume=np.pi)
+    with np.errstate(invalid="ignore"):
+        pt_rep, bounds_rep = pt_verdict(Ellipse(1.0, 1.0), pt), bounds_verdict(pt)
+    assert pt_rep["passed"] is False
+    assert np.isnan(pt_rep["closed_form_deviation"])
+    assert bounds_rep["passed"] is False
+    assert pt_verdict(Ellipse(1.0, 1.0), PolarizationTensor(
+        M=np.eye(2), k=Contrast(3.0), volume=np.pi, asymmetry=np.nan
+    ))["passed"] is False
