@@ -242,7 +242,10 @@ def _cmd_eshelby(cfg: RunConfig):
 
 
 def _cmd_newtonian(cfg: RunConfig):
-    verdict = quadratic_verdict(cfg.shape, *cfg.tol_args)
+    try:
+        verdict = quadratic_verdict(cfg.shape, *cfg.tol_args)
+    except InvalidShapeError as exc:
+        raise ConfigError(f"--shape: {exc}") from exc
     return {"command": "newtonian", "shape": cfg.shape_label, **verdict}
 
 

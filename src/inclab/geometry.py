@@ -3,9 +3,10 @@
 Shapes are frozen dataclasses, and each class carries its own geometry:
 ``dim``, ``measure``, ``scale``, ``center_point``, ``bbox``, ``margin_ok``,
 ``default_margin`` and ``boundary_grid``, plus ``outline`` on the 2D
-shapes and ``curve_frame`` on the smooth curves.  The module functions
-``discretize``, ``measure``, ``shape_dim``, ``shape_scale`` and
-``shape_center`` call those methods.
+shapes, ``curve_frame`` on the smooth curves, and ``ray_exit`` (where
+rays from interior points leave the shape) on ellipses, stars and
+ellipsoids.  The module functions ``discretize``, ``measure``,
+``shape_dim``, ``shape_scale`` and ``shape_center`` call those methods.
 
 ``discretize`` turns a shape into a quadrature-ready boundary grid:
 equispaced-parameter trapezoid nodes for smooth curves (spectrally
@@ -17,6 +18,7 @@ positive and sum to the surface measure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -39,6 +41,17 @@ _STAR_ANGLES = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
 # Point-node pairs ``_pair_blocks`` holds at once (a block is never smaller
 # than one target row).
 _CHUNK = 1 << 17
+
+# Point-direction pairs of a ray-exit block and point-segment pairs of a
+# clearance block (also never smaller than one point's row).
+_RAY_CHUNK = 1 << 14
+
+# Safeguarded Newton on a star's ray exits: iteration cap, and the absolute
+# step, in units of the bracket length, below which a ray has converged.  The
+# exit residual is only known to about eps * radius, so a relative (ulp) test
+# could flip-flop between neighboring floats forever.
+_NEWTON_CAP = 80
+_NEWTON_STEP = 16 * np.finfo(float).eps
 
 
 class _PlaneShape:
@@ -112,6 +125,24 @@ class Ellipse(_SmoothCurve):
 
     def default_margin(self) -> float:
         return 0.25 * min(self.a, self.b)
+
+    def boundary_grid(self, n) -> BoundaryGrid:
+        # the trapezoid rule on an ellipse converges like rho^n with
+        # rho = |a - b| / (a + b); at rho^n >= 1/2 the grid resolves no digit
+        rho = abs(self.a - self.b) / (self.a + self.b)
+        if rho > 0 and int(n) * math.log(rho) >= -math.log(2.0):
+            raise InvalidShapeError(
+                f"aspect ratio {max(self.a, self.b) / min(self.a, self.b):.6g} is beyond "
+                f"what {int(n)} boundary nodes resolve"
+            )
+        return super().boundary_grid(n)
+
+    def ray_exit(self, points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+        """Distance from each interior point along each unit direction to the
+        curve, shape (len(points), len(dirs))."""
+        R = _rotation(-self.rotation)
+        q = (points - np.asarray(self.center)) @ R.T
+        return _quadric_exit(q, dirs @ R.T, (self.a, self.b))
 
 
 @dataclass(frozen=True)
@@ -259,6 +290,54 @@ class FourierStar(_SmoothCurve):
     def default_margin(self) -> float:
         return 0.25 * self._r_min
 
+    def ray_exit(self, points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+        """Distance from each interior point along each unit direction to the
+        curve, shape (len(points), len(dirs)).
+
+        Safeguarded Newton on f(t) = |x + t d| - r(angle(x + t d)) inside the
+        bracket [0, 2.5 scale], from the exit of the circle of radius
+        r(angle(d)); a step that leaves the bracket is a bisection.  Each ray
+        must leave the star exactly once; where it crosses the curve more
+        often, the crossing found is one of several.
+        """
+        m = len(dirs)
+        x0, y0 = np.repeat(points[:, 0], m), np.repeat(points[:, 1], m)
+        dx, dy = np.tile(dirs[:, 0], len(points)), np.tile(dirs[:, 1], len(points))
+        span = 2.5 * self.scale()
+        reach = np.tile(_star_radius(self, np.arctan2(dirs[:, 1], dirs[:, 0])), len(points))
+        xd = x0 * dx + y0 * dy
+        with np.errstate(invalid="ignore"):
+            t = -xd + np.sqrt(xd * xd - x0 * x0 - y0 * y0 + reach * reach)
+        t = np.where(np.isfinite(t), np.clip(t, 0.0, span), 0.5 * span)
+        lo, hi = np.zeros_like(t), np.full_like(t, span)
+        idx = np.arange(len(t))
+        out = np.empty(len(t))
+        for _ in range(_NEWTON_CAP):
+            ux, uy = x0 + t * dx, y0 + t * dy
+            r = np.sqrt(ux * ux + uy * uy)
+            rad, rad1, _ = _star_radius_derivs(self, np.arctan2(uy, ux))
+            f = r - rad
+            outside = f >= 0
+            hi = np.where(outside, t, hi)
+            lo = np.where(outside, lo, t)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                slope = (ux * dx + uy * dy) / r - rad1 * (ux * dy - uy * dx) / (r * r)
+                step = t - f / slope
+            # inclusive: an exact zero of f sits on a bracket end
+            step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+            done = np.abs(step - t) <= _NEWTON_STEP * span
+            t = step
+            if done.any():
+                out[idx[done]] = t[done]
+                keep = ~done
+                idx, t, lo, hi, x0, y0, dx, dy = (
+                    v[keep] for v in (idx, t, lo, hi, x0, y0, dx, dy)
+                )
+                if not len(idx):
+                    break
+        out[idx] = t
+        return out.reshape(len(points), m)
+
 
 @dataclass(frozen=True)
 class Ellipsoid:
@@ -297,6 +376,12 @@ class Ellipsoid:
 
     def default_margin(self) -> float:
         return 0.25 * min(self.c1, self.c2, self.c3)
+
+    def ray_exit(self, points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+        """Distance from each interior point along each unit direction to the
+        surface, shape (len(points), len(dirs))."""
+        q = points - np.asarray(self.center)
+        return _quadric_exit(q, dirs, (self.c1, self.c2, self.c3))
 
     def boundary_grid(self, n) -> BoundaryGrid:
         if isinstance(n, tuple):
@@ -452,6 +537,23 @@ def _rotation(phi: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+def _quadric_exit(q: np.ndarray, dirs: np.ndarray, semi_axes) -> np.ndarray:
+    """Positive root t of sum_i ((q_i + t d_i) / s_i)^2 = 1 for every point q
+    inside the axis-aligned ellipse or ellipsoid with semi-axes s and every
+    direction d, shape (len(q), len(dirs))."""
+    inv = 1.0 / np.asarray(semi_axes, dtype=float)
+    # component by component: long inner loops, and each entry of B is
+    # independent of how many points share the call
+    qa = q * inv
+    da = [dirs[:, j] * inv[j] for j in range(len(inv))]
+    A = sum(c * c for c in da)
+    B = 2.0 * sum(np.multiply.outer(qj, dj) for qj, dj in zip(qa.T, da))
+    C = (qa * qa).sum(-1)[:, None] - 1.0
+    root = np.sqrt(B * B - 4.0 * A * C)
+    # C < 0 inside, so root > |B|; the second form avoids cancellation for B > 0
+    return np.where(B > 0, -2.0 * C / (B + root), (root - B) / (2.0 * A))
+
+
 def _outward_normals(d1: np.ndarray, speed: np.ndarray) -> np.ndarray:
     # the tangent turned clockwise: outward on a counterclockwise curve
     return np.stack([d1[:, 1], -d1[:, 0]], axis=1) / speed[:, None]
@@ -564,12 +666,18 @@ def _pair_blocks(points: np.ndarray, nodes: np.ndarray):
     (d, rows, n), and r2 = |x_p - y_s|^2 of shape (rows, n).  Each block's
     arrays are fresh, so a caller may overwrite them.
     """
-    step = max(1, _CHUNK // max(len(nodes), 1))
     nodes_t = np.ascontiguousarray(nodes.T)[:, None, :]
-    for i0 in range(0, len(points), step):
-        rows = slice(i0, i0 + step)
+    for rows in _row_blocks(len(points), len(nodes), _CHUNK):
         dx = points[rows].T[:, :, None] - nodes_t
         yield rows, dx, np.einsum("jps,jps->ps", dx, dx)
+
+
+def _row_blocks(count: int, width: int, budget: int):
+    """Slices of ``count`` rows, each holding at most max(budget, width)
+    row-by-``width`` pairs."""
+    step = max(1, budget // max(width, 1))
+    for i0 in range(0, count, step):
+        yield slice(i0, i0 + step)
 
 
 # ---------------------------------------------------------------------------
@@ -615,12 +723,15 @@ def _points_in_polygon(pts: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _dist_to_segments(pts: np.ndarray, v: np.ndarray) -> np.ndarray:
-    m = len(v)
-    best = np.full(len(pts), np.inf)
-    for i in range(m):
-        a, b = v[i], v[(i + 1) % m]
-        ab = b - a
-        tt = np.clip(((pts - a) @ ab) / (ab @ ab), 0.0, 1.0)
-        proj = a + tt[:, None] * ab
-        best = np.minimum(best, np.linalg.norm(pts - proj, axis=1))
+    """Distance from each point to the closed polyline through the vertices
+    ``v``, in blocks of at most _RAY_CHUNK point-segment pairs."""
+    ab = np.roll(v, -1, axis=0) - v
+    ab2 = (ab * ab).sum(axis=1)
+    best = np.empty(len(pts))
+    for rows in _row_blocks(len(pts), len(v), _RAY_CHUNK):
+        px, py = pts[rows, :1], pts[rows, 1:]
+        tt = np.clip(((px - v[:, 0]) * ab[:, 0] + (py - v[:, 1]) * ab[:, 1]) / ab2, 0.0, 1.0)
+        ex = px - (v[:, 0] + tt * ab[:, 0])
+        ey = py - (v[:, 1] + tt * ab[:, 1])
+        best[rows] = np.sqrt(np.min(ex * ex + ey * ey, axis=1))
     return best

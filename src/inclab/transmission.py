@@ -184,11 +184,23 @@ def default_interior_sample(
     """Interior sample clear of the near-boundary evaluation guard.
 
     The margin is 0.12 of the shape's scale or 3 node spacings, whichever
-    is larger.  When the spacings set it and too few points fit, the grid
-    is too coarse: ResolutionError instead of EmptySampleError.
+    is larger.  On a slender shape the scale term can reach past the
+    clearance; when too few points fit, the shape's ``default_margin``
+    replaces the scale term if it is smaller.  When the spacings set the
+    margin and too few points fit, the grid is too coarse: ResolutionError
+    instead of EmptySampleError.
     """
     floor = 0.12 * shape_scale(shape)
     guard = 3.0 * float(np.max(grid.spacing))
+    try:
+        return _guarded_sample(shape, count, floor, guard)
+    except EmptySampleError:
+        if shape.default_margin() >= floor:
+            raise
+    return _guarded_sample(shape, count, shape.default_margin(), guard)
+
+
+def _guarded_sample(shape: ShapeSpec, count: int, floor: float, guard: float) -> InteriorSample:
     try:
         return interior_points(shape, count, max(floor, guard))
     except EmptySampleError as exc:

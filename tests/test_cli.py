@@ -11,7 +11,7 @@ import pytest
 from dataclasses import replace
 
 from inclab.cli import parse_shape, run
-from inclab import ConfigError, Ellipse, FourierStar, Polygon, acceptance, transmission
+from inclab import ConfigError, Ellipse, FourierStar, Polygon, acceptance, discretize, transmission
 
 
 def _run(capsys, *argv):
@@ -117,6 +117,50 @@ def test_eshelby_refuses_an_n_whose_spacing_empties_the_sample(capsys):
     assert (code, out) == (2, "")
     assert err.startswith("config error: --n: only 21 interior points fit margin ")
     assert err.endswith(" (3 node spacings): the grid is too coarse\n")
+
+
+def test_eshelby_on_slender_ellipses_samples_at_the_shape_clearance(capsys):
+    # 0.12 of the semi-major axis reaches the minor one; the ellipse's own
+    # clearance margin takes its place, and the field is uniform
+    code, out, err = _run(capsys, "eshelby", "--shape", "ellipse:8,1", "--k", "2",
+                          "--format", "json")
+    rep = json.loads(out)
+    assert (code, err, rep["passed"]) == (0, "", True)
+    assert rep["max_delta"] <= rep["delta_tol"]
+    # at the default n three node spacings exceed the minor semi-axis of 20:1
+    code, out, err = _run(capsys, "eshelby", "--shape", "ellipse:20,1", "--k", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: --n: ")
+    code, out, _ = _run(capsys, "eshelby", "--shape", "ellipse:20,1", "--k", "2",
+                        "--n", "2048", "--format", "json")
+    assert (code, json.loads(out)["passed"]) == (0, True)
+
+
+def test_eshelby_keeps_the_scale_margin_where_it_fits(capsys):
+    shape = Ellipse(5.0, 1.0)
+    grid = discretize(shape, 256)
+    sample = transmission.default_interior_sample(shape, grid)
+    assert sample.margin == 0.12 * 5.0
+
+
+@pytest.mark.parametrize("argv", [
+    ("pt", "--shape", "ellipse:1e-200,1", "--k", "3"),
+    ("bounds", "--shape", "ellipse:1,1e-200", "--k", "3"),
+    ("pt", "--shape", "ellipse:1000,1", "--k", "3"),
+    ("newtonian", "--shape", "ellipse:1e-200,1"),
+])
+def test_ellipses_the_grid_cannot_resolve_are_refused(capsys, argv):
+    # the trapezoid rule resolves an ellipse like rho^n, rho = |a - b|/(a + b);
+    # here rho^n >= 1/2, and ellipse:1e-200,1 passed on rounding noise
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: --shape: aspect ratio ")
+    assert err.endswith(" boundary nodes resolve\n")
+
+
+def test_ellipse_resolution_rule_leaves_resolved_aspect_ratios_alone():
+    for a, n in ((100.0, 256), (500.0, 256), (1000.0, 512), (1.0, 64)):
+        assert discretize(Ellipse(a, 1.0), n).n == n
 
 
 @pytest.mark.parametrize(

@@ -295,3 +295,41 @@ def test_every_shape_class_has_the_geometry_methods():
         assert cls.dim in (2, 3)
         for name in methods + (("outline",) if cls.dim == 2 else ()):
             assert callable(getattr(cls, name, None)), f"{cls.__name__}.{name}"
+
+
+def _loop_dist_to_segments(pts, v):
+    # one segment at a time, as the clearance test was first written
+    best = np.full(len(pts), np.inf)
+    for i in range(len(v)):
+        a, b = v[i], v[(i + 1) % len(v)]
+        ab = b - a
+        tt = np.clip(((pts - a) @ ab) / (ab @ ab), 0.0, 1.0)
+        best = np.minimum(best, np.linalg.norm(pts - (a + tt[:, None] * ab), axis=1))
+    return best
+
+
+def _clearance_cases():
+    star = FourierStar(1.0, ((3, 0.2, 0.0), (5, 0.05, 0.03)))
+    t = 2 * np.pi * np.arange(2048) / 2048
+    r = geometry._star_radius(star, t)
+    kite = Polygon(((1.0, 0.0), (0.0, 0.7), (-0.6, 0.0), (0.0, -0.7)))
+    return [(star, np.stack([r * np.cos(t), r * np.sin(t)], axis=1)),
+            (kite, np.asarray(kite.vertices))]
+
+
+@pytest.mark.parametrize("shape, poly", _clearance_cases(), ids=["star", "kite"])
+def test_block_clearance_matches_the_per_segment_loop(shape, poly, monkeypatch):
+    rng = np.random.default_rng(3)
+    lo, hi = shape.bbox()
+    # random points, points exactly on vertices, and a count that is not a
+    # multiple of the block
+    pts = np.concatenate([lo + (hi - lo) * rng.random((1001, 2)), poly[::37]])
+    got = geometry._dist_to_segments(pts, poly)
+    want = _loop_dist_to_segments(pts, poly)
+    assert np.all(got[-len(poly[::37]):] == 0.0)
+    assert np.max(np.abs(got - want)) <= 4e-16 * shape.scale()
+    for margin in (0.0, 0.05, 0.1, 0.2):
+        keep = shape.margin_ok(pts, margin)
+        monkeypatch.setattr(geometry, "_dist_to_segments", _loop_dist_to_segments)
+        np.testing.assert_array_equal(keep, shape.margin_ok(pts, margin))
+        monkeypatch.undo()

@@ -12,6 +12,7 @@ from inclab import (
     carlson_rd,
     depolarization_factors,
     depolarization_factors_2d,
+    interior_points,
     newtonian_potential,
     quadratic_interior_fit,
 )
@@ -211,3 +212,141 @@ def test_quadratic_fit_fails_on_cube_and_square():
     assert quadratic_interior_fit(Box((0.5, 0.5, 0.5))).rms_residual >= 1e-3
     square = Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
     assert quadratic_interior_fit(square).rms_residual >= 1e-3
+
+
+# ---------------------------------------------------------------------------
+# batched ray exits
+
+# The star on which the radial route is 3.0e-6 off the flux route at margin
+# 0.2, because a few rays leave it three times.
+MODE4_STAR = FourierStar(1.0, ((4, -0.10596098051165517, 0.09499353177172293),))
+
+
+def _bisect_exit(outside, x, dirs, span):
+    """Reference ray exits: 80 bisection steps on [0, span] per direction,
+    in the arithmetic of ``x``'s dtype."""
+    lo = np.zeros(len(dirs), dtype=x.dtype)
+    hi = np.full(len(dirs), span, dtype=x.dtype)
+    for _ in range(80):
+        mid = (lo + hi) / 2
+        out = outside(x + mid[:, None] * dirs)
+        hi = np.where(out, mid, hi)
+        lo = np.where(out, lo, mid)
+    return (lo + hi) / 2
+
+
+def _long_star_outside(shape):
+    ld = np.longdouble
+
+    def outside(p):
+        t = np.arctan2(p[:, 1], p[:, 0])
+        r = np.ones_like(t)
+        for m, c, s in shape.modes:
+            r = r + ld(c) * np.cos(m * t) + ld(s) * np.sin(m * t)
+        return np.sqrt((p * p).sum(axis=1)) >= ld(shape.r0) * r
+
+    return outside
+
+
+def _long_quadric_outside(center, semi_axes, rotation=None):
+    ld = np.longdouble
+    c, s = np.asarray(center, dtype=ld), np.asarray(semi_axes, dtype=ld)
+
+    def outside(p):
+        q = p - c
+        if rotation is not None:
+            q = q @ rotation.astype(ld)
+        return ((q / s) ** 2).sum(axis=1) >= 1
+
+    return outside
+
+
+def _exit_cases():
+    from inclab.geometry import _rotation
+
+    phi = 1.1 * np.arange(6)
+    ring = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    cases = []
+    for star in (FourierStar(1.0, ((3, 0.2, 0.0),)),
+                 FourierStar(1.0, ((3, 0.2, 0.0), (5, 0.05, 0.03))), MODE4_STAR):
+        r_min = 4 * star.default_margin()
+        pts = np.concatenate([np.zeros((1, 2)), 0.3 * r_min * ring])
+        cases.append((star, pts, _long_star_outside(star)))
+    ellipse = Ellipse(2.0, 1.0, center=(0.3, -0.2), rotation=0.4)
+    pts = ellipse.center_point() + np.concatenate([np.zeros((1, 2)), 0.3 * ring, 0.6 * ring])
+    cases.append((ellipse, pts, _long_quadric_outside(ellipse.center, (2.0, 1.0), _rotation(0.4))))
+    ellipsoid = Ellipsoid(2.0, 1.5, 1.0, center=(0.1, 0.2, -0.3))
+    pts = ellipsoid.center_point() + np.array(
+        [[0.0, 0.0, 0.0], [0.5, -0.3, 0.2], [-0.6, 0.4, -0.3], [0.2, 0.5, 0.4]])
+    cases.append((ellipsoid, pts, _long_quadric_outside(ellipsoid.center, (2.0, 1.5, 1.0))))
+    return cases
+
+
+@pytest.mark.parametrize("shape, pts, outside", _exit_cases(),
+                         ids=["star3", "star3+5", "star4", "ellipse", "ellipsoid"])
+def test_batched_ray_exits_match_an_extended_precision_bisection(shape, pts, outside):
+    # rays from points near the center cross the boundary once and not
+    # tangentially, so the exit is known to a few ulps; the reference runs
+    # in long double (80-bit extended on x86-64)
+    from inclab.newtonian import _ray_rule
+
+    dirs = _ray_rule(shape.dim)[0][:: 3 if shape.dim == 2 else 7]
+    got = shape.ray_exit(pts, dirs)
+    assert got.shape == (len(pts), len(dirs))
+    ld = np.longdouble
+    want = np.array([_bisect_exit(outside, x.astype(ld), dirs.astype(ld), ld(2.5 * shape.scale()))
+                     for x in pts])
+    assert float(np.max(np.abs(got - want) / want)) <= 1e-15
+
+
+def test_star_ray_exits_agree_with_a_float_bisection_on_the_fit_sample():
+    # the interior sample newtonian fits: the float bisection the Newton
+    # iteration replaced lands within the same rounding band
+    from inclab.geometry import _star_radius
+    from inclab.newtonian import _default_margin, _ray_rule
+
+    dirs = _ray_rule(2)[0]
+    shape = MODE4_STAR
+    pts = interior_points(shape, 40, _default_margin(shape)).points[::4]
+
+    def outside(p):
+        return np.linalg.norm(p, axis=1) >= _star_radius(shape, np.arctan2(p[:, 1], p[:, 0]))
+
+    got = shape.ray_exit(pts, dirs)
+    want = np.array([_bisect_exit(outside, x, dirs, 2.5 * shape.scale()) for x in pts])
+    assert np.max(np.abs(got - want) / want) <= 1e-14
+
+
+def _radial_cases():
+    from inclab.geometry import _RAY_CHUNK
+    from inclab.newtonian import _POLYGON_GAUSS, _ray_rule
+
+    square = Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
+    cases = [
+        (FourierStar(1.0, ((3, 0.2, 0.0),)), len(_ray_rule(2)[0])),
+        (Ellipse(2.0, 1.0, rotation=0.3), len(_ray_rule(2)[0])),
+        (square, 4 * _POLYGON_GAUSS),
+        (Ellipsoid(2.0, 1.5, 1.0), len(_ray_rule(3)[0])),
+    ]
+    return [(shape, max(1, _RAY_CHUNK // width)) for shape, width in cases]
+
+
+@pytest.mark.parametrize("shape, block", _radial_cases(),
+                         ids=["star", "ellipse", "square", "ellipsoid"])
+def test_radial_route_does_not_depend_on_its_blocks(shape, block):
+    from inclab.newtonian import _default_margin
+
+    pool = interior_points(shape, block + 1, _default_margin(shape)).points
+    single = np.concatenate([newtonian_potential(shape, x[None], method="radial") for x in pool])
+    for count in sorted({1, max(block - 1, 1), block + 1}):
+        got = newtonian_potential(shape, pool[:count], method="radial")
+        np.testing.assert_array_equal(got, single[:count])
+
+
+def test_newtonian_module_keeps_ray_exits_on_the_shapes():
+    import inspect
+
+    from inclab import newtonian
+
+    assert not [name for name in vars(newtonian) if name.startswith("_ray_exit")]
+    assert "for i, x in enumerate" not in inspect.getsource(newtonian._newtonian_radial)
