@@ -221,6 +221,7 @@ def _cmd_pt(cfg: RunConfig):
 
 def _cmd_bounds(cfg: RunConfig):
     verdict = bounds_verdict(_tensor(cfg), *cfg.tol_args)
+    _expect(np.isfinite(verdict["trace_bound_rhs"]), f"--k: {cfg.k!r} puts the trace bound out of range")
     return {"command": "bounds", "shape": cfg.shape_label, "k": cfg.k, "n": cfg.nodes(), **verdict}
 
 
@@ -397,6 +398,7 @@ def _make_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "k", None) is not None:
         values = _parse_floats(args.k, "--k")
         _expect(bool(values), "--k: needs at least one value")
+        _expect(all(0 < v != 1 for v in values), "--k: contrasts must be positive and not 1")
         ks = tuple(values)
     lame = _parse_lame(args.lame) if getattr(args, "lame", None) else None
     tol = getattr(args, "tol", None)

@@ -22,7 +22,7 @@ class EmptySampleError(InclabError, ValueError):
 
 
 class SolveError(InclabError, RuntimeError):
-    """Dense solve failed or its residual exceeded the contract."""
+    """Boundary solve failed or its residual exceeded the contract."""
 
 
 class DomainError(InclabError, ValueError):

@@ -83,12 +83,10 @@ class BoundReport:
 def polarization_tensor(grid: BoundaryGrid, k) -> PolarizationTensor:
     """Polarization tensor from boundary solves (2D grids).
 
-    One K* assembly and one factorization give the densities of all basis
-    directions; entry (i, j) is the j-th moment of the i-th density.  The
-    matrix is symmetrized by averaging, the raw asymmetry is recorded, and
-    the densities are handed back.
-    3D ellipsoid grids delegate to the closed form; other 3D surfaces have
-    no dense-solve path.
+    One K* assembly and one Krylov basis per basis direction give the
+    densities, which are handed back; entry (i, j) is the j-th moment of the
+    i-th density, symmetrized by averaging with the raw asymmetry recorded.
+    3D ellipsoid grids use the closed form; other 3D surfaces have no solve.
     """
     contrast = _as_contrast(k)
     if grid.dim == 3:

@@ -115,48 +115,88 @@ class DecayReport:
     passed: bool
 
 
-def _solve(op: NpoOperator, contrast: Contrast, rhs: np.ndarray) -> np.ndarray:
-    """Solve (coupling I - K*) x = rhs for every column of ``rhs`` at once.
+_GMRES_TOL = 4 * np.finfo(float).eps  # normwise backward error that ends a Krylov solve
 
-    One factorization serves all columns.  Every column's relative residual
-    must come back at 1e-10 or better and every entry must be finite,
-    otherwise a SolveError is raised; a NaN fails the test.
+
+def _gmres(mat: np.ndarray, rhs: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """x[s, :, i] with (shifts[s] I - mat) x[s, :, i] = rhs[:, i], by GMRES.
+
+    As (c I - K) V_m = V_{m+1} (c I~ - H~_m), one Arnoldi basis (Gram-Schmidt twice) per
+    column serves every shift through its own Givens rotations, until a value is not finite
+    or every |r| / (|A| |x| + |b|) <= _GMRES_TOL, with |x| = |y| and |A| >= each column norm
+    of c I~ - H~_m.
     """
-    system = np.negative(op.matrix)
-    system.flat[:: len(system) + 1] += contrast.coupling
-    values = np.linalg.solve(system, rhs)
-    scale = np.maximum(1.0, np.max(np.abs(rhs), axis=0))
-    residual = np.max(np.abs(system @ values - rhs), axis=0) / scale
+    n, d = rhs.shape
+    beta = np.sqrt((rhs * rhs).sum(0))[:, None]
+    basis = (rhs.T / np.where(beta > 0, beta, 1.0))[:, None]
+    small, norm_a = np.ones((2, d, len(shifts), 1, 1)), np.zeros((d, len(shifts)))
+    for j in range(n):
+        w, v, h = np.stack([mat @ u for u in basis[:, j]]), basis[:, : j + 1], 0.0
+        for _ in range(2):
+            h = h + (c := (v @ w[..., None])[..., 0])
+            w -= (c[:, None] @ v)[:, 0]
+        sub = np.sqrt((w * w).sum(1))[:, None]
+        if j + 2 > small.shape[-1]:  # double Q^T and R^-1 per column and shift, and the basis
+            small = np.concatenate([small, 0 * small], axis=-1)
+            small = np.concatenate([small, 0 * small], axis=-2)
+            basis = np.concatenate([basis, np.empty_like(basis)], axis=1)
+        rot, inv = small[0, ..., : j + 2, : j + 2], small[1, ..., : j + 1, : j + 1]
+        rot[..., j + 1, j + 1] = 1.0
+        col = (rot @ np.concatenate([-h, -sub], axis=1)[:, None, :, None])[..., 0]
+        col += shifts[:, None] * rot[..., j]
+        norm_a = np.maximum(norm_a, np.sqrt((col * col).sum(-1)))
+        rho = np.hypot(col[..., j], col[..., j + 1])
+        cs, sn = (col[..., j] / rho)[..., None], (col[..., j + 1] / rho)[..., None]
+        top, bot = rot[..., j, :], rot[..., j + 1, :]
+        rot[..., j, :], rot[..., j + 1, :] = cs * top + sn * bot, cs * bot - sn * top
+        inv[..., :j, j] = -(inv[..., :j, :j] @ col[..., :j, None])[..., 0] / rho[..., None]
+        inv[..., j, j] = 1.0 / rho
+        y = beta[..., None] * (inv @ rot[..., : j + 1, :1])[..., 0]
+        bound = _GMRES_TOL * (norm_a * np.sqrt((y * y).sum(-1)) + beta)
+        if not np.isfinite(y).all() or np.all(beta * np.abs(rot[..., j + 1, 0]) <= bound):
+            break
+        basis[:, j + 1] = w / np.maximum(sub, np.finfo(float).tiny)
+    return (y @ basis[:, : j + 1]).transpose(1, 2, 0)
+
+
+def _solve(op: NpoOperator, contrasts, rhs: np.ndarray) -> list[np.ndarray]:
+    """Solve (coupling I - K*) x = rhs by ``_gmres``: one array like ``rhs`` per contrast.
+
+    Every column's relative residual must come back at 1e-10 or better and
+    every entry must be finite, otherwise a SolveError is raised; a NaN fails.
+    """
+    shifts = np.array([contrast.coupling for contrast in contrasts])
+    cols = rhs.reshape(len(rhs), -1)
+    values = _gmres(op.matrix, cols, shifts)
+    scale = np.maximum(1.0, np.max(np.abs(cols), axis=0))
+    residual = np.max(np.abs(shifts[:, None, None] * values - op.matrix @ values - cols), axis=1) / scale
     if not (np.all(residual <= 1e-10) and np.all(np.isfinite(values))):
         raise SolveError(
             f"boundary solve residual {np.max(residual):.3e} exceeds 1e-10 or the "
             "density is not finite; the system is unexpectedly ill-conditioned"
         )
-    return values
+    return list(values.reshape(len(shifts), *rhs.shape))
 
 
 def _basis_densities(grid: BoundaryGrid, ks) -> list[np.ndarray]:
     """Densities for the basis directions e_1..e_d: one (n, d) array per contrast.
 
-    K* is assembled once for the grid and serves every contrast; column j
-    solves the system with right-hand side n_j.
+    One K* per grid; column j (right-hand side n_j) has one Krylov basis.
     """
-    op = npo_matrix(grid)
-    return [_solve(op, _as_contrast(k), grid.normals) for k in ks]
+    return _solve(npo_matrix(grid), [_as_contrast(k) for k in ks], grid.normals)
 
 
 def solve_density(grid: BoundaryGrid, k, a) -> Density:
     """Solve the boundary equation for the layer density of direction ``a``.
 
-    Dense direct solve of the Nystrom system on a freshly assembled K*,
-    guarded as in ``_solve``.  Basis directions are cheaper through
-    ``_basis_densities``, which shares one K* and one factorization.
+    GMRES on a freshly assembled K*, guarded as in ``_solve``.  Basis
+    directions and several contrasts are cheaper through ``_basis_densities``.
     """
     contrast = _as_contrast(k)
     a = np.asarray(a, dtype=float)
     if a.shape != (grid.dim,):
         raise ConfigError(f"direction must be a {grid.dim}-vector")
-    return Density(_solve(npo_matrix(grid), contrast, grid.normals @ a), grid)
+    return Density(_solve(npo_matrix(grid), [contrast], grid.normals @ a)[0], grid)
 
 
 def interior_field(

@@ -1,12 +1,16 @@
+import contextlib
 import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dataclasses import replace
 
@@ -343,6 +347,56 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_pt_leaves_scipy_sparse_unloaded():
+    # the boundary solve is GMRES written in NumPy: one pt call in a fresh
+    # interpreter must not pay the 0.3-0.4 s import of scipy.sparse
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = (
+        "import sys\n"
+        "from inclab.cli import run\n"
+        "code = run(['pt', '--shape', 'kite', '--k', '3'])\n"
+        "print(code, 'scipy.sparse' in sys.modules, file=sys.stderr)"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stderr.strip() == "0 False"
+
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+_CONTRAST_TEXT = st.one_of(
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    .filter(lambda k: k != 1.0)
+    .map(repr),
+    st.sampled_from(["", " ", "abc", "0", "-1", "1", "1.0", "nan", "inf", "-inf", "1e400",
+                     "2,,3", "0x10", "-x", "--shape"]),
+    st.text(max_size=6),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    command=st.sampled_from(["pt", "bounds", "eshelby"]),
+    shape=st.sampled_from(["disk", "ellipse:2,1", "star", "square", "kite"]),
+    k=_CONTRAST_TEXT,
+)
+def test_any_contrast_ends_in_a_finite_report_or_a_refusal_naming_k(command, shape, k):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run([command, "--shape", shape, "--k", k])
+        except SystemExit as exc:  # argparse refuses a value that looks like a flag
+            code = exc.code
+    if code == 2:
+        assert "--k" in err.getvalue()
+        return
+    assert code in (0, 1), err.getvalue()
+    report = out.getvalue()
+    assert "null" not in report
+    assert all(np.isfinite(float(x)) for x in _NUMBER.findall(report))
 
 
 def _key_paths(obj, prefix=""):

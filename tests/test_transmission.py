@@ -16,6 +16,7 @@ from inclab import (
     decay_check,
     default_interior_sample,
     discretize,
+    ellipsoid_pt,
     flux_continuity_check,
     interior_field,
     jump_check,
@@ -26,7 +27,8 @@ from inclab import (
     solve_density,
     transmission,
 )
-from inclab.cli import run
+from inclab.cli import parse_shape, run
+from inclab.transmission import _basis_densities, _gmres
 
 SQUARE = Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
 STAR = FourierStar(1.0, ((3, 0.2, 0.0), (5, 0.05, 0.03)))
@@ -182,8 +184,8 @@ def test_solve_rejects_wrong_direction_dimension(ellipse21_grid):
         solve_density(ellipse21_grid, 2.0, np.array([1.0, 0.0, 0.0]))
 
 
-def _reference_densities(grid, k):
-    """Per-direction densities from the real-form K* <x - y, n(x)> w(y) / (2 pi |x - y|^2)."""
+def _reference_npo(grid):
+    """Real-form K* <x - y, n(x)> w(y) / (2 pi |x - y|^2)."""
     dx = grid.nodes[:, None, :] - grid.nodes[None, :, :]
     r2 = (dx * dx).sum(-1)
     np.fill_diagonal(r2, 1.0)
@@ -192,6 +194,12 @@ def _reference_densities(grid, k):
         np.fill_diagonal(K, grid.curvature / (4 * np.pi) * grid.weights)
     else:
         np.fill_diagonal(K, 0.0)
+    return K
+
+
+def _reference_densities(grid, k, K=None):
+    """Per-direction densities by a dense direct solve with the real-form K*."""
+    K = _reference_npo(grid) if K is None else K
     system = (k + 1.0) / (2.0 * (k - 1.0)) * np.eye(grid.n) - K
     return [np.linalg.solve(system, grid.normals[:, j]) for j in range(grid.dim)]
 
@@ -260,3 +268,75 @@ def test_solve_guard_fails_closed_on_nan(monkeypatch, ellipse21_grid):
         solve_density(ellipse21_grid, 2.0, np.array([1.0, 0.0]))
     with pytest.raises(SolveError):
         polarization_tensor(ellipse21_grid, 2.0)
+
+
+class _CountingMatrix:
+    """K* that counts its matrix-vector products, one per Arnoldi step."""
+
+    def __init__(self, matrix):
+        self.matrix, self.products = matrix, 0
+
+    def __matmul__(self, vector):
+        self.products += 1
+        return self.matrix @ vector
+
+
+def test_gmres_on_an_ellipse_stops_within_two_steps_at_the_closed_form(ellipse21_grid):
+    # n_j is an eigenvector of K* on an ellipse: K*[n_j] = (1/2 - a_j) n_j
+    # with depolarization factors a = (b, a) / (a + b), so each basis
+    # density is n_j / (coupling - 1/2 + a_j)
+    grid = ellipse21_grid
+    mat = layerpot.npo_matrix(grid).matrix
+    factors = (1.0 / 3.0, 2.0 / 3.0)
+    ks = (1e-9, 0.5, 3.0, 1e3, 1e9)
+    shifts = np.array([Contrast(k).coupling for k in ks])
+    for group in [[c] for c in shifts] + [shifts]:
+        for cols in ([0], [1], [0, 1]):
+            counting = _CountingMatrix(mat)
+            got = _gmres(counting, grid.normals[:, cols], np.array(group))
+            # one product per column and step; the columns advance together
+            assert counting.products <= 2 * len(cols)
+            for phis, c in zip(got, group):
+                for phi, j in zip(phis.T, cols):
+                    assert _close(phi, grid.normals[:, j] / (c - 0.5 + factors[j]), 1e-12)
+
+
+def _named_grid(name):
+    return discretize(parse_shape(name)[1], 256)
+
+
+@pytest.mark.parametrize("name", ["disk", "ellipse:2,1", "star", "square", "kite"])
+def test_tensor_matches_a_dense_direct_solve(name):
+    grid = _named_grid(name)
+    K = _reference_npo(grid)
+    for k in (1e-9, 0.5, 3.0, 1e3):
+        phis = _reference_densities(grid, k, K)
+        raw = np.array([(grid.nodes * (phi * grid.weights)[:, None]).sum(axis=0) for phi in phis])
+        assert _close(polarization_tensor(grid, k).M, 0.5 * (raw + raw.T), 1e-12)
+
+
+@pytest.mark.parametrize("k", [1e9, 1e308])
+def test_ellipse_tensor_matches_the_closed_form_at_extreme_contrast(ellipse21_grid, k):
+    closed = ellipsoid_pt(Ellipse(2.0, 1.0), k).M
+    assert _close(polarization_tensor(ellipse21_grid, k).M, closed, 1e-12)
+
+
+@pytest.mark.parametrize("name", ["star", "kite"])
+def test_one_basis_serves_every_contrast(name):
+    grid = _named_grid(name)
+    ks = [0.5, 2.0, 3.0, 5.0, 10.0]
+    shared = _basis_densities(grid, ks)
+    assert len(shared) == len(ks)
+    for k, phis in zip(ks, shared):
+        (single,) = _basis_densities(grid, [k])
+        assert phis.shape == (grid.n, 2)
+        assert _close(phis, single, 1e-13)
+
+
+@pytest.mark.parametrize("k", [1e-9, 1e9])
+def test_a_sharp_corner_at_extreme_contrast_passes_the_solve_guard(k):
+    # the slowest-converging input here: a 1.9 degree corner at extreme
+    # contrast takes 180-185 Arnoldi steps per direction on 1,056 nodes
+    grid = _named_grid("polygon:0,0,30,0,0,1")
+    pt = polarization_tensor(grid, k)
+    assert np.all(np.isfinite(pt.M)) and np.all(np.isfinite(pt.densities))
