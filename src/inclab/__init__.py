@@ -35,8 +35,6 @@ from .geometry import (
     shape_scale,
 )
 from .layerpot import (
-    Density,
-    NpoOperator,
     green_identity_check,
     jump_check,
     npo_matrix,
@@ -47,20 +45,14 @@ from .transmission import (
     Contrast,
     DecayReport,
     FieldReport,
-    LambdaReport,
     decay_check,
     default_interior_sample,
     flux_continuity_check,
     interior_field,
-    k_independence_check,
-    lambda_map,
     solve_density,
 )
 from .polarization import (
-    BoundReport,
     PolarizationTensor,
-    ellipsoid_pt,
-    hs_bounds,
     minimal_trace_target,
     polarization_tensor,
 )
@@ -127,8 +119,6 @@ __all__ = [
     "shape_center",
     "shape_dim",
     "shape_scale",
-    "Density",
-    "NpoOperator",
     "green_identity_check",
     "jump_check",
     "npo_matrix",
@@ -137,18 +127,12 @@ __all__ = [
     "Contrast",
     "DecayReport",
     "FieldReport",
-    "LambdaReport",
     "decay_check",
     "default_interior_sample",
     "flux_continuity_check",
     "interior_field",
-    "k_independence_check",
-    "lambda_map",
     "solve_density",
-    "BoundReport",
     "PolarizationTensor",
-    "ellipsoid_pt",
-    "hs_bounds",
     "minimal_trace_target",
     "polarization_tensor",
     "DepolarizationFactors",

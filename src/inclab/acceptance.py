@@ -24,7 +24,7 @@ from .geometry import (
     interior_points,
 )
 from .hodograph import slit_certificate
-from .layerpot import Density, jump_check, npo_matrix
+from .layerpot import jump_check, npo_matrix
 from .newtonian import depolarization_factors, quadratic_interior_fit, quadratic_verdict
 from .polarization import bounds_verdict, polarization_tensor, pt_verdict
 from .shapeopt import OptProblem, disk_verdict, minimize_trace
@@ -54,7 +54,7 @@ def criterion_01() -> dict:
     """One-sided normal-derivative jump of the single layer."""
     grid = discretize(ELLIPSE21, 256)
     worst = float(np.max([
-        jump_check(grid, Density(values, grid))
+        jump_check(grid, values)
         for values in (np.ones(grid.n), grid.normals[:, 0], grid.normals[:, 1])
     ]))
     return _record(
@@ -71,7 +71,7 @@ def criterion_02() -> dict:
     details = []
     for shape in (DISK, ELLIPSE21):
         grid = discretize(shape, 256)
-        row = npo_matrix(grid).apply(np.ones(grid.n))
+        row = npo_matrix(grid) @ np.ones(grid.n)
         devs.append(float(np.max(np.abs(row - 0.5))))
         details.append(f"{type(shape).__name__}({shape.a:g},{shape.b:g}): {devs[-1]:.3e}")
     worst = float(np.max(devs))
@@ -86,13 +86,13 @@ def criterion_02() -> dict:
 def criterion_03() -> dict:
     """Normal-component eigen-relations of the NP operator."""
     grid = discretize(ELLIPSE21, 256)
-    op = npo_matrix(grid)
-    r1 = float(np.max(np.abs(op.apply(grid.normals[:, 0]) - grid.normals[:, 0] / 6)))
-    r2 = float(np.max(np.abs(op.apply(grid.normals[:, 1]) + grid.normals[:, 1] / 6)))
+    mat = npo_matrix(grid)
+    r1 = float(np.max(np.abs(mat @ grid.normals[:, 0] - grid.normals[:, 0] / 6)))
+    r2 = float(np.max(np.abs(mat @ grid.normals[:, 1] + grid.normals[:, 1] / 6)))
     gridc = discretize(DISK, 256)
-    opc = npo_matrix(gridc)
-    c1 = float(np.max(np.abs(opc.apply(gridc.normals[:, 0]))))
-    c2 = float(np.max(np.abs(opc.apply(gridc.normals[:, 1]))))
+    matc = npo_matrix(gridc)
+    c1 = float(np.max(np.abs(matc @ gridc.normals[:, 0])))
+    c2 = float(np.max(np.abs(matc @ gridc.normals[:, 1])))
     passed = r1 <= 1e-6 and r2 <= 1e-6 and c1 <= 1e-8 and c2 <= 1e-8
     return _record(
         3,

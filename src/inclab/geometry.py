@@ -135,6 +135,7 @@ class Ellipse(_SmoothCurve):
                 f"aspect ratio {max(self.a, self.b) / min(self.a, self.b):.6g} is beyond "
                 f"what {int(n)} boundary nodes resolve"
             )
+        _check_lengths("ellipse semi-axes", (self.a, self.b))
         return super().boundary_grid(n)
 
     def ray_exit(self, points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -160,6 +161,8 @@ class Polygon(_PlaneShape):
             raise InvalidShapeError("polygon vertices must be counterclockwise")
         if not _is_simple(v):
             raise InvalidShapeError("polygon must be simple (no self-intersection)")
+        edges = np.hypot(*np.diff(v, axis=0, append=v[:1]).T)
+        _check_lengths("polygon edge extremes", (np.min(edges), np.max(edges)))
 
     def outline(self, count: int) -> np.ndarray:
         """The vertices; a polygon's outline needs no sampling."""
@@ -254,6 +257,7 @@ class FourierStar(_SmoothCurve):
         r = _star_radius(self, _STAR_ANGLES)
         if np.min(r) <= 0:
             raise InvalidShapeError("star radius must stay strictly positive")
+        _check_lengths("star radius extremes", (np.min(r), np.max(r)))
         object.__setattr__(self, "_area", float(0.5 * np.mean(r * r) * 2 * np.pi))
         object.__setattr__(self, "_r_max", float(np.max(r)))
         object.__setattr__(self, "_r_min", float(np.min(r)))
@@ -353,6 +357,7 @@ class Ellipsoid:
     def __post_init__(self):
         if not (self.c1 > 0 and self.c2 > 0 and self.c3 > 0):
             raise InvalidShapeError("ellipsoid semi-axes must be positive")
+        _check_lengths("ellipsoid semi-axes", (self.c1, self.c2, self.c3))
 
     def measure(self) -> float:
         return 4.0 / 3.0 * np.pi * self.c1 * self.c2 * self.c3
@@ -426,6 +431,7 @@ class Box:
     def __post_init__(self):
         if not all(h > 0 for h in self.half):
             raise InvalidShapeError("box half-extents must be positive")
+        _check_lengths("box half-extents", self.half)
 
     def measure(self) -> float:
         h = self.half
@@ -512,6 +518,22 @@ class InteriorSample:
 
 # ---------------------------------------------------------------------------
 # parametrizations
+
+def _check_lengths(name: str, lengths):
+    """Refuse lengths whose fourth powers leave the normal float range.
+
+    Curvatures divide by cubed lengths, the ellipsoid's surface Jacobian
+    squares products of two semi-axes, and the Newtonian fit squares
+    potentials that grow like squared lengths.
+    """
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    lengths = tuple(map(float, lengths))
+    if not all(tiny <= h * h * h * h <= huge for h in lengths):
+        raise InvalidShapeError(
+            f"{name} {lengths} must lie within {tiny**0.25:.1e} .. {huge**0.25:.1e}, "
+            "where their fourth powers are normal floats"
+        )
+
 
 def _star_radius(shape: FourierStar, t: np.ndarray) -> np.ndarray:
     r = np.ones_like(t)

@@ -15,35 +15,10 @@ sign convention of every routine here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidShapeError, NearBoundaryError
 from .geometry import _CHUNK, BoundaryGrid, _pair_blocks, discretize
-
-
-@dataclass
-class Density:
-    """Boundary density given by node values on a grid."""
-
-    values: np.ndarray
-    grid: BoundaryGrid
-
-
-@dataclass
-class NpoOperator:
-    """Dense Nystrom realization of the trace operator K*."""
-
-    matrix: np.ndarray
-    grid: BoundaryGrid
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return self.matrix @ values
-
-
-def _values(phi) -> np.ndarray:
-    return phi.values if isinstance(phi, Density) else np.asarray(phi, dtype=float)
 
 
 def _guarded_blocks(grid: BoundaryGrid, points: np.ndarray):
@@ -62,10 +37,10 @@ def _guarded_blocks(grid: BoundaryGrid, points: np.ndarray):
         yield rows, dx, r2
 
 
-def single_layer_eval(grid: BoundaryGrid, phi, points: np.ndarray) -> np.ndarray:
+def single_layer_eval(grid: BoundaryGrid, phi: np.ndarray, points: np.ndarray) -> np.ndarray:
     """S[phi] at off-boundary points (guarded against near-boundary loss)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    q = _values(phi) * grid.weights
+    q = phi * grid.weights
     out = np.empty(len(points))
     for rows, _, r2 in _guarded_blocks(grid, points):
         if grid.dim == 2:
@@ -75,10 +50,10 @@ def single_layer_eval(grid: BoundaryGrid, phi, points: np.ndarray) -> np.ndarray
     return out
 
 
-def single_layer_gradient(grid: BoundaryGrid, phi, points: np.ndarray) -> np.ndarray:
+def single_layer_gradient(grid: BoundaryGrid, phi: np.ndarray, points: np.ndarray) -> np.ndarray:
     """grad S[phi] at off-boundary points (guarded)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    q = _values(phi) * grid.weights
+    q = phi * grid.weights
     out = np.empty((len(points), grid.dim))
     for rows, dx, r2 in _guarded_blocks(grid, points):
         if grid.dim == 2:
@@ -90,17 +65,19 @@ def single_layer_gradient(grid: BoundaryGrid, phi, points: np.ndarray) -> np.nda
     return out
 
 
-def npo_matrix(grid: BoundaryGrid) -> NpoOperator:
-    """Assemble the dense K* matrix on a 2D boundary grid.
+def npo_matrix(grid: BoundaryGrid) -> np.ndarray:
+    """The dense (n, n) K* matrix on a 2D boundary grid, as an array.
 
     With nodes and normals as complex numbers z and nu, the off-diagonal
     entry (x, y) is Re(nu(x) / (z(x) - z(y))) w(y) / 2 pi, the plain kernel
     times the target-free weight.  The diagonal uses the smooth-curve limit
-    kappa/(4 pi) on parametrized curves and is zero on polygon grids (the
-    kernel vanishes identically along each straight edge).  K* does not
-    depend on the contrast, so one matrix serves every solve on the grid.
-    Rows are assembled in blocks of at most max(2^17, n) entries, so the
-    complex temporary never holds the whole matrix.
+    kappa/(4 pi) w on parametrized curves.  On polygon grids (no curvature)
+    it is set by singularity subtraction so that the discrete Gauss identity
+    w^T K* = w^T / 2 holds exactly: with the diagonal zeroed,
+    diag = (w/2 - w^T K*) / w.  K* does not depend on the contrast, so one
+    matrix serves every solve on the grid.  Rows are assembled in blocks of
+    at most max(2^17, n) entries, so the complex temporary never holds the
+    whole matrix.  A 3D grid raises InvalidShapeError.
     """
     if grid.dim != 2:
         raise InvalidShapeError("K* matrices are assembled for 2D grids only")
@@ -118,10 +95,11 @@ def npo_matrix(grid: BoundaryGrid) -> NpoOperator:
         np.fill_diagonal(mat, grid.curvature / (4 * np.pi) * grid.weights)
     else:
         np.fill_diagonal(mat, 0.0)
-    return NpoOperator(matrix=mat, grid=grid)
+        np.fill_diagonal(mat, (0.5 * grid.weights - grid.weights @ mat) / grid.weights)
+    return mat
 
 
-def tangential_derivative(grid: BoundaryGrid, values) -> np.ndarray:
+def tangential_derivative(grid: BoundaryGrid, values: np.ndarray) -> np.ndarray:
     """Tangential derivative of S[values] at the nodes of a smooth 2D grid.
 
     The principal value of the kernel -Im(nu(x) / (z(x) - z(y))) w(y) / 2 pi
@@ -137,7 +115,7 @@ def tangential_derivative(grid: BoundaryGrid, values) -> np.ndarray:
         raise InvalidShapeError("the alternating-point rule needs an even node count")
     z = grid.nodes[:, 0] + 1j * grid.nodes[:, 1]
     nu = grid.normals[:, 0] + 1j * grid.normals[:, 1]
-    q = (_values(values).T * (grid.weights / np.pi)).T
+    q = (values.T * (grid.weights / np.pi)).T
     inv = 1.0 / (z[0::2, None] - z[None, 1::2])
     out = np.empty(q.shape)
     out[0::2] = -(nu[0::2, None] * inv).imag @ q[1::2]
@@ -206,14 +184,13 @@ def _one_sided_derivatives(grid: BoundaryGrid, values) -> np.ndarray:
     return (nu * g.reshape(2, grid.n)).real
 
 
-def jump_check(grid: BoundaryGrid, phi) -> float:
+def jump_check(grid: BoundaryGrid, phi: np.ndarray) -> float:
     """Max mismatch of the one-sided normal derivatives of the single layer
     (``_one_sided_derivatives``: order-16 expansions about centers 2 node
     spacings off each side, 8n source nodes) against (+-1/2 I + K*) phi."""
-    values = _values(phi)
-    kphi = npo_matrix(grid).apply(values)
-    limits = np.stack([kphi + 0.5 * values, kphi - 0.5 * values])
-    return float(np.max(np.abs(_one_sided_derivatives(grid, values) - limits)))
+    kphi = npo_matrix(grid) @ phi
+    limits = np.stack([kphi + 0.5 * phi, kphi - 0.5 * phi])
+    return float(np.max(np.abs(_one_sided_derivatives(grid, phi) - limits)))
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidShapeError
+from .errors import InvalidShapeError, SolveError
 from .geometry import (
     Box,
     Ellipse,
@@ -73,10 +73,10 @@ from .geometry import (
 def carlson_rd(x: float, y: float, z: float) -> float:
     """R_D(x, y, z) by the duplication theorem, relative error ~1e-15.
 
-    Requires x, y >= 0, z > 0 and at most one of x, y zero.
+    Requires finite x, y >= 0, z > 0 and at most one of x, y zero.
     """
-    if min(x, y) < 0 or z <= 0 or x + y == 0:
-        raise ValueError("carlson_rd needs x, y >= 0 (not both zero) and z > 0")
+    if not all(map(math.isfinite, (x, y, z))) or min(x, y) < 0 or z <= 0 or x + y == 0:
+        raise ValueError("carlson_rd needs finite x, y >= 0 (not both zero) and z > 0")
     acc = 0.0
     fac = 1.0
     for _ in range(200):
@@ -89,7 +89,7 @@ def carlson_rd(x: float, y: float, z: float) -> float:
         dx, dy, dz = (mu - x) / mu, (mu - y) / mu, (mu - z) / mu
         if max(abs(dx), abs(dy), abs(dz)) < 1e-4:
             break
-    else:  # pragma: no cover - duplication always contracts
+    else:  # pragma: no cover - each step contracts the spread by 4 unless a sum overflows
         raise RuntimeError("carlson_rd failed to converge")
     ea = dx * dy
     eb = dz * dz
@@ -404,6 +404,8 @@ def quadratic_interior_fit(
     resid = vals - X @ coef
     spread = max(float(np.max(vals) - np.min(vals)), 1e-300)
     rms = float(np.sqrt(np.mean(resid**2)) / spread)
+    if not np.isfinite(rms):
+        raise SolveError("quadratic fit residual is not finite: the squared potentials overflow")
     return QuadraticFitReport(A=A, b=b, c=c0, rms_residual=rms, sample=sample)
 
 

@@ -4,7 +4,7 @@ The polarization tensor is the d x d matrix governing the leading dipole
 term of the far-field perturbation caused by an inclusion under a uniform
 applied field.  In 2D it is computed from boundary solves; for ellipses and
 ellipsoids closed forms in terms of depolarization factors are exposed and
-used as the 3D path.  Trace bounds of Hashin-Shtrikman type are evaluated
+are the only 3D path.  Trace bounds of Hashin-Shtrikman type are evaluated
 with explicit slack, and saturation of the inverse-trace bound — the
 equality case that singles out ellipses and ellipsoids — is flagged.
 """
@@ -15,19 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidShapeError, SolveError
+from .errors import ConfigError, SolveError
 from .geometry import BoundaryGrid, ShapeSpec, _rotation, measure
 from .newtonian import closed_form_factors
 from .transmission import Contrast, _as_contrast, _basis_densities
 
 __all__ = [
     "PolarizationTensor",
-    "BoundReport",
     "polarization_tensor",
     "closed_form_pt",
-    "ellipsoid_pt",
     "pt_verdict",
-    "hs_bounds",
     "bounds_verdict",
     "minimal_trace_target",
 ]
@@ -58,45 +55,16 @@ class PolarizationTensor:
         return self.M.shape[0]
 
 
-@dataclass
-class BoundReport:
-    """Trace bounds on the polarization tensor with explicit slack.
-
-    ``form`` records which algebraic form was evaluated: the stated one
-    for k > 1, or the sign-flipped equivalent for k in (0, 1) where the
-    tensor is negative definite.  Slacks are oriented so that a valid
-    tensor gives slack >= 0 in both regimes; ``saturated2`` marks equality
-    in the inverse-trace bound, the ellipse/ellipsoid signature.
-    """
-
-    tr_M: float
-    tr_Minv_scaled: float
-    bound1_rhs: float
-    bound2_rhs: float
-    slack1: float
-    slack2: float
-    saturated1: bool
-    saturated2: bool
-    form: str
-
-
 def polarization_tensor(grid: BoundaryGrid, k) -> PolarizationTensor:
-    """Polarization tensor from boundary solves (2D grids).
+    """Polarization tensor from boundary solves on a 2D grid.
 
     One K* assembly and one Krylov basis per basis direction give the
     densities, which are handed back; entry (i, j) is the j-th moment of the
     i-th density, symmetrized by averaging with the raw asymmetry recorded.
-    3D ellipsoid grids use the closed form; other 3D surfaces have no solve.
+    In 3D only ``closed_form_pt`` has a tensor: ``npo_matrix`` refuses a 3D
+    grid with InvalidShapeError.
     """
     contrast = _as_contrast(k)
-    if grid.dim == 3:
-        closed = closed_form_pt(grid.shape, contrast)
-        if closed is None:
-            raise InvalidShapeError(
-                "3D polarization tensors are only available through the "
-                "ellipsoid closed form"
-            )
-        return closed
     (phis,) = _basis_densities(grid, [contrast])
     raw = (phis * grid.weights[:, None]).T @ grid.nodes
     asymmetry = float(np.max(np.abs(raw - raw.T)))
@@ -130,14 +98,6 @@ def closed_form_pt(shape: ShapeSpec, k) -> PolarizationTensor | None:
     return PolarizationTensor(M=M, k=contrast, volume=vol, asymmetry=0.0)
 
 
-def ellipsoid_pt(shape: ShapeSpec, k) -> PolarizationTensor:
-    """``closed_form_pt``, refusing any shape but an ellipse or ellipsoid."""
-    pt = closed_form_pt(shape, k)
-    if pt is None:
-        raise InvalidShapeError("closed-form PT exists for ellipses and ellipsoids only")
-    return pt
-
-
 def pt_verdict(shape: ShapeSpec, pt: PolarizationTensor, tol: float = 1e-6) -> dict:
     """The ``pt`` report's checks, in its order after k and n, each beside its tolerance.
 
@@ -164,68 +124,42 @@ def pt_verdict(shape: ShapeSpec, pt: PolarizationTensor, tol: float = 1e-6) -> d
     return out
 
 
-def hs_bounds(pt: PolarizationTensor, sat_tol: float = SATURATION_TOL) -> BoundReport:
-    """Evaluate both trace bounds and flag saturation.
-
-    For k > 1: Tr(M) <= |Omega|(k-1)(d-1+1/k) and
-    |Omega| Tr(M^-1) <= (d-1+k)/(k-1), slacks = rhs - lhs.
-    For k < 1 both sides change sign, so the equivalent statements are
-    Tr(M) >= rhs and |Omega| Tr(M^-1) >= rhs with slacks = lhs - rhs.
-    Saturation is declared when |slack| <= sat_tol * max(1, |rhs|).
-    """
-    kk = pt.k.k
-    d = pt.dim
-    vol = pt.volume
-    tr_M = float(np.trace(pt.M))
-    det = float(np.linalg.det(pt.M))
-    if det == 0.0:
-        raise SolveError("polarization tensor is singular; cannot form Tr(M^-1)")
-    tr_Minv_scaled = vol * float(np.trace(np.linalg.inv(pt.M)))
-    bound1_rhs = vol * (kk - 1.0) * (d - 1.0 + 1.0 / kk)
-    bound2_rhs = (d - 1.0 + kk) / (kk - 1.0)
-    if kk > 1.0:
-        slack1 = bound1_rhs - tr_M
-        slack2 = bound2_rhs - tr_Minv_scaled
-        form = "direct"
-    else:
-        slack1 = tr_M - bound1_rhs
-        slack2 = tr_Minv_scaled - bound2_rhs
-        form = "sign-flipped"
-    saturated1 = abs(slack1) <= sat_tol * max(1.0, abs(bound1_rhs))
-    saturated2 = abs(slack2) <= sat_tol * max(1.0, abs(bound2_rhs))
-    return BoundReport(
-        tr_M=tr_M,
-        tr_Minv_scaled=tr_Minv_scaled,
-        bound1_rhs=bound1_rhs,
-        bound2_rhs=bound2_rhs,
-        slack1=slack1,
-        slack2=slack2,
-        saturated1=saturated1,
-        saturated2=saturated2,
-        form=form,
-    )
-
-
 def bounds_verdict(pt: PolarizationTensor, tol: float = 1e-5) -> dict:
     """The ``bounds`` report's checks, in its order after k and n.
 
-    Both slacks must be at least -``tol``; the saturation flags of
-    ``hs_bounds`` stand beside their relative tolerance.
+    For k > 1: Tr(M) <= |Omega|(k-1)(d-1+1/k) and
+    |Omega| Tr(M^-1) <= (d-1+k)/(k-1), slacks = rhs - lhs ("direct").
+    For k < 1 both sides change sign, so the equivalent statements are
+    Tr(M) >= rhs and |Omega| Tr(M^-1) >= rhs with slacks = lhs - rhs
+    ("sign-flipped").  Both slacks must be at least -``tol``; a bound is
+    saturated when |slack| <= SATURATION_TOL * max(1, |rhs|), and saturation
+    of the inverse-trace bound is the ellipse/ellipsoid signature.  A
+    singular M raises SolveError.
     """
-    rep = hs_bounds(pt)
+    kk, d, vol = pt.k.k, pt.dim, pt.volume
+    tr_M = float(np.trace(pt.M))
+    if float(np.linalg.det(pt.M)) == 0.0:
+        raise SolveError("polarization tensor is singular; cannot form Tr(M^-1)")
+    tr_Minv_scaled = vol * float(np.trace(np.linalg.inv(pt.M)))
+    rhs1 = vol * (kk - 1.0) * (d - 1.0 + 1.0 / kk)
+    rhs2 = (d - 1.0 + kk) / (kk - 1.0)
+    if kk > 1.0:
+        form, slack1, slack2 = "direct", rhs1 - tr_M, rhs2 - tr_Minv_scaled
+    else:
+        form, slack1, slack2 = "sign-flipped", tr_M - rhs1, tr_Minv_scaled - rhs2
     return {
-        "form": rep.form,
-        "trace_M": rep.tr_M,
-        "trace_bound_rhs": rep.bound1_rhs,
-        "slack1": rep.slack1,
-        "scaled_inverse_trace": rep.tr_Minv_scaled,
-        "inverse_trace_bound_rhs": rep.bound2_rhs,
-        "slack2": rep.slack2,
+        "form": form,
+        "trace_M": tr_M,
+        "trace_bound_rhs": rhs1,
+        "slack1": slack1,
+        "scaled_inverse_trace": tr_Minv_scaled,
+        "inverse_trace_bound_rhs": rhs2,
+        "slack2": slack2,
         "slack_floor": -tol,
-        "saturated1": rep.saturated1,
-        "saturated2": rep.saturated2,
+        "saturated1": abs(slack1) <= SATURATION_TOL * max(1.0, abs(rhs1)),
+        "saturated2": abs(slack2) <= SATURATION_TOL * max(1.0, abs(rhs2)),
         "saturation_tol": SATURATION_TOL,
-        "passed": rep.slack1 >= -tol and rep.slack2 >= -tol,
+        "passed": slack1 >= -tol and slack2 >= -tol,
     }
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigError, InvalidShapeError
 from .geometry import FourierStar, ShapeSpec, discretize
 from .layerpot import tangential_derivative
-from .polarization import hs_bounds, minimal_trace_target, polarization_tensor
+from .polarization import bounds_verdict, minimal_trace_target, polarization_tensor
 from .transmission import Contrast, _as_contrast
 
 __all__ = [
@@ -250,7 +250,7 @@ def bound_gap_scan(shapes, k, n: int = 256) -> list[dict]:
     for shape in shapes:
         grid = discretize(shape, n)
         pt = polarization_tensor(grid, k)
-        report = hs_bounds(pt)
+        report = bounds_verdict(pt)
         eigs = np.sort(np.linalg.eigvalsh(pt.M))
         records.append(
             {
@@ -258,8 +258,8 @@ def bound_gap_scan(shapes, k, n: int = 256) -> list[dict]:
                 "tr_M": float(np.trace(pt.M)),
                 "eig_low": float(eigs[0]),
                 "eig_high": float(eigs[-1]),
-                "slack2": float(report.slack2),
-                "saturated2": bool(report.saturated2),
+                "slack2": report["slack2"],
+                "saturated2": report["saturated2"],
             }
         )
     return records

@@ -26,8 +26,6 @@ from .geometry import (
     shape_scale,
 )
 from .layerpot import (
-    Density,
-    NpoOperator,
     _one_sided_derivatives,
     npo_matrix,
     single_layer_eval,
@@ -37,14 +35,11 @@ from .layerpot import (
 __all__ = [
     "Contrast",
     "FieldReport",
-    "LambdaReport",
     "DecayReport",
     "solve_density",
     "interior_field",
     "default_interior_sample",
     "uniformity_verdict",
-    "lambda_map",
-    "k_independence_check",
     "flux_continuity_check",
     "decay_check",
 ]
@@ -85,22 +80,6 @@ class FieldReport:
 
     mean_gradient: np.ndarray
     delta: float
-    density: Density
-
-
-@dataclass
-class LambdaReport:
-    """Applied-direction -> mean-interior-gradient linear map.
-
-    ``uniform`` records whether every basis direction produced a gradient
-    deviation below the requested tolerance; when False the matrix is still
-    the mean-gradient matrix but does not represent a pointwise field map.
-    """
-
-    matrix: np.ndarray
-    deltas: np.ndarray
-    uniform: bool
-    invertible: bool
 
 
 @dataclass
@@ -159,7 +138,7 @@ def _gmres(mat: np.ndarray, rhs: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     return (y @ basis[:, : j + 1]).transpose(1, 2, 0)
 
 
-def _solve(op: NpoOperator, contrasts, rhs: np.ndarray) -> list[np.ndarray]:
+def _solve(mat: np.ndarray, contrasts, rhs: np.ndarray) -> list[np.ndarray]:
     """Solve (coupling I - K*) x = rhs by ``_gmres``: one array like ``rhs`` per contrast.
 
     Every column's relative residual must come back at 1e-10 or better and
@@ -167,9 +146,9 @@ def _solve(op: NpoOperator, contrasts, rhs: np.ndarray) -> list[np.ndarray]:
     """
     shifts = np.array([contrast.coupling for contrast in contrasts])
     cols = rhs.reshape(len(rhs), -1)
-    values = _gmres(op.matrix, cols, shifts)
+    values = _gmres(mat, cols, shifts)
     scale = np.maximum(1.0, np.max(np.abs(cols), axis=0))
-    residual = np.max(np.abs(shifts[:, None, None] * values - op.matrix @ values - cols), axis=1) / scale
+    residual = np.max(np.abs(shifts[:, None, None] * values - mat @ values - cols), axis=1) / scale
     if not (np.all(residual <= 1e-10) and np.all(np.isfinite(values))):
         raise SolveError(
             f"boundary solve residual {np.max(residual):.3e} exceeds 1e-10 or the "
@@ -186,7 +165,7 @@ def _basis_densities(grid: BoundaryGrid, ks) -> list[np.ndarray]:
     return _solve(npo_matrix(grid), [_as_contrast(k) for k in ks], grid.normals)
 
 
-def solve_density(grid: BoundaryGrid, k, a) -> Density:
+def solve_density(grid: BoundaryGrid, k, a) -> np.ndarray:
     """Solve the boundary equation for the layer density of direction ``a``.
 
     GMRES on a freshly assembled K*, guarded as in ``_solve``.  Basis
@@ -196,12 +175,12 @@ def solve_density(grid: BoundaryGrid, k, a) -> Density:
     a = np.asarray(a, dtype=float)
     if a.shape != (grid.dim,):
         raise ConfigError(f"direction must be a {grid.dim}-vector")
-    return Density(_solve(npo_matrix(grid), [contrast], grid.normals @ a)[0], grid)
+    return _solve(npo_matrix(grid), [contrast], grid.normals @ a)[0]
 
 
 def interior_field(
     grid: BoundaryGrid,
-    phi: Density,
+    phi: np.ndarray,
     a,
     sample: InteriorSample,
 ) -> FieldReport:
@@ -213,7 +192,7 @@ def interior_field(
     if denom == 0.0:
         raise SolveError("mean interior gradient vanished; cannot normalize")
     delta = float(np.max(np.linalg.norm(grads - mean, axis=1))) / denom
-    return FieldReport(mean_gradient=mean, delta=delta, density=phi)
+    return FieldReport(mean_gradient=mean, delta=delta)
 
 
 def default_interior_sample(
@@ -261,7 +240,7 @@ def uniformity_verdict(
     rows = []
     for k, phis in zip(ks, _basis_densities(grid, ks)):
         for j in range(grid.dim):
-            fr = interior_field(grid, Density(phis[:, j], grid), eye[j], sample)
+            fr = interior_field(grid, phis[:, j], eye[j], sample)
             gx, gy = (float(g) for g in fr.mean_gradient)
             rows.append({
                 "shape": label, "k": k, "direction": j + 1,
@@ -271,61 +250,7 @@ def uniformity_verdict(
     return {"max_delta": worst, "delta_tol": tol, "passed": worst <= tol, "rows": rows}
 
 
-def lambda_map(
-    grid: BoundaryGrid,
-    k,
-    sample: InteriorSample | None = None,
-    uniform_tol: float = 1e-6,
-) -> LambdaReport:
-    """Matrix of mean interior gradients over the basis of applied fields.
-
-    Columns correspond to applied directions e_1..e_d.  The map is
-    invertible for every admissible contrast; the report records the
-    numerical verdict rather than assuming it.
-    """
-    contrast = _as_contrast(k)
-    if sample is None:
-        sample = default_interior_sample(grid.shape, grid)
-    verdict = uniformity_verdict(grid, [contrast], sample, tol=uniform_tol)
-    matrix = np.array([[row["mean_gx"], row["mean_gy"]] for row in verdict["rows"]]).T
-    return LambdaReport(
-        matrix=matrix,
-        deltas=np.array([row["delta"] for row in verdict["rows"]]),
-        uniform=verdict["passed"],
-        invertible=abs(float(np.linalg.det(matrix))) > 1e-12,
-    )
-
-
-def k_independence_check(
-    shape: ShapeSpec,
-    ks,
-    n: int = 256,
-    sample: InteriorSample | None = None,
-) -> list[dict]:
-    """Gradient-uniformity deviation per contrast and basis direction.
-
-    Returns one record per (k, direction) pair with the mean gradient and
-    its relative deviation; uniform shapes keep every deviation small for
-    every admissible contrast simultaneously.
-    """
-    ks = [_as_contrast(k).k for k in ks]
-    if len(ks) < 2:
-        raise ConfigError("need at least two contrast values to compare")
-    grid = discretize(shape, n)
-    if sample is None:
-        sample = default_interior_sample(shape, grid)
-    return [
-        {
-            "k": row["k"],
-            "direction": row["direction"],
-            "mean_gradient": (row["mean_gx"], row["mean_gy"]),
-            "delta": row["delta"],
-        }
-        for row in uniformity_verdict(grid, ks, sample)["rows"]
-    ]
-
-
-def flux_continuity_check(grid: BoundaryGrid, phi: Density, k, a) -> float:
+def flux_continuity_check(grid: BoundaryGrid, phi: np.ndarray, k, a) -> float:
     """Max mismatch of k x (interior normal flux) against the exterior flux.
 
     The one-sided normal derivatives come from ``_one_sided_derivatives``
@@ -335,7 +260,7 @@ def flux_continuity_check(grid: BoundaryGrid, phi: Density, k, a) -> float:
     """
     contrast = _as_contrast(k)
     applied = grid.normals @ np.asarray(a, dtype=float)
-    outer, inner = _one_sided_derivatives(grid, phi.values) + applied
+    outer, inner = _one_sided_derivatives(grid, phi) + applied
     scale = max(1.0, float(np.max(np.abs(outer))))
     return float(np.max(np.abs(contrast.k * inner - outer))) / scale
 

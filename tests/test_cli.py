@@ -6,10 +6,11 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dataclasses import replace
@@ -392,6 +393,111 @@ def test_any_contrast_ends_in_a_finite_report_or_a_refusal_naming_k(command, sha
             code = exc.code
     if code == 2:
         assert "--k" in err.getvalue()
+        return
+    assert code in (0, 1), err.getvalue()
+    report = out.getvalue()
+    assert "null" not in report
+    assert all(np.isfinite(float(x)) for x in _NUMBER.findall(report))
+
+
+# values log-uniform in magnitude over 1e-320 .. 1e308, either sign
+_VALUE = st.builds(
+    lambda sign, exponent: sign * 10.0**exponent,
+    st.sampled_from([1.0, -1.0]),
+    st.floats(-320.0, 308.0),
+)
+_MODE = st.one_of(st.integers(2, 9).map(float), _VALUE)
+_INLINE_VALUES = {
+    "ellipse": st.lists(_VALUE, min_size=2, max_size=2),
+    "ellipsoid": st.lists(_VALUE, min_size=3, max_size=3),
+    "box": st.lists(_VALUE, min_size=3, max_size=3),
+    "polygon": st.lists(_VALUE, min_size=6, max_size=12).filter(lambda v: len(v) % 2 == 0),
+    "star": st.builds(
+        lambda r0, modes: [r0] + [v for mode in modes for v in mode],
+        _VALUE,
+        st.lists(st.tuples(_MODE, _VALUE, _VALUE), min_size=1, max_size=3),
+    ),
+}
+_INLINE = st.sampled_from(sorted(_INLINE_VALUES)).flatmap(
+    lambda kind: _INLINE_VALUES[kind].map(lambda v: f"{kind}:" + ",".join(map(repr, v)))
+)
+_ANY_ARITY = st.builds(
+    lambda kind, v: f"{kind}:" + ",".join(map(repr, v)),
+    st.sampled_from(sorted(_INLINE_VALUES)),
+    st.lists(_VALUE, max_size=5),
+)
+_JUNK = st.one_of(
+    st.sampled_from(["", ":", "ellipse", "ellipse:", "ellipse:a,b", "polygon:0,0,1,0",
+                     "star:1", "box:1,,1", "@", "@missing.json", "disk:1"]),
+    st.text(max_size=12),
+)
+# JSON payloads: one field dropped, or one field given a wrong type
+_JSON_PAYLOADS = {
+    "ellipse": lambda v: {"a": v[0], "b": v[1]},
+    "ellipsoid": lambda v: {"c1": v[0], "c2": v[1], "c3": v[2]},
+    "box": lambda v: {"half": v[:3]},
+    "polygon": lambda v: {"vertices": [v[i : i + 2] for i in range(0, len(v) - 1, 2)]},
+    "star": lambda v: {"r0": v[0], "modes": [v[i : i + 3] for i in range(1, len(v) - 2, 3)]},
+}
+_WRONG_TYPES = st.sampled_from(["x", None, True, [], {}, [["a", 1]], [1.0]])
+
+
+def _payload(kind, values, damage, index, wrong):
+    fields = _JSON_PAYLOADS[kind](values)
+    key = sorted(fields)[index % len(fields)]
+    if damage == "drop":
+        del fields[key]
+    elif damage == "type":
+        fields[key] = wrong
+    return {"type": kind, **fields}
+
+
+_JSON = st.builds(
+    _payload,
+    st.sampled_from(sorted(_JSON_PAYLOADS)),
+    st.lists(_VALUE, min_size=10, max_size=10),
+    st.sampled_from(["none", "drop", "type"]),
+    st.integers(0, 2),
+    _WRONG_TYPES,
+)
+_SHAPE_TEXT = st.one_of(
+    st.sampled_from(["disk", "square", "kite", "star"]),
+    _INLINE,
+    _ANY_ARITY,
+    _JUNK,
+    _JSON,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(command=st.sampled_from(["pt", "bounds", "newtonian"]), shape=_SHAPE_TEXT)
+@example(command="pt", shape="ellipsoid:1e-300,1,1")
+@example(command="newtonian", shape="ellipsoid:1e-300,1,1")
+@example(command="pt", shape="ellipsoid:1e200,1,1")
+@example(command="pt", shape="ellipsoid:1e150,1e150,1e150")
+@example(command="pt", shape="ellipsoid:1e-150,1e-150,1e-150")
+@example(command="newtonian", shape="box:1e200,1e200,1e200")
+@example(command="newtonian", shape="ellipsoid:6.28e98,6.28e98,6.28e98")
+@example(command="newtonian", shape="star:1,2,1,1.6e-150")
+@example(command="newtonian", shape="ellipse:1e76,1e76")
+@example(command="pt", shape="ellipse:1e154,1e154")
+@example(command="bounds", shape="ellipse:1e154,1e154")
+@example(command="pt", shape="polygon:0,0,1e154,0,1e154,1e154,0,1e154")
+def test_any_shape_ends_in_a_finite_report_or_a_refusal_naming_shape(command, shape):
+    with tempfile.TemporaryDirectory() as tmp:
+        if isinstance(shape, dict):
+            path = os.path.join(tmp, "shape.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(shape, fh)
+            shape = f"@{path}"
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = run([command, "--shape", shape])
+            except SystemExit as exc:  # argparse refuses a value that looks like a flag
+                code = exc.code
+    if code == 2:
+        assert "--shape" in err.getvalue() or "--n" in err.getvalue(), err.getvalue()
         return
     assert code in (0, 1), err.getvalue()
     report = out.getvalue()

@@ -35,6 +35,26 @@ def test_shape_validation_rejects_bad_axes():
         Box((1.0, 0.0, 1.0))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Ellipsoid(1e-300, 1.0, 1.0),  # c1^2 underflows
+        lambda: Ellipsoid(1e200, 1.0, 1.0),  # c1^2 overflows
+        lambda: Ellipsoid(1e150, 1e150, 1e150),  # the volume overflows
+        lambda: Ellipsoid(1e-150, 1e-150, 1e-150),  # the volume underflows
+        lambda: Ellipsoid(6.28e98, 6.28e98, 6.28e98),  # (c2 c3)^2 overflows
+        lambda: Box((1e200, 1e200, 1e200)),
+        lambda: FourierStar(1.0, ((2, 1.0, 1.6e-150),)),  # pinched to 2e-166
+        lambda: Polygon(((0.0, 0.0), (1e154, 0.0), (1e154, 1e154), (0.0, 1e154))),  # area overflows
+        lambda: discretize(Ellipse(1e154, 1e154), 256),  # the cubed speed overflows
+    ],
+)
+def test_lengths_whose_fourth_powers_leave_the_float_range_are_refused(build):
+    # an ellipse is refused by its grid, after the aspect-ratio rule
+    with pytest.raises(InvalidShapeError, match="fourth powers are normal floats"):
+        build()
+
+
 def test_polygon_rejects_degenerate_and_self_crossing():
     with pytest.raises(InvalidShapeError):
         Polygon(((0.0, 0.0), (1.0, 0.0)))

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inclab import (
-    Density,
     Ellipse,
     Ellipsoid,
     InvalidShapeError,
     NearBoundaryError,
+    Polygon,
     discretize,
     green_identity_check,
     jump_check,
@@ -18,6 +18,7 @@ from inclab import (
     single_layer_gradient,
     solve_density,
 )
+from inclab.cli import parse_shape
 
 axis = st.floats(0.5, 3.0, allow_nan=False)
 
@@ -28,18 +29,18 @@ def test_jump_relation_ellipse(ellipse21_grid):
         ellipse21_grid.normals[:, 0],
         ellipse21_grid.normals[:, 1],
     ):
-        assert jump_check(ellipse21_grid, Density(values, ellipse21_grid)) <= 1e-4
+        assert jump_check(ellipse21_grid, values) <= 1e-4
 
 
 def test_close_evaluation_jump_to_machine_precision_on_ellipse(ellipse21_grid):
     # the outer and inner limits come from separate expansions, so their
     # difference measures the jump rather than imposing it
     grid = ellipse21_grid
-    solved = solve_density(grid, 3.0, np.array([1.0, 0.0])).values
+    solved = solve_density(grid, 3.0, np.array([1.0, 0.0]))
     for values in (np.ones(grid.n), grid.normals[:, 0], grid.normals[:, 1], solved):
         outer, inner = layerpot._one_sided_derivatives(grid, values)
         assert np.max(np.abs(outer - inner - values)) <= 1e-12
-        assert jump_check(grid, Density(values, grid)) <= 1e-12
+        assert jump_check(grid, values) <= 1e-12
 
 
 def test_close_evaluation_builds_one_grid_of_8n_nodes(monkeypatch, ellipse21_grid):
@@ -50,7 +51,7 @@ def test_close_evaluation_builds_one_grid_of_8n_nodes(monkeypatch, ellipse21_gri
         return discretize(shape, n)
 
     monkeypatch.setattr(layerpot, "discretize", spy)
-    jump_check(ellipse21_grid, Density(np.ones(ellipse21_grid.n), ellipse21_grid))
+    jump_check(ellipse21_grid, np.ones(ellipse21_grid.n))
     assert sizes == [8 * ellipse21_grid.n]
 
 
@@ -61,8 +62,12 @@ def _npo_one_block(grid):
     diff = z[:, None] - z[None, :]
     np.fill_diagonal(diff, 1.0)
     mat = (nu[:, None] / diff).real * (grid.weights / (2 * np.pi))
-    diag = 0.0 if grid.curvature is None else grid.curvature / (4 * np.pi) * grid.weights
-    np.fill_diagonal(mat, diag)
+    if grid.curvature is None:
+        # the discrete Gauss identity w^T K* = w^T / 2 sets a polygon's diagonal
+        np.fill_diagonal(mat, 0.0)
+        np.fill_diagonal(mat, (0.5 * grid.weights - grid.weights @ mat) / grid.weights)
+    else:
+        np.fill_diagonal(mat, grid.curvature / (4 * np.pi) * grid.weights)
     return mat
 
 
@@ -73,7 +78,7 @@ def test_npo_matrix_row_blocks_match_one_block(monkeypatch, ellipse21_grid, squa
     if chunk is not None:
         monkeypatch.setattr(layerpot, "_CHUNK", chunk)
     for grid in (ellipse21_grid, square_grid):
-        np.testing.assert_array_equal(npo_matrix(grid).matrix, _npo_one_block(grid))
+        np.testing.assert_array_equal(npo_matrix(grid), _npo_one_block(grid))
 
 
 @pytest.mark.parametrize("m", [1, 3])
@@ -118,25 +123,41 @@ def test_green_identity_inside_ellipsoid():
 def test_weighted_row_sums_half(a, b):
     # the exact discrete counterpart of the constant-density identity:
     # integrating the kernel against the weights over the first argument
-    # gives half the weight at the second argument
-    grid = discretize(Ellipse(a, b), 128)
-    K = npo_matrix(grid).matrix
-    lhs = grid.weights @ K
-    assert np.max(np.abs(lhs - 0.5 * grid.weights)) <= 1e-10 * grid.weights.max()
+    # gives half the weight at the second argument; smooth grids meet it by
+    # quadrature, polygon grids by the construction of their diagonal
+    for grid in (
+        discretize(Ellipse(a, b), 128),
+        discretize(Polygon(((0.0, 0.0), (a, 0.0), (a, b), (0.0, b))), 16),
+        discretize(Polygon(((0.0, 0.0), (a, 0.0), (0.0, b))), 16),
+    ):
+        K = npo_matrix(grid)
+        lhs = grid.weights @ K
+        assert np.max(np.abs(lhs - 0.5 * grid.weights)) <= 1e-10 * grid.weights.max()
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["square", "kite", "polygon:0,0,1,0,0,1", "polygon:0,0,2,0,0,1", "polygon:0,0,30,0,0,1"],
+)
+def test_polygon_spectrum_stays_at_or_below_one_half(name):
+    # the true K* has spectrum in (-1/2, 1/2]; a zero polygon diagonal put the
+    # largest real eigenvalue at 1/2 + 3e-5 (square) up to 1/2 + 11.7 (1.9 degrees)
+    grid = discretize(parse_shape(name)[1], 16)
+    assert np.linalg.eigvals(npo_matrix(grid)).real.max() <= 0.5 + 1e-12
 
 
 def test_constant_density_half_value_circle_only(circle_grid, ellipse21_grid):
     ones = np.ones(circle_grid.n)
-    circle_dev = np.max(np.abs(npo_matrix(circle_grid).apply(ones) - 0.5))
+    circle_dev = np.max(np.abs(npo_matrix(circle_grid) @ ones - 0.5))
     assert circle_dev <= 1e-12
     ones = np.ones(ellipse21_grid.n)
-    ellipse_dev = np.max(np.abs(npo_matrix(ellipse21_grid).apply(ones) - 0.5))
+    ellipse_dev = np.max(np.abs(npo_matrix(ellipse21_grid) @ ones - 0.5))
     # the pointwise half-value is a genuinely circle-only property of the
     # adjoint operator; on the 2:1 ellipse the deviation is order one and
     # stable under refinement
     assert ellipse_dev > 0.2
     fine = discretize(Ellipse(2.0, 1.0), 512)
-    fine_dev = np.max(np.abs(npo_matrix(fine).apply(np.ones(fine.n)) - 0.5))
+    fine_dev = np.max(np.abs(npo_matrix(fine) @ np.ones(fine.n) - 0.5))
     assert abs(fine_dev - ellipse_dev) < 1e-6
 
 
@@ -144,8 +165,8 @@ def test_normal_component_eigenvalues(ellipse21_grid):
     op = npo_matrix(ellipse21_grid)
     n1 = ellipse21_grid.normals[:, 0]
     n2 = ellipse21_grid.normals[:, 1]
-    assert np.max(np.abs(op.apply(n1) - n1 / 6)) <= 1e-10
-    assert np.max(np.abs(op.apply(n2) + n2 / 6)) <= 1e-10
+    assert np.max(np.abs(op @ n1 - n1 / 6)) <= 1e-10
+    assert np.max(np.abs(op @ n2 + n2 / 6)) <= 1e-10
 
 
 @settings(max_examples=8, deadline=None)
@@ -157,12 +178,12 @@ def test_normal_eigenvalues_match_two_axis_factors(a, b):
     op = npo_matrix(grid)
     for j, fac in enumerate((b / (a + b), a / (a + b))):
         nj = grid.normals[:, j]
-        assert np.max(np.abs(op.apply(nj) - (0.5 - fac) * nj)) <= 1e-8
+        assert np.max(np.abs(op @ nj - (0.5 - fac) * nj)) <= 1e-8
 
 
 def test_spectrum_inside_half_interval(ellipse21_grid):
     # eigenvalues of the trace operator lie in (-1/2, 1/2]
-    eigs = np.linalg.eigvals(npo_matrix(ellipse21_grid).matrix)
+    eigs = np.linalg.eigvals(npo_matrix(ellipse21_grid))
     assert np.max(np.abs(eigs.imag)) < 1e-10
     real = eigs.real
     assert real.max() <= 0.5 + 1e-10
@@ -171,7 +192,7 @@ def test_spectrum_inside_half_interval(ellipse21_grid):
 
 def test_single_layer_harmonic_outside():
     grid = discretize(Ellipse(2.0, 1.0), 256)
-    phi = Density(grid.normals[:, 0], grid)
+    phi = grid.normals[:, 0]
     x = np.array([[3.5, 1.2]])
     h = 1e-4
     vals = []
@@ -183,7 +204,7 @@ def test_single_layer_harmonic_outside():
 
 def test_gradient_consistent_with_values():
     grid = discretize(Ellipse(2.0, 1.0), 256)
-    phi = Density(np.cos(grid.params), grid)
+    phi = np.cos(grid.params)
     x = np.array([[0.4, 0.2]])
     g = single_layer_gradient(grid, phi, x)[0]
     h = 1e-6
@@ -199,7 +220,7 @@ def test_gradient_consistent_with_values():
 
 def test_near_boundary_guard():
     grid = discretize(Ellipse(2.0, 1.0), 64)
-    phi = Density(np.ones(grid.n), grid)
+    phi = np.ones(grid.n)
     close = grid.nodes[0] + 1e-6 * grid.normals[0]
     with pytest.raises(NearBoundaryError):
         single_layer_eval(grid, phi, close[None, :])
@@ -210,6 +231,6 @@ def test_three_dimensional_single_layer_matches_inverse_distance():
     # surface area / (4 pi R) with the negative kernel sign
     R = 2.0
     grid = discretize(Ellipsoid(R, R, R), (32, 64))
-    phi = Density(np.ones(grid.n), grid)
+    phi = np.ones(grid.n)
     val = single_layer_eval(grid, phi, np.zeros((1, 3)))[0]
     assert val == pytest.approx(-R, rel=1e-10)

@@ -26,6 +26,13 @@ def test_carlson_degenerate_equal_arguments():
     assert carlson_rd(4.0, 4.0, 4.0) == pytest.approx(4.0**-1.5, rel=1e-15)
 
 
+def test_carlson_refuses_non_finite_arguments():
+    # an infinite argument used to run all 200 duplication steps on NaNs
+    for args in ((np.inf, 1.0, 1.0), (1.0, 1.0, np.inf), (np.nan, 1.0, 1.0)):
+        with pytest.raises(ValueError):
+            carlson_rd(*args)
+
+
 @settings(max_examples=30, deadline=None)
 @given(axis, axis, axis)
 def test_carlson_matches_scipy(x, y, z):
@@ -190,14 +197,14 @@ def test_quadratic_fit_ellipse():
 def test_volume_potential_gradient_equals_minus_single_layer_of_normals():
     # d_j N(x) = -S[n_j](x) at interior points: ties the volume potential
     # to the boundary layer machinery through the divergence theorem
-    from inclab import Density, discretize, single_layer_eval
+    from inclab import discretize, single_layer_eval
 
     shape = Ellipse(2.0, 1.0)
     grid = discretize(shape, 256)
     pts = np.array([[0.4, 0.2], [-0.8, -0.3]])
     h = 1e-5
     for j in range(2):
-        nj = Density(grid.normals[:, j], grid)
+        nj = grid.normals[:, j]
         s = single_layer_eval(grid, nj, pts)
         step = np.zeros(2)
         step[j] = h

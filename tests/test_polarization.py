@@ -11,13 +11,12 @@ from inclab import (
     InvalidShapeError,
     Polygon,
     discretize,
-    ellipsoid_pt,
-    hs_bounds,
     measure,
     minimal_trace_target,
     polarization_tensor,
 )
-from inclab.polarization import PolarizationTensor, bounds_verdict, pt_verdict
+from inclab.cli import parse_shape
+from inclab.polarization import PolarizationTensor, bounds_verdict, closed_form_pt, pt_verdict
 from inclab.transmission import Contrast
 
 contrast = st.floats(0.2, 10.0).filter(lambda k: abs(k - 1.0) > 0.05)
@@ -39,7 +38,7 @@ def test_disk_closed_form():
 def test_ellipse_matches_closed_form(ellipse21_grid):
     for k in (2.0, 5.0):
         bem = polarization_tensor(ellipse21_grid, k).M
-        closed = ellipsoid_pt(Ellipse(2.0, 1.0), k).M
+        closed = closed_form_pt(Ellipse(2.0, 1.0), k).M
         assert np.max(np.abs(bem - closed)) <= 1e-6
 
 
@@ -87,7 +86,7 @@ def test_dilation_scales_by_area():
 
 def test_sphere_closed_form():
     k = 3.0
-    pt = ellipsoid_pt(Ellipsoid(1.0, 1.0, 1.0), k)
+    pt = closed_form_pt(Ellipsoid(1.0, 1.0, 1.0), k)
     vol = 4 * np.pi / 3
     target = 3 * vol * (k - 1.0) / (k + 2.0)
     assert np.allclose(pt.M, target * np.eye(3), atol=1e-12)
@@ -96,8 +95,10 @@ def test_sphere_closed_form():
 def test_three_dimensional_generic_shape_rejected():
     from inclab import Box
 
+    # no closed form for a box, and no boundary solve on any 3D grid
+    assert closed_form_pt(Box((0.5, 0.5, 0.5)), 2.0) is None
     with pytest.raises(InvalidShapeError):
-        ellipsoid_pt(Box((0.5, 0.5, 0.5)), 2.0)
+        polarization_tensor(discretize(Ellipsoid(2.0, 1.5, 1.0), 16), 2.0)
 
 
 def test_bounds_hold_and_saturate_only_on_ellipses():
@@ -108,24 +109,24 @@ def test_bounds_hold_and_saturate_only_on_ellipses():
         "star": FourierStar(1.0, ((3, 0.2, 0.0),)),
     }
     for name, shape in shapes.items():
-        rep = hs_bounds(_pt(shape, 3.0, n=256))
-        assert rep.slack1 >= -1e-5, name
-        assert rep.slack2 >= -1e-5, name
+        rep = bounds_verdict(_pt(shape, 3.0, n=256))
+        assert rep["slack1"] >= -1e-5, name
+        assert rep["slack2"] >= -1e-5, name
         if name in ("disk", "ellipse"):
-            assert rep.saturated2, name
+            assert rep["saturated2"], name
         else:
-            assert not rep.saturated2, name
-            assert rep.slack2 >= 1e-3, name
+            assert not rep["saturated2"], name
+            assert rep["slack2"] >= 1e-3, name
 
 
 @settings(max_examples=6, deadline=None)
 @given(contrast)
 def test_bounds_hold_for_any_contrast_on_a_square(k):
     sq = Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
-    rep = hs_bounds(_pt(sq, k, n=192))
-    assert rep.slack1 >= -1e-5
-    assert rep.slack2 >= -1e-5
-    assert rep.form == ("direct" if k > 1 else "sign-flipped")
+    rep = bounds_verdict(_pt(sq, k, n=192))
+    assert rep["slack1"] >= -1e-5
+    assert rep["slack2"] >= -1e-5
+    assert rep["form"] == ("direct" if k > 1 else "sign-flipped")
 
 
 def test_trace_positive_k_exceeds_minimal_target(ellipse21_grid):
@@ -133,6 +134,20 @@ def test_trace_positive_k_exceeds_minimal_target(ellipse21_grid):
     pt = polarization_tensor(ellipse21_grid, k)
     target = minimal_trace_target(k, pt.volume, 2)
     assert float(np.trace(pt.M)) >= target - 1e-10
+
+
+@pytest.mark.parametrize("name", ["square", "kite", "polygon:0,0,1,0,0,1", "polygon:0,0,2,0,0,1"])
+def test_polygon_tensors_are_definite_and_above_the_disk(name):
+    # sign(k - 1) M is positive definite, and for k > 1 the disk of equal
+    # area has the least trace; with a zero polygon diagonal in K* the kite
+    # and the right triangle fell below the disk at k = 1e9
+    shape = parse_shape(name)[1]
+    grid = discretize(shape, 256)
+    for k in (1e-9, 0.5, 3.0, 1e9):
+        pt = polarization_tensor(grid, k)
+        assert np.all(np.sign(k - 1.0) * np.linalg.eigvalsh(pt.M) > 0), k
+        if k > 1:
+            assert np.trace(pt.M) >= minimal_trace_target(k, pt.volume, 2), k
 
 
 def test_minimal_target_disk_equality():
@@ -155,7 +170,7 @@ def test_minimal_target_validation():
 
 def test_ellipsoid_closed_form_increases_with_contrast():
     shape = Ellipsoid(2.0, 1.5, 1.0)
-    traces = [float(np.trace(ellipsoid_pt(shape, k).M)) for k in (1.5, 2.0, 4.0, 8.0)]
+    traces = [float(np.trace(closed_form_pt(shape, k).M)) for k in (1.5, 2.0, 4.0, 8.0)]
     assert all(b > a for a, b in zip(traces, traces[1:]))
 
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from inclab import (
     ConfigError,
     Contrast,
-    Density,
     Ellipse,
     Ellipsoid,
     FourierStar,
@@ -16,19 +15,17 @@ from inclab import (
     decay_check,
     default_interior_sample,
     discretize,
-    ellipsoid_pt,
     flux_continuity_check,
     interior_field,
     jump_check,
-    k_independence_check,
-    lambda_map,
     layerpot,
     polarization_tensor,
     solve_density,
     transmission,
 )
 from inclab.cli import parse_shape, run
-from inclab.transmission import _basis_densities, _gmres
+from inclab.polarization import closed_form_pt
+from inclab.transmission import _basis_densities, _gmres, uniformity_verdict
 
 SQUARE = Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
 STAR = FourierStar(1.0, ((3, 0.2, 0.0), (5, 0.05, 0.03)))
@@ -63,9 +60,9 @@ def test_solve_linearity(k, ax, ay):
     a = np.array([ax, ay])
     if np.linalg.norm(a) < 1e-3:
         a = np.array([1.0, 0.0])
-    phi_a = solve_density(grid, k, a).values
-    phi_1 = solve_density(grid, k, np.array([1.0, 0.0])).values
-    phi_2 = solve_density(grid, k, np.array([0.0, 1.0])).values
+    phi_a = solve_density(grid, k, a)
+    phi_1 = solve_density(grid, k, np.array([1.0, 0.0]))
+    phi_2 = solve_density(grid, k, np.array([0.0, 1.0]))
     assert np.max(np.abs(phi_a - (a[0] * phi_1 + a[1] * phi_2))) <= 1e-10 * max(
         1.0, np.max(np.abs(phi_a))
     )
@@ -74,7 +71,7 @@ def test_solve_linearity(k, ax, ay):
 def test_density_parallel_to_normal_component_on_ellipse(ellipse21_grid):
     # for an axis-aligned loading the solved density is proportional to
     # the matching normal component; measure by projection, not ratio
-    phi = solve_density(ellipse21_grid, 2.0, np.array([1.0, 0.0])).values
+    phi = solve_density(ellipse21_grid, 2.0, np.array([1.0, 0.0]))
     n1 = ellipse21_grid.normals[:, 0]
     w = ellipse21_grid.weights
     coeff = float(np.sum(w * phi * n1) / np.sum(w * n1 * n1))
@@ -119,21 +116,27 @@ def test_square_interior_field_not_uniform(square_grid):
         assert rep.delta >= 1e-2
 
 
+def _mean_gradients(verdict):
+    """The applied-direction -> mean-interior-gradient map of each row."""
+    return np.array([[row["mean_gx"], row["mean_gy"]] for row in verdict["rows"]])
+
+
 def test_lambda_map_diagonal_on_ellipse(ellipse21_grid):
-    rep = lambda_map(ellipse21_grid, 2.0)
-    assert rep.uniform
-    assert rep.invertible
-    assert np.allclose(rep.matrix, np.diag([0.75, 0.6]), atol=1e-8)
+    # column j of the map is the mean interior gradient under the field e_j
+    sample = default_interior_sample(Ellipse(2.0, 1.0), ellipse21_grid)
+    verdict = uniformity_verdict(ellipse21_grid, [2.0], sample)
+    assert verdict["passed"]
+    assert np.allclose(_mean_gradients(verdict).T, np.diag([0.75, 0.6]), atol=1e-8)
 
 
 def test_k_independence_on_ellipse():
-    records = k_independence_check(Ellipse(2.0, 1.0), (0.5, 2.0, 10.0), n=128)
-    assert len(records) == 6
-    for rec in records:
-        assert rec["delta"] <= 1e-6
-        j = rec["direction"] - 1
-        grad = np.asarray(rec["mean_gradient"])
-        assert abs(grad[1 - j]) < 1e-8
+    grid = discretize(Ellipse(2.0, 1.0), 128)
+    sample = default_interior_sample(Ellipse(2.0, 1.0), grid)
+    verdict = uniformity_verdict(grid, (0.5, 2.0, 10.0), sample)
+    assert len(verdict["rows"]) == 6
+    for row, grad in zip(verdict["rows"], _mean_gradients(verdict)):
+        assert row["delta"] <= 1e-6
+        assert abs(grad[2 - row["direction"]]) < 1e-8
 
 
 def test_flux_continuity_across_boundary(ellipse21_grid):
@@ -174,9 +177,9 @@ def test_close_evaluation_checks_refuse_polygon_grids(square_grid):
     # close evaluation needs a smooth parametrized grid
     values = np.ones(square_grid.n)
     with pytest.raises(InvalidShapeError):
-        jump_check(square_grid, Density(values, square_grid))
+        jump_check(square_grid, values)
     with pytest.raises(InvalidShapeError):
-        flux_continuity_check(square_grid, Density(values, square_grid), 3.0, (1.0, 0.0))
+        flux_continuity_check(square_grid, values, 3.0, (1.0, 0.0))
 
 
 def test_solve_rejects_wrong_direction_dimension(ellipse21_grid):
@@ -193,7 +196,9 @@ def _reference_npo(grid):
     if grid.curvature is not None:
         np.fill_diagonal(K, grid.curvature / (4 * np.pi) * grid.weights)
     else:
+        # the discrete Gauss identity w^T K* = w^T / 2 sets a polygon's diagonal
         np.fill_diagonal(K, 0.0)
+        np.fill_diagonal(K, (0.5 * grid.weights - grid.weights @ K) / grid.weights)
     return K
 
 
@@ -217,20 +222,21 @@ def test_shared_solve_matches_per_direction_reference(shape):
         phis = _reference_densities(grid, k)
         raw = np.array([(grid.nodes * (phi * grid.weights)[:, None]).sum(axis=0) for phi in phis])
         assert _close(polarization_tensor(grid, k).M, 0.5 * (raw + raw.T))
-        ref = [interior_field(grid, Density(phi, grid), eye[j], sample) for j, phi in enumerate(phis)]
-        rep = lambda_map(grid, k, sample)
-        assert _close(rep.matrix, np.stack([r.mean_gradient for r in ref], axis=1))
+        ref = [interior_field(grid, phi, eye[j], sample) for j, phi in enumerate(phis)]
+        verdict = uniformity_verdict(grid, [k], sample)
+        assert _close(_mean_gradients(verdict), np.stack([r.mean_gradient for r in ref]))
         # delta is already relative to the mean gradient, so its scale is 1
-        assert np.max(np.abs(rep.deltas - [r.delta for r in ref])) <= 1e-13
+        deltas = [row["delta"] for row in verdict["rows"]]
+        assert np.max(np.abs(np.subtract(deltas, [r.delta for r in ref]))) <= 1e-13
     ks = (0.5, 2.0, 10.0)
-    records = k_independence_check(shape, ks, n=192, sample=sample)
-    assert [(r["k"], r["direction"]) for r in records] == [(k, j) for k in ks for j in (1, 2)]
-    for rec in records:
-        phi = _reference_densities(grid, rec["k"])[rec["direction"] - 1]
-        a = eye[rec["direction"] - 1]
-        ref = interior_field(grid, Density(phi, grid), a, sample)
-        assert _close(rec["mean_gradient"], ref.mean_gradient)
-        assert abs(rec["delta"] - ref.delta) <= 1e-13
+    verdict = uniformity_verdict(grid, ks, sample)
+    rows = verdict["rows"]
+    assert [(r["k"], r["direction"]) for r in rows] == [(k, j) for k in ks for j in (1, 2)]
+    for row, grad in zip(rows, _mean_gradients(verdict)):
+        phi = _reference_densities(grid, row["k"])[row["direction"] - 1]
+        ref = interior_field(grid, phi, eye[row["direction"] - 1], sample)
+        assert _close(grad, ref.mean_gradient)
+        assert abs(row["delta"] - ref.delta) <= 1e-13
 
 
 def _count_assemblies(monkeypatch):
@@ -249,8 +255,9 @@ def test_one_assembly_per_grid(monkeypatch, capsys, ellipse21_grid):
     polarization_tensor(ellipse21_grid, 3.0)
     assert grids == [ellipse21_grid]
     grids.clear()
-    k_independence_check(Ellipse(2.0, 1.0), (0.5, 2.0, 10.0), n=128)
-    assert len(grids) == 1
+    sample = default_interior_sample(Ellipse(2.0, 1.0), ellipse21_grid)
+    uniformity_verdict(ellipse21_grid, (0.5, 2.0, 10.0), sample)
+    assert grids == [ellipse21_grid]
     grids.clear()
     assert run(["eshelby", "--shape", "ellipse:2,1", "--k", "0.5,2,10", "--n", "128"]) == 0
     capsys.readouterr()
@@ -259,9 +266,9 @@ def test_one_assembly_per_grid(monkeypatch, capsys, ellipse21_grid):
 
 def test_solve_guard_fails_closed_on_nan(monkeypatch, ellipse21_grid):
     def poisoned(grid):
-        op = layerpot.npo_matrix(grid)
-        op.matrix[3, 5] = np.nan
-        return op
+        mat = layerpot.npo_matrix(grid)
+        mat[3, 5] = np.nan
+        return mat
 
     monkeypatch.setattr(transmission, "npo_matrix", poisoned)
     with pytest.raises(SolveError):
@@ -286,7 +293,7 @@ def test_gmres_on_an_ellipse_stops_within_two_steps_at_the_closed_form(ellipse21
     # with depolarization factors a = (b, a) / (a + b), so each basis
     # density is n_j / (coupling - 1/2 + a_j)
     grid = ellipse21_grid
-    mat = layerpot.npo_matrix(grid).matrix
+    mat = layerpot.npo_matrix(grid)
     factors = (1.0 / 3.0, 2.0 / 3.0)
     ks = (1e-9, 0.5, 3.0, 1e3, 1e9)
     shifts = np.array([Contrast(k).coupling for k in ks])
@@ -317,7 +324,7 @@ def test_tensor_matches_a_dense_direct_solve(name):
 
 @pytest.mark.parametrize("k", [1e9, 1e308])
 def test_ellipse_tensor_matches_the_closed_form_at_extreme_contrast(ellipse21_grid, k):
-    closed = ellipsoid_pt(Ellipse(2.0, 1.0), k).M
+    closed = closed_form_pt(Ellipse(2.0, 1.0), k).M
     assert _close(polarization_tensor(ellipse21_grid, k).M, closed, 1e-12)
 
 
