@@ -29,10 +29,6 @@ from .geometry import (
     Polygon,
     discretize,
     interior_points,
-    measure,
-    shape_center,
-    shape_dim,
-    shape_scale,
 )
 from .layerpot import (
     green_identity_check,
@@ -43,8 +39,6 @@ from .layerpot import (
 )
 from .transmission import (
     Contrast,
-    DecayReport,
-    FieldReport,
     decay_check,
     default_interior_sample,
     flux_continuity_check,
@@ -57,8 +51,6 @@ from .polarization import (
     polarization_tensor,
 )
 from .newtonian import (
-    DepolarizationFactors,
-    QuadraticFitReport,
     carlson_rd,
     depolarization_factors,
     depolarization_factors_2d,
@@ -66,7 +58,6 @@ from .newtonian import (
     quadratic_interior_fit,
 )
 from .elastostatics import (
-    IdentityReport,
     LameParams,
     conormal_linear,
     elastic_single_layer,
@@ -77,7 +68,6 @@ from .elastostatics import (
 )
 from .hodograph import (
     ExteriorMap,
-    UnivalenceReport,
     ellipse_exterior_map,
     hodograph_map,
     invert_exterior_map,
@@ -115,18 +105,12 @@ __all__ = [
     "Polygon",
     "discretize",
     "interior_points",
-    "measure",
-    "shape_center",
-    "shape_dim",
-    "shape_scale",
     "green_identity_check",
     "jump_check",
     "npo_matrix",
     "single_layer_eval",
     "single_layer_gradient",
     "Contrast",
-    "DecayReport",
-    "FieldReport",
     "decay_check",
     "default_interior_sample",
     "flux_continuity_check",
@@ -135,14 +119,11 @@ __all__ = [
     "PolarizationTensor",
     "minimal_trace_target",
     "polarization_tensor",
-    "DepolarizationFactors",
-    "QuadraticFitReport",
     "carlson_rd",
     "depolarization_factors",
     "depolarization_factors_2d",
     "newtonian_potential",
     "quadratic_interior_fit",
-    "IdentityReport",
     "LameParams",
     "conormal_linear",
     "elastic_single_layer",
@@ -151,7 +132,6 @@ __all__ = [
     "plain_kernel_moment",
     "trace_identity_check",
     "ExteriorMap",
-    "UnivalenceReport",
     "ellipse_exterior_map",
     "hodograph_map",
     "invert_exterior_map",

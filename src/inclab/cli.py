@@ -28,7 +28,6 @@ from .geometry import (
     ShapeSpec,
     discretize,
     interior_points,
-    shape_dim,
 )
 from .hodograph import slit_certificate
 from .newtonian import quadratic_verdict
@@ -210,7 +209,7 @@ def _tensor(cfg: RunConfig):
 
     A 3D shape without a closed form goes to ``_grid``, which refuses it.
     """
-    closed = closed_form_pt(cfg.shape, cfg.k) if shape_dim(cfg.shape) == 3 else None
+    closed = closed_form_pt(cfg.shape, cfg.k) if cfg.shape.dim == 3 else None
     return closed if closed is not None else polarization_tensor(_grid(cfg), cfg.k)
 
 
@@ -226,7 +225,7 @@ def _cmd_bounds(cfg: RunConfig):
 
 
 def _cmd_eshelby(cfg: RunConfig):
-    if shape_dim(cfg.shape) != 2:
+    if cfg.shape.dim != 2:
         raise ConfigError("--shape: eshelby requires a 2D shape")
     grid = _grid(cfg)
     try:

@@ -26,7 +26,6 @@ from .layerpot import _green_sides, _guarded_blocks
 
 __all__ = [
     "LameParams",
-    "IdentityReport",
     "kelvin_matrix",
     "conormal_linear",
     "elastic_single_layer",
@@ -160,21 +159,6 @@ def plain_kernel_moment(grid: BoundaryGrid, values: np.ndarray, points) -> np.nd
     return out if values.ndim == 2 else out[:, 0]
 
 
-@dataclass
-class IdentityReport:
-    """Relative residuals of the hydrostatic trace identities.
-
-    Each residual is max |lhs - rhs| over points and components, divided
-    by the largest right-hand-side magnitude (or by the Kelvin-layer
-    magnitude for the all-zero difference case of equal phases).
-    """
-
-    matrix_phase: float
-    inclusion_phase: float
-    difference: float
-    green: float
-
-
 def _relative(lhs: np.ndarray, rhs: np.ndarray, floor: float) -> float:
     scale = max(float(np.max(np.abs(rhs))), floor)
     return float(np.max(np.abs(lhs - rhs))) / scale
@@ -184,7 +168,7 @@ def trace_identity_check(
     grid: BoundaryGrid,
     params: LameParams,
     points,
-) -> IdentityReport:
+) -> dict:
     """Check the interior identities tying Kelvin layers to plain moments.
 
     The hydrostatic displacement x -> x has traction (2 mu + 3 lam) n in
@@ -192,6 +176,11 @@ def trace_identity_check(
     the corresponding multiple of the plain inverse-distance moment of
     the normal.  The difference identity and the closed-surface Green
     identity for the inverse-distance kernel are checked alongside.
+
+    Returns the ``elastic-identity`` report's four ``residual_*`` fields.
+    Each is max |lhs - rhs| over points and components, divided by the
+    largest right-hand-side magnitude; the difference residual is absolute
+    where its right-hand side vanishes (equal phases).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     eye = np.eye(3)
@@ -215,14 +204,12 @@ def trace_identity_check(
         res_diff = _relative(diff_lhs, diff_rhs, floor)
 
     green_lhs, green_rhs = _green_sides(grid, points)
-    worst_green = _relative(green_lhs, green_rhs, floor)
-
-    return IdentityReport(
-        matrix_phase=res_matrix,
-        inclusion_phase=res_inc,
-        difference=res_diff,
-        green=worst_green,
-    )
+    return {
+        "residual_matrix_phase": res_matrix,
+        "residual_inclusion_phase": res_inc,
+        "residual_difference": res_diff,
+        "residual_inverse_distance": _relative(green_lhs, green_rhs, floor),
+    }
 
 
 def identity_verdict(grid: BoundaryGrid, params: LameParams, points, tol: float = 1e-6) -> dict:
@@ -231,15 +218,9 @@ def identity_verdict(grid: BoundaryGrid, params: LameParams, points, tol: float 
     The matrix-phase, inclusion-phase and inverse-distance residuals must
     each be at most ``tol``; the difference residual has no bound.
     """
-    rep = trace_identity_check(grid, params, points)
-    return {
-        "residual_matrix_phase": rep.matrix_phase,
-        "residual_inclusion_phase": rep.inclusion_phase,
-        "residual_difference": rep.difference,
-        "residual_inverse_distance": rep.green,
-        "residual_tol": tol,
-        "passed": rep.matrix_phase <= tol and rep.inclusion_phase <= tol and rep.green <= tol,
-    }
+    res = trace_identity_check(grid, params, points)
+    bounded = ("residual_matrix_phase", "residual_inclusion_phase", "residual_inverse_distance")
+    return {**res, "residual_tol": tol, "passed": all(res[key] <= tol for key in bounded)}
 
 
 def kolosov(lam: float, mu: float) -> float:

@@ -5,8 +5,8 @@ Shapes are frozen dataclasses, and each class carries its own geometry:
 ``default_margin`` and ``boundary_grid``, plus ``outline`` on the 2D
 shapes, ``curve_frame`` on the smooth curves, and ``ray_exit`` (where
 rays from interior points leave the shape) on ellipses, stars and
-ellipsoids.  The module functions ``discretize``, ``measure``,
-``shape_dim``, ``shape_scale`` and ``shape_center`` call those methods.
+ellipsoids.  Callers use these methods directly; the module function
+``discretize`` calls ``boundary_grid``.
 
 ``discretize`` turns a shape into a quadrature-ready boundary grid:
 equispaced-parameter trapezoid nodes for smooth curves (spectrally
@@ -31,7 +31,7 @@ PANEL_ORDER = 8
 CORNER_DEPTH = 6
 
 # ``margin_ok(pts, margin)`` is True where a conservative bound on a point's
-# clearance to the boundary is at least margin - _MARGIN_SLACK.
+# clearance to the boundary is at least margin - _MARGIN_SLACK * scale().
 _MARGIN_SLACK = 1e-12
 
 # Angles at which a star's radius is sampled for its area, extent, default
@@ -121,7 +121,7 @@ class Ellipse(_SmoothCurve):
         R = _rotation(-self.rotation)
         q = (pts - np.asarray(self.center)) @ R.T
         rho = np.sqrt((q[:, 0] / self.a) ** 2 + (q[:, 1] / self.b) ** 2)
-        return min(self.a, self.b) * (1.0 - rho) >= margin - _MARGIN_SLACK
+        return min(self.a, self.b) * (1.0 - rho) >= margin - _MARGIN_SLACK * self.scale()
 
     def default_margin(self) -> float:
         return 0.25 * min(self.a, self.b)
@@ -189,7 +189,7 @@ class Polygon(_PlaneShape):
         # exact edge distances
         v = np.asarray(self.vertices)
         inside = _points_in_polygon(pts, v)
-        return inside & (_dist_to_segments(pts, v) >= margin - _MARGIN_SLACK)
+        return inside & (_dist_to_segments(pts, v) >= margin - _MARGIN_SLACK * self.scale())
 
     def default_margin(self) -> float:
         v = np.asarray(self.vertices)
@@ -289,7 +289,7 @@ class FourierStar(_SmoothCurve):
         poly = np.stack([r * np.cos(t), r * np.sin(t)], axis=1)
         theta = np.arctan2(pts[:, 1], pts[:, 0])
         inside = np.linalg.norm(pts, axis=1) < _star_radius(self, theta)
-        return inside & (_dist_to_segments(pts, poly) >= margin - _MARGIN_SLACK)
+        return inside & (_dist_to_segments(pts, poly) >= margin - _MARGIN_SLACK * self.scale())
 
     def default_margin(self) -> float:
         return 0.25 * self._r_min
@@ -377,7 +377,7 @@ class Ellipsoid:
         # analytic bound: the clearance is at least min(c) (1 - rho)
         c = np.array([self.c1, self.c2, self.c3])
         rho = np.sqrt((((pts - np.asarray(self.center)) / c) ** 2).sum(axis=1))
-        return np.min(c) * (1.0 - rho) >= margin - _MARGIN_SLACK
+        return np.min(c) * (1.0 - rho) >= margin - _MARGIN_SLACK * self.scale()
 
     def default_margin(self) -> float:
         return 0.25 * min(self.c1, self.c2, self.c3)
@@ -449,7 +449,7 @@ class Box:
 
     def margin_ok(self, pts: np.ndarray, margin: float) -> np.ndarray:
         d = np.asarray(self.half) - np.abs(pts - np.asarray(self.center))
-        return np.min(d, axis=1) >= margin - _MARGIN_SLACK
+        return np.min(d, axis=1) >= margin - _MARGIN_SLACK * self.scale()
 
     def default_margin(self) -> float:
         return 0.2 * min(self.half)
@@ -605,27 +605,6 @@ def _panel_breaks() -> list[tuple[float, float]]:
 
 
 # ---------------------------------------------------------------------------
-# measure
-
-def measure(shape: ShapeSpec) -> float:
-    """Area (2D) or volume (3D) enclosed by the shape."""
-    return shape.measure()
-
-
-def shape_dim(shape: ShapeSpec) -> int:
-    return shape.dim
-
-
-def shape_scale(shape: ShapeSpec) -> float:
-    """Characteristic linear size (largest center-to-boundary distance)."""
-    return shape.scale()
-
-
-def shape_center(shape: ShapeSpec) -> np.ndarray:
-    return shape.center_point()
-
-
-# ---------------------------------------------------------------------------
 # interior sampling
 
 def interior_points(shape: ShapeSpec, count: int, margin: float) -> InteriorSample:
@@ -634,6 +613,7 @@ def interior_points(shape: ShapeSpec, count: int, margin: float) -> InteriorSamp
     Candidates come from coarse-to-fine lattices over the margin-shrunk
     bounding box, topped up with scaled copies of the boundary; the first
     ``count`` survivors (uniform stride over the ordered pool) are returned.
+    Candidates closer than 1e-9 of the shape's scale count as one.
     """
     if count < 1:
         raise EmptySampleError("count must be positive")
@@ -642,13 +622,14 @@ def interior_points(shape: ShapeSpec, count: int, margin: float) -> InteriorSamp
     lo, hi = lo + margin, hi - margin
     if np.any(hi < lo):
         raise EmptySampleError("margin leaves no interior room")
+    tol = 1e-9 * shape.scale()
     k0 = int(np.ceil(count ** (1.0 / d)))
     pool: list[np.ndarray] = []
     for k in (k0, k0 + 2, k0 + 4):
         axes = [np.linspace(lo[i], hi[i], k) for i in range(d)]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
         pool.append(mesh[shape.margin_ok(mesh, margin)])
-        cand = _dedupe(np.concatenate(pool))
+        cand = _dedupe(np.concatenate(pool), tol)
         if len(cand) >= count:
             break
     if len(cand) < count and d == 2:
@@ -657,7 +638,7 @@ def interior_points(shape: ShapeSpec, count: int, margin: float) -> InteriorSamp
         for s in (0.85, 0.7, 0.5, 0.3):
             ring = center + s * (bnd - center)
             pool.append(ring[shape.margin_ok(ring, margin)])
-        cand = _dedupe(np.concatenate(pool))
+        cand = _dedupe(np.concatenate(pool), tol)
     if len(cand) < count:
         raise EmptySampleError(f"only {len(cand)} interior points fit margin {margin}")
     idx = np.linspace(0, len(cand) - 1, count).round().astype(int)

@@ -20,13 +20,11 @@ from .errors import ConfigError, DomainError
 
 __all__ = [
     "ExteriorMap",
-    "UnivalenceReport",
     "koebe",
     "ellipse_exterior_map",
     "invert_exterior_map",
     "hodograph_map",
     "leading_coefficient",
-    "exterior_grid",
     "univalence_check",
     "slit_certificate",
 ]
@@ -177,60 +175,34 @@ def leading_coefficient(a: float, b: float, radii=(10.0, 100.0, 1000.0)) -> floa
     return float(coeffs[0])
 
 
-def exterior_grid(
-    n_radial: int = 48,
-    n_angle: int = 256,
-    r_min: float = 1.0 + 1e-3,
-    r_max: float = 1e3,
-) -> np.ndarray:
-    """Geometric radius ladder times uniform angles outside the unit disk."""
-    if r_min <= 1.0 or r_max <= r_min:
-        raise ConfigError("radii must satisfy 1 < r_min < r_max")
-    rho = np.geomspace(r_min, r_max, n_radial)
-    theta = 2 * np.pi * np.arange(n_angle) / n_angle
-    return rho[:, None] * np.exp(1j * theta)[None, :]
+# The univalence certificate's exterior grid (48 radii in geometric steps from
+# 1 + 1e-3 to 1e3, times 256 uniform angles, which also sample the rim), its
+# central-difference step relative to |z|, and how far the rim image may
+# stray from the imaginary axis.
+_RING_RADII = np.geomspace(1.0 + 1e-3, 1e3, 48)
+_RING_ANGLES = 2 * np.pi * np.arange(256) / 256
+_DERIV_STEP = 1e-6
+_RE_TOL = 1e-8
 
 
-@dataclass
-class UnivalenceReport:
-    """Numeric certificate for a slit map of the disk exterior.
-
-    ``slit`` holds the boundary-image endpoints (i*c1, i*c2) where c1/c2
-    are the extreme imaginary parts of the boundary image; ``passed``
-    requires a nonvanishing derivative on the grid, a boundary image that
-    hugs the imaginary axis, and image rings that wind exactly once with
-    monotone argument.
-    """
-
-    min_abs_derivative: float
-    slit: tuple[complex, complex]
-    max_real_deviation: float
-    rings_simple: bool
-    passed: bool
-
-
-def univalence_check(
-    f,
-    n_radial: int = 48,
-    n_angle: int = 256,
-    r_min: float = 1.0 + 1e-3,
-    r_max: float = 1e3,
-    deriv_step: float = 1e-6,
-    re_tol: float = 1e-8,
-) -> UnivalenceReport:
+def univalence_check(f) -> dict:
     """Certify the slit-map behavior of an analytic function numerically.
 
     ``f`` must act on complex arrays with |z| >= 1.  The derivative is
     taken by relative-step central differences on the exterior grid; the
-    boundary image is sampled on the unit circle itself.
+    boundary image is sampled on the unit circle itself.  Returns the
+    ``hodograph`` report's certificate fields: ``univalent`` requires a
+    nonvanishing derivative on the grid, a rim image within _RE_TOL of the
+    imaginary axis, and image rings that wind exactly once with monotone
+    argument; ``slit`` holds the rim image's endpoints i c1, i c2 at its
+    extreme imaginary parts.
     """
-    grid = exterior_grid(n_radial, n_angle, r_min, r_max)
-    h = deriv_step * np.abs(grid)
+    grid = _RING_RADII[:, None] * np.exp(1j * _RING_ANGLES)[None, :]
+    h = _DERIV_STEP * np.abs(grid)
     deriv = (f(grid + h) - f(grid - h)) / (2.0 * h)
     min_abs = float(np.min(np.abs(deriv)))
 
-    theta = 2 * np.pi * np.arange(n_angle) / n_angle
-    rim = f(np.exp(1j * theta))
+    rim = f(np.exp(1j * _RING_ANGLES))
     c1 = float(np.min(np.imag(rim)))
     c2 = float(np.max(np.imag(rim)))
     max_re = float(np.max(np.abs(np.real(rim))))
@@ -247,14 +219,14 @@ def univalence_check(
             rings_simple = False
             break
 
-    passed = (min_abs > 0.0) and (max_re <= re_tol) and rings_simple
-    return UnivalenceReport(
-        min_abs_derivative=min_abs,
-        slit=(complex(0.0, c1), complex(0.0, c2)),
-        max_real_deviation=max_re,
-        rings_simple=rings_simple,
-        passed=passed,
-    )
+    return {
+        "univalent": (min_abs > 0.0) and (max_re <= _RE_TOL) and rings_simple,
+        "min_abs_derivative": min_abs,
+        "max_real_deviation": max_re,
+        "real_deviation_tol": _RE_TOL,
+        "rings_simple": rings_simple,
+        "slit": [{"re": 0.0, "im": c1}, {"re": 0.0, "im": c2}],
+    }
 
 
 def slit_certificate(a: float, b: float, tol: float = 1e-10) -> dict:
@@ -264,7 +236,7 @@ def slit_certificate(a: float, b: float, tol: float = 1e-10) -> dict:
     on 512 points and the slit endpoints (against -ib, ib) must come within
     ``tol``, the univalence certificate of the map composed with the
     exterior uniformizer (turned by i for a tall ellipse) must pass with
-    its rim within 1e-8 of the imaginary axis, and the fitted leading
+    its rim within _RE_TOL of the imaginary axis, and the fitted leading
     coefficient must come within 1e-4 of b/(a+b).
     """
     theta = 2 * np.pi * np.arange(512) / 512
@@ -272,29 +244,23 @@ def slit_certificate(a: float, b: float, tol: float = 1e-10) -> dict:
     boundary_dev = float(np.max(np.abs(hodograph_map(a, b, w) - 1j * np.imag(w))))
     fmap = ellipse_exterior_map(a, b)
     turn = 1j if fmap.rotated else 1
-    rep = univalence_check(
+    cert = univalence_check(
         lambda z: hodograph_map(a, b, turn * fmap(np.asarray(z, dtype=complex)))
     )
-    slit_err = float(np.max(
-        [abs(rep.slit[0] - complex(0.0, -b)), abs(rep.slit[1] - complex(0.0, b))]
-    ))
+    lo, hi = (end["im"] for end in cert["slit"])
+    slit_err = float(np.max([abs(lo + b), abs(hi - b)]))
     alpha, target = leading_coefficient(a, b), b / (a + b)
     return {
         "boundary_identity_deviation": boundary_dev,
         "boundary_identity_tol": tol,
-        "univalent": rep.passed,
-        "min_abs_derivative": rep.min_abs_derivative,
-        "max_real_deviation": rep.max_real_deviation,
-        "real_deviation_tol": 1e-8,
-        "rings_simple": rep.rings_simple,
-        "slit": [{"re": end.real, "im": end.imag} for end in rep.slit],
+        **cert,
         "slit_endpoint_error": slit_err,
         "slit_tol": tol,
         "leading_coefficient": alpha,
         "leading_coefficient_target": target,
         "leading_coefficient_tol": 1e-4,
         "passed": (
-            boundary_dev <= tol and rep.passed and slit_err <= tol
+            boundary_dev <= tol and cert["univalent"] and slit_err <= tol
             and abs(alpha - target) <= 1e-4
         ),
     }

@@ -43,7 +43,6 @@ definition of "this shape is not an ellipsoid".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -54,7 +53,6 @@ from .geometry import (
     Ellipse,
     Ellipsoid,
     FourierStar,
-    InteriorSample,
     Polygon,
     ShapeSpec,
     _RAY_CHUNK,
@@ -64,7 +62,6 @@ from .geometry import (
     _star_radius,
     discretize,
     interior_points,
-    shape_dim,
 )
 
 # ---------------------------------------------------------------------------
@@ -104,32 +101,23 @@ def carlson_rd(x: float, y: float, z: float) -> float:
     return 3.0 * acc + fac * series / (mu * math.sqrt(mu))
 
 
-@dataclass(frozen=True)
-class DepolarizationFactors:
-    values: tuple[float, ...]
-
-    @property
-    def total(self) -> float:
-        return float(sum(self.values))
-
-
-def depolarization_factors(shape: Ellipsoid) -> DepolarizationFactors:
+def depolarization_factors(shape: Ellipsoid) -> np.ndarray:
     """The three ellipsoid depolarization factors (they sum to one)."""
     c1, c2, c3 = shape.c1, shape.c2, shape.c3
     pref = c1 * c2 * c3 / 3.0
     a1 = pref * carlson_rd(c2 * c2, c3 * c3, c1 * c1)
     a2 = pref * carlson_rd(c3 * c3, c1 * c1, c2 * c2)
     a3 = pref * carlson_rd(c1 * c1, c2 * c2, c3 * c3)
-    return DepolarizationFactors((a1, a2, a3))
+    return np.array([a1, a2, a3])
 
 
-def depolarization_factors_2d(shape: Ellipse) -> DepolarizationFactors:
+def depolarization_factors_2d(shape: Ellipse) -> np.ndarray:
     """Planar analogues b/(a+b), a/(a+b); the disk gives (1/2, 1/2)."""
     a, b = shape.a, shape.b
-    return DepolarizationFactors((b / (a + b), a / (a + b)))
+    return np.array([b / (a + b), a / (a + b)])
 
 
-def closed_form_factors(shape: ShapeSpec) -> DepolarizationFactors | None:
+def closed_form_factors(shape: ShapeSpec) -> np.ndarray | None:
     """Factors of an ellipsoid or ellipse; None for shapes without a closed form."""
     if isinstance(shape, Ellipsoid):
         return depolarization_factors(shape)
@@ -291,10 +279,10 @@ def newtonian_potential(shape: ShapeSpec, points, method: str = "flux") -> np.nd
     raise ValueError(f"unknown method {method!r}")
 
 
-def _newtonian_midpoint(shape: ShapeSpec, points: np.ndarray, cells: int = 0) -> np.ndarray:
+def _newtonian_midpoint(shape: ShapeSpec, points: np.ndarray) -> np.ndarray:
     """Literal midpoint product rule mapped to the shape (test oracle)."""
-    if shape_dim(shape) == 2:
-        nr, na = (400, 1600) if cells == 0 else (cells, 4 * cells)
+    if shape.dim == 2:
+        nr, na = 400, 1600
         r = (np.arange(nr) + 0.5) / nr
         t = 2 * np.pi * (np.arange(na) + 0.5) / na
         Rg, Tg = np.meshgrid(r, t, indexing="ij")
@@ -339,22 +327,6 @@ def _newtonian_midpoint(shape: ShapeSpec, points: np.ndarray, cells: int = 0) ->
 # ---------------------------------------------------------------------------
 # quadratic interior fit
 
-@dataclass
-class QuadraticFitReport:
-    """Least-squares quadratic model of the interior potential.
-
-    ``A`` is the symmetric second-order coefficient matrix (N ~ x.Ax + b.x
-    + c); ``rms_residual`` is normalized by the spread of the sampled
-    potential, so it is scale-free.
-    """
-
-    A: np.ndarray
-    b: np.ndarray
-    c: float
-    rms_residual: float
-    sample: InteriorSample
-
-
 def _default_margin(shape: ShapeSpec) -> float:
     """Default clearance for fit samples: deep enough that boundary-rule
     error is negligible, shallow enough that the sample sees the shape's
@@ -362,51 +334,45 @@ def _default_margin(shape: ShapeSpec) -> float:
     return shape.default_margin()
 
 
-def quadratic_interior_fit(
-    shape: ShapeSpec,
-    sample: InteriorSample | None = None,
-    count: int | None = None,
-    margin: float | None = None,
-    method: str = "flux",
-) -> QuadraticFitReport:
-    """Fit N on an interior sample to a full quadratic polynomial.
+# Points in the fit sample of a 2D and of a 3D shape.
+_FIT_COUNT = {2: 40, 3: 80}
 
-    For ellipses/ellipsoids the residual is at quadrature level and the
-    diagonal of A reproduces half the depolarization factors; cornered
-    shapes leave a residual well above 1e-3.
+
+def quadratic_interior_fit(shape: ShapeSpec) -> dict:
+    """Fit the flux-route N on an interior sample to a full quadratic polynomial.
+
+    The sample holds _FIT_COUNT points at the shape's default margin.  The
+    least-squares fit runs on u = (x - m) / s, with m the sample mean and s
+    the shape's scale, so its columns are of one size at any scale; A, b and
+    c are then mapped back to x.  Returns the ``newtonian`` report's
+    ``quadratic_fit`` fields: the symmetric A, b and c of N ~ x.Ax + b.x + c,
+    and the rms residual over the spread of the sampled potential, which is
+    scale-free.  For ellipses/ellipsoids the residual is at quadrature level
+    and the diagonal of A reproduces half the depolarization factors;
+    cornered shapes leave a residual well above 1e-3.
     """
-    d = shape_dim(shape)
-    if sample is None:
-        if count is None:
-            count = 40 if d == 2 else 80
-        if margin is None:
-            margin = _default_margin(shape)
-        sample = interior_points(shape, count, margin)
-    pts = sample.points
-    n_mono = 1 + d + d * (d + 1) // 2
-    if len(pts) < 3 * n_mono:
-        raise ValueError(f"need at least {3 * n_mono} sample points, got {len(pts)}")
-    vals = newtonian_potential(shape, pts, method=method)
-    cols = [np.ones(len(pts))]
-    cols += [pts[:, j] for j in range(d)]
+    d = shape.dim
+    pts = interior_points(shape, _FIT_COUNT[d], _default_margin(shape)).points
+    vals = newtonian_potential(shape, pts)
+    mean, scale = pts.mean(axis=0), shape.scale()
+    u = (pts - mean) / scale
     quad_idx = [(i, j) for i in range(d) for j in range(i, d)]
-    cols += [pts[:, i] * pts[:, j] for i, j in quad_idx]
-    X = np.stack(cols, axis=1)
+    cols = [np.ones(len(u))] + [u[:, j] for j in range(d)]
+    X = np.stack(cols + [u[:, i] * u[:, j] for i, j in quad_idx], axis=1)
     coef, *_ = np.linalg.lstsq(X, vals, rcond=None)
-    c0 = float(coef[0])
-    b = coef[1 : 1 + d].copy()
     A = np.zeros((d, d))
     for (i, j), q in zip(quad_idx, coef[1 + d :]):
-        if i == j:
-            A[i, i] = q
-        else:
-            A[i, j] = A[j, i] = 0.5 * q
+        A[i, j] = A[j, i] = q if i == j else 0.5 * q
+    A /= scale * scale
+    slope = coef[1 : 1 + d] / scale  # the gradient at the mean
     resid = vals - X @ coef
     spread = max(float(np.max(vals) - np.min(vals)), 1e-300)
     rms = float(np.sqrt(np.mean(resid**2)) / spread)
     if not np.isfinite(rms):
         raise SolveError("quadratic fit residual is not finite: the squared potentials overflow")
-    return QuadraticFitReport(A=A, b=b, c=c0, rms_residual=rms, sample=sample)
+    b = slope - 2.0 * A @ mean
+    c = float(coef[0] - slope @ mean + mean @ A @ mean)
+    return {"A": A, "b": b, "c": c, "rms_residual": rms}
 
 
 def quadratic_verdict(shape: ShapeSpec, tol: float = 1e-6) -> dict:
@@ -418,25 +384,19 @@ def quadratic_verdict(shape: ShapeSpec, tol: float = 1e-6) -> dict:
     """
     fit = quadratic_interior_fit(shape)
     out = {
-        "quadratic_fit": {
-            "A": fit.A,
-            "b": fit.b,
-            "c": fit.c,
-            "rms_residual": fit.rms_residual,
-            "residual_tol": tol,
-        },
-        "passed": fit.rms_residual <= tol,
+        "quadratic_fit": {**fit, "residual_tol": tol},
+        "passed": fit["rms_residual"] <= tol,
     }
-    facs = closed_form_factors(shape)
-    if facs is not None:
-        vals = np.asarray(facs.values)
-        dev = float(np.max(np.abs(np.diag(fit.A) - vals / 2.0)))
+    vals = closed_form_factors(shape)
+    if vals is not None:
+        dev = float(np.max(np.abs(np.diag(fit["A"]) - vals / 2.0)))
         out["depolarization_factors"] = vals
         sum_ok = True
         if len(vals) == 3:
-            out["factor_sum"] = facs.total
+            total = float(sum(vals))
+            out["factor_sum"] = total
             out["factor_sum_tol"] = 1e-10
-            sum_ok = abs(facs.total - 1.0) <= 1e-10
+            sum_ok = abs(total - 1.0) <= 1e-10
         out["diag_vs_half_factors"] = dev
         out["diag_tol"] = 1e-5
         out["passed"] = out["passed"] and dev <= 1e-5 and sum_ok

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SolveError
-from .geometry import BoundaryGrid, ShapeSpec, _rotation, measure
+from .geometry import BoundaryGrid, ShapeSpec, _rotation
 from .newtonian import closed_form_factors
 from .transmission import Contrast, _as_contrast, _basis_densities
 
@@ -72,7 +72,7 @@ def polarization_tensor(grid: BoundaryGrid, k) -> PolarizationTensor:
     return PolarizationTensor(
         M=M,
         k=contrast,
-        volume=float(measure(grid.shape)),
+        volume=float(grid.shape.measure()),
         asymmetry=asymmetry,
         densities=phis,
     )
@@ -85,12 +85,11 @@ def closed_form_pt(shape: ShapeSpec, k) -> PolarizationTensor | None:
     a_j are the depolarization factors (finite for k up to the float
     maximum); rotated ellipses are conjugated back into the ambient frame.
     """
-    facs = closed_form_factors(shape)
-    if facs is None:
+    factors = closed_form_factors(shape)
+    if factors is None:
         return None
     contrast = _as_contrast(k)
-    factors = np.asarray(facs.values)
-    vol = float(measure(shape))
+    vol = float(shape.measure())
     M = np.diag(vol / (1.0 / (contrast.k - 1.0) + factors))
     if len(factors) == 2:
         rot = _rotation(shape.rotation)
@@ -133,13 +132,19 @@ def bounds_verdict(pt: PolarizationTensor, tol: float = 1e-5) -> dict:
     Tr(M) >= rhs and |Omega| Tr(M^-1) >= rhs with slacks = lhs - rhs
     ("sign-flipped").  Both slacks must be at least -``tol``; a bound is
     saturated when |slack| <= SATURATION_TOL * max(1, |rhs|), and saturation
-    of the inverse-trace bound is the ellipse/ellipsoid signature.  A
-    singular M raises SolveError.
+    of the inverse-trace bound is the ellipse/ellipsoid signature.  A finite
+    M whose smallest |eigenvalue| is zero relative to its largest is singular
+    and raises SolveError: det(M) underflows on small shapes, and a slender
+    ellipsoid's diagonal closed form inverts exactly below a ratio of eps.  A
+    NaN in M fails through the slacks.
     """
     kk, d, vol = pt.k.k, pt.dim, pt.volume
     tr_M = float(np.trace(pt.M))
-    if float(np.linalg.det(pt.M)) == 0.0:
-        raise SolveError("polarization tensor is singular; cannot form Tr(M^-1)")
+    if np.isfinite(pt.M).all():
+        lam = np.abs(np.linalg.eigvalsh(pt.M))
+        with np.errstate(invalid="ignore"):
+            if not np.min(lam) / np.max(lam) > 0.0:
+                raise SolveError("polarization tensor is singular; cannot form Tr(M^-1)")
     tr_Minv_scaled = vol * float(np.trace(np.linalg.inv(pt.M)))
     rhs1 = vol * (kk - 1.0) * (d - 1.0 + 1.0 / kk)
     rhs2 = (d - 1.0 + kk) / (kk - 1.0)

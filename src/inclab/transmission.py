@@ -16,15 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, EmptySampleError, ResolutionError, SolveError
-from .geometry import (
-    BoundaryGrid,
-    InteriorSample,
-    ShapeSpec,
-    discretize,
-    interior_points,
-    shape_center,
-    shape_scale,
-)
+from .geometry import BoundaryGrid, InteriorSample, ShapeSpec, discretize, interior_points
 from .layerpot import (
     _one_sided_derivatives,
     npo_matrix,
@@ -34,8 +26,6 @@ from .layerpot import (
 
 __all__ = [
     "Contrast",
-    "FieldReport",
-    "DecayReport",
     "solve_density",
     "interior_field",
     "default_interior_sample",
@@ -68,30 +58,6 @@ class Contrast:
 
 def _as_contrast(k) -> Contrast:
     return k if isinstance(k, Contrast) else Contrast(float(k))
-
-
-@dataclass
-class FieldReport:
-    """Interior gradient statistics for one applied direction.
-
-    ``delta`` is the maximum relative deviation of the sampled gradient
-    from its mean — zero exactly when the interior field is uniform.
-    """
-
-    mean_gradient: np.ndarray
-    delta: float
-
-
-@dataclass
-class DecayReport:
-    """Far-field magnitude ratio test for the perturbation potential."""
-
-    radii: tuple[float, float]
-    magnitudes: tuple[float, float]
-    ratio: float
-    expected: float
-    rel_error: float
-    passed: bool
 
 
 _GMRES_TOL = 4 * np.finfo(float).eps  # normwise backward error that ends a Krylov solve
@@ -183,24 +149,26 @@ def interior_field(
     phi: np.ndarray,
     a,
     sample: InteriorSample,
-) -> FieldReport:
-    """Evaluate the total gradient on an interior sample and aggregate it."""
+) -> tuple[np.ndarray, float]:
+    """Mean total gradient on an interior sample, and its largest relative deviation.
+
+    The deviation ``delta`` is zero exactly when the interior field is uniform.
+    """
     a = np.asarray(a, dtype=float)
     grads = a[None, :] + single_layer_gradient(grid, phi, sample.points)
     mean = grads.mean(axis=0)
     denom = float(np.linalg.norm(mean))
     if denom == 0.0:
         raise SolveError("mean interior gradient vanished; cannot normalize")
-    delta = float(np.max(np.linalg.norm(grads - mean, axis=1))) / denom
-    return FieldReport(mean_gradient=mean, delta=delta)
+    return mean, float(np.max(np.linalg.norm(grads - mean, axis=1))) / denom
 
 
-def default_interior_sample(
-    shape: ShapeSpec,
-    grid: BoundaryGrid,
-    count: int = 40,
-) -> InteriorSample:
-    """Interior sample clear of the near-boundary evaluation guard.
+# Points in the sample of ``default_interior_sample``.
+_SAMPLE_COUNT = 40
+
+
+def default_interior_sample(shape: ShapeSpec, grid: BoundaryGrid) -> InteriorSample:
+    """Interior sample of _SAMPLE_COUNT points clear of the near-boundary guard.
 
     The margin is 0.12 of the shape's scale or 3 node spacings, whichever
     is larger.  On a slender shape the scale term can reach past the
@@ -209,19 +177,19 @@ def default_interior_sample(
     margin and too few points fit, the grid is too coarse: ResolutionError
     instead of EmptySampleError.
     """
-    floor = 0.12 * shape_scale(shape)
+    floor = 0.12 * shape.scale()
     guard = 3.0 * float(np.max(grid.spacing))
     try:
-        return _guarded_sample(shape, count, floor, guard)
+        return _guarded_sample(shape, floor, guard)
     except EmptySampleError:
         if shape.default_margin() >= floor:
             raise
-    return _guarded_sample(shape, count, shape.default_margin(), guard)
+    return _guarded_sample(shape, shape.default_margin(), guard)
 
 
-def _guarded_sample(shape: ShapeSpec, count: int, floor: float, guard: float) -> InteriorSample:
+def _guarded_sample(shape: ShapeSpec, floor: float, guard: float) -> InteriorSample:
     try:
-        return interior_points(shape, count, max(floor, guard))
+        return interior_points(shape, _SAMPLE_COUNT, max(floor, guard))
     except EmptySampleError as exc:
         if guard <= floor:
             raise
@@ -240,11 +208,11 @@ def uniformity_verdict(
     rows = []
     for k, phis in zip(ks, _basis_densities(grid, ks)):
         for j in range(grid.dim):
-            fr = interior_field(grid, phis[:, j], eye[j], sample)
-            gx, gy = (float(g) for g in fr.mean_gradient)
+            mean, delta = interior_field(grid, phis[:, j], eye[j], sample)
+            gx, gy = (float(g) for g in mean)
             rows.append({
                 "shape": label, "k": k, "direction": j + 1,
-                "mean_gx": gx, "mean_gy": gy, "delta": fr.delta,
+                "mean_gx": gx, "mean_gy": gy, "delta": delta,
             })
     worst = float(np.max([row["delta"] for row in rows]))
     return {"max_delta": worst, "delta_tol": tol, "passed": worst <= tol, "rows": rows}
@@ -265,44 +233,33 @@ def flux_continuity_check(grid: BoundaryGrid, phi: np.ndarray, k, a) -> float:
     return float(np.max(np.abs(contrast.k * inner - outer))) / scale
 
 
-def decay_check(
-    shape: ShapeSpec,
-    k,
-    a,
-    n: int = 256,
-    factors: tuple[float, float] = (10.0, 20.0),
-    n_angles: int = 32,
-    rel_tol: float = 0.2,
-) -> DecayReport:
+# ``decay_check``: boundary nodes, evaluation radii in units of the shape's
+# scale, angles per radius, and the cap on the relative error of the ratio.
+_DECAY_N = 256
+_DECAY_FACTORS = (10.0, 20.0)
+_DECAY_ANGLES = 32
+DECAY_TOL = 0.2
+
+
+def decay_check(shape: ShapeSpec, k, a) -> tuple[float, float, float, bool]:
     """Ratio test for the far-field decay of the perturbation potential.
 
     The perturbation of a 2D inclusion decays like 1/distance; doubling
-    the evaluation radius should therefore halve its magnitude.  The
-    report compares the measured ratio against that power law.  K* is
-    assembled on 2D grids only, so a 3D shape raises InvalidShapeError.
+    the evaluation radius should therefore halve its magnitude.  Returns
+    the measured magnitude ratio, the power law's ratio, the relative
+    error of the first against the second, and whether that error is at
+    most DECAY_TOL.  K* is assembled on 2D grids only, so a 3D shape
+    raises InvalidShapeError.
     """
-    contrast = _as_contrast(k)
-    a = np.asarray(a, dtype=float)
-    grid = discretize(shape, n)
-    phi = solve_density(grid, contrast, a)
-    scale = shape_scale(shape)
-    center = shape_center(shape)
-    t = 2 * np.pi * np.arange(n_angles) / n_angles
+    grid = discretize(shape, _DECAY_N)
+    phi = solve_density(grid, k, a)
+    t = 2 * np.pi * np.arange(_DECAY_ANGLES) / _DECAY_ANGLES
     dirs = np.stack([np.cos(t), np.sin(t)], axis=1)
-    mags = []
-    radii = tuple(f * scale for f in factors)
-    for radius in radii:
-        pts = center[None, :] + radius * dirs
-        vals = single_layer_eval(grid, phi, pts)
-        mags.append(float(np.max(np.abs(vals))))
-    ratio = mags[0] / mags[1]
-    expected = radii[1] / radii[0]
-    rel_error = abs(ratio / expected - 1.0)
-    return DecayReport(
-        radii=radii,
-        magnitudes=(mags[0], mags[1]),
-        ratio=ratio,
-        expected=expected,
-        rel_error=rel_error,
-        passed=rel_error <= rel_tol,
+    radii = [f * shape.scale() for f in _DECAY_FACTORS]
+    inner, outer = (
+        float(np.max(np.abs(single_layer_eval(grid, phi, shape.center_point() + r * dirs))))
+        for r in radii
     )
+    ratio, expected = inner / outer, radii[1] / radii[0]
+    rel_error = abs(ratio / expected - 1.0)
+    return ratio, expected, rel_error, rel_error <= DECAY_TOL

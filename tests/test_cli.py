@@ -13,7 +13,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dataclasses import replace
 
 from inclab.cli import parse_shape, run
 from inclab import ConfigError, Ellipse, FourierStar, Polygon, acceptance, discretize, transmission
@@ -161,6 +160,36 @@ def test_ellipses_the_grid_cannot_resolve_are_refused(capsys, argv):
     assert (code, out) == (2, "")
     assert err.startswith("config error: --shape: aspect ratio ")
     assert err.endswith(" boundary nodes resolve\n")
+
+
+_SCALED = {
+    "ellipse": lambda s: f"ellipse:{2 * s!r},{s!r}",
+    "ellipsoid": lambda s: f"ellipsoid:{2 * s!r},{1.5 * s!r},{s!r}",
+    "square": lambda s: f"polygon:0,0,{s!r},0,{s!r},{s!r},0,{s!r}",
+}
+
+
+@pytest.mark.parametrize("command", ["bounds", "newtonian"])
+@pytest.mark.parametrize("shape", sorted(_SCALED))
+def test_verdicts_do_not_depend_on_the_scale_of_the_shape(capsys, command, shape):
+    # the sample's dedupe tolerance and margin slack, and the fit's
+    # coordinates, are measured in units of the shape's scale
+    reports = []
+    for s in (1e-10, 1.0, 1e10):
+        code, out, err = _run(capsys, command, "--shape", _SCALED[shape](s))
+        assert out, err
+        reports.append(json.loads(out))
+        assert code == (0 if reports[-1]["passed"] else 1)
+    assert [rep["passed"] for rep in reports] == [reports[1]["passed"]] * 3
+    if (command, shape) == ("newtonian", "square"):
+        assert min(rep["quadratic_fit"]["rms_residual"] for rep in reports) >= 1e-3
+
+
+def test_bounds_on_a_tiny_sphere_is_not_singular(capsys):
+    # det(M) of the 1e-50 sphere underflows to 0, though M = 5e-150 I
+    code, out, err = _run(capsys, "bounds", "--shape", "ellipsoid:1e-50,1e-50,1e-50", "--k", "3")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["passed"] is True
 
 
 def test_ellipse_resolution_rule_leaves_resolved_aspect_ratios_alone():
@@ -584,7 +613,8 @@ def test_nan_delta_fails_eshelby_and_criterion_07(capsys, monkeypatch):
     original = transmission.interior_field
 
     def nan_field(*args, **kwargs):
-        return replace(original(*args, **kwargs), delta=float("nan"))
+        mean, _ = original(*args, **kwargs)
+        return mean, float("nan")
 
     monkeypatch.setattr(transmission, "interior_field", nan_field)
     argv = ("eshelby", "--shape", "ellipse:2,1", "--k", "2", "--format", "json")

@@ -100,10 +100,11 @@ def test_trace_identities_on_ellipsoid():
     grid = discretize(shape, (64, 128))
     pts = interior_points(shape, 20, 0.3)
     rep = trace_identity_check(grid, LameParams(2.0, 1.0, 1.0, 0.5), pts.points)
-    assert rep.matrix_phase <= 1e-6
-    assert rep.inclusion_phase <= 1e-6
-    assert rep.difference <= 1e-6
-    assert rep.green <= 1e-6
+    assert list(rep) == [
+        "residual_matrix_phase", "residual_inclusion_phase", "residual_difference",
+        "residual_inverse_distance",
+    ]
+    assert all(value <= 1e-6 for value in rep.values())
 
 
 def test_equal_phase_difference_vanishes_identically():
@@ -111,7 +112,7 @@ def test_equal_phase_difference_vanishes_identically():
     grid = discretize(shape, (32, 64))
     pts = interior_points(shape, 8, 0.45)
     rep = trace_identity_check(grid, LameParams(2.0, 1.0, 2.0, 1.0), pts.points)
-    assert rep.difference == 0.0
+    assert rep["residual_difference"] == 0.0
 
 
 def test_residual_drops_under_refinement():
@@ -122,7 +123,7 @@ def test_residual_drops_under_refinement():
     lame = LameParams(2.0, 1.0, 1.0, 0.5)
     coarse = trace_identity_check(discretize(shape, (16, 32)), lame, pts.points)
     fine = trace_identity_check(discretize(shape, (32, 64)), lame, pts.points)
-    assert fine.matrix_phase <= coarse.matrix_phase / 10
+    assert fine["residual_matrix_phase"] <= coarse["residual_matrix_phase"] / 10
 
 
 @settings(max_examples=25, deadline=None)

@@ -14,10 +14,6 @@ from inclab import (
     Polygon,
     discretize,
     interior_points,
-    measure,
-    shape_center,
-    shape_dim,
-    shape_scale,
 )
 from inclab import geometry
 from inclab.geometry import ShapeSpec, _dedupe
@@ -71,28 +67,28 @@ def test_star_rejects_nonpositive_radius():
 @given(axis, axis)
 def test_ellipse_area_and_dim(a, b):
     shape = Ellipse(a, b)
-    assert shape_dim(shape) == 2
-    assert measure(shape) == pytest.approx(np.pi * a * b, rel=1e-12)
+    assert shape.dim == 2
+    assert shape.measure() == pytest.approx(np.pi * a * b, rel=1e-12)
 
 
 def test_polygon_area_shoelace():
     tri = Polygon(((0.0, 0.0), (2.0, 0.0), (0.0, 1.0)))
-    assert measure(tri) == pytest.approx(1.0, rel=1e-14)
+    assert tri.measure() == pytest.approx(1.0, rel=1e-14)
 
 
 def test_star_area_closed_form():
     # r(t) = r0 (1 + e cos mt): area = pi r0^2 (1 + e^2 / 2)
     shape = FourierStar(1.3, ((4, 0.2, 0.0),))
-    assert measure(shape) == pytest.approx(
+    assert shape.measure() == pytest.approx(
         np.pi * 1.3**2 * (1 + 0.5 * 0.2**2), rel=1e-12
     )
 
 
 def test_measure_3d():
-    assert measure(Ellipsoid(2.0, 1.5, 1.0)) == pytest.approx(
+    assert Ellipsoid(2.0, 1.5, 1.0).measure() == pytest.approx(
         4 * np.pi / 3 * 3.0, rel=1e-12
     )
-    assert measure(Box((0.5, 1.0, 2.0))) == pytest.approx(8.0, rel=1e-14)
+    assert Box((0.5, 1.0, 2.0)).measure() == pytest.approx(8.0, rel=1e-14)
 
 
 @settings(max_examples=15, deadline=None)
@@ -101,7 +97,7 @@ def test_normals_outward_unit(a, b):
     grid = discretize(Ellipse(a, b), 64)
     norms = np.linalg.norm(grid.normals, axis=1)
     assert np.allclose(norms, 1.0, atol=1e-12)
-    radial = np.einsum("ij,ij->i", grid.nodes - shape_center(Ellipse(a, b)), grid.normals)
+    radial = np.einsum("ij,ij->i", grid.nodes - Ellipse(a, b).center_point(), grid.normals)
     assert np.all(radial > 0)
 
 
@@ -177,15 +173,16 @@ _KITE = Polygon(((1.0, 0.0), (0.0, 0.7), (-0.6, 0.0), (0.0, -0.7)))
 def test_dedupe_matches_greedy_loop_on_interior_pools(monkeypatch, shape, count, margin):
     pools = []
 
-    def spy(pts, tol=1e-9):
-        pools.append(pts)
+    def spy(pts, tol):
+        pools.append((pts, tol))
         return _dedupe(pts, tol)
 
     monkeypatch.setattr(geometry, "_dedupe", spy)
     interior_points(shape, count, margin)
     assert pools
-    for pool in pools:
-        np.testing.assert_array_equal(_dedupe(pool), _greedy_dedupe(pool))
+    for pool, tol in pools:
+        assert tol == 1e-9 * shape.scale()
+        np.testing.assert_array_equal(_dedupe(pool, tol), _greedy_dedupe(pool, tol))
 
 
 def test_dedupe_keeps_first_copies_across_blocks(monkeypatch):
@@ -209,7 +206,7 @@ def test_interior_points_order_is_that_of_the_greedy_dedupe(monkeypatch):
 
 def test_shape_scale_positive():
     for shape in (Ellipse(2.0, 1.0), Box((0.5, 0.5, 0.5)), FourierStar(1.0, ((3, 0.2, 0.0),))):
-        assert shape_scale(shape) > 0
+        assert shape.scale() > 0
 
 
 def test_discretize_rejects_tiny_resolution():
@@ -217,7 +214,7 @@ def test_discretize_rejects_tiny_resolution():
         discretize(Ellipse(1.0, 1.0), 4)
 
 
-# What measure, shape_dim, shape_scale, shape_center, the bounding box, the
+# What the area or volume, dimension, scale, center, bounding box, the
 # fit margin and the margin test (indices of the lattice points that keep a
 # 0.1 clearance) returned when each was an isinstance chain over the five
 # classes; the methods that replaced them must reproduce every bit.
@@ -298,10 +295,10 @@ def test_shape_geometry_matches_recorded_values(shape, want):
     axis_points = np.linspace(-2.1, 2.1, 8)
     lattice = np.stack(np.meshgrid(*[axis_points] * d, indexing="ij"), axis=-1).reshape(-1, d)
     lo, hi = shape.bbox()
-    assert shape_dim(shape) == d
-    assert measure(shape) == want["measure"]
-    assert shape_scale(shape) == want["scale"]
-    assert shape_center(shape).tolist() == want["center"]
+    assert shape.dim == d
+    assert shape.measure() == want["measure"]
+    assert shape.scale() == want["scale"]
+    assert shape.center_point().tolist() == want["center"]
     assert (lo.tolist(), hi.tolist()) == want["bbox"]
     assert _default_margin(shape) == want["margin"]
     assert np.flatnonzero(shape.margin_ok(lattice, 0.1)).tolist() == want["keeps"]

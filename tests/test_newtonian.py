@@ -52,14 +52,14 @@ def test_carlson_scaling_law(x, y, z):
 
 
 def test_sphere_depolarization_exact_thirds():
-    vals = depolarization_factors(Ellipsoid(1.0, 1.0, 1.0)).values
+    vals = depolarization_factors(Ellipsoid(1.0, 1.0, 1.0))
     assert all(v == pytest.approx(1.0 / 3.0, abs=1e-15) for v in vals)
 
 
 @settings(max_examples=20, deadline=None)
 @given(axis, axis, axis)
 def test_depolarization_sum_and_ordering(c1, c2, c3):
-    vals = np.asarray(depolarization_factors(Ellipsoid(c1, c2, c3)).values)
+    vals = depolarization_factors(Ellipsoid(c1, c2, c3))
     assert abs(vals.sum() - 1.0) <= 1e-12
     assert np.all(vals > 0)
     # longer axis -> smaller factor
@@ -70,13 +70,13 @@ def test_depolarization_sum_and_ordering(c1, c2, c3):
 @settings(max_examples=10, deadline=None)
 @given(axis, axis, axis)
 def test_depolarization_scale_invariance(c1, c2, c3):
-    v1 = np.asarray(depolarization_factors(Ellipsoid(c1, c2, c3)).values)
-    v2 = np.asarray(depolarization_factors(Ellipsoid(2 * c1, 2 * c2, 2 * c3)).values)
+    v1 = depolarization_factors(Ellipsoid(c1, c2, c3))
+    v2 = depolarization_factors(Ellipsoid(2 * c1, 2 * c2, 2 * c3))
     assert np.max(np.abs(v1 - v2)) <= 1e-12
 
 
 def test_depolarization_frozen_values():
-    vals = np.asarray(depolarization_factors(Ellipsoid(2.0, 1.5, 1.0)).values)
+    vals = depolarization_factors(Ellipsoid(2.0, 1.5, 1.0))
     frozen = np.array([0.21126560531930363, 0.30500625786742153, 0.48372813681327476])
     assert np.max(np.abs(vals - frozen)) <= 1e-12
 
@@ -84,7 +84,7 @@ def test_depolarization_frozen_values():
 @settings(max_examples=10, deadline=None)
 @given(axis, axis)
 def test_two_axis_factors(a, b):
-    vals = depolarization_factors_2d(Ellipse(a, b)).values
+    vals = depolarization_factors_2d(Ellipse(a, b))
     assert vals[0] == pytest.approx(b / (a + b), rel=1e-14)
     assert vals[1] == pytest.approx(a / (a + b), rel=1e-14)
 
@@ -170,10 +170,11 @@ def test_box_closed_form_against_lattice_oracle():
 def test_quadratic_fit_ellipsoid_recovers_half_factors():
     shape = Ellipsoid(2.0, 1.5, 1.0)
     rep = quadratic_interior_fit(shape)
-    assert rep.rms_residual <= 1e-6
-    facs = np.asarray(depolarization_factors(shape).values)
-    assert np.max(np.abs(np.diag(rep.A) - facs / 2.0)) <= 1e-5
-    off = rep.A - np.diag(np.diag(rep.A))
+    assert list(rep) == ["A", "b", "c", "rms_residual"]
+    assert rep["rms_residual"] <= 1e-6
+    facs = depolarization_factors(shape)
+    assert np.max(np.abs(np.diag(rep["A"]) - facs / 2.0)) <= 1e-5
+    off = rep["A"] - np.diag(np.diag(rep["A"]))
     assert np.max(np.abs(off)) <= 1e-6
 
 
@@ -182,16 +183,16 @@ def test_quadratic_fit_translated_ball_linear_term():
     c = np.array([0.4, -0.2, 0.7])
     shape = Ellipsoid(1.0, 1.0, 1.0, center=tuple(c))
     rep = quadratic_interior_fit(shape)
-    assert rep.rms_residual <= 1e-6
-    assert np.max(np.abs(np.diag(rep.A) - 1.0 / 6.0)) <= 1e-8
-    assert np.max(np.abs(rep.b - (-c / 3.0))) <= 1e-8
+    assert rep["rms_residual"] <= 1e-6
+    assert np.max(np.abs(np.diag(rep["A"]) - 1.0 / 6.0)) <= 1e-8
+    assert np.max(np.abs(rep["b"] - (-c / 3.0))) <= 1e-8
 
 
 def test_quadratic_fit_ellipse():
     rep = quadratic_interior_fit(Ellipse(2.0, 1.0))
-    assert rep.rms_residual <= 1e-6
-    vals = np.asarray(depolarization_factors_2d(Ellipse(2.0, 1.0)).values)
-    assert np.max(np.abs(np.diag(rep.A) - vals / 2.0)) <= 1e-6
+    assert rep["rms_residual"] <= 1e-6
+    vals = depolarization_factors_2d(Ellipse(2.0, 1.0))
+    assert np.max(np.abs(np.diag(rep["A"]) - vals / 2.0)) <= 1e-6
 
 
 def test_volume_potential_gradient_equals_minus_single_layer_of_normals():
@@ -216,9 +217,9 @@ def test_volume_potential_gradient_equals_minus_single_layer_of_normals():
 
 
 def test_quadratic_fit_fails_on_cube_and_square():
-    assert quadratic_interior_fit(Box((0.5, 0.5, 0.5))).rms_residual >= 1e-3
+    assert quadratic_interior_fit(Box((0.5, 0.5, 0.5)))["rms_residual"] >= 1e-3
     square = Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
-    assert quadratic_interior_fit(square).rms_residual >= 1e-3
+    assert quadratic_interior_fit(square)["rms_residual"] >= 1e-3
 
 
 # ---------------------------------------------------------------------------

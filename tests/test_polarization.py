@@ -10,8 +10,8 @@ from inclab import (
     FourierStar,
     InvalidShapeError,
     Polygon,
+    SolveError,
     discretize,
-    measure,
     minimal_trace_target,
     polarization_tensor,
 )
@@ -184,3 +184,12 @@ def test_verdicts_fail_on_a_nan_tensor():
     assert pt_verdict(Ellipse(1.0, 1.0), PolarizationTensor(
         M=np.eye(2), k=Contrast(3.0), volume=np.pi, asymmetry=np.nan
     ))["passed"] is False
+
+
+def test_bounds_refuse_a_tensor_only_when_an_eigenvalue_vanishes():
+    for M in (np.zeros((2, 2)), np.diag([1.0, 0.0]), np.diag([1e300, 1e-300, 1e-300])):
+        with pytest.raises(SolveError):
+            bounds_verdict(PolarizationTensor(M=M, k=Contrast(3.0), volume=np.pi))
+    # det(M) = 1e-400 underflows, yet the inverse is exact
+    small = PolarizationTensor(M=np.diag([1e-200, 1e-200]), k=Contrast(3.0), volume=1e-200)
+    assert bounds_verdict(small)["scaled_inverse_trace"] == 2.0

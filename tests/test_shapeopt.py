@@ -9,7 +9,6 @@ from inclab import (
     OptProblem,
     bound_gap_scan,
     coefficients_to_star,
-    measure,
     minimize_trace,
     overlay_svg,
 )
@@ -48,7 +47,7 @@ def test_disk_value_closed_form():
 def test_area_constraint_enforced_exactly(c1, c2, c3, c4):
     area = np.pi
     star = coefficients_to_star(np.array([c1, c2, c3, c4]), area, 3)
-    assert measure(star) == pytest.approx(area, rel=1e-12)
+    assert star.measure() == pytest.approx(area, rel=1e-12)
 
 
 def test_zero_coefficients_give_disk():
