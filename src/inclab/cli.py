@@ -78,10 +78,6 @@ class RunConfig:
     def nodes(self, default: int = 256) -> int:
         return self.n if self.n is not None else default
 
-    def grid3(self) -> tuple[int, int]:
-        base = self.n if self.n is not None else 64
-        return (base, 2 * base)
-
 
 def parse_shape(text: str) -> tuple[str, ShapeSpec]:
     """Turn an inline ``type:params`` string or ``@file.json`` into a shape.
@@ -254,14 +250,15 @@ def _cmd_elastic_identity(cfg: RunConfig):
     if not isinstance(shape, Ellipsoid):
         raise ConfigError("--shape: elastic-identity requires an ellipsoid shape")
     lame = cfg.lame if cfg.lame is not None else LameParams(2.0, 1.0, 1.0, 0.5)
-    grid = discretize(shape, cfg.grid3())
+    n = cfg.nodes(64)
+    grid = discretize(shape, n)
     pts = interior_points(shape, 20, 0.3 * min(shape.c1, shape.c2, shape.c3))
     return {
         "command": "elastic-identity",
         "shape": cfg.shape_label,
         "lame": asdict(lame),
         "kolosov_matrix": kolosov(lame.lam, lame.mu),
-        "grid": cfg.grid3(),
+        "grid": [n, 2 * n],
         "points": len(pts.points),
         **identity_verdict(grid, lame, pts.points, *cfg.tol_args),
     }

@@ -1,6 +1,9 @@
 """Shape descriptions, boundary grids, and interior sampling.
 
-Shapes are frozen dataclasses, and each class carries its own geometry:
+Shapes are frozen dataclasses.  Ellipses, ellipsoids and boxes sit at the
+origin with their axes on the coordinate axes: a polarization tensor turns to
+R M R^T under a rotation R and stays put under a translation, so placement
+adds nothing to check.  Each class carries its own geometry:
 ``dim``, ``measure``, ``scale``, ``center_point``, ``bbox``, ``margin_ok``,
 ``default_margin`` and ``boundary_grid``, plus ``outline`` on the 2D
 shapes, ``curve_frame`` on the smooth curves, and ``ray_exit`` (where
@@ -11,8 +14,8 @@ ellipsoids.  Callers use these methods directly; the module function
 ``discretize`` turns a shape into a quadrature-ready boundary grid:
 equispaced-parameter trapezoid nodes for smooth curves (spectrally
 accurate), per-edge Gauss-Legendre panels with dyadic grading into the
-corners for polygons, and a Gauss-Legendre x trapezoid product grid for
-ellipsoids.  All normals are outward unit vectors; all weights are
+corners for polygons, and an n x 2n Gauss-Legendre x trapezoid product
+grid for ellipsoids.  All normals are outward unit vectors; all weights are
 positive and sum to the surface measure.
 """
 
@@ -84,12 +87,10 @@ class _SmoothCurve(_PlaneShape):
 
 @dataclass(frozen=True)
 class Ellipse(_SmoothCurve):
-    """Ellipse with semi-axes ``a``, ``b``, optional center and rotation."""
+    """Ellipse x^2/a^2 + y^2/b^2 = 1 with semi-axes ``a``, ``b``."""
 
     a: float
     b: float
-    center: tuple[float, float] = (0.0, 0.0)
-    rotation: float = 0.0
 
     def __post_init__(self):
         if not (self.a > 0 and self.b > 0):
@@ -102,9 +103,6 @@ class Ellipse(_SmoothCurve):
         d1 = np.stack([-a * np.sin(t), b * np.cos(t)], axis=1)
         speed = np.linalg.norm(d1, axis=1)
         kappa = a * b / speed**3
-        R = _rotation(self.rotation)
-        p = p @ R.T + np.asarray(self.center)
-        d1 = d1 @ R.T
         return p, _outward_normals(d1, speed), speed, kappa
 
     def measure(self) -> float:
@@ -114,13 +112,11 @@ class Ellipse(_SmoothCurve):
         return max(self.a, self.b)
 
     def center_point(self) -> np.ndarray:
-        return np.asarray(self.center, dtype=float)
+        return np.zeros(2)
 
     def margin_ok(self, pts: np.ndarray, margin: float) -> np.ndarray:
         # analytic bound: the clearance is at least min(a, b) (1 - rho)
-        R = _rotation(-self.rotation)
-        q = (pts - np.asarray(self.center)) @ R.T
-        rho = np.sqrt((q[:, 0] / self.a) ** 2 + (q[:, 1] / self.b) ** 2)
+        rho = np.sqrt((pts[:, 0] / self.a) ** 2 + (pts[:, 1] / self.b) ** 2)
         return min(self.a, self.b) * (1.0 - rho) >= margin - _MARGIN_SLACK * self.scale()
 
     def default_margin(self) -> float:
@@ -141,9 +137,7 @@ class Ellipse(_SmoothCurve):
     def ray_exit(self, points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         """Distance from each interior point along each unit direction to the
         curve, shape (len(points), len(dirs))."""
-        R = _rotation(-self.rotation)
-        q = (points - np.asarray(self.center)) @ R.T
-        return _quadric_exit(q, dirs @ R.T, (self.a, self.b))
+        return _quadric_exit(points, dirs, (self.a, self.b))
 
 
 @dataclass(frozen=True)
@@ -352,7 +346,6 @@ class Ellipsoid:
     c1: float
     c2: float
     c3: float
-    center: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
         if not (self.c1 > 0 and self.c2 > 0 and self.c3 > 0):
@@ -366,17 +359,16 @@ class Ellipsoid:
         return max(self.c1, self.c2, self.c3)
 
     def center_point(self) -> np.ndarray:
-        return np.asarray(self.center, dtype=float)
+        return np.zeros(3)
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         c = np.array([self.c1, self.c2, self.c3])
-        ctr = np.asarray(self.center)
-        return ctr - c, ctr + c
+        return -c, c
 
     def margin_ok(self, pts: np.ndarray, margin: float) -> np.ndarray:
         # analytic bound: the clearance is at least min(c) (1 - rho)
         c = np.array([self.c1, self.c2, self.c3])
-        rho = np.sqrt((((pts - np.asarray(self.center)) / c) ** 2).sum(axis=1))
+        rho = np.sqrt(((pts / c) ** 2).sum(axis=1))
         return np.min(c) * (1.0 - rho) >= margin - _MARGIN_SLACK * self.scale()
 
     def default_margin(self) -> float:
@@ -385,15 +377,11 @@ class Ellipsoid:
     def ray_exit(self, points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         """Distance from each interior point along each unit direction to the
         surface, shape (len(points), len(dirs))."""
-        q = points - np.asarray(self.center)
-        return _quadric_exit(q, dirs, (self.c1, self.c2, self.c3))
+        return _quadric_exit(points, dirs, (self.c1, self.c2, self.c3))
 
     def boundary_grid(self, n) -> BoundaryGrid:
-        if isinstance(n, tuple):
-            n_pol, n_az = n
-        else:
-            n_pol, n_az = int(n), 2 * int(n)
-        if n_pol < 16 or n_az < 32:
+        n_pol, n_az = int(n), 2 * int(n)
+        if n_pol < 16:
             raise ResolutionError("ellipsoids need at least a 16 x 32 grid")
         c1, c2, c3 = self.c1, self.c2, self.c3
         u, wu = np.polynomial.legendre.leggauss(n_pol)
@@ -401,23 +389,22 @@ class Ellipsoid:
         wphi = 2 * np.pi / n_az
         U, P = np.meshgrid(u, phi, indexing="ij")
         s = np.sqrt(1.0 - U * U)
-        rel = np.stack([c1 * s * np.cos(P), c2 * s * np.sin(P), c3 * U], axis=-1).reshape(-1, 3)
-        nodes = rel + np.asarray(self.center)
+        nodes = np.stack([c1 * s * np.cos(P), c2 * s * np.sin(P), c3 * U], axis=-1).reshape(-1, 3)
         jac = np.sqrt(
             (c2 * c3) ** 2 * (1 - U * U) * np.cos(P) ** 2
             + (c1 * c3) ** 2 * (1 - U * U) * np.sin(P) ** 2
             + (c1 * c2) ** 2 * U * U
         )
         weights = (jac * wu[:, None] * wphi).reshape(-1)
-        grad = rel / np.array([c1 * c1, c2 * c2, c3 * c3])
+        grad = nodes / np.array([c1 * c1, c2 * c2, c3 * c3])
         normals = grad / np.linalg.norm(grad, axis=1)[:, None]
-        spacing = np.full(len(nodes), max(c1, c2, c3) * np.pi / min(n_pol, n_az // 2))
+        spacing = np.full(len(nodes), max(c1, c2, c3) * np.pi / n_pol)
         return BoundaryGrid(self, nodes, normals, weights, spacing=spacing)
 
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned 3D box given by half-extents about a center.
+    """Axis-aligned 3D box given by half-extents about the origin.
 
     Supporting shape for volume-potential checks on cornered solids; it has
     no boundary grid.
@@ -426,7 +413,6 @@ class Box:
     dim: ClassVar[int] = 3
 
     half: tuple[float, float, float]
-    center: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
         if not all(h > 0 for h in self.half):
@@ -441,14 +427,14 @@ class Box:
         return float(np.linalg.norm(self.half))
 
     def center_point(self) -> np.ndarray:
-        return np.asarray(self.center, dtype=float)
+        return np.zeros(3)
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
-        c, h = np.asarray(self.center), np.asarray(self.half)
-        return c - h, c + h
+        h = np.asarray(self.half, dtype=float)
+        return -h, h
 
     def margin_ok(self, pts: np.ndarray, margin: float) -> np.ndarray:
-        d = np.asarray(self.half) - np.abs(pts - np.asarray(self.center))
+        d = np.asarray(self.half) - np.abs(pts)
         return np.min(d, axis=1) >= margin - _MARGIN_SLACK * self.scale()
 
     def default_margin(self) -> float:
@@ -554,11 +540,6 @@ def _star_radius_derivs(shape: FourierStar, t: np.ndarray):
     return shape.r0 * r, shape.r0 * r1, shape.r0 * r2
 
 
-def _rotation(phi: float) -> np.ndarray:
-    c, s = np.cos(phi), np.sin(phi)
-    return np.array([[c, -s], [s, c]])
-
-
 def _quadric_exit(q: np.ndarray, dirs: np.ndarray, semi_axes) -> np.ndarray:
     """Positive root t of sum_i ((q_i + t d_i) / s_i)^2 = 1 for every point q
     inside the axis-aligned ellipse or ellipsoid with semi-axes s and every
@@ -588,9 +569,8 @@ def discretize(shape: ShapeSpec, n) -> BoundaryGrid:
     """Build a boundary quadrature grid.
 
     ``n`` is the node count for smooth curves (>= 64), the per-edge node
-    count before corner grading for polygons (>= 16), and either an int
-    (polar count; azimuthal is doubled) or an (n_polar, n_azimuth) pair for
-    ellipsoids.
+    count before corner grading for polygons (>= 16), and the polar count
+    for ellipsoids, whose grid is n x 2n (n >= 16).
     """
     return shape.boundary_grid(n)
 

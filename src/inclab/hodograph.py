@@ -49,28 +49,21 @@ def koebe(z):
 
 @dataclass(frozen=True)
 class ExteriorMap:
-    """Degree-one rational map F(z) = gamma z + center + beta / z on |z| > 1.
+    """Degree-one rational map F(z) = gamma z + beta / z on |z| > 1.
 
-    Univalence outside the unit disk requires |gamma| > |beta|.  When the
-    map was produced by normalizing an ellipse with vertical major axis,
-    ``rotated`` is True and the normalized image must be multiplied by i
-    to recover the original ellipse.
+    Univalence outside the unit disk requires |gamma| > |beta|.
     """
 
     gamma: complex
-    center: complex = 0.0 + 0.0j
-    beta: complex = 0.0 + 0.0j
-    rotated: bool = False
+    beta: complex
 
     def __post_init__(self):
-        if self.gamma == 0:
-            raise ConfigError("gamma must be nonzero")
         if not abs(self.gamma) > abs(self.beta):
             raise ConfigError("|gamma| must exceed |beta| for univalence")
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        out = self.gamma * z + self.center + self.beta / z
+        out = self.gamma * z + self.beta / z
         return complex(out) if out.ndim == 0 else out
 
     def derivative(self, z):
@@ -82,30 +75,19 @@ class ExteriorMap:
 def ellipse_exterior_map(a: float, b: float) -> ExteriorMap:
     """Exterior uniformizer of the ellipse x^2/a^2 + y^2/b^2 = 1.
 
-    For a >= b the unit circle maps to a cos(t) + i b sin(t).  For a < b
-    the axes are swapped into the normalized horizontal-major form and the
-    ``rotated`` flag records that the original ellipse is i times the
-    image of the returned map.
+    F(z) = ((a + b) z + (a - b) / z) / 2 maps the unit circle to
+    a cos(t) + i b sin(t) for every a, b > 0; for a tall ellipse (a < b)
+    beta is negative.
     """
     if not (a > 0 and b > 0):
         raise ConfigError("semi-axes must be positive")
-    if a < b:
-        a, b = b, a
-        rotated = True
-    else:
-        rotated = False
-    return ExteriorMap(
-        gamma=complex((a + b) / 2.0),
-        center=0.0 + 0.0j,
-        beta=complex((a - b) / 2.0),
-        rotated=rotated,
-    )
+    return ExteriorMap(gamma=complex((a + b) / 2.0), beta=complex((a - b) / 2.0))
 
 
 def invert_exterior_map(fmap: ExteriorMap, w):
     """Preimage with |z| >= 1 of points outside (or on) the image curve.
 
-    Solves the quadratic gamma z^2 - (w - center) z + beta = 0 with a
+    Solves the quadratic gamma z^2 - w z + beta = 0 with a
     cancellation-free root split, keeps the larger-modulus root, and
     polishes it by Newton iteration; the residual |F(z) - w| must reach
     1e-12 relative to the point magnitude.  Points strictly inside the
@@ -116,12 +98,11 @@ def invert_exterior_map(fmap: ExteriorMap, w):
     single = w.ndim == 0
     ww = np.atleast_1d(w)
     gam, bet = fmap.gamma, fmap.beta
-    rhs = ww - fmap.center
-    disc = np.sqrt(rhs * rhs - 4.0 * gam * bet)
-    # avoid cancellation: align the square root with rhs before summing
-    flip = np.real(np.conj(rhs) * disc) < 0
+    disc = np.sqrt(ww * ww - 4.0 * gam * bet)
+    # avoid cancellation: align the square root with w before summing
+    flip = np.real(np.conj(ww) * disc) < 0
     disc = np.where(flip, -disc, disc)
-    big = 0.5 * (rhs + disc)
+    big = 0.5 * (ww + disc)
     with np.errstate(divide="ignore", invalid="ignore"):
         z1 = big / gam
         z2 = np.where(big != 0, bet / big, 0.0)
@@ -147,28 +128,19 @@ def hodograph_map(a: float, b: float, w):
     i * Im(w); off the boundary it is analytic with leading coefficient
     b/(a+b) at infinity, and its range omits the segment [-ib, ib].
     """
-    fmap = ellipse_exterior_map(a, b)
-    w = np.asarray(w, dtype=complex)
-    if fmap.rotated:
-        z = invert_exterior_map(fmap, w / 1j)
-        out = b * koebe(1j * np.asarray(z, dtype=complex))
-    else:
-        z = invert_exterior_map(fmap, w)
-        out = b * koebe(z)
-    out = np.asarray(out, dtype=complex)
+    out = np.asarray(b * koebe(invert_exterior_map(ellipse_exterior_map(a, b), w)))
     return complex(out) if out.ndim == 0 else out
 
 
-def leading_coefficient(a: float, b: float, radii=(10.0, 100.0, 1000.0)) -> float:
+def leading_coefficient(a: float, b: float) -> float:
     """Coefficient of w in the hodograph map at infinity, fitted numerically.
 
     The map is odd with a pure even expansion of psi(w)/w in 1/w^2, so a
-    polynomial fit in t = 1/w^2 through three radii recovers the leading
-    coefficient far below the requested tolerances.
+    polynomial fit in t = 1/w^2 through the radii (10, 100, 1000) max(a, b)
+    recovers the leading coefficient far below the requested tolerances at
+    any size of the ellipse.
     """
-    radii = np.asarray(radii, dtype=float)
-    if radii[0] <= max(a, b):
-        raise ConfigError("fit radii must lie outside the ellipse")
+    radii = np.array([10.0, 100.0, 1000.0]) * max(a, b)
     vals = np.array([hodograph_map(a, b, complex(r, 0.0)) / r for r in radii])
     t = 1.0 / radii**2
     coeffs = np.polynomial.polynomial.polyfit(t, np.real(vals), deg=2)
@@ -235,18 +207,15 @@ def slit_certificate(a: float, b: float, tol: float = 1e-10) -> dict:
     Fields of the ``hodograph`` report, in its order: the boundary identity
     on 512 points and the slit endpoints (against -ib, ib) must come within
     ``tol``, the univalence certificate of the map composed with the
-    exterior uniformizer (turned by i for a tall ellipse) must pass with
-    its rim within _RE_TOL of the imaginary axis, and the fitted leading
-    coefficient must come within 1e-4 of b/(a+b).
+    exterior uniformizer must pass with its rim within _RE_TOL of the
+    imaginary axis, and the fitted leading coefficient must come within
+    1e-4 of b/(a+b).
     """
     theta = 2 * np.pi * np.arange(512) / 512
     w = a * np.cos(theta) + 1j * b * np.sin(theta)
     boundary_dev = float(np.max(np.abs(hodograph_map(a, b, w) - 1j * np.imag(w))))
     fmap = ellipse_exterior_map(a, b)
-    turn = 1j if fmap.rotated else 1
-    cert = univalence_check(
-        lambda z: hodograph_map(a, b, turn * fmap(np.asarray(z, dtype=complex)))
-    )
+    cert = univalence_check(lambda z: hodograph_map(a, b, fmap(z)))
     lo, hi = (end["im"] for end in cert["slit"])
     slit_err = float(np.max([abs(lo + b), abs(hi - b)]))
     alpha, target = leading_coefficient(a, b), b / (a + b)

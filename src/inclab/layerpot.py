@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidShapeError, NearBoundaryError
-from .geometry import _CHUNK, BoundaryGrid, _pair_blocks, discretize
+from .geometry import _CHUNK, BoundaryGrid, _pair_blocks, _row_blocks, discretize
 
 
 def _guarded_blocks(grid: BoundaryGrid, points: np.ndarray):
@@ -85,11 +85,9 @@ def npo_matrix(grid: BoundaryGrid) -> np.ndarray:
     nu = grid.normals[:, 0] + 1j * grid.normals[:, 1]
     w = grid.weights / (2 * np.pi)
     mat = np.empty((grid.n, grid.n))
-    step = max(1, _CHUNK // grid.n)
-    for i0 in range(0, grid.n, step):
-        rows = slice(i0, i0 + step)
+    for rows in _row_blocks(grid.n, grid.n, _CHUNK):
         diff = z[rows, None] - z[None, :]
-        np.fill_diagonal(diff[:, i0:], 1.0)
+        np.fill_diagonal(diff[:, rows.start:], 1.0)
         np.multiply(np.divide(nu[rows, None], diff, out=diff).real, w, out=mat[rows])
     if grid.curvature is not None:
         np.fill_diagonal(mat, grid.curvature / (4 * np.pi) * grid.weights)

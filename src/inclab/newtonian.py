@@ -25,7 +25,8 @@ independent ways:
   boundary nodes.
 
 Where that precondition holds the routes agree to 1e-6, and they are
-cross-checked in the test suite, together with a brute midpoint oracle.
+cross-checked in the test suite, together with a brute midpoint oracle
+that lives there.
 
 For ellipsoids the interior potential is exactly quadratic with pure
 second-order coefficients a_j / 2, where a_j are the depolarization
@@ -57,9 +58,7 @@ from .geometry import (
     ShapeSpec,
     _RAY_CHUNK,
     _pair_blocks,
-    _rotation,
     _row_blocks,
-    _star_radius,
     discretize,
     interior_points,
 )
@@ -136,7 +135,7 @@ def _flux_u(r: np.ndarray, dim: int) -> np.ndarray:
 
 
 # Boundary resolution of the flux route per shape class; boxes have no grid.
-_FLUX_N = {Ellipse: 512, FourierStar: 512, Polygon: 48, Ellipsoid: (48, 96)}
+_FLUX_N = {Ellipse: 512, FourierStar: 512, Polygon: 48, Ellipsoid: 48}
 
 
 @lru_cache(maxsize=16)
@@ -227,9 +226,8 @@ def _polygon_radial_block(verts: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _box_inverse_distance(shape: Box, x: np.ndarray) -> float:
     """integral over the box of dy / |x - y|, corner-sum closed form."""
-    c = np.asarray(shape.center)
     h = np.asarray(shape.half)
-    lo, hi = c - h - x, c + h - x
+    lo, hi = -h - x, h - x
     total = 0.0
     for sx, X in ((-1.0, lo[0]), (1.0, hi[0])):
         for sy, Y in ((-1.0, lo[1]), (1.0, hi[1])):
@@ -261,8 +259,7 @@ def newtonian_potential(shape: ShapeSpec, points, method: str = "flux") -> np.nd
     """N(x) at interior points.
 
     ``method`` picks the evaluation route: "flux" (boundary reduction,
-    default), "radial" (point-centered product rule), or "midpoint"
-    (brute midpoint cells; oracle-grade accuracy only).  Boxes always use
+    default) or "radial" (point-centered product rule).  Boxes always use
     their closed form.  The radial route assumes every ray from each
     point leaves the shape exactly once; where one crosses the boundary
     more than once its value is wrong by the part of the ray it misses.
@@ -274,54 +271,7 @@ def newtonian_potential(shape: ShapeSpec, points, method: str = "flux") -> np.nd
         return _newtonian_flux(shape, points)
     if method == "radial":
         return _newtonian_radial(shape, points)
-    if method == "midpoint":
-        return _newtonian_midpoint(shape, points)
     raise ValueError(f"unknown method {method!r}")
-
-
-def _newtonian_midpoint(shape: ShapeSpec, points: np.ndarray) -> np.ndarray:
-    """Literal midpoint product rule mapped to the shape (test oracle)."""
-    if shape.dim == 2:
-        nr, na = 400, 1600
-        r = (np.arange(nr) + 0.5) / nr
-        t = 2 * np.pi * (np.arange(na) + 0.5) / na
-        Rg, Tg = np.meshgrid(r, t, indexing="ij")
-        if isinstance(shape, Ellipse):
-            rho = np.ones_like(Tg)
-            base = np.stack([np.cos(Tg), np.sin(Tg)], axis=-1)
-            R = _rotation(shape.rotation)
-            pts = (Rg[..., None] * base * np.array([shape.a, shape.b])) @ R.T + np.asarray(
-                shape.center
-            )
-            jac = Rg * shape.a * shape.b
-        elif isinstance(shape, FourierStar):
-            rad = _star_radius(shape, t)[None, :]
-            pts = np.stack([Rg * rad * np.cos(Tg), Rg * rad * np.sin(Tg)], axis=-1)
-            jac = Rg * rad**2
-        else:
-            raise InvalidShapeError("midpoint oracle covers ellipses and stars in 2D")
-        dA = jac * (1.0 / nr) * (2 * np.pi / na)
-        out = np.empty(len(points))
-        flat = pts.reshape(-1, 2)
-        w = dA.reshape(-1)
-        for i, x in enumerate(points):
-            r2 = ((x[None, :] - flat) ** 2).sum(-1)
-            out[i] = np.sum(np.log(r2) / (4 * np.pi) * w)
-        return out
-    if isinstance(shape, Ellipsoid):
-        n1 = 100  # 1e6 cells
-        u = (np.arange(n1) + 0.5) / n1
-        grid = np.stack(np.meshgrid(u, u, u, indexing="ij"), axis=-1).reshape(-1, 3)
-        c = np.array([shape.c1, shape.c2, shape.c3])
-        rel = (2 * grid - 1) * c
-        pts = rel[((rel / c) ** 2).sum(-1) < 1.0] + np.asarray(shape.center)
-        w = np.prod(2 * c) / n1**3
-        out = np.empty(len(points))
-        for i, x in enumerate(points):
-            r = np.linalg.norm(x[None, :] - pts, axis=1)
-            out[i] = np.sum(-1.0 / (4 * np.pi * r)) * w
-        return out
-    raise InvalidShapeError("midpoint oracle covers ellipsoids in 3D")
 
 
 # ---------------------------------------------------------------------------

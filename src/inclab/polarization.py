@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SolveError
-from .geometry import BoundaryGrid, ShapeSpec, _rotation
+from .geometry import BoundaryGrid, ShapeSpec
 from .newtonian import closed_form_factors
 from .transmission import Contrast, _as_contrast, _basis_densities
 
@@ -81,9 +81,9 @@ def polarization_tensor(grid: BoundaryGrid, k) -> PolarizationTensor:
 def closed_form_pt(shape: ShapeSpec, k) -> PolarizationTensor | None:
     """Closed-form polarization tensor of an ellipse or ellipsoid; None otherwise.
 
-    Diagonal in the axis frame with entries |Omega|/(1/(k-1) + a_j), where
-    a_j are the depolarization factors (finite for k up to the float
-    maximum); rotated ellipses are conjugated back into the ambient frame.
+    Diagonal, since the shape's axes are the coordinate axes, with entries
+    |Omega|/(1/(k-1) + a_j), where a_j are the depolarization factors
+    (finite for k up to the float maximum).
     """
     factors = closed_form_factors(shape)
     if factors is None:
@@ -91,9 +91,6 @@ def closed_form_pt(shape: ShapeSpec, k) -> PolarizationTensor | None:
     contrast = _as_contrast(k)
     vol = float(shape.measure())
     M = np.diag(vol / (1.0 / (contrast.k - 1.0) + factors))
-    if len(factors) == 2:
-        rot = _rotation(shape.rotation)
-        M = rot @ M @ rot.T
     return PolarizationTensor(M=M, k=contrast, volume=vol, asymmetry=0.0)
 
 
@@ -102,11 +99,12 @@ def pt_verdict(shape: ShapeSpec, pt: PolarizationTensor, tol: float = 1e-6) -> d
 
     The raw asymmetry must be at most ``tol``; on an ellipse or ellipsoid so
     must the largest entry-wise deviation from the closed form be at most 1e-6.
+    An M with a non-finite entry has NaN eigenvalues (``eigvalsh`` returns numbers).
     """
     out = {
         "volume": pt.volume,
         "M": pt.M,
-        "eigenvalues": np.linalg.eigvalsh(pt.M),
+        "eigenvalues": np.linalg.eigvalsh(pt.M) if np.isfinite(pt.M).all() else np.full(pt.dim, np.nan),
         "trace": float(np.trace(pt.M)),
         "asymmetry": pt.asymmetry,
         "asymmetry_tol": tol,

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -40,6 +41,23 @@ def test_parse_shape_inline_forms():
     assert parse_shape("star:1,3,0.2,0")[1] == FourierStar(1.0, ((3, 0.2, 0.0),))
     poly = parse_shape("polygon:0,0,2,0,0,1")[1]
     assert isinstance(poly, Polygon) and len(poly.vertices) == 3
+
+
+def _readme_shape_examples():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = re.search(r"file: `@shape.json` with one of\s+```json\n(.*?)```", fh.read(), re.S)
+    return [json.loads(line) for line in block.group(1).splitlines()]
+
+
+@pytest.mark.parametrize("example", _readme_shape_examples(), ids=lambda e: e["type"])
+def test_shape_fields_are_the_json_keys_of_the_grammar(tmp_path, example):
+    # a shape holds exactly what --shape can set: no placement or other
+    # field that no input reaches
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(example))
+    shape = parse_shape(f"@{path}")[1]
+    assert [f.name for f in dataclasses.fields(shape)] == [k for k in example if k != "type"]
 
 
 def test_parse_shape_rejects_malformed():
@@ -321,9 +339,10 @@ def test_hodograph_requires_ellipse(capsys):
     assert "ellipse" in err
 
 
-@pytest.mark.parametrize("a, b", [(2, 1), (1, 2), (0.7, 2.5)])
+@pytest.mark.parametrize("a, b", [(2, 1), (1, 2), (0.7, 2.5), (20, 10)])
 def test_hodograph_runs(capsys, a, b):
-    # a tall ellipse (b > a) goes through the rotated exterior map
+    # tall ellipses (b > a) too, and ellipses wider than 10, the smallest
+    # fit radius in units of the major semi-axis
     code, out, _ = _run(capsys, "hodograph", "--shape", f"ellipse:{a},{b}")
     assert code == 0
     rep = json.loads(out)

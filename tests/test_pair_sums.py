@@ -31,7 +31,7 @@ from inclab.newtonian import _flux_grid
 SHAPES = {
     "ellipse": (Ellipse(2.0, 1.0), 128, 0.3),
     "square": (Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))), 16, 0.15),
-    "ellipsoid": (Ellipsoid(2.0, 1.5, 1.0), (32, 64), 0.45),
+    "ellipsoid": (Ellipsoid(2.0, 1.5, 1.0), 32, 0.45),
 }
 CHUNKS = ["default", "split"]
 COUNT = 23  # targets; a prime, so no block size divides it

@@ -179,6 +179,7 @@ def test_verdicts_fail_on_a_nan_tensor():
     with np.errstate(invalid="ignore"):
         pt_rep, bounds_rep = pt_verdict(Ellipse(1.0, 1.0), pt), bounds_verdict(pt)
     assert pt_rep["passed"] is False
+    assert np.isnan(pt_rep["eigenvalues"]).all()
     assert np.isnan(pt_rep["closed_form_deviation"])
     assert bounds_rep["passed"] is False
     assert pt_verdict(Ellipse(1.0, 1.0), PolarizationTensor(
