@@ -31,7 +31,6 @@ from .geometry import (
     interior_points,
 )
 from .layerpot import (
-    green_identity_check,
     jump_check,
     npo_matrix,
     single_layer_eval,
@@ -105,7 +104,6 @@ __all__ = [
     "Polygon",
     "discretize",
     "interior_points",
-    "green_identity_check",
     "jump_check",
     "npo_matrix",
     "single_layer_eval",

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -94,7 +95,7 @@ def parse_shape(text: str) -> tuple[str, ShapeSpec]:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 payload = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also bad UTF-8 and over-long integers
                 raise ConfigError(f"--shape: invalid JSON in {path}: {exc}") from exc
         return _shape_from_json(payload, path)
     lowered = raw.lower()
@@ -139,26 +140,51 @@ def _build_shape(kind: str, v: list[float]) -> ShapeSpec:
         raise ConfigError(f"--shape: {exc}") from exc
 
 
-# JSON type -> its fields flattened into the inline parameter order
+# JSON type -> its fields in the inline parameter order, each one number
+# (None), a list of numbers (0), or a list of lists of w numbers (w)
 _JSON_FIELDS = {
-    "ellipse": lambda p: [p["a"], p["b"]],
-    "ellipsoid": lambda p: [p["c1"], p["c2"], p["c3"]],
-    "box": lambda p: list(p["half"]),
-    "polygon": lambda p: [v for x, y in p["vertices"] for v in (x, y)],
-    "star": lambda p: [p["r0"]] + [v for m, c, s in p["modes"] for v in (m, c, s)],
+    "ellipse": {"a": None, "b": None},
+    "ellipsoid": {"c1": None, "c2": None, "c3": None},
+    "box": {"half": 0},
+    "polygon": {"vertices": 2},
+    "star": {"r0": None, "modes": 3},
 }
 
 
 def _shape_from_json(payload, path: str) -> tuple[str, ShapeSpec]:
-    if not isinstance(payload, dict) or "type" not in payload:
-        raise ConfigError(f"--shape: {path} must be an object with a 'type' field")
+    """Shape from a parsed JSON file: the type's fields and no other key."""
+    _expect(isinstance(payload, dict) and "type" in payload,
+            f"--shape: {path} must be an object with a 'type' field")
     kind = str(payload["type"]).lower()
-    fields = _JSON_FIELDS.get(kind, lambda p: [])
-    try:
-        values = [float(v) for v in fields(payload)]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"--shape: malformed '{kind}' entry in {path}: {exc}") from exc
+    _expect(kind in _JSON_FIELDS, f"--shape: unknown shape type '{kind}'")
+    fields = _JSON_FIELDS[kind]
+    for key in payload:
+        _expect(key == "type" or key in fields, f"--shape: {kind} in {path} takes no key '{key}'")
+    values = []
+    for key, width in fields.items():
+        _expect(key in payload, f"--shape: {kind} in {path} needs key '{key}'")
+        values += _json_numbers(payload[key], width, f"'{key}' in {path}")
     return os.path.basename(path), _build_shape(kind, values)
+
+
+def _json_numbers(value, width, where: str) -> list[float]:
+    """One JSON field's numbers: the value itself (width None), its items
+    (0), or the items of each of its lists of exactly ``width`` items.
+    Booleans and strings are not numbers."""
+    items = [value] if width is None else value
+    _expect(isinstance(items, list), f"--shape: {where} must be a list")
+    if width:
+        _expect(all(isinstance(item, list) and len(item) == width for item in items),
+                f"--shape: {where} must hold lists of {width} numbers")
+        items = [v for item in items for v in item]
+    out = []
+    for v in items:
+        _expect(type(v) in (int, float), f"--shape: {where} holds {json.dumps(v)}, not a number")
+        try:
+            out.append(float(v))
+        except OverflowError:
+            raise ConfigError(f"--shape: {where} holds an integer beyond the float range") from None
+    return out
 
 
 def _parse_floats(text: str, flag: str) -> list[float]:
@@ -186,7 +212,8 @@ def _parse_lame(text: str) -> LameParams:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns the report dict; its "passed" sets the exit
+# subcommand handlers: each returns the report after its "command" field;
+# its "passed" sets the exit
 # ---------------------------------------------------------------------------
 
 
@@ -211,13 +238,13 @@ def _tensor(cfg: RunConfig):
 
 def _cmd_pt(cfg: RunConfig):
     verdict = pt_verdict(cfg.shape, _tensor(cfg), *cfg.tol_args)
-    return {"command": "pt", "shape": cfg.shape_label, "k": cfg.k, "n": cfg.nodes(), **verdict}
+    return {"shape": cfg.shape_label, "k": cfg.k, "n": cfg.nodes(), **verdict}
 
 
 def _cmd_bounds(cfg: RunConfig):
     verdict = bounds_verdict(_tensor(cfg), *cfg.tol_args)
     _expect(np.isfinite(verdict["trace_bound_rhs"]), f"--k: {cfg.k!r} puts the trace bound out of range")
-    return {"command": "bounds", "shape": cfg.shape_label, "k": cfg.k, "n": cfg.nodes(), **verdict}
+    return {"shape": cfg.shape_label, "k": cfg.k, "n": cfg.nodes(), **verdict}
 
 
 def _cmd_eshelby(cfg: RunConfig):
@@ -229,7 +256,6 @@ def _cmd_eshelby(cfg: RunConfig):
     except ResolutionError as exc:
         raise ConfigError(f"--n: {exc}") from exc
     return {
-        "command": "eshelby",
         "shape": cfg.shape_label,
         "ks": list(cfg.ks),
         "n": cfg.nodes(),
@@ -242,7 +268,7 @@ def _cmd_newtonian(cfg: RunConfig):
         verdict = quadratic_verdict(cfg.shape, *cfg.tol_args)
     except InvalidShapeError as exc:
         raise ConfigError(f"--shape: {exc}") from exc
-    return {"command": "newtonian", "shape": cfg.shape_label, **verdict}
+    return {"shape": cfg.shape_label, **verdict}
 
 
 def _cmd_elastic_identity(cfg: RunConfig):
@@ -254,7 +280,6 @@ def _cmd_elastic_identity(cfg: RunConfig):
     grid = discretize(shape, n)
     pts = interior_points(shape, 20, 0.3 * min(shape.c1, shape.c2, shape.c3))
     return {
-        "command": "elastic-identity",
         "shape": cfg.shape_label,
         "lame": asdict(lame),
         "kolosov_matrix": kolosov(lame.lam, lame.mu),
@@ -269,7 +294,7 @@ def _cmd_hodograph(cfg: RunConfig):
     if not isinstance(shape, Ellipse):
         raise ConfigError("--shape: hodograph requires an ellipse shape")
     cert = slit_certificate(shape.a, shape.b, *cfg.tol_args)
-    return {"command": "hodograph", "shape": cfg.shape_label, **cert}
+    return {"shape": cfg.shape_label, **cert}
 
 
 def _cmd_shapeopt(cfg: RunConfig):
@@ -291,7 +316,6 @@ def _cmd_shapeopt(cfg: RunConfig):
     with open(svg_path, "w", encoding="utf-8") as fh:
         fh.write(overlay_svg(problem, trace, start))
     return {
-        "command": "shapeopt",
         "k": cfg.k,
         "area": problem.area,
         "modes": problem.m_max,
@@ -312,18 +336,39 @@ def _cmd_suite(cfg: RunConfig):
     from .acceptance import run_all
 
     records = run_all(seed=cfg.seed)
-    return {"command": "suite", "criteria": records, "passed": all(r["passed"] for r in records)}
+    return {"criteria": records, "passed": all(r["passed"] for r in records)}
 
 
-_HANDLERS = {
-    "pt": _cmd_pt,
-    "bounds": _cmd_bounds,
-    "eshelby": _cmd_eshelby,
-    "newtonian": _cmd_newtonian,
-    "elastic-identity": _cmd_elastic_identity,
-    "hodograph": _cmd_hodograph,
-    "shapeopt": _cmd_shapeopt,
-    "suite": _cmd_suite,
+@dataclass(frozen=True)
+class _Command:
+    """A subcommand: handler, help, the only flags it takes, --shape default, --k help."""
+
+    handler: Callable[[RunConfig], dict]
+    help: str
+    flags: str
+    shape: str | None = None
+    k_help: str = "conductivity contrast"
+
+
+_COMMANDS = {
+    "pt": _Command(_cmd_pt, "polarization tensor of a shape", "--shape --k --n --tol --out"),
+    "bounds": _Command(_cmd_bounds, "trace bounds and their slack", "--shape --k --n --tol --out"),
+    "eshelby": _Command(
+        _cmd_eshelby,
+        "interior-field uniformity table",
+        "--shape --k --n --tol --out --format",
+        k_help="conductivity contrast (comma list allowed)",
+    ),
+    "newtonian": _Command(_cmd_newtonian, "quadratic interior-potential fit", "--shape --tol --out"),
+    "elastic-identity": _Command(
+        _cmd_elastic_identity,
+        "elastic single-layer trace identities",
+        "--shape --lame --n --tol --out",
+        shape="ellipsoid:2,1.5,1",
+    ),
+    "hodograph": _Command(_cmd_hodograph, "slit-map certificate for an ellipse", "--shape --tol --out"),
+    "shapeopt": _Command(_cmd_shapeopt, "trace-minimizing shape search", "--k --n --tol --out"),
+    "suite": _Command(_cmd_suite, "full acceptance battery", "--seed --out"),
 }
 
 
@@ -338,19 +383,16 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, flags, shape=None, k_help="conductivity contrast"):
-        """Subcommand ``name`` taking only the options in ``flags``; ``shape``
-        is the --shape default (required when None)."""
+    for name, cmd in _COMMANDS.items():
         options = {
             "--shape": dict(
-                required=shape is None,
-                default=shape,
+                required=cmd.shape is None,
+                default=cmd.shape,
                 help="inline form 'type:params' (ellipse:a,b, ellipsoid:c1,c2,c3, "
                 "box:h1,h2,h3, polygon:x1,y1,..., star:r0,m,c,s[,...]), an alias "
                 "(disk, square, kite, star), or @file.json",
             ),
-            "--k": dict(default="3", help=k_help),
+            "--k": dict(default="3", help=cmd.k_help),
             "--lame": dict(default=None, help="lam,mu,lam_inc,mu_inc"),
             "--n": dict(type=int, default=None, help="boundary resolution"),
             "--tol": dict(type=float, default=None, help="check tolerance"),
@@ -360,28 +402,9 @@ def _build_parser() -> argparse.ArgumentParser:
             ),
             "--seed": dict(type=int, default=0, help="seed for sampled checks"),
         }
-        p = sub.add_parser(name, help=help_text)
-        for flag in flags.split():
+        p = sub.add_parser(name, help=cmd.help)
+        for flag in cmd.flags.split():
             p.add_argument(flag, **options[flag])
-
-    add("pt", "polarization tensor of a shape", "--shape --k --n --tol --out")
-    add("bounds", "trace bounds and their slack", "--shape --k --n --tol --out")
-    add(
-        "eshelby",
-        "interior-field uniformity table",
-        "--shape --k --n --tol --out --format",
-        k_help="conductivity contrast (comma list allowed)",
-    )
-    add("newtonian", "quadratic interior-potential fit", "--shape --tol --out")
-    add(
-        "elastic-identity",
-        "elastic single-layer trace identities",
-        "--shape --lame --n --tol --out",
-        shape="ellipsoid:2,1.5,1",
-    )
-    add("hodograph", "slit-map certificate for an ellipse", "--shape --tol --out")
-    add("shapeopt", "trace-minimizing shape search", "--k --n --tol --out")
-    add("suite", "full acceptance battery", "--seed --out")
     return parser
 
 
@@ -441,7 +464,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _make_config(args)
-        report = _HANDLERS[cfg.command](cfg)
+        report = {"command": cfg.command, **_COMMANDS[cfg.command].handler(cfg)}
     except (ConfigError, InvalidShapeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,8 @@ argument for ellipsoids.
 Both sides of each identity are evaluated literally: the right-hand sides
 use the plain positive kernel 1/(4 pi |x-y|), making the checks independent
 of any global sign convention chosen elsewhere for harmonic layer
-potentials.
+potentials.  Every 3D surface sum lives here: the Kelvin layer, the plain
+moment (the 3D single layer is its negative) and the Green identity.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidShapeError
 from .geometry import BoundaryGrid
-from .layerpot import _green_sides, _guarded_blocks
+from .layerpot import _guarded_blocks
 
 __all__ = [
     "LameParams",
@@ -157,6 +158,22 @@ def plain_kernel_moment(grid: BoundaryGrid, values: np.ndarray, points) -> np.nd
         out[rows] = (1.0 / np.sqrt(r2)) @ wvals
     out /= 4 * np.pi
     return out if values.ndim == 2 else out[:, 0]
+
+
+def _green_sides(grid: BoundaryGrid, points: np.ndarray):
+    """Both sides, (m, 3) each, of the Green identity for x strictly inside
+
+        int (x_j - y_j) <x - y, n(y)> / |x-y|^3 dsigma(y) = - int n_j(y) / |x-y| dsigma(y);
+
+    guarded, and the caller judges the residual."""
+    lhs = np.empty_like(points)
+    rhs = np.empty_like(points)
+    for rows, dx, r2 in _guarded_blocks(grid, points):
+        r = np.sqrt(r2)
+        flux = np.einsum("jps,sj->ps", dx, grid.normals) / r**3
+        lhs[rows] = ((dx * flux) @ grid.weights).T
+        rhs[rows] = -(1.0 / r) @ (grid.normals * grid.weights[:, None])
+    return lhs, rhs
 
 
 def _relative(lhs: np.ndarray, rhs: np.ndarray, floor: float) -> float:

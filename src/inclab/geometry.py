@@ -8,8 +8,8 @@ adds nothing to check.  Each class carries its own geometry:
 ``default_margin`` and ``boundary_grid``, plus ``outline`` on the 2D
 shapes, ``curve_frame`` on the smooth curves, and ``ray_exit`` (where
 rays from interior points leave the shape) on ellipses, stars and
-ellipsoids.  Callers use these methods directly; the module function
-``discretize`` calls ``boundary_grid``.
+ellipsoids; ``_Quadric`` holds the one copy that ellipses and ellipsoids
+share.  Callers use these methods directly; ``discretize`` calls ``boundary_grid``.
 
 ``discretize`` turns a shape into a quadrature-ready boundary grid:
 equispaced-parameter trapezoid nodes for smooth curves (spectrally
@@ -22,7 +22,7 @@ positive and sum to the surface measure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
@@ -82,11 +82,53 @@ class _SmoothCurve(_PlaneShape):
         t = 2 * np.pi * np.arange(n) / n
         p, normals, speed, kappa = self.curve_frame(t)
         w = speed * (2 * np.pi / n)
-        return BoundaryGrid(self, p, normals, w, params=t, speed=speed, curvature=kappa)
+        return BoundaryGrid(self, p, normals, w, params=t, curvature=kappa)
+
+
+class _Quadric:
+    """Ellipse and ellipsoid geometry, read from their fields (a, b) or (c1, c2, c3)."""
+
+    @property
+    def semi_axes(self) -> np.ndarray:
+        return np.array([getattr(self, f.name) for f in fields(self)])
+
+    def scale(self) -> float:
+        return float(np.max(self.semi_axes))
+
+    def center_point(self) -> np.ndarray:
+        return np.zeros(self.dim)
+
+    def bbox(self) -> tuple[np.ndarray, np.ndarray]:
+        c = self.semi_axes
+        return -c, c
+
+    def margin_ok(self, pts: np.ndarray, margin: float) -> np.ndarray:
+        # analytic bound: the clearance is at least min(c) (1 - rho)
+        c = self.semi_axes
+        rho = np.sqrt(((pts / c) ** 2).sum(axis=1))
+        return np.min(c) * (1.0 - rho) >= margin - _MARGIN_SLACK * self.scale()
+
+    def default_margin(self) -> float:
+        return 0.25 * float(np.min(self.semi_axes))
+
+    def ray_exit(self, points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+        """Distance t > 0 with sum_i ((q_i + t d_i) / c_i)^2 = 1 from each
+        interior point q along each unit direction d, (len(points), len(dirs))."""
+        inv = 1.0 / self.semi_axes
+        # component by component: long inner loops, and each entry of B is
+        # independent of how many points share the call
+        qa = points * inv
+        da = [dirs[:, j] * inv[j] for j in range(len(inv))]
+        A = sum(c * c for c in da)
+        B = 2.0 * sum(np.multiply.outer(qj, dj) for qj, dj in zip(qa.T, da))
+        C = (qa * qa).sum(-1)[:, None] - 1.0
+        root = np.sqrt(B * B - 4.0 * A * C)
+        # C < 0 inside, so root > |B|; the second form avoids cancellation for B > 0
+        return np.where(B > 0, -2.0 * C / (B + root), (root - B) / (2.0 * A))
 
 
 @dataclass(frozen=True)
-class Ellipse(_SmoothCurve):
+class Ellipse(_Quadric, _SmoothCurve):
     """Ellipse x^2/a^2 + y^2/b^2 = 1 with semi-axes ``a``, ``b``."""
 
     a: float
@@ -108,20 +150,6 @@ class Ellipse(_SmoothCurve):
     def measure(self) -> float:
         return np.pi * self.a * self.b
 
-    def scale(self) -> float:
-        return max(self.a, self.b)
-
-    def center_point(self) -> np.ndarray:
-        return np.zeros(2)
-
-    def margin_ok(self, pts: np.ndarray, margin: float) -> np.ndarray:
-        # analytic bound: the clearance is at least min(a, b) (1 - rho)
-        rho = np.sqrt((pts[:, 0] / self.a) ** 2 + (pts[:, 1] / self.b) ** 2)
-        return min(self.a, self.b) * (1.0 - rho) >= margin - _MARGIN_SLACK * self.scale()
-
-    def default_margin(self) -> float:
-        return 0.25 * min(self.a, self.b)
-
     def boundary_grid(self, n) -> BoundaryGrid:
         # the trapezoid rule on an ellipse converges like rho^n with
         # rho = |a - b| / (a + b); at rho^n >= 1/2 the grid resolves no digit
@@ -133,11 +161,6 @@ class Ellipse(_SmoothCurve):
             )
         _check_lengths("ellipse semi-axes", (self.a, self.b))
         return super().boundary_grid(n)
-
-    def ray_exit(self, points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-        """Distance from each interior point along each unit direction to the
-        curve, shape (len(points), len(dirs))."""
-        return _quadric_exit(points, dirs, (self.a, self.b))
 
 
 @dataclass(frozen=True)
@@ -338,7 +361,7 @@ class FourierStar(_SmoothCurve):
 
 
 @dataclass(frozen=True)
-class Ellipsoid:
+class Ellipsoid(_Quadric):
     """Axis-aligned ellipsoid with semi-axes ``c1, c2, c3 > 0``."""
 
     dim: ClassVar[int] = 3
@@ -354,30 +377,6 @@ class Ellipsoid:
 
     def measure(self) -> float:
         return 4.0 / 3.0 * np.pi * self.c1 * self.c2 * self.c3
-
-    def scale(self) -> float:
-        return max(self.c1, self.c2, self.c3)
-
-    def center_point(self) -> np.ndarray:
-        return np.zeros(3)
-
-    def bbox(self) -> tuple[np.ndarray, np.ndarray]:
-        c = np.array([self.c1, self.c2, self.c3])
-        return -c, c
-
-    def margin_ok(self, pts: np.ndarray, margin: float) -> np.ndarray:
-        # analytic bound: the clearance is at least min(c) (1 - rho)
-        c = np.array([self.c1, self.c2, self.c3])
-        rho = np.sqrt(((pts / c) ** 2).sum(axis=1))
-        return np.min(c) * (1.0 - rho) >= margin - _MARGIN_SLACK * self.scale()
-
-    def default_margin(self) -> float:
-        return 0.25 * min(self.c1, self.c2, self.c3)
-
-    def ray_exit(self, points: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-        """Distance from each interior point along each unit direction to the
-        surface, shape (len(points), len(dirs))."""
-        return _quadric_exit(points, dirs, (self.c1, self.c2, self.c3))
 
     def boundary_grid(self, n) -> BoundaryGrid:
         n_pol, n_az = int(n), 2 * int(n)
@@ -459,7 +458,6 @@ class BoundaryGrid:
     weights : (n,) positive quadrature weights, summing to the measure of
         the boundary
     params : (n,) parameter values (smooth 2D curves only)
-    speed : (n,) parametrization speed |dy/dt| (smooth 2D curves only)
     curvature : (n,) signed curvature (smooth 2D curves only; positive on
         convex arcs of a counterclockwise curve)
     spacing : (n,) distance to the nearest neighboring node, used by the
@@ -471,7 +469,6 @@ class BoundaryGrid:
     normals: np.ndarray
     weights: np.ndarray
     params: np.ndarray | None = None
-    speed: np.ndarray | None = None
     curvature: np.ndarray | None = None
     spacing: np.ndarray = field(default=None)  # type: ignore[assignment]
 
@@ -538,23 +535,6 @@ def _star_radius_derivs(shape: FourierStar, t: np.ndarray):
         r1 += m * (-c * sm + s * cm)
         r2 += m * m * (-c * cm - s * sm)
     return shape.r0 * r, shape.r0 * r1, shape.r0 * r2
-
-
-def _quadric_exit(q: np.ndarray, dirs: np.ndarray, semi_axes) -> np.ndarray:
-    """Positive root t of sum_i ((q_i + t d_i) / s_i)^2 = 1 for every point q
-    inside the axis-aligned ellipse or ellipsoid with semi-axes s and every
-    direction d, shape (len(q), len(dirs))."""
-    inv = 1.0 / np.asarray(semi_axes, dtype=float)
-    # component by component: long inner loops, and each entry of B is
-    # independent of how many points share the call
-    qa = q * inv
-    da = [dirs[:, j] * inv[j] for j in range(len(inv))]
-    A = sum(c * c for c in da)
-    B = 2.0 * sum(np.multiply.outer(qj, dj) for qj, dj in zip(qa.T, da))
-    C = (qa * qa).sum(-1)[:, None] - 1.0
-    root = np.sqrt(B * B - 4.0 * A * C)
-    # C < 0 inside, so root > |B|; the second form avoids cancellation for B > 0
-    return np.where(B > 0, -2.0 * C / (B + root), (root - B) / (2.0 * A))
 
 
 def _outward_normals(d1: np.ndarray, speed: np.ndarray) -> np.ndarray:

@@ -1,16 +1,16 @@
-"""Single-layer potentials and the boundary trace operator.
+"""Single-layer potentials and the boundary trace operator on 2D grids.
 
 Conventions: the fundamental solution G satisfies (Laplacian G) = delta,
-so G(x) = (1/2 pi) log|x| in 2D and G(x) = -1/(4 pi |x|) in 3D.  The
-single layer is S[phi](x) = integral G(x - y) phi(y) dsigma(y), its normal
-derivative jumps by the density,
+so G(x) = (1/2 pi) log|x|.  The single layer is S[phi](x) = integral
+G(x - y) phi(y) ds(y), its normal derivative jumps by the density,
 
     dS[phi]/dn (one-sided) = (+-1/2 I + K*) phi,
 
-and K* is the trace operator with kernel <x - y, n(x)> / (omega_d |x-y|^d).
-On the unit sphere K*[n_j] = n_j / 6 and on any ellipse K*[n_j] =
-(1/2 - a_j) n_j with a_j the depolarization factors; these anchors pin the
-sign convention of every routine here.
+and K* is the trace operator with kernel <x - y, n(x)> / (2 pi |x-y|^2).
+On any ellipse K*[n_j] = (1/2 - a_j) n_j with a_j the depolarization
+factors; this anchor pins the sign convention of every routine here.  The
+3D surface sums (the single layer with kernel 1/(4 pi |x - y|), the Kelvin
+layer and the Green identity) live in ``elastostatics``.
 """
 
 from __future__ import annotations
@@ -37,30 +37,31 @@ def _guarded_blocks(grid: BoundaryGrid, points: np.ndarray):
         yield rows, dx, r2
 
 
+def _plane(grid: BoundaryGrid):
+    """Refuse a 3D grid; ``elastostatics`` holds the 3D surface sums."""
+    if grid.dim != 2:
+        raise InvalidShapeError("layer potentials and K* are evaluated on 2D grids only")
+
+
 def single_layer_eval(grid: BoundaryGrid, phi: np.ndarray, points: np.ndarray) -> np.ndarray:
     """S[phi] at off-boundary points (guarded against near-boundary loss)."""
+    _plane(grid)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     q = phi * grid.weights
     out = np.empty(len(points))
     for rows, _, r2 in _guarded_blocks(grid, points):
-        if grid.dim == 2:
-            out[rows] = (np.log(r2) / (4 * np.pi)) @ q
-        else:
-            out[rows] = (-1.0 / (4 * np.pi * np.sqrt(r2))) @ q
+        out[rows] = (np.log(r2) / (4 * np.pi)) @ q
     return out
 
 
 def single_layer_gradient(grid: BoundaryGrid, phi: np.ndarray, points: np.ndarray) -> np.ndarray:
     """grad S[phi] at off-boundary points (guarded)."""
+    _plane(grid)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     q = phi * grid.weights
-    out = np.empty((len(points), grid.dim))
+    out = np.empty((len(points), 2))
     for rows, dx, r2 in _guarded_blocks(grid, points):
-        if grid.dim == 2:
-            ker = 1.0 / (2 * np.pi * r2)
-        else:
-            ker = 1.0 / (4 * np.pi * r2 * np.sqrt(r2))
-        dx *= ker
+        dx *= 1.0 / (2 * np.pi * r2)
         out[rows] = (dx @ q).T
     return out
 
@@ -79,8 +80,7 @@ def npo_matrix(grid: BoundaryGrid) -> np.ndarray:
     at most max(2^17, n) entries, so the complex temporary never holds the
     whole matrix.  A 3D grid raises InvalidShapeError.
     """
-    if grid.dim != 2:
-        raise InvalidShapeError("K* matrices are assembled for 2D grids only")
+    _plane(grid)
     z = grid.nodes[:, 0] + 1j * grid.nodes[:, 1]
     nu = grid.normals[:, 0] + 1j * grid.normals[:, 1]
     w = grid.weights / (2 * np.pi)
@@ -189,35 +189,3 @@ def jump_check(grid: BoundaryGrid, phi: np.ndarray) -> float:
     kphi = npo_matrix(grid) @ phi
     limits = np.stack([kphi + 0.5 * phi, kphi - 0.5 * phi])
     return float(np.max(np.abs(_one_sided_derivatives(grid, phi) - limits)))
-
-
-# ---------------------------------------------------------------------------
-# Green identity on closed surfaces
-
-def green_identity_check(grid: BoundaryGrid, points: np.ndarray) -> float:
-    """Residual of the closed-surface identity
-
-        int (x_j - y_j) <x - y, n(y)> / |x-y|^3 dsigma(y)
-            = - int n_j(y) / |x-y| dsigma(y),
-
-    valid for x strictly inside; returns the max absolute residual over
-    the requested interior points and components j.
-    """
-    if grid.dim != 3:
-        raise InvalidShapeError("the identity is checked on 3D surface grids")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    lhs, rhs = _green_sides(grid, points)
-    return float(np.max(np.abs(lhs - rhs)))
-
-
-def _green_sides(grid: BoundaryGrid, points: np.ndarray):
-    """Both integrals of ``green_identity_check`` at each point, (m, 3) each;
-    guarded, and the caller judges the residual."""
-    lhs = np.empty_like(points)
-    rhs = np.empty_like(points)
-    for rows, dx, r2 in _guarded_blocks(grid, points):
-        r = np.sqrt(r2)
-        flux = np.einsum("jps,sj->ps", dx, grid.normals) / r**3
-        lhs[rows] = ((dx * flux) @ grid.weights).T
-        rhs[rows] = -(1.0 / r) @ (grid.normals * grid.weights[:, None])
-    return lhs, rhs

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InvalidShapeError
-from .geometry import FourierStar, ShapeSpec, discretize
+from .geometry import FourierStar, discretize
 from .layerpot import tangential_derivative
 from .polarization import bounds_verdict, minimal_trace_target, polarization_tensor
 from .transmission import Contrast, _as_contrast
@@ -241,36 +241,27 @@ def disk_verdict(problem: OptProblem, trace: OptTrace, gap_tol: float = 1e-3) ->
 def bound_gap_scan(shapes, k, n: int = 256) -> list[dict]:
     """Trace and inverse-trace-bound slack for a batch of shapes.
 
-    One record per shape with the tensor trace, its eigenvalue pair, and
-    the slack of the inverse-trace bound — the numerical face of the
-    fact that ellipses sit on the bound curve and everything else sits
-    strictly inside.
+    One record per shape with the tensor trace, its eigenvalue pair, the
+    slack of the inverse-trace bound and whether ``bounds_verdict`` passed
+    — the numerical face of the fact that ellipses sit on the bound curve
+    and everything else sits strictly inside.
     """
     records = []
     for shape in shapes:
-        grid = discretize(shape, n)
-        pt = polarization_tensor(grid, k)
+        pt = polarization_tensor(discretize(shape, n), k)
         report = bounds_verdict(pt)
         eigs = np.sort(np.linalg.eigvalsh(pt.M))
         records.append(
             {
-                "label": _label(shape),
                 "tr_M": float(np.trace(pt.M)),
                 "eig_low": float(eigs[0]),
                 "eig_high": float(eigs[-1]),
                 "slack2": report["slack2"],
                 "saturated2": report["saturated2"],
+                "passed": report["passed"],
             }
         )
     return records
-
-
-def _label(shape: ShapeSpec) -> str:
-    name = type(shape).__name__
-    if isinstance(shape, FourierStar):
-        ms = ",".join(str(m) for m, _, _ in shape.modes)
-        return f"{name}(modes={ms})"
-    return name
 
 
 def overlay_svg(problem: OptProblem, trace: OptTrace, initial_coeffs) -> str:

@@ -94,12 +94,22 @@ def test_parse_shape_from_json_file(tmp_path):
         ("box.json", '{"type": "box", "half": [0.5, 0.5]}', "--shape: box takes h1,h2,h3"),
         ("cw.json", '{"type":"polygon","vertices":[[0,0],[0,1],[1,1],[1,0]]}',
          "--shape: polygon vertices must be counterclockwise"),
+        # JSON numbers only, in lists of the documented arity, and no other key
+        ("str.json", '{"type":"box","half":"123"}', "--shape: 'half' in {} must be a list"),
+        ("digits.json", '{"type":"polygon","vertices":["00","10","01"]}',
+         "--shape: 'vertices' in {} must hold lists of 2 numbers"),
+        ("bool.json", '{"type":"ellipse","a":true,"b":1}',
+         "--shape: 'a' in {} holds true, not a number"),
+        ("extra.json", '{"type":"ellipse","a":2,"b":1,"c":9}',
+         "--shape: ellipse in {} takes no key 'c'"),
+        ("long.json", '{"type":"ellipse","a":1' + "0" * 400 + ',"b":1}',
+         "--shape: 'a' in {} holds an integer beyond the float range"),
     ):
         path = tmp_path / name
         path.write_text(text)
         with pytest.raises(ConfigError) as info:
             parse_shape(f"@{path}")
-        assert str(info.value) == message
+        assert str(info.value) == message.format(path)
 
 
 def test_pt_passes_on_ellipse(capsys):
@@ -387,6 +397,31 @@ def test_out_directory_written(capsys, tmp_path):
         assert fh.read() == out
 
 
+def test_suite_prints_one_line_per_criterion_and_writes_them(capsys, tmp_path):
+    code, out, _ = _run(capsys, "suite", "--out", str(tmp_path))
+    assert code == 1
+    line = re.compile(r"criterion (\d\d) (PASS|FAIL) [^:\n]+: [^\n]+")
+    verdicts = [line.fullmatch(text).groups() for text in out.splitlines()]
+    assert [int(cid) for cid, _ in verdicts] == list(range(1, 15))
+    # criterion 02 fails by design (a strict xfail in test_acceptance)
+    assert [cid for cid, verdict in verdicts if verdict == "FAIL"] == ["02"]
+    assert (tmp_path / "suite.txt").read_text(encoding="utf-8") == out
+
+
+def test_shapeopt_finds_the_disk_and_writes_its_artifacts(capsys, tmp_path):
+    code, out, _ = _run(capsys, "shapeopt", "--k", "3", "--out", str(tmp_path))
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["passed"] is True and rep["converged"] is True
+    with open(rep["trace_file"], encoding="utf-8") as fh:
+        records = [json.loads(text) for text in fh]
+    assert [r["eval"] for r in records] == list(range(rep["evaluations"]))
+    assert rep["trace_file"] == str(tmp_path / "shapeopt_trace.jsonl")
+    svg = (tmp_path / "shapeopt_overlay.svg").read_text(encoding="utf-8")
+    # the initial, optimized and target-disk outlines
+    assert svg.count("<polygon ") == 3
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize is imported by the shape search only, not by the CLI
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -491,13 +526,14 @@ _WRONG_TYPES = st.sampled_from(["x", None, True, [], {}, [["a", 1]], [1.0]])
 
 
 def _payload(kind, values, damage, index, wrong):
+    """The payload, and whether it was damaged (so must be refused)."""
     fields = _JSON_PAYLOADS[kind](values)
     key = sorted(fields)[index % len(fields)]
     if damage == "drop":
         del fields[key]
     elif damage == "type":
         fields[key] = wrong
-    return {"type": kind, **fields}
+    return {"type": kind, **fields}, damage != "none"
 
 
 _JSON = st.builds(
@@ -531,12 +567,15 @@ _SHAPE_TEXT = st.one_of(
 @example(command="pt", shape="ellipse:1e154,1e154")
 @example(command="bounds", shape="ellipse:1e154,1e154")
 @example(command="pt", shape="polygon:0,0,1e154,0,1e154,1e154,0,1e154")
+@example(command="pt", shape=({"type": "ellipse", "a": True, "b": 1.0}, True))
 def test_any_shape_ends_in_a_finite_report_or_a_refusal_naming_shape(command, shape):
+    damaged = False
     with tempfile.TemporaryDirectory() as tmp:
-        if isinstance(shape, dict):
+        if isinstance(shape, tuple):
+            payload, damaged = shape
             path = os.path.join(tmp, "shape.json")
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump(shape, fh)
+                json.dump(payload, fh)
             shape = f"@{path}"
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -544,6 +583,8 @@ def test_any_shape_ends_in_a_finite_report_or_a_refusal_naming_shape(command, sh
                 code = run([command, "--shape", shape])
             except SystemExit as exc:  # argparse refuses a value that looks like a flag
                 code = exc.code
+    if damaged:
+        assert code == 2 and "--shape" in err.getvalue(), (code, err.getvalue())
     if code == 2:
         assert "--shape" in err.getvalue() or "--n" in err.getvalue(), err.getvalue()
         return

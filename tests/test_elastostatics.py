@@ -12,8 +12,10 @@ from inclab import (
     interior_points,
     kelvin_matrix,
     kolosov,
+    plain_kernel_moment,
     trace_identity_check,
 )
+from inclab.elastostatics import _green_sides
 
 lam_s = st.floats(0.2, 5.0)
 mu_s = st.floats(0.2, 5.0)
@@ -105,6 +107,23 @@ def test_trace_identities_on_ellipsoid():
         "residual_inverse_distance",
     ]
     assert all(value <= 1e-6 for value in rep.values())
+
+
+def test_green_identity_inside_ellipsoid():
+    shape = Ellipsoid(2.0, 1.5, 1.0)
+    grid = discretize(shape, 48)
+    pts = interior_points(shape, 8, 0.55)
+    lhs, rhs = _green_sides(grid, pts.points)
+    assert np.max(np.abs(lhs - rhs)) <= 1e-6
+
+
+def test_plain_kernel_moment_at_sphere_center():
+    # the unit density against 1/(4 pi |x - y|) on a sphere of radius R, at
+    # its center: surface area / (4 pi R) = R; the 3D single layer is its negative
+    R = 2.0
+    grid = discretize(Ellipsoid(R, R, R), 32)
+    val = plain_kernel_moment(grid, np.ones(grid.n), np.zeros((1, 3)))[0]
+    assert val == pytest.approx(R, rel=1e-10)
 
 
 def test_equal_phase_difference_vanishes_identically():

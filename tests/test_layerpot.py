@@ -10,7 +10,6 @@ from inclab import (
     NearBoundaryError,
     Polygon,
     discretize,
-    green_identity_check,
     jump_check,
     layerpot,
     npo_matrix,
@@ -107,15 +106,6 @@ def test_tangential_derivative_refuses_odd_and_polygon_grids(square_grid):
         layerpot.tangential_derivative(discretize(Ellipse(1.0, 1.0), 255), np.ones(255))
     with pytest.raises(InvalidShapeError):
         layerpot.tangential_derivative(square_grid, np.ones(square_grid.n))
-
-
-def test_green_identity_inside_ellipsoid():
-    from inclab import interior_points
-
-    shape = Ellipsoid(2.0, 1.5, 1.0)
-    grid = discretize(shape, 48)
-    pts = interior_points(shape, 8, 0.55)
-    assert green_identity_check(grid, pts.points) <= 1e-6
 
 
 @settings(max_examples=10, deadline=None)
@@ -226,11 +216,14 @@ def test_near_boundary_guard():
         single_layer_eval(grid, phi, close[None, :])
 
 
-def test_three_dimensional_single_layer_matches_inverse_distance():
-    # unit-density single layer on a sphere of radius R at the center:
-    # surface area / (4 pi R) with the negative kernel sign
-    R = 2.0
-    grid = discretize(Ellipsoid(R, R, R), 32)
-    phi = np.ones(grid.n)
-    val = single_layer_eval(grid, phi, np.zeros((1, 3)))[0]
-    assert val == pytest.approx(-R, rel=1e-10)
+def test_layer_sums_refuse_3d_grids():
+    # the 3D surface sums live in elastostatics
+    grid = discretize(Ellipsoid(2.0, 1.5, 1.0), 16)
+    phi, pts = np.ones(grid.n), np.zeros((1, 3))
+    for call in (
+        lambda: single_layer_eval(grid, phi, pts),
+        lambda: single_layer_gradient(grid, phi, pts),
+        lambda: npo_matrix(grid),
+    ):
+        with pytest.raises(InvalidShapeError):
+            call()

@@ -19,13 +19,15 @@ from inclab import (
     discretize,
     elastic_single_layer,
     interior_points,
+    kelvin_matrix,
     newtonian_potential,
     plain_kernel_moment,
     single_layer_eval,
     single_layer_gradient,
 )
 from inclab import geometry
-from inclab.layerpot import _green_sides, _one_sided_derivatives, upsample_periodic
+from inclab.elastostatics import _green_sides
+from inclab.layerpot import _one_sided_derivatives, upsample_periodic
 from inclab.newtonian import _flux_grid
 
 SHAPES = {
@@ -65,16 +67,13 @@ def _density(grid):
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)
-@pytest.mark.parametrize("name", list(SHAPES))
+@pytest.mark.parametrize("name", ["ellipse", "square"])
 def test_single_layer_and_gradient_match_per_point_sums(monkeypatch, name, chunk):
+    # 2D only: the 3D single layer is -plain_kernel_moment, checked below
     grid, pts = _setup(monkeypatch, name, chunk)
     q = _density(grid) * grid.weights
-    if grid.dim == 2:
-        value = lambda dx, r: np.sum(np.log(r) / (2 * np.pi) * q)
-        grad = lambda dx, r: (dx * (q / (2 * np.pi * r**2))[:, None]).sum(axis=0)
-    else:
-        value = lambda dx, r: np.sum(-q / (4 * np.pi * r))
-        grad = lambda dx, r: (dx * (q / (4 * np.pi * r**3))[:, None]).sum(axis=0)
+    value = lambda dx, r: np.sum(np.log(r) / (2 * np.pi) * q)
+    grad = lambda dx, r: (dx * (q / (2 * np.pi * r**2))[:, None]).sum(axis=0)
     _assert_close(single_layer_eval(grid, _density(grid), pts), _per_point(pts, grid.nodes, value))
     _assert_close(
         single_layer_gradient(grid, _density(grid), pts), _per_point(pts, grid.nodes, grad)
@@ -129,17 +128,11 @@ def test_surface_sums_match_per_point_sums(monkeypatch, chunk):
         rhs, _per_point(pts, grid.nodes, lambda dx, r: -(grid.normals * (w / r)[:, None]).sum(0))
     )
 
+    # the Kelvin layer is the node sum of kelvin_matrix(x - y) psi(y) w(y)
     lam, mu = 2.0, 1.0
-    a1 = 0.5 * (1.0 / mu + 1.0 / (2.0 * mu + lam))
-    a2 = 0.5 * (1.0 / mu - 1.0 / (2.0 * mu + lam))
     psi = grid.normals * _density(grid)[:, None]
     wpsi = psi * w[:, None]
-
-    def kelvin(dx, r):
-        iso = -(a1 / (4 * np.pi)) * (wpsi / r[:, None]).sum(axis=0)
-        proj = (dx * wpsi).sum(axis=1) / r**3
-        return iso - (a2 / (4 * np.pi)) * (dx * proj[:, None]).sum(axis=0)
-
+    kelvin = lambda dx, r: np.einsum("sij,sj->i", kelvin_matrix(dx, lam, mu), wpsi)
     _assert_close(elastic_single_layer(grid, psi, pts, lam, mu), _per_point(pts, grid.nodes, kelvin))
 
     for values in (grid.normals, _density(grid)):
