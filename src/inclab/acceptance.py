@@ -25,7 +25,12 @@ from .geometry import (
 )
 from .hodograph import slit_certificate
 from .layerpot import jump_check, npo_matrix
-from .newtonian import depolarization_factors, quadratic_interior_fit, quadratic_verdict
+from .newtonian import (
+    depolarization_factors,
+    depolarization_factors_2d,
+    quadratic_interior_fit,
+    quadratic_verdict,
+)
 from .polarization import polarization_tensor, pt_verdict
 from .shapeopt import OptProblem, bound_gap_scan, disk_verdict, minimize_trace
 from .transmission import DECAY_TOL, decay_check, default_interior_sample, uniformity_verdict
@@ -181,7 +186,7 @@ def criterion_08() -> dict:
         shape = Ellipse(a_ax, b_ax)
         grid = discretize(shape, 256)
         sample = default_interior_sample(shape, grid)
-        factors = (b_ax / (a_ax + b_ax), a_ax / (a_ax + b_ax))
+        factors = depolarization_factors_2d(shape)
         for row in uniformity_verdict(grid, [k], sample)["rows"]:
             j = row["direction"] - 1
             target = np.eye(2)[j] / (1.0 + (k - 1.0) * factors[j])
@@ -334,6 +339,6 @@ def run_criterion(cid: int, seed: int = 0) -> dict:
     return fn()
 
 
-def run_all(seed: int = 0) -> list[dict]:
+def run_all() -> list[dict]:
     """Run the full battery in order."""
-    return [run_criterion(cid, seed=seed) for cid in sorted(CRITERIA)]
+    return [run_criterion(cid) for cid in sorted(CRITERIA)]

@@ -2,9 +2,8 @@
 
 Every subcommand computes a report, prints it (deterministically
 serialized), optionally writes it under ``--out``, and exits 0 only when
-the checks it ran passed their configured tolerances.  Configuration
-problems exit 2 with the violated field named; numerical check failures
-exit 1.
+the checks it ran passed their tolerances.  Configuration problems exit
+2 with the flag at fault named; numerical check failures exit 1.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .elastostatics import LameParams, identity_verdict, kolosov
-from .errors import ConfigError, InclabError, InvalidShapeError, ResolutionError
+from .errors import ConfigError, InclabError, InvalidShapeError, NearBoundaryError, ResolutionError
 from .geometry import (
     Box,
     Ellipse,
@@ -37,7 +36,7 @@ from .serialize import to_csv, to_json, to_jsonl
 from .shapeopt import OptProblem, disk_verdict, minimize_trace, overlay_svg
 from .transmission import default_interior_sample, uniformity_verdict
 
-__all__ = ["RunConfig", "parse_shape", "run", "main"]
+__all__ = ["parse_shape", "run", "main"]
 
 _SHAPE_ALIASES = {
     "disk": "ellipse:1,1",
@@ -45,39 +44,6 @@ _SHAPE_ALIASES = {
     "kite": "polygon:1,0,0,0.7,-0.6,0,0,-0.7",
     "star": "star:1,3,0.2,0",
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated bundle of one subcommand invocation.
-
-    ``tol`` is None when the flag is omitted, leaving each check its own
-    default; ``ks`` holds every contrast value parsed from ``--k`` (a comma
-    list is allowed where a table is produced).
-    """
-
-    command: str
-    shape_label: str | None = None
-    shape: ShapeSpec | None = None
-    ks: tuple[float, ...] = ()
-    lame: LameParams | None = None
-    n: int | None = None
-    tol: float | None = None
-    out: str | None = None
-    fmt: str = "json"
-    seed: int = 0
-
-    @property
-    def tol_args(self) -> tuple:
-        """``(tol,)`` for a check's tolerance argument when --tol was given."""
-        return () if self.tol is None else (self.tol,)
-
-    @property
-    def k(self) -> float:
-        return self.ks[0]
-
-    def nodes(self, default: int = 256) -> int:
-        return self.n if self.n is not None else default
 
 
 def parse_shape(text: str) -> tuple[str, ShapeSpec]:
@@ -205,110 +171,85 @@ def _expect(cond: bool, message: str):
         raise ConfigError(message)
 
 
-def _parse_lame(text: str) -> LameParams:
-    values = _parse_floats(text, "--lame")
-    _expect(len(values) == 4, "--lame: takes lam,mu,lam_inc,mu_inc")
-    return LameParams(values[0], values[1], values[2], values[3])
-
-
-# ---------------------------------------------------------------------------
-# subcommand handlers: each returns the report after its "command" field;
-# its "passed" sets the exit
-# ---------------------------------------------------------------------------
-
-
-def _grid(cfg: RunConfig):
-    """Boundary grid of the configured shape at ``--n``; a refusal names its flag."""
+def _named(flag: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a ConfigError it raises is refused naming ``flag``."""
     try:
-        return discretize(cfg.shape, cfg.nodes())
-    except ResolutionError as exc:
-        raise ConfigError(f"--n: {exc}") from exc
-    except InvalidShapeError as exc:
-        raise ConfigError(f"--shape: {exc}") from exc
+        return build(*args, **kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{flag}: {exc}") from exc
 
 
-def _tensor(cfg: RunConfig):
+# ---------------------------------------------------------------------------
+# subcommand handlers: each takes the configured namespace and returns the
+# report after its "command" field; its "passed" sets the exit
+# ---------------------------------------------------------------------------
+
+
+def _tensor(args):
     """Polarization tensor: the closed form in 3D, a boundary solve otherwise.
 
-    A 3D shape without a closed form goes to ``_grid``, which refuses it.
+    A 3D shape without a closed form goes to ``discretize``, which refuses it.
     """
-    closed = closed_form_pt(cfg.shape, cfg.k) if cfg.shape.dim == 3 else None
-    return closed if closed is not None else polarization_tensor(_grid(cfg), cfg.k)
+    shape, k = args.shape, args.k
+    closed = closed_form_pt(shape, k) if shape.dim == 3 else None
+    return closed if closed is not None else polarization_tensor(discretize(shape, args.n), k)
 
 
-def _cmd_pt(cfg: RunConfig):
-    verdict = pt_verdict(cfg.shape, _tensor(cfg), *cfg.tol_args)
-    return {"shape": cfg.shape_label, "k": cfg.k, "n": cfg.nodes(), **verdict}
+def _cmd_pt(args):
+    verdict = pt_verdict(args.shape, _tensor(args))
+    return {"shape": args.label, "k": args.k, "n": args.n, **verdict}
 
 
-def _cmd_bounds(cfg: RunConfig):
-    verdict = bounds_verdict(_tensor(cfg), *cfg.tol_args)
-    _expect(np.isfinite(verdict["trace_bound_rhs"]), f"--k: {cfg.k!r} puts the trace bound out of range")
-    return {"shape": cfg.shape_label, "k": cfg.k, "n": cfg.nodes(), **verdict}
+def _cmd_bounds(args):
+    verdict = bounds_verdict(_tensor(args))
+    _expect(np.isfinite(verdict["trace_bound_rhs"]),
+            f"--k: {args.k!r} puts the trace bound out of range")
+    return {"shape": args.label, "k": args.k, "n": args.n, **verdict}
 
 
-def _cmd_eshelby(cfg: RunConfig):
-    if cfg.shape.dim != 2:
-        raise ConfigError("--shape: eshelby requires a 2D shape")
-    grid = _grid(cfg)
-    try:
-        sample = default_interior_sample(cfg.shape, grid)
-    except ResolutionError as exc:
-        raise ConfigError(f"--n: {exc}") from exc
+def _cmd_eshelby(args):
+    _expect(args.shape.dim == 2, "--shape: eshelby requires a 2D shape")
+    grid = discretize(args.shape, args.n)
+    sample = default_interior_sample(args.shape, grid)
     return {
-        "shape": cfg.shape_label,
-        "ks": list(cfg.ks),
-        "n": cfg.nodes(),
-        **uniformity_verdict(grid, cfg.ks, sample, cfg.shape_label, *cfg.tol_args),
+        "shape": args.label,
+        "ks": list(args.ks),
+        "n": args.n,
+        **uniformity_verdict(grid, args.ks, sample, args.label),
     }
 
 
-def _cmd_newtonian(cfg: RunConfig):
-    try:
-        verdict = quadratic_verdict(cfg.shape, *cfg.tol_args)
-    except InvalidShapeError as exc:
-        raise ConfigError(f"--shape: {exc}") from exc
-    return {"shape": cfg.shape_label, **verdict}
+def _cmd_newtonian(args):
+    return {"shape": args.label, **quadratic_verdict(args.shape)}
 
 
-def _cmd_elastic_identity(cfg: RunConfig):
-    shape = cfg.shape
-    if not isinstance(shape, Ellipsoid):
-        raise ConfigError("--shape: elastic-identity requires an ellipsoid shape")
-    lame = cfg.lame if cfg.lame is not None else LameParams(2.0, 1.0, 1.0, 0.5)
-    n = cfg.nodes(64)
-    grid = discretize(shape, n)
+def _cmd_elastic_identity(args):
+    shape, lame = args.shape, args.lame
+    _expect(isinstance(shape, Ellipsoid), "--shape: elastic-identity requires an ellipsoid shape")
+    grid = discretize(shape, args.n)
     pts = interior_points(shape, 20, 0.3 * min(shape.c1, shape.c2, shape.c3))
     return {
-        "shape": cfg.shape_label,
+        "shape": args.label,
         "lame": asdict(lame),
         "kolosov_matrix": kolosov(lame.lam, lame.mu),
-        "grid": [n, 2 * n],
+        "grid": [args.n, 2 * args.n],
         "points": len(pts.points),
-        **identity_verdict(grid, lame, pts.points, *cfg.tol_args),
+        **identity_verdict(grid, lame, pts.points),
     }
 
 
-def _cmd_hodograph(cfg: RunConfig):
-    shape = cfg.shape
-    if not isinstance(shape, Ellipse):
-        raise ConfigError("--shape: hodograph requires an ellipse shape")
-    cert = slit_certificate(shape.a, shape.b, *cfg.tol_args)
-    return {"shape": cfg.shape_label, **cert}
+def _cmd_hodograph(args):
+    _expect(isinstance(args.shape, Ellipse), "--shape: hodograph requires an ellipse shape")
+    return {"shape": args.label, **slit_certificate(args.shape.a, args.shape.b)}
 
 
-def _cmd_shapeopt(cfg: RunConfig):
-    problem = OptProblem(k=cfg.k)
-    try:
-        problem = replace(problem, n=cfg.nodes())
-    except ConfigError as exc:
-        raise ConfigError(f"--n: {exc}") from exc
+def _cmd_shapeopt(args):
+    problem = _named("--n", replace, _named("--k", OptProblem, args.k), n=args.n)
     start = problem.start()
     trace = minimize_trace(problem, start)
-    verdict = disk_verdict(problem, trace, *cfg.tol_args)
+    verdict = disk_verdict(problem, trace)
     passed = verdict.pop("passed")
-    out_dir = cfg.out if cfg.out is not None else "."
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = args.out if args.out is not None else "."
     trace_path = os.path.join(out_dir, "shapeopt_trace.jsonl")
     with open(trace_path, "w", encoding="utf-8") as fh:
         fh.write(to_jsonl(trace.history))
@@ -316,7 +257,7 @@ def _cmd_shapeopt(cfg: RunConfig):
     with open(svg_path, "w", encoding="utf-8") as fh:
         fh.write(overlay_svg(problem, trace, start))
     return {
-        "k": cfg.k,
+        "k": args.k,
         "area": problem.area,
         "modes": problem.m_max,
         "n": problem.n,
@@ -332,43 +273,48 @@ def _cmd_shapeopt(cfg: RunConfig):
     }
 
 
-def _cmd_suite(cfg: RunConfig):
+def _cmd_suite(args):
     from .acceptance import run_all
 
-    records = run_all(seed=cfg.seed)
+    records = run_all()
     return {"criteria": records, "passed": all(r["passed"] for r in records)}
 
 
 @dataclass(frozen=True)
 class _Command:
-    """A subcommand: handler, help, the only flags it takes, --shape default, --k help."""
+    """A subcommand: handler, help, the only flags it takes, --shape default,
+    --k help, --n default and report format (json, csv or txt)."""
 
-    handler: Callable[[RunConfig], dict]
+    handler: Callable[[argparse.Namespace], dict]
     help: str
     flags: str
     shape: str | None = None
     k_help: str = "conductivity contrast"
+    n: int = 256
+    fmt: str = "json"
 
 
 _COMMANDS = {
-    "pt": _Command(_cmd_pt, "polarization tensor of a shape", "--shape --k --n --tol --out"),
-    "bounds": _Command(_cmd_bounds, "trace bounds and their slack", "--shape --k --n --tol --out"),
+    "pt": _Command(_cmd_pt, "polarization tensor of a shape", "--shape --k --n --out"),
+    "bounds": _Command(_cmd_bounds, "trace bounds and their slack", "--shape --k --n --out"),
     "eshelby": _Command(
         _cmd_eshelby,
         "interior-field uniformity table",
-        "--shape --k --n --tol --out --format",
+        "--shape --k --n --out --format",
         k_help="conductivity contrast (comma list allowed)",
+        fmt="csv",
     ),
-    "newtonian": _Command(_cmd_newtonian, "quadratic interior-potential fit", "--shape --tol --out"),
+    "newtonian": _Command(_cmd_newtonian, "quadratic interior-potential fit", "--shape --out"),
     "elastic-identity": _Command(
         _cmd_elastic_identity,
         "elastic single-layer trace identities",
-        "--shape --lame --n --tol --out",
+        "--shape --lame --n --out",
         shape="ellipsoid:2,1.5,1",
+        n=64,
     ),
-    "hodograph": _Command(_cmd_hodograph, "slit-map certificate for an ellipse", "--shape --tol --out"),
-    "shapeopt": _Command(_cmd_shapeopt, "trace-minimizing shape search", "--k --n --tol --out"),
-    "suite": _Command(_cmd_suite, "full acceptance battery", "--seed --out"),
+    "hodograph": _Command(_cmd_hodograph, "slit-map certificate for an ellipse", "--shape --out"),
+    "shapeopt": _Command(_cmd_shapeopt, "trace-minimizing shape search", "--k --n --out"),
+    "suite": _Command(_cmd_suite, "full acceptance battery", "--out", fmt="txt"),
 }
 
 
@@ -393,90 +339,79 @@ def _build_parser() -> argparse.ArgumentParser:
                 "(disk, square, kite, star), or @file.json",
             ),
             "--k": dict(default="3", help=cmd.k_help),
-            "--lame": dict(default=None, help="lam,mu,lam_inc,mu_inc"),
-            "--n": dict(type=int, default=None, help="boundary resolution"),
-            "--tol": dict(type=float, default=None, help="check tolerance"),
-            "--out": dict(default=None, help="artifact output directory"),
-            "--format": dict(
-                dest="fmt", choices=("json", "csv"), default=None, help="stdout format"
-            ),
-            "--seed": dict(type=int, default=0, help="seed for sampled checks"),
+            "--lame": dict(default="2,1,1,0.5", help="lam,mu,lam_inc,mu_inc"),
+            "--n": dict(type=int, help="boundary resolution"),
+            "--out": dict(help="artifact output directory"),
+            "--format": dict(dest="fmt", choices=("json", "csv"), help="stdout format"),
         }
         p = sub.add_parser(name, help=cmd.help)
         for flag in cmd.flags.split():
             p.add_argument(flag, **options[flag])
+        p.set_defaults(n=cmd.n, fmt=cmd.fmt)
     return parser
 
 
-def _make_config(args: argparse.Namespace) -> RunConfig:
-    shape_label = None
-    shape = None
-    if getattr(args, "shape", None) is not None:
-        shape_label, shape = parse_shape(args.shape)
-    ks: tuple[float, ...] = ()
-    if getattr(args, "k", None) is not None:
+def _configure(args: argparse.Namespace):
+    """Check the command's flags in order and parse them in place: --shape
+    into ``label`` and ``shape``, --k into ``ks`` and its first value ``k``,
+    --lame into LameParams; then make the --out directory."""
+    if "shape" in args:
+        args.label, args.shape = parse_shape(args.shape)
+    if "k" in args:
         values = _parse_floats(args.k, "--k")
         _expect(bool(values), "--k: needs at least one value")
         _expect(all(0 < v != 1 for v in values), "--k: contrasts must be positive and not 1")
-        ks = tuple(values)
-    lame = _parse_lame(args.lame) if getattr(args, "lame", None) else None
-    tol = getattr(args, "tol", None)
-    if tol is not None and not (0 < tol < np.inf):
-        raise ConfigError("--tol: must be positive and finite")
-    n = getattr(args, "n", None)
-    if n is not None and n < 16:
-        raise ConfigError("--n: must be at least 16")
-    fmt = getattr(args, "fmt", None)
-    if fmt is None:
-        fmt = "csv" if args.command == "eshelby" else "json"
-    return RunConfig(
-        command=args.command,
-        shape_label=shape_label,
-        shape=shape,
-        ks=ks,
-        lame=lame,
-        n=n,
-        tol=tol,
-        out=getattr(args, "out", None),
-        fmt=fmt,
-        seed=getattr(args, "seed", 0),
-    )
+        args.ks, args.k = tuple(values), values[0]
+    if "lame" in args:
+        values = _parse_floats(args.lame, "--lame")
+        _expect(len(values) == 4, "--lame: takes lam,mu,lam_inc,mu_inc")
+        args.lame = _named("--lame", LameParams, *values)
+    _expect(args.n >= 16, "--n: must be at least 16")
+    if args.out is not None:
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out: {exc}") from exc
 
 
-def _emit(cfg: RunConfig, report: dict) -> str:
-    """The report as printed: one line per criterion for ``suite``, the rows
-    as CSV for ``--format csv``, JSON otherwise."""
-    if cfg.command == "suite":
+def _emit(fmt: str, report: dict) -> str:
+    """The report as printed: one line per criterion as txt, the rows as
+    csv, JSON otherwise."""
+    if fmt == "txt":
         return "".join(
             f"criterion {rec['id']:02d} {'PASS' if rec['passed'] else 'FAIL'} "
             f"{rec['name']}: {rec['detail']}\n"
             for rec in report["criteria"]
         )
-    if cfg.fmt == "csv":
+    if fmt == "csv":
         rows = report["rows"]
         return to_csv(list(rows[0]), [list(row.values()) for row in rows])
     return to_json(report) + "\n"
 
 
+# library refusals, by the flag whose value they refuse
+_FLAG_AT_FAULT = {InvalidShapeError: "--shape", ResolutionError: "--n", NearBoundaryError: "--n"}
+
+
 def run(argv=None) -> int:
     """Parse, dispatch, print, and map outcomes to exit codes."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _make_config(args)
-        report = {"command": cfg.command, **_COMMANDS[cfg.command].handler(cfg)}
-    except (ConfigError, InvalidShapeError) as exc:
+        _configure(args)
+        report = {"command": args.command, **_COMMANDS[args.command].handler(args)}
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except tuple(_FLAG_AT_FAULT) as exc:
+        print(f"config error: {_FLAG_AT_FAULT[type(exc)]}: {exc}", file=sys.stderr)
         return 2
     except InclabError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    text = _emit(cfg, report)
+    text = _emit(args.fmt, report)
     sys.stdout.write(text)
-    if cfg.out is not None and cfg.command != "shapeopt":
-        os.makedirs(cfg.out, exist_ok=True)
-        ext = "txt" if cfg.command == "suite" else cfg.fmt
-        path = os.path.join(cfg.out, f"{cfg.command}.{ext}")
+    if args.out is not None and args.command != "shapeopt":
+        path = os.path.join(args.out, f"{args.command}.{args.fmt}")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     return 0 if report["passed"] else 1

@@ -229,15 +229,15 @@ def trace_identity_check(
     }
 
 
-def identity_verdict(grid: BoundaryGrid, params: LameParams, points, tol: float = 1e-6) -> dict:
+def identity_verdict(grid: BoundaryGrid, params: LameParams, points) -> dict:
     """The ``elastic-identity`` report's checks, in its order after its setup.
 
     The matrix-phase, inclusion-phase and inverse-distance residuals must
-    each be at most ``tol``; the difference residual has no bound.
+    each be at most 1e-6; the difference residual has no bound.
     """
     res = trace_identity_check(grid, params, points)
     bounded = ("residual_matrix_phase", "residual_inclusion_phase", "residual_inverse_distance")
-    return {**res, "residual_tol": tol, "passed": all(res[key] <= tol for key in bounded)}
+    return {**res, "residual_tol": 1e-6, "passed": all(res[key] <= 1e-6 for key in bounded)}
 
 
 def kolosov(lam: float, mu: float) -> float:

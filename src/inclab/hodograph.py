@@ -201,12 +201,12 @@ def univalence_check(f) -> dict:
     }
 
 
-def slit_certificate(a: float, b: float, tol: float = 1e-10) -> dict:
+def slit_certificate(a: float, b: float) -> dict:
     """The hodograph argument checked on the ellipse (a, b), tolerances included.
 
     Fields of the ``hodograph`` report, in its order: the boundary identity
     on 512 points and the slit endpoints (against -ib, ib) must come within
-    ``tol``, the univalence certificate of the map composed with the
+    1e-10, the univalence certificate of the map composed with the
     exterior uniformizer must pass with its rim within _RE_TOL of the
     imaginary axis, and the fitted leading coefficient must come within
     1e-4 of b/(a+b).
@@ -221,15 +221,15 @@ def slit_certificate(a: float, b: float, tol: float = 1e-10) -> dict:
     alpha, target = leading_coefficient(a, b), b / (a + b)
     return {
         "boundary_identity_deviation": boundary_dev,
-        "boundary_identity_tol": tol,
+        "boundary_identity_tol": 1e-10,
         **cert,
         "slit_endpoint_error": slit_err,
-        "slit_tol": tol,
+        "slit_tol": 1e-10,
         "leading_coefficient": alpha,
         "leading_coefficient_target": target,
         "leading_coefficient_tol": 1e-4,
         "passed": (
-            boundary_dev <= tol and cert["univalent"] and slit_err <= tol
+            boundary_dev <= 1e-10 and cert["univalent"] and slit_err <= 1e-10
             and abs(alpha - target) <= 1e-4
         ),
     }

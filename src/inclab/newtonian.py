@@ -323,17 +323,17 @@ def quadratic_interior_fit(shape: ShapeSpec) -> dict:
     return {"A": A, "b": b, "c": c, "rms_residual": rms}
 
 
-def quadratic_verdict(shape: ShapeSpec, tol: float = 1e-6) -> dict:
+def quadratic_verdict(shape: ShapeSpec) -> dict:
     """The ``newtonian`` report's checks, in its order, each beside its tolerance.
 
-    The fit's residual must be at most ``tol``.  On an ellipse or ellipsoid
+    The fit's residual must be at most 1e-6.  On an ellipse or ellipsoid
     (fields after ``passed``) diag(A) must come within 1e-5 of half the
     depolarization factors, and the ellipsoid's three must sum to 1 within 1e-10.
     """
     fit = quadratic_interior_fit(shape)
     out = {
-        "quadratic_fit": {**fit, "residual_tol": tol},
-        "passed": fit["rms_residual"] <= tol,
+        "quadratic_fit": {**fit, "residual_tol": 1e-6},
+        "passed": fit["rms_residual"] <= 1e-6,
     }
     vals = closed_form_factors(shape)
     if vals is not None:

@@ -94,11 +94,11 @@ def closed_form_pt(shape: ShapeSpec, k) -> PolarizationTensor | None:
     return PolarizationTensor(M=M, k=contrast, volume=vol, asymmetry=0.0)
 
 
-def pt_verdict(shape: ShapeSpec, pt: PolarizationTensor, tol: float = 1e-6) -> dict:
+def pt_verdict(shape: ShapeSpec, pt: PolarizationTensor) -> dict:
     """The ``pt`` report's checks, in its order after k and n, each beside its tolerance.
 
-    The raw asymmetry must be at most ``tol``; on an ellipse or ellipsoid so
-    must the largest entry-wise deviation from the closed form be at most 1e-6.
+    The raw asymmetry must be at most 1e-6; on an ellipse or ellipsoid so
+    must the largest entry-wise deviation from the closed form.
     An M with a non-finite entry has NaN eigenvalues (``eigvalsh`` returns numbers).
     """
     out = {
@@ -107,9 +107,9 @@ def pt_verdict(shape: ShapeSpec, pt: PolarizationTensor, tol: float = 1e-6) -> d
         "eigenvalues": np.linalg.eigvalsh(pt.M) if np.isfinite(pt.M).all() else np.full(pt.dim, np.nan),
         "trace": float(np.trace(pt.M)),
         "asymmetry": pt.asymmetry,
-        "asymmetry_tol": tol,
+        "asymmetry_tol": 1e-6,
     }
-    passed = pt.asymmetry <= tol
+    passed = pt.asymmetry <= 1e-6
     closed = closed_form_pt(shape, pt.k)
     if closed is not None:
         dev = float(np.max(np.abs(pt.M - closed.M)))
@@ -121,14 +121,14 @@ def pt_verdict(shape: ShapeSpec, pt: PolarizationTensor, tol: float = 1e-6) -> d
     return out
 
 
-def bounds_verdict(pt: PolarizationTensor, tol: float = 1e-5) -> dict:
+def bounds_verdict(pt: PolarizationTensor) -> dict:
     """The ``bounds`` report's checks, in its order after k and n.
 
     For k > 1: Tr(M) <= |Omega|(k-1)(d-1+1/k) and
     |Omega| Tr(M^-1) <= (d-1+k)/(k-1), slacks = rhs - lhs ("direct").
     For k < 1 both sides change sign, so the equivalent statements are
     Tr(M) >= rhs and |Omega| Tr(M^-1) >= rhs with slacks = lhs - rhs
-    ("sign-flipped").  Both slacks must be at least -``tol``; a bound is
+    ("sign-flipped").  Both slacks must be at least -1e-5; a bound is
     saturated when |slack| <= SATURATION_TOL * max(1, |rhs|), and saturation
     of the inverse-trace bound is the ellipse/ellipsoid signature.  A finite
     M whose smallest |eigenvalue| is zero relative to its largest is singular
@@ -158,11 +158,11 @@ def bounds_verdict(pt: PolarizationTensor, tol: float = 1e-5) -> dict:
         "scaled_inverse_trace": tr_Minv_scaled,
         "inverse_trace_bound_rhs": rhs2,
         "slack2": slack2,
-        "slack_floor": -tol,
+        "slack_floor": -1e-5,
         "saturated1": abs(slack1) <= SATURATION_TOL * max(1.0, abs(rhs1)),
         "saturated2": abs(slack2) <= SATURATION_TOL * max(1.0, abs(rhs2)),
         "saturation_tol": SATURATION_TOL,
-        "passed": slack1 >= -tol and slack2 >= -tol,
+        "passed": slack1 >= -1e-5 and slack2 >= -1e-5,
     }
 
 
@@ -176,4 +176,4 @@ def minimal_trace_target(k, volume: float, d: int) -> float:
         raise ConfigError("dimension must be 2 or 3")
     if volume <= 0:
         raise ConfigError("volume must be positive")
-    return volume * d * d * (contrast.k - 1.0) / (contrast.k + d - 1.0)
+    return volume * d * d * ((contrast.k - 1.0) / (contrast.k + d - 1.0))

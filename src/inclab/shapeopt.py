@@ -216,11 +216,11 @@ def minimize_trace(problem: OptProblem, initial_coeffs) -> OptTrace:
     return trace
 
 
-def disk_verdict(problem: OptProblem, trace: OptTrace, gap_tol: float = 1e-3) -> dict:
+def disk_verdict(problem: OptProblem, trace: OptTrace) -> dict:
     """Whether a finished search found the disk, each number beside its tolerance.
 
     Relative gap of the final objective to the disk value at most
-    ``gap_tol``, largest final coefficient at most 1e-2, and relative
+    1e-3, largest final coefficient at most 1e-2, and relative
     undercut of the disk value by the best evaluation at most 1e-5.
     """
     disk = problem.disk_value
@@ -229,12 +229,12 @@ def disk_verdict(problem: OptProblem, trace: OptTrace, gap_tol: float = 1e-3) ->
     undercut = (disk - float(np.min([r["objective"] for r in trace.history]))) / disk
     return {
         "relative_gap": rel_gap,
-        "gap_tol": gap_tol,
+        "gap_tol": 1e-3,
         "max_coefficient": max_coeff,
         "coefficient_tol": 1e-2,
         "disk_undercut": undercut,
         "undercut_tol": 1e-5,
-        "passed": rel_gap <= gap_tol and max_coeff <= 1e-2 and undercut <= 1e-5,
+        "passed": rel_gap <= 1e-3 and max_coeff <= 1e-2 and undercut <= 1e-5,
     }
 
 
@@ -253,7 +253,7 @@ def bound_gap_scan(shapes, k, n: int = 256) -> list[dict]:
         eigs = np.sort(np.linalg.eigvalsh(pt.M))
         records.append(
             {
-                "tr_M": float(np.trace(pt.M)),
+                "tr_M": report["trace_M"],
                 "eig_low": float(eigs[0]),
                 "eig_high": float(eigs[-1]),
                 "slack2": report["slack2"],

@@ -197,12 +197,12 @@ def _guarded_sample(shape: ShapeSpec, floor: float, guard: float) -> InteriorSam
 
 
 def uniformity_verdict(
-    grid: BoundaryGrid, ks, sample: InteriorSample, label=None, tol: float = 1e-6
+    grid: BoundaryGrid, ks, sample: InteriorSample, label=None
 ) -> dict:
     """The ``eshelby`` report's checks, in its order after ks and n.
 
     The largest gradient deviation over the contrasts ``ks`` and the basis
-    directions must be at most ``tol``; ``rows`` has one record per pair.
+    directions must be at most 1e-6; ``rows`` has one record per pair.
     """
     eye = np.eye(grid.dim)
     rows = []
@@ -215,7 +215,7 @@ def uniformity_verdict(
                 "mean_gx": gx, "mean_gy": gy, "delta": delta,
             })
     worst = float(np.max([row["delta"] for row in rows]))
-    return {"max_delta": worst, "delta_tol": tol, "passed": worst <= tol, "rows": rows}
+    return {"max_delta": worst, "delta_tol": 1e-6, "passed": worst <= 1e-6, "rows": rows}
 
 
 def flux_continuity_check(grid: BoundaryGrid, phi: np.ndarray, k, a) -> float:

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 
+from inclab import cli
 from inclab.cli import parse_shape, run
 from inclab import ConfigError, Ellipse, FourierStar, Polygon, acceptance, discretize, transmission
 
@@ -236,6 +237,9 @@ def test_ellipse_resolution_rule_leaves_resolved_aspect_ratios_alone():
         ("hodograph", "--shape", "ellipse:2,1", "--n", "128"),
         ("shapeopt", "--k", "3", "--seed", "4"),
         ("suite", "--tol", "1e-3"),
+        # the verdicts fix their tolerances, and the battery takes no seed
+        ("pt", "--shape", "disk", "--tol", "1e-3"),
+        ("suite", "--seed", "3"),
     ],
 )
 def test_subcommands_refuse_flags_they_do_not_read(capsys, argv):
@@ -259,7 +263,6 @@ def test_non_finite_values_are_config_errors(capsys, tmp_path):
         (("eshelby", "--shape", "disk", "--k", "2,nan"), "--k"),
         (("pt", "--shape", "polygon:0,0,1,0,nan,1", "--k", "3"), "--shape"),
         (("elastic-identity", "--lame", "2,1,inf,0.5"), "--lame"),
-        (("pt", "--shape", "disk", "--k", "3", "--tol", "nan"), "--tol"),
     ):
         code, out, err = _run(capsys, *argv)
         assert code == 2
@@ -374,16 +377,82 @@ def test_elastic_identity_runs(capsys):
 def test_elastic_identity_coarse_grid_fails_honestly(capsys):
     # on a deliberately coarse grid the evaluation points sit closer to the
     # boundary than the quadrature guard allows; that must surface as a
-    # numerical failure, not a silent pass
-    code, _, err = _run(capsys, "elastic-identity", "--lame", "2,1,1,0.5", "--n", "32")
-    assert code == 1
-    assert "numerical failure" in err
+    # refusal naming --n, not a silent pass
+    code, out, err = _run(capsys, "elastic-identity", "--lame", "2,1,1,0.5", "--n", "32")
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: --n: point ")
 
 
 def test_elastic_identity_rejects_bad_lame(capsys):
     code, _, err = _run(capsys, "elastic-identity", "--lame", "2,-1,1,0.5")
     assert code == 2
     assert "mu" in err
+
+
+# (argv, the start of its one stderr line, to the end where it is fixed);
+# FILE is a file in the working directory, so neither it nor a path under it
+# can be the --out directory
+_REFUSALS = [
+    (("pt", "--shape", "nonagon:1"), "--shape: unknown shape type 'nonagon'\n"),
+    (("pt", "--shape", "box:1,1,1"), "--shape: no boundary grid for Box\n"),
+    (("bounds", "--shape", "ellipse:1,1e-200"), "--shape: aspect ratio "),
+    (("eshelby", "--shape", "ellipsoid:2,1.5,1"), "--shape: eshelby requires a 2D shape\n"),
+    (("newtonian", "--shape", "ellipse:1e-200,1"), "--shape: aspect ratio "),
+    (("elastic-identity", "--shape", "disk"),
+     "--shape: elastic-identity requires an ellipsoid shape\n"),
+    (("hodograph", "--shape", "square"), "--shape: hodograph requires an ellipse shape\n"),
+    (("pt", "--shape", "disk", "--k", "1"), "--k: contrasts must be positive and not 1\n"),
+    (("bounds", "--shape", "disk", "--k", "1e308"),
+     "--k: 1e+308 puts the trace bound out of range\n"),
+    (("eshelby", "--shape", "disk", "--k", "2,nan"), "--k: 'nan' is not a finite number\n"),
+    (("shapeopt", "--k", "0.5"), "--k: trace minimization is posed for k > 1\n"),
+    (("pt", "--shape", "disk", "--n", "32"), "--n: smooth curves need n >= 64\n"),
+    (("bounds", "--shape", "disk", "--n", "8"), "--n: must be at least 16\n"),
+    (("eshelby", "--shape", "ellipse:20,1"), "--n: margin leaves no interior room "),
+    (("elastic-identity", "--n", "32"), "--n: point "),
+    (("elastic-identity", "--shape", "ellipsoid:1,1,100"), "--n: point "),
+    (("shapeopt", "--n", "64"), "--n: need at least 128 boundary nodes\n"),
+    (("shapeopt", "--n", "129"),
+     "--n: need an even number of boundary nodes for the shape gradient\n"),
+    (("elastic-identity", "--lame", "1,-1,1,1"), "--lame: mu must be positive\n"),
+    (("elastic-identity", "--lame", "2,1"), "--lame: takes lam,mu,lam_inc,mu_inc\n"),
+] + [
+    ((*argv, "--out", out), f"--out: [Errno {errno}] ")
+    for argv in (
+        ("pt", "--shape", "disk"),
+        ("bounds", "--shape", "disk"),
+        ("eshelby", "--shape", "disk"),
+        ("newtonian", "--shape", "disk"),
+        ("elastic-identity",),
+        ("hodograph", "--shape", "disk"),
+        ("shapeopt",),
+        ("suite",),
+    )
+    for out, errno in (("FILE", 17), (os.path.join("FILE", "sub"), 20))
+]
+
+
+@pytest.mark.parametrize(
+    "argv, start", _REFUSALS, ids=lambda v: " ".join(v) if isinstance(v, tuple) else ""
+)
+def test_every_refusal_names_a_flag_its_command_takes(capsys, tmp_path, monkeypatch, argv, start):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "FILE").write_text("a file\n")
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: {start}") and err.count("\n") == 1, err
+    assert start.split(":")[0] in cli._COMMANDS[argv[0]].flags.split()
+    # --out is made before any computation, and a bad one leaves nothing behind
+    assert os.listdir(tmp_path) == ["FILE"]
+
+
+def test_shapeopt_report_stays_finite_at_a_huge_contrast(capsys, tmp_path):
+    # volume * 4 * (k - 1) overflowed first and nulled the disk value
+    code, out, _ = _run(capsys, "shapeopt", "--k", "1e308", "--out", str(tmp_path))
+    rep = json.loads(out)
+    assert code == (0 if rep["passed"] else 1)
+    assert "null" not in out
+    assert rep["disk_value"] == pytest.approx(4 * np.pi, rel=1e-15)
 
 
 def test_out_directory_written(capsys, tmp_path):
