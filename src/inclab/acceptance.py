@@ -21,7 +21,6 @@ from .geometry import (
     FourierStar,
     Polygon,
     discretize,
-    interior_points,
 )
 from .hodograph import slit_certificate
 from .layerpot import jump_check, npo_matrix
@@ -33,7 +32,7 @@ from .newtonian import (
 )
 from .polarization import polarization_tensor, pt_verdict
 from .shapeopt import OptProblem, bound_gap_scan, disk_verdict, minimize_trace
-from .transmission import DECAY_TOL, decay_check, default_interior_sample, uniformity_verdict
+from .transmission import DECAY_TOL, decay_check, uniformity_verdict
 
 __all__ = ["run_criterion", "run_all", "CRITERIA"]
 
@@ -163,12 +162,8 @@ def criterion_06() -> dict:
 
 def criterion_07() -> dict:
     """Uniform interior field on the ellipse, non-uniform on the square."""
-    grid = discretize(ELLIPSE21, 256)
-    smooth = uniformity_verdict(
-        grid, (0.5, 2.0, 10.0), default_interior_sample(ELLIPSE21, grid)
-    )
-    gs = discretize(SQUARE, 256)
-    square = uniformity_verdict(gs, (0.5, 2.0), default_interior_sample(SQUARE, gs))
+    smooth = uniformity_verdict(discretize(ELLIPSE21, 256), (0.5, 2.0, 10.0))
+    square = uniformity_verdict(discretize(SQUARE, 256), (0.5, 2.0))
     best_square = float(np.min([row["delta"] for row in square["rows"]]))
     return _record(
         7,
@@ -184,10 +179,8 @@ def criterion_08() -> dict:
     errors = []
     for (a_ax, b_ax), k in (((2.0, 1.0), 2.0), ((2.0, 1.0), 5.0), ((3.0, 2.0), 4.0)):
         shape = Ellipse(a_ax, b_ax)
-        grid = discretize(shape, 256)
-        sample = default_interior_sample(shape, grid)
         factors = depolarization_factors_2d(shape)
-        for row in uniformity_verdict(grid, [k], sample)["rows"]:
+        for row in uniformity_verdict(discretize(shape, 256), [k])["rows"]:
             j = row["direction"] - 1
             target = np.eye(2)[j] / (1.0 + (k - 1.0) * factors[j])
             errors.append(float(np.max(np.abs([row["mean_gx"], row["mean_gy"]] - target))))
@@ -252,11 +245,9 @@ def criterion_10(seed: int = 0) -> dict:
 
 def criterion_11() -> dict:
     """Hydrostatic trace identities at interior points of an ellipsoid."""
-    shape = Ellipsoid(2.0, 1.5, 1.0)
-    grid = discretize(shape, 64)
-    pts = interior_points(shape, 20, 0.3)
-    rep = identity_verdict(grid, LameParams(2.0, 1.0, 1.0, 0.5), pts.points)
-    eq = identity_verdict(grid, LameParams(2.0, 1.0, 2.0, 1.0), pts.points)
+    grid = discretize(Ellipsoid(2.0, 1.5, 1.0), 64)
+    rep = identity_verdict(grid, LameParams(2.0, 1.0, 1.0, 0.5))
+    eq = identity_verdict(grid, LameParams(2.0, 1.0, 2.0, 1.0))
     return _record(
         11,
         "elastic trace identities",

@@ -9,6 +9,7 @@ the checks it ran passed their tolerances.  Configuration problems exit
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -27,14 +28,13 @@ from .geometry import (
     Polygon,
     ShapeSpec,
     discretize,
-    interior_points,
 )
 from .hodograph import slit_certificate
 from .newtonian import quadratic_verdict
 from .polarization import bounds_verdict, closed_form_pt, polarization_tensor, pt_verdict
 from .serialize import to_csv, to_json, to_jsonl
 from .shapeopt import OptProblem, disk_verdict, minimize_trace, overlay_svg
-from .transmission import default_interior_sample, uniformity_verdict
+from .transmission import uniformity_verdict
 
 __all__ = ["parse_shape", "run", "main"]
 
@@ -209,13 +209,11 @@ def _cmd_bounds(args):
 
 def _cmd_eshelby(args):
     _expect(args.shape.dim == 2, "--shape: eshelby requires a 2D shape")
-    grid = discretize(args.shape, args.n)
-    sample = default_interior_sample(args.shape, grid)
     return {
         "shape": args.label,
         "ks": list(args.ks),
         "n": args.n,
-        **uniformity_verdict(grid, args.ks, sample, args.label),
+        **uniformity_verdict(discretize(args.shape, args.n), args.ks, args.label),
     }
 
 
@@ -226,15 +224,12 @@ def _cmd_newtonian(args):
 def _cmd_elastic_identity(args):
     shape, lame = args.shape, args.lame
     _expect(isinstance(shape, Ellipsoid), "--shape: elastic-identity requires an ellipsoid shape")
-    grid = discretize(shape, args.n)
-    pts = interior_points(shape, 20, 0.3 * min(shape.c1, shape.c2, shape.c3))
     return {
         "shape": args.label,
         "lame": asdict(lame),
         "kolosov_matrix": kolosov(lame.lam, lame.mu),
         "grid": [args.n, 2 * args.n],
-        "points": len(pts.points),
-        **identity_verdict(grid, lame, pts.points),
+        **identity_verdict(discretize(shape, args.n), lame),
     }
 
 
@@ -249,11 +244,9 @@ def _cmd_shapeopt(args):
     trace = minimize_trace(problem, start)
     verdict = disk_verdict(problem, trace)
     passed = verdict.pop("passed")
-    out_dir = args.out if args.out is not None else "."
-    trace_path = os.path.join(out_dir, "shapeopt_trace.jsonl")
+    trace_path, svg_path = args.files
     with open(trace_path, "w", encoding="utf-8") as fh:
         fh.write(to_jsonl(trace.history))
-    svg_path = os.path.join(out_dir, "shapeopt_overlay.svg")
     with open(svg_path, "w", encoding="utf-8") as fh:
         fh.write(overlay_svg(problem, trace, start))
     return {
@@ -283,7 +276,7 @@ def _cmd_suite(args):
 @dataclass(frozen=True)
 class _Command:
     """A subcommand: handler, help, the only flags it takes, --shape default,
-    --k help, --n default and report format (json, csv or txt)."""
+    --k help (a list is taken where it says so), --n default and format."""
 
     handler: Callable[[argparse.Namespace], dict]
     help: str
@@ -354,12 +347,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _configure(args: argparse.Namespace):
     """Check the command's flags in order and parse them in place: --shape
     into ``label`` and ``shape``, --k into ``ks`` and its first value ``k``,
-    --lame into LameParams; then make the --out directory."""
+    --lame into LameParams, --out into the ``files`` written (none a directory)."""
     if "shape" in args:
         args.label, args.shape = parse_shape(args.shape)
     if "k" in args:
         values = _parse_floats(args.k, "--k")
         _expect(bool(values), "--k: needs at least one value")
+        _expect(len(values) == 1 or "list" in _COMMANDS[args.command].k_help,
+                f"--k: {args.command} takes one contrast")
         _expect(all(0 < v != 1 for v in values), "--k: contrasts must be positive and not 1")
         args.ks, args.k = tuple(values), values[0]
     if "lame" in args:
@@ -372,6 +367,12 @@ def _configure(args: argparse.Namespace):
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"--out: {exc}") from exc
+    names = ("shapeopt_trace.jsonl", "shapeopt_overlay.svg")
+    if args.command != "shapeopt":
+        names = () if args.out is None else (f"{args.command}.{args.fmt}",)
+    args.files = [os.path.join(args.out or ".", name) for name in names]
+    for path in args.files:
+        _expect(not os.path.isdir(path), f"--out: {path} is a directory")
 
 
 def _emit(fmt: str, report: dict) -> str:
@@ -389,31 +390,35 @@ def _emit(fmt: str, report: dict) -> str:
     return to_json(report) + "\n"
 
 
-# library refusals, by the flag whose value they refuse
-_FLAG_AT_FAULT = {InvalidShapeError: "--shape", ResolutionError: "--n", NearBoundaryError: "--n"}
+# refusals, by the flag whose value they refuse (a ConfigError names its own)
+_FLAG_AT_FAULT = {ConfigError: "", InvalidShapeError: "--shape: ",
+                  ResolutionError: "--n: ", NearBoundaryError: "--n: "}
 
 
 def run(argv=None) -> int:
     """Parse, dispatch, print, and map outcomes to exit codes."""
     args = _build_parser().parse_args(argv)
+    made, path = [], args.out  # --out and its missing parents, deepest first
+    while path and not os.path.exists(path):
+        made, path = [*made, path], os.path.dirname(path)
     try:
         _configure(args)
         report = {"command": args.command, **_COMMANDS[args.command].handler(args)}
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except tuple(_FLAG_AT_FAULT) as exc:
-        print(f"config error: {_FLAG_AT_FAULT[type(exc)]}: {exc}", file=sys.stderr)
-        return 2
     except InclabError as exc:
+        for path in made:  # a run that ends without a report leaves no --out behind
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        if type(exc) in _FLAG_AT_FAULT:
+            print(f"config error: {_FLAG_AT_FAULT[type(exc)]}{exc}", file=sys.stderr)
+            return 2
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     text = _emit(args.fmt, report)
     sys.stdout.write(text)
-    if args.out is not None and args.command != "shapeopt":
-        path = os.path.join(args.out, f"{args.command}.{args.fmt}")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    if args.command != "shapeopt":
+        for path in args.files:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
     return 0 if report["passed"] else 1
 
 

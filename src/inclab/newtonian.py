@@ -13,8 +13,10 @@ independent ways:
 * ``radial``: a polar / spherical product rule centered at the evaluation
   point.  Writing y = x + r omega the volume element cancels the kernel
   singularity and the radial integral is available in closed form per
-  direction, leaving a smooth angular integrand.  The shape's
-  ``ray_exit`` gives the one distance r at which each ray leaves the
+  direction, leaving a smooth angular integrand.  The angular rule is
+  the unit circle's boundary grid (2048 trapezoid nodes) in 2D and the
+  unit sphere's (96 Gauss-Legendre x 192 trapezoid nodes) in 3D.  The
+  shape's ``ray_exit`` gives the one distance r at which each ray leaves the
   body, so the route needs every ray from x to cross the boundary
   exactly once (the body star-shaped with respect to x).  Ellipses and
   ellipsoids are convex and always meet it, a polygon does at the points
@@ -171,17 +173,12 @@ _POLYGON_GAUSS = 48
 
 @lru_cache(maxsize=2)
 def _ray_rule(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Directions and weights of the angular rule: 2048 equispaced angles
-    in 2D, 96 Gauss-Legendre x 192 trapezoid nodes on the sphere in 3D."""
-    if dim == 2:
-        t = 2 * np.pi * np.arange(2048) / 2048
-        return np.stack([np.cos(t), np.sin(t)], axis=1), np.full(2048, 2 * np.pi / 2048)
-    u, wu = np.polynomial.legendre.leggauss(96)
-    phi = 2 * np.pi * np.arange(192) / 192
-    U, P = np.meshgrid(u, phi, indexing="ij")
-    s = np.sqrt(1 - U * U)
-    dirs = np.stack([s * np.cos(P), s * np.sin(P), U], axis=-1).reshape(-1, 3)
-    return dirs, (np.broadcast_to(wu[:, None], U.shape) * (2 * np.pi / 192)).reshape(-1)
+    """Directions and weights of the angular rule: the nodes and weights of
+    the unit circle's 2048-node grid in 2D and of the unit sphere's 96 x 192
+    grid in 3D, which are unit vectors with weights summing to 2 pi and 4 pi."""
+    shape, n = (Ellipse(1.0, 1.0), 2048) if dim == 2 else (Ellipsoid(1.0, 1.0, 1.0), 96)
+    unit = discretize(shape, n)
+    return unit.nodes, unit.weights
 
 
 def _newtonian_radial(shape: ShapeSpec, points: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InvalidShapeError
-from .geometry import FourierStar, discretize
+from .geometry import Ellipse, FourierStar, discretize
 from .layerpot import tangential_derivative
 from .polarization import bounds_verdict, minimal_trace_target, polarization_tensor
 from .transmission import Contrast, _as_contrast
@@ -277,10 +277,8 @@ def overlay_svg(problem: OptProblem, trace: OptTrace, initial_coeffs) -> str:
     curves = [
         (initial.outline(512), "#888888", "4 3", "initial"),
         (trace.final_shape.outline(512), "#c0392b", "", "optimized"),
+        (Ellipse(disk_r, disk_r).outline(256), "#2471a3", "8 4", "target disk"),
     ]
-    theta = 2 * np.pi * np.arange(256) / 256
-    disk = disk_r * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    curves.append((disk, "#2471a3", "8 4", "target disk"))
 
     allpts = np.vstack([c[0] for c in curves])
     lo = allpts.min(axis=0)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, EmptySampleError, ResolutionError, SolveError
-from .geometry import BoundaryGrid, InteriorSample, ShapeSpec, discretize, interior_points
+from .geometry import BoundaryGrid, Ellipse, InteriorSample, ShapeSpec, discretize, interior_points
 from .layerpot import (
     _one_sided_derivatives,
     npo_matrix,
@@ -104,44 +104,33 @@ def _gmres(mat: np.ndarray, rhs: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     return (y @ basis[:, : j + 1]).transpose(1, 2, 0)
 
 
-def _solve(mat: np.ndarray, contrasts, rhs: np.ndarray) -> list[np.ndarray]:
-    """Solve (coupling I - K*) x = rhs by ``_gmres``: one array like ``rhs`` per contrast.
+def _basis_densities(grid: BoundaryGrid, ks) -> list[np.ndarray]:
+    """Densities for the basis directions e_1..e_d: one (n, d) array per contrast.
 
-    Every column's relative residual must come back at 1e-10 or better and
-    every entry must be finite, otherwise a SolveError is raised; a NaN fails.
+    The one boundary solve, (coupling I - K*) x = n_j: one K* per grid, one
+    ``_gmres`` Krylov basis per unit column n_j for every contrast.  Every
+    residual must be at most 1e-10 and every entry finite, or a SolveError
+    is raised; a NaN fails.
     """
-    shifts = np.array([contrast.coupling for contrast in contrasts])
-    cols = rhs.reshape(len(rhs), -1)
-    values = _gmres(mat, cols, shifts)
-    scale = np.maximum(1.0, np.max(np.abs(cols), axis=0))
-    residual = np.max(np.abs(shifts[:, None, None] * values - mat @ values - cols), axis=1) / scale
+    mat = npo_matrix(grid)
+    shifts = np.array([_as_contrast(k).coupling for k in ks])
+    values = _gmres(mat, grid.normals, shifts)
+    residual = np.max(np.abs(shifts[:, None, None] * values - mat @ values - grid.normals), axis=1)
     if not (np.all(residual <= 1e-10) and np.all(np.isfinite(values))):
         raise SolveError(
             f"boundary solve residual {np.max(residual):.3e} exceeds 1e-10 or the "
             "density is not finite; the system is unexpectedly ill-conditioned"
         )
-    return list(values.reshape(len(shifts), *rhs.shape))
-
-
-def _basis_densities(grid: BoundaryGrid, ks) -> list[np.ndarray]:
-    """Densities for the basis directions e_1..e_d: one (n, d) array per contrast.
-
-    One K* per grid; column j (right-hand side n_j) has one Krylov basis.
-    """
-    return _solve(npo_matrix(grid), [_as_contrast(k) for k in ks], grid.normals)
+    return list(values)
 
 
 def solve_density(grid: BoundaryGrid, k, a) -> np.ndarray:
-    """Solve the boundary equation for the layer density of direction ``a``.
-
-    GMRES on a freshly assembled K*, guarded as in ``_solve``.  Basis
-    directions and several contrasts are cheaper through ``_basis_densities``.
-    """
-    contrast = _as_contrast(k)
+    """Layer density of the applied direction ``a``: the basis densities of
+    ``_basis_densities`` combined with the entries of ``a``, a ``grid.dim``-vector."""
     a = np.asarray(a, dtype=float)
     if a.shape != (grid.dim,):
         raise ConfigError(f"direction must be a {grid.dim}-vector")
-    return _solve(npo_matrix(grid), [contrast], grid.normals @ a)[0]
+    return _basis_densities(grid, [k])[0] @ a
 
 
 def interior_field(
@@ -167,8 +156,8 @@ def interior_field(
 _SAMPLE_COUNT = 40
 
 
-def default_interior_sample(shape: ShapeSpec, grid: BoundaryGrid) -> InteriorSample:
-    """Interior sample of _SAMPLE_COUNT points clear of the near-boundary guard.
+def default_interior_sample(grid: BoundaryGrid) -> InteriorSample:
+    """Interior sample of _SAMPLE_COUNT points of ``grid.shape``, clear of its guard.
 
     The margin is 0.12 of the shape's scale or 3 node spacings, whichever
     is larger.  On a slender shape the scale term can reach past the
@@ -177,33 +166,25 @@ def default_interior_sample(shape: ShapeSpec, grid: BoundaryGrid) -> InteriorSam
     margin and too few points fit, the grid is too coarse: ResolutionError
     instead of EmptySampleError.
     """
-    floor = 0.12 * shape.scale()
-    guard = 3.0 * float(np.max(grid.spacing))
-    try:
-        return _guarded_sample(shape, floor, guard)
-    except EmptySampleError:
-        if shape.default_margin() >= floor:
-            raise
-    return _guarded_sample(shape, shape.default_margin(), guard)
+    shape, guard = grid.shape, 3.0 * float(np.max(grid.spacing))
+    for floor in (0.12 * shape.scale(), shape.default_margin()):
+        try:
+            return interior_points(shape, _SAMPLE_COUNT, max(floor, guard))
+        except EmptySampleError as exc:
+            if guard > floor:
+                raise ResolutionError(f"{exc} (3 node spacings): the grid is too coarse") from exc
+            if shape.default_margin() >= floor:
+                raise
 
 
-def _guarded_sample(shape: ShapeSpec, floor: float, guard: float) -> InteriorSample:
-    try:
-        return interior_points(shape, _SAMPLE_COUNT, max(floor, guard))
-    except EmptySampleError as exc:
-        if guard <= floor:
-            raise
-        raise ResolutionError(f"{exc} (3 node spacings): the grid is too coarse") from exc
-
-
-def uniformity_verdict(
-    grid: BoundaryGrid, ks, sample: InteriorSample, label=None
-) -> dict:
+def uniformity_verdict(grid: BoundaryGrid, ks, label=None) -> dict:
     """The ``eshelby`` report's checks, in its order after ks and n.
 
-    The largest gradient deviation over the contrasts ``ks`` and the basis
+    The interior field is sampled at ``default_interior_sample(grid)``.  The
+    largest gradient deviation over the contrasts ``ks`` and the basis
     directions must be at most 1e-6; ``rows`` has one record per pair.
     """
+    sample = default_interior_sample(grid)
     eye = np.eye(grid.dim)
     rows = []
     for k, phis in zip(ks, _basis_densities(grid, ks)):
@@ -253,8 +234,7 @@ def decay_check(shape: ShapeSpec, k, a) -> tuple[float, float, float, bool]:
     """
     grid = discretize(shape, _DECAY_N)
     phi = solve_density(grid, k, a)
-    t = 2 * np.pi * np.arange(_DECAY_ANGLES) / _DECAY_ANGLES
-    dirs = np.stack([np.cos(t), np.sin(t)], axis=1)
+    dirs = Ellipse(1.0, 1.0).outline(_DECAY_ANGLES)
     radii = [f * shape.scale() for f in _DECAY_FACTORS]
     inner, outer = (
         float(np.max(np.abs(single_layer_eval(grid, phi, shape.center_point() + r * dirs))))

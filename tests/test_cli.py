@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from inclab import cli
 from inclab.cli import parse_shape, run
 from inclab import ConfigError, Ellipse, FourierStar, Polygon, acceptance, discretize, transmission
+from inclab import Ellipsoid, LameParams
+from inclab.elastostatics import identity_verdict
 
 
 def _run(capsys, *argv):
@@ -172,7 +174,7 @@ def test_eshelby_on_slender_ellipses_samples_at_the_shape_clearance(capsys):
 def test_eshelby_keeps_the_scale_margin_where_it_fits(capsys):
     shape = Ellipse(5.0, 1.0)
     grid = discretize(shape, 256)
-    sample = transmission.default_interior_sample(shape, grid)
+    sample = transmission.default_interior_sample(grid)
     assert sample.margin == 0.12 * 5.0
 
 
@@ -389,9 +391,22 @@ def test_elastic_identity_rejects_bad_lame(capsys):
     assert "mu" in err
 
 
+# every subcommand, and the first file it writes under --out
+_OUT_CASES = [
+    (("pt", "--shape", "disk"), "pt.json"),
+    (("bounds", "--shape", "disk"), "bounds.json"),
+    (("eshelby", "--shape", "disk"), "eshelby.csv"),
+    (("newtonian", "--shape", "disk"), "newtonian.json"),
+    (("elastic-identity",), "elastic-identity.json"),
+    (("hodograph", "--shape", "disk"), "hodograph.json"),
+    (("shapeopt",), "shapeopt_trace.jsonl"),
+    (("suite",), "suite.txt"),
+]
+
 # (argv, the start of its one stderr line, to the end where it is fixed);
 # FILE is a file in the working directory, so neither it nor a path under it
-# can be the --out directory
+# can be the --out directory, and in the directory REPORTS each file of
+# _OUT_CASES is a directory
 _REFUSALS = [
     (("pt", "--shape", "nonagon:1"), "--shape: unknown shape type 'nonagon'\n"),
     (("pt", "--shape", "box:1,1,1"), "--shape: no boundary grid for Box\n"),
@@ -402,6 +417,9 @@ _REFUSALS = [
      "--shape: elastic-identity requires an ellipsoid shape\n"),
     (("hodograph", "--shape", "square"), "--shape: hodograph requires an ellipse shape\n"),
     (("pt", "--shape", "disk", "--k", "1"), "--k: contrasts must be positive and not 1\n"),
+    (("pt", "--shape", "disk", "--k", "2,3"), "--k: pt takes one contrast\n"),
+    (("bounds", "--shape", "disk", "--k", "2,3"), "--k: bounds takes one contrast\n"),
+    (("shapeopt", "--k", "2,3"), "--k: shapeopt takes one contrast\n"),
     (("bounds", "--shape", "disk", "--k", "1e308"),
      "--k: 1e+308 puts the trace bound out of range\n"),
     (("eshelby", "--shape", "disk", "--k", "2,nan"), "--k: 'nan' is not a finite number\n"),
@@ -409,6 +427,9 @@ _REFUSALS = [
     (("pt", "--shape", "disk", "--n", "32"), "--n: smooth curves need n >= 64\n"),
     (("bounds", "--shape", "disk", "--n", "8"), "--n: must be at least 16\n"),
     (("eshelby", "--shape", "ellipse:20,1"), "--n: margin leaves no interior room "),
+    # refused after --out is made: the directories it made are removed again
+    (("eshelby", "--shape", "ellipse:20,1", "--out", os.path.join("o", "p")),
+     "--n: margin leaves no interior room "),
     (("elastic-identity", "--n", "32"), "--n: point "),
     (("elastic-identity", "--shape", "ellipsoid:1,1,100"), "--n: point "),
     (("shapeopt", "--n", "64"), "--n: need at least 128 boundary nodes\n"),
@@ -418,17 +439,11 @@ _REFUSALS = [
     (("elastic-identity", "--lame", "2,1"), "--lame: takes lam,mu,lam_inc,mu_inc\n"),
 ] + [
     ((*argv, "--out", out), f"--out: [Errno {errno}] ")
-    for argv in (
-        ("pt", "--shape", "disk"),
-        ("bounds", "--shape", "disk"),
-        ("eshelby", "--shape", "disk"),
-        ("newtonian", "--shape", "disk"),
-        ("elastic-identity",),
-        ("hodograph", "--shape", "disk"),
-        ("shapeopt",),
-        ("suite",),
-    )
+    for argv, _ in _OUT_CASES
     for out, errno in (("FILE", 17), (os.path.join("FILE", "sub"), 20))
+] + [
+    ((*argv, "--out", "REPORTS"), f"--out: {os.path.join('REPORTS', name)} is a directory\n")
+    for argv, name in _OUT_CASES
 ]
 
 
@@ -438,12 +453,15 @@ _REFUSALS = [
 def test_every_refusal_names_a_flag_its_command_takes(capsys, tmp_path, monkeypatch, argv, start):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "FILE").write_text("a file\n")
+    for _, name in _OUT_CASES:
+        (tmp_path / "REPORTS" / name).mkdir(parents=True)
     code, out, err = _run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"config error: {start}") and err.count("\n") == 1, err
     assert start.split(":")[0] in cli._COMMANDS[argv[0]].flags.split()
-    # --out is made before any computation, and a bad one leaves nothing behind
-    assert os.listdir(tmp_path) == ["FILE"]
+    # --out is made before any computation, and a refusal leaves nothing behind
+    assert sorted(os.listdir(tmp_path)) == ["FILE", "REPORTS"]
+    assert sorted(os.listdir(tmp_path / "REPORTS")) == sorted(name for _, name in _OUT_CASES)
 
 
 def test_shapeopt_report_stays_finite_at_a_huge_contrast(capsys, tmp_path):
@@ -754,10 +772,29 @@ def test_nan_delta_fails_eshelby_and_criterion_07(capsys, monkeypatch):
     assert acceptance.criterion_07()["passed"] is False
 
 
+def test_eshelby_reads_the_verdict_of_criterion_07(capsys, monkeypatch):
+    verdicts = []
+
+    def recording(*args):
+        verdicts.append(transmission.uniformity_verdict(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(acceptance, "uniformity_verdict", recording)
+    acceptance.criterion_07()
+    argv = ("eshelby", "--shape", "ellipse:2,1", "--k", "0.5,2,10", "--format", "json")
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    # the criterion's first verdict is the ellipse's, at the same n and contrasts
+    assert json.loads(out)["max_delta"] == verdicts[0]["max_delta"]
+
+
 def test_elastic_identity_default_agrees_with_criterion_11(capsys):
     code, out, _ = _run(capsys, "elastic-identity")
     assert code == 0
     rep = json.loads(out)
+    # the command and the criterion call one verdict, which places the points
+    want = identity_verdict(discretize(Ellipsoid(2.0, 1.5, 1.0), 64), LameParams(2.0, 1.0, 1.0, 0.5))
+    assert {key: rep[key] for key in want} == want
     assert rep["residual_tol"] == 1e-6
     assert acceptance.criterion_11()["detail"].startswith(
         f"residuals: matrix {rep['residual_matrix_phase']:.2e}, inclusion "

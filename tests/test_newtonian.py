@@ -344,6 +344,16 @@ def test_star_ray_exits_agree_with_a_float_bisection_on_the_fit_sample():
     assert np.max(np.abs(got - want) / want) <= 1e-14
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_ray_rules_are_unit_directions_weighted_to_the_full_angle(dim):
+    from inclab.newtonian import _ray_rule
+
+    dirs, wts = _ray_rule(dim)
+    assert dirs.shape == (len(wts), dim)
+    assert np.max(np.abs(np.linalg.norm(dirs, axis=1) - 1.0)) <= 1e-15
+    assert abs(wts.sum() - (2 * np.pi if dim == 2 else 4 * np.pi)) <= 1e-13
+
+
 def _radial_cases():
     from inclab.geometry import _RAY_CHUNK
     from inclab.newtonian import _POLYGON_GAUSS, _ray_rule

@@ -81,7 +81,7 @@ def test_density_parallel_to_normal_component_on_ellipse(ellipse21_grid):
 
 
 def test_uniform_interior_field_ellipse(ellipse21_grid):
-    sample = default_interior_sample(Ellipse(2.0, 1.0), ellipse21_grid)
+    sample = default_interior_sample(ellipse21_grid)
     for k in (0.5, 2.0, 10.0):
         for j in range(2):
             a = np.zeros(2)
@@ -93,7 +93,7 @@ def test_uniform_interior_field_ellipse(ellipse21_grid):
 
 
 def test_interior_slope_two_axis_formula(ellipse21_grid):
-    sample = default_interior_sample(Ellipse(2.0, 1.0), ellipse21_grid)
+    sample = default_interior_sample(ellipse21_grid)
     k = 2.0
     targets = (0.75, 0.6)
     for j in range(2):
@@ -108,8 +108,7 @@ def test_interior_slope_two_axis_formula(ellipse21_grid):
 
 
 def test_square_interior_field_not_uniform(square_grid):
-    shape = Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
-    sample = default_interior_sample(shape, square_grid)
+    sample = default_interior_sample(square_grid)
     for k in (0.5, 2.0):
         a = np.array([1.0, 0.0])
         _, delta = interior_field(square_grid, solve_density(square_grid, k, a), a, sample)
@@ -123,16 +122,14 @@ def _mean_gradients(verdict):
 
 def test_lambda_map_diagonal_on_ellipse(ellipse21_grid):
     # column j of the map is the mean interior gradient under the field e_j
-    sample = default_interior_sample(Ellipse(2.0, 1.0), ellipse21_grid)
-    verdict = uniformity_verdict(ellipse21_grid, [2.0], sample)
+    verdict = uniformity_verdict(ellipse21_grid, [2.0])
     assert verdict["passed"]
     assert np.allclose(_mean_gradients(verdict).T, np.diag([0.75, 0.6]), atol=1e-8)
 
 
 def test_k_independence_on_ellipse():
     grid = discretize(Ellipse(2.0, 1.0), 128)
-    sample = default_interior_sample(Ellipse(2.0, 1.0), grid)
-    verdict = uniformity_verdict(grid, (0.5, 2.0, 10.0), sample)
+    verdict = uniformity_verdict(grid, (0.5, 2.0, 10.0))
     assert len(verdict["rows"]) == 6
     for row, grad in zip(verdict["rows"], _mean_gradients(verdict)):
         assert row["delta"] <= 1e-6
@@ -217,20 +214,20 @@ def _close(got, ref, rtol=1e-13):
 @pytest.mark.parametrize("shape", [Ellipse(2.0, 1.0), STAR, SQUARE], ids=["ellipse", "star", "square"])
 def test_shared_solve_matches_per_direction_reference(shape):
     grid = discretize(shape, 192)
-    sample = default_interior_sample(shape, grid)
+    sample = default_interior_sample(grid)
     eye = np.eye(2)
     for k in (0.5, 3.0):
         phis = _reference_densities(grid, k)
         raw = np.array([(grid.nodes * (phi * grid.weights)[:, None]).sum(axis=0) for phi in phis])
         assert _close(polarization_tensor(grid, k).M, 0.5 * (raw + raw.T))
         ref = [interior_field(grid, phi, eye[j], sample) for j, phi in enumerate(phis)]
-        verdict = uniformity_verdict(grid, [k], sample)
+        verdict = uniformity_verdict(grid, [k])
         assert _close(_mean_gradients(verdict), np.stack([mean for mean, _ in ref]))
         # delta is already relative to the mean gradient, so its scale is 1
         deltas = [row["delta"] for row in verdict["rows"]]
         assert np.max(np.abs(np.subtract(deltas, [delta for _, delta in ref]))) <= 1e-13
     ks = (0.5, 2.0, 10.0)
-    verdict = uniformity_verdict(grid, ks, sample)
+    verdict = uniformity_verdict(grid, ks)
     rows = verdict["rows"]
     assert [(r["k"], r["direction"]) for r in rows] == [(k, j) for k in ks for j in (1, 2)]
     for row, grad in zip(rows, _mean_gradients(verdict)):
@@ -256,8 +253,7 @@ def test_one_assembly_per_grid(monkeypatch, capsys, ellipse21_grid):
     polarization_tensor(ellipse21_grid, 3.0)
     assert grids == [ellipse21_grid]
     grids.clear()
-    sample = default_interior_sample(Ellipse(2.0, 1.0), ellipse21_grid)
-    uniformity_verdict(ellipse21_grid, (0.5, 2.0, 10.0), sample)
+    uniformity_verdict(ellipse21_grid, (0.5, 2.0, 10.0))
     assert grids == [ellipse21_grid]
     grids.clear()
     assert run(["eshelby", "--shape", "ellipse:2,1", "--k", "0.5,2,10", "--n", "128"]) == 0
