@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .geometry import Ellipse
 
 __all__ = [
     "ExteriorMap",
@@ -211,8 +212,7 @@ def slit_certificate(a: float, b: float) -> dict:
     imaginary axis, and the fitted leading coefficient must come within
     1e-4 of b/(a+b).
     """
-    theta = 2 * np.pi * np.arange(512) / 512
-    w = a * np.cos(theta) + 1j * b * np.sin(theta)
+    w = Ellipse(a, b).outline(512) @ np.array([1.0, 1j])
     boundary_dev = float(np.max(np.abs(hodograph_map(a, b, w) - 1j * np.imag(w))))
     fmap = ellipse_exterior_map(a, b)
     cert = univalence_check(lambda z: hodograph_map(a, b, fmap(z)))
