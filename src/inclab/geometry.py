@@ -620,17 +620,17 @@ def _dedupe(pts: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # point-node pairs
 
-def _pair_blocks(points: np.ndarray, nodes: np.ndarray, share: int = 1):
+def _pair_blocks(points: np.ndarray, nodes: np.ndarray):
     """Every difference x - y of a target point and a node, block by block.
 
-    Walks ``points`` in row blocks of at most max(_CHUNK // share, n) pairs
-    for n nodes and yields ``(rows, dx, r2)``: the slice of ``points`` covered,
+    Walks ``points`` in row blocks of at most max(_CHUNK, n) pairs for n
+    nodes and yields ``(rows, dx, r2)``: the slice of ``points`` covered,
     the component-major differences dx[j, p, s] = x_p[j] - y_s[j] of shape
     (d, rows, n), and r2 = |x_p - y_s|^2 of shape (rows, n).  Each block's
     arrays are fresh, so a caller may overwrite them.
     """
     nodes_t = np.ascontiguousarray(nodes.T)[:, None, :]
-    for rows in _row_blocks(len(points), len(nodes), _CHUNK // share):
+    for rows in _row_blocks(len(points), len(nodes), _CHUNK):
         dx = points[rows].T[:, :, None] - nodes_t
         yield rows, dx, np.einsum("jps,jps->ps", dx, dx)
 

@@ -21,10 +21,10 @@ from .errors import InvalidShapeError, NearBoundaryError
 from .geometry import _CHUNK, BoundaryGrid, _pair_blocks, _row_blocks, discretize
 
 
-def _guarded_blocks(grid: BoundaryGrid, points: np.ndarray, share: int = 1):
+def _guarded_blocks(grid: BoundaryGrid, points: np.ndarray):
     """``_pair_blocks`` of points and grid nodes; the first point closer than
     two node spacings to its nearest node raises NearBoundaryError."""
-    for rows, dx, r2 in _pair_blocks(points, grid.nodes, share):
+    for rows, dx, r2 in _pair_blocks(points, grid.nodes):
         idx = np.argmin(r2, axis=1)
         dist = np.sqrt(r2[np.arange(len(idx)), idx])
         bad = dist < 2.0 * grid.spacing[idx]

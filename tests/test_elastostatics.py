@@ -15,7 +15,7 @@ from inclab import (
     plain_kernel_moment,
     trace_identity_check,
 )
-from inclab.elastostatics import _green_sides
+from inclab.elastostatics import _green_sides, identity_verdict
 
 lam_s = st.floats(0.2, 5.0)
 mu_s = st.floats(0.2, 5.0)
@@ -127,11 +127,17 @@ def test_plain_kernel_moment_at_sphere_center():
 
 
 def test_equal_phase_difference_vanishes_identically():
+    # equal tractions take identical operations, here and on the grids of the
+    # elastic-identity benchmark
     shape = Ellipsoid(1.5, 1.0, 1.0)
     grid = discretize(shape, 32)
     pts = interior_points(shape, 8, 0.45)
     rep = trace_identity_check(grid, LameParams(2.0, 1.0, 2.0, 1.0), pts.points)
     assert rep["residual_difference"] == 0.0
+    for n in (64, 96, 128):
+        grid = discretize(Ellipsoid(2.0, 1.5, 1.0), n)
+        for lame in [(2.0, 1.0, 2.0, 1.0), (1.3, 0.7, 1.3, 0.7)]:
+            assert identity_verdict(grid, LameParams(*lame))["residual_difference"] == 0.0
 
 
 def test_residual_drops_under_refinement():

@@ -3,8 +3,7 @@
 The evaluators walk point-node pairs in blocks (``geometry._pair_blocks``).
 Each is checked here against a plain NumPy sum taken one target point at a
 time, at the default block budget and at one that ends the targets in a
-partial block (or, for the 3D surface walk, which takes 1/_SHARE of the
-budget, in blocks of one target).
+partial block.
 """
 
 import tracemalloc
@@ -15,7 +14,6 @@ import pytest
 from inclab import (
     Ellipse,
     Ellipsoid,
-    LameParams,
     NearBoundaryError,
     Polygon,
     conormal_linear,
@@ -29,7 +27,7 @@ from inclab import (
     single_layer_gradient,
 )
 from inclab import geometry
-from inclab.elastostatics import _SHARE, _green_sides, _kelvin, _surface_sums, identity_verdict
+from inclab.elastostatics import _green_sides, _kelvin, _surface_sums
 from inclab.layerpot import _one_sided_derivatives, upsample_periodic
 from inclab.newtonian import _flux_grid
 
@@ -42,13 +40,12 @@ CHUNKS = ["default", "split"]
 COUNT = 23  # targets; a prime, so no block size divides it
 
 
-def _setup(monkeypatch, name, chunk, grid=None, share=1):
+def _setup(monkeypatch, name, chunk, grid=None):
     shape, n, margin = SHAPES[name]
     grid = discretize(shape, n) if grid is None else grid
     if chunk == "split":
-        # five target rows per block of a walk that takes 1/share of the
-        # budget, so the 23 targets end in a partial block of three
-        monkeypatch.setattr(geometry, "_CHUNK", share * (5 * grid.n + grid.n // 2))
+        # five target rows per block, so the 23 targets end in a partial block of three
+        monkeypatch.setattr(geometry, "_CHUNK", 5 * grid.n + grid.n // 2)
     return grid, interior_points(shape, COUNT, margin).points
 
 
@@ -123,58 +120,38 @@ def test_newtonian_flux_matches_per_point_sums(monkeypatch, name, chunk):
 def test_surface_sums_match_per_point_sums(monkeypatch, chunk):
     grid, pts = _setup(monkeypatch, "ellipsoid", chunk)
     w = grid.weights
-    lhs, rhs = _green_sides(grid, pts)
     flux = lambda dx, r: (dx * grid.normals).sum(axis=1) / r**3
-    _assert_close(
-        lhs, _per_point(pts, grid.nodes, lambda dx, r: (dx * (flux(dx, r) * w)[:, None]).sum(0))
-    )
-    _assert_close(
-        rhs, _per_point(pts, grid.nodes, lambda dx, r: -(grid.normals * (w / r)[:, None]).sum(0))
-    )
+    green_lhs = _per_point(pts, grid.nodes, lambda dx, r: (dx * (flux(dx, r) * w)[:, None]).sum(0))
+    green_rhs = _per_point(pts, grid.nodes, lambda dx, r: -(grid.normals * (w / r)[:, None]).sum(0))
+    lhs, rhs = _green_sides(grid, pts)
+    _assert_close(lhs, green_lhs)
+    _assert_close(rhs, green_rhs)
 
     # the Kelvin layer is the node sum of kelvin_matrix(x - y) psi(y) w(y)
     lam, mu = 2.0, 1.0
     psi = grid.normals * _density(grid)[:, None]
-    wpsi = psi * w[:, None]
-    kelvin = lambda dx, r: np.einsum("sij,sj->i", kelvin_matrix(dx, lam, mu), wpsi)
-    _assert_close(elastic_single_layer(grid, psi, pts, lam, mu), _per_point(pts, grid.nodes, kelvin))
+    trac = conormal_linear(np.eye(3), 1.3, 0.7, grid.normals)
+    kelvin = []
+    for density in (psi, trac):
+        wpsi = density * w[:, None]
+        term = lambda dx, r: np.einsum("sij,sj->i", kelvin_matrix(dx, lam, mu), wpsi)
+        kelvin.append(_per_point(pts, grid.nodes, term))
+    _assert_close(elastic_single_layer(grid, psi, pts, lam, mu), kelvin[0])
 
+    moments = []
     for values in (grid.normals, _density(grid)):
         wv = values * (w if values.ndim == 1 else w[:, None])
         moment = lambda dx, r: (wv / (r if values.ndim == 1 else r[:, None])).sum(0) / (4 * np.pi)
-        _assert_close(plain_kernel_moment(grid, values, pts), _per_point(pts, grid.nodes, moment))
+        moments.append(_per_point(pts, grid.nodes, moment))
+        _assert_close(plain_kernel_moment(grid, values, pts), moments[-1])
 
-
-@pytest.mark.parametrize("chunk", CHUNKS)
-def test_one_surface_walk_serves_every_identity_sum(monkeypatch, chunk):
-    # what trace_identity_check reads off its one walk: both Kelvin layers
-    # (matrix-phase kernel), the plain moment and both Green sides
-    grid, pts = _setup(monkeypatch, "ellipsoid", chunk, share=_SHARE)
-    lame = LameParams(2.0, 1.0, 1.0, 0.5)
-    w = grid.weights
-    trac = conormal_linear(np.eye(3), lame.lam, lame.mu, grid.normals)
-    trac_inc = conormal_linear(np.eye(3), lame.lam_inc, lame.mu_inc, grid.normals)
-    sums = _surface_sums(grid, pts, [trac, trac_inc, grid.normals])
-    for psi, (a, b) in zip([trac, trac_inc], sums):
-        wpsi = psi * w[:, None]
-        kelvin = lambda dx, r: np.einsum("sij,sj->i", kelvin_matrix(dx, lame.lam, lame.mu), wpsi)
-        _assert_close(_kelvin(a, b, lame.lam, lame.mu), _per_point(pts, grid.nodes, kelvin))
-    inverse, green_lhs = sums[2]
-    wn = grid.normals * w[:, None]
-    moment = lambda dx, r: (wn / r[:, None]).sum(0) / (4 * np.pi)
-    _assert_close(inverse / (4 * np.pi), _per_point(pts, grid.nodes, moment))
-    _assert_close(-inverse, _per_point(pts, grid.nodes, lambda dx, r: -(wn / r[:, None]).sum(0)))
-    flux = lambda dx, r: (dx * grid.normals).sum(axis=1) / r**3
-    lhs = lambda dx, r: (dx * (flux(dx, r) * w)[:, None]).sum(0)
-    _assert_close(green_lhs, _per_point(pts, grid.nodes, lhs))
-
-
-@pytest.mark.parametrize("lame", [(2.0, 1.0, 2.0, 1.0), (1.3, 0.7, 1.3, 0.7)])
-@pytest.mark.parametrize("n", [64, 96, 128])
-def test_equal_phases_leave_no_difference_on_the_benchmark_grids(n, lame):
-    # equal tractions go through identical operations of the one walk
-    rep = identity_verdict(discretize(Ellipsoid(2.0, 1.5, 1.0), n), LameParams(*lame))
-    assert rep["residual_difference"] == 0.0
+    # trace_identity_check reads two Kelvin layers, the moment of the normal
+    # and both Green sides off one walk over three densities
+    (a0, b0), (a1, b1), (inverse, flux_sum) = _surface_sums(grid, pts, [psi, trac, grid.normals])
+    _assert_close(_kelvin(a0, b0, lam, mu), kelvin[0])
+    _assert_close(_kelvin(a1, b1, lam, mu), kelvin[1])
+    _assert_close(inverse / (4 * np.pi), moments[0])
+    _assert_close(flux_sum, green_lhs)
 
 
 def test_guard_names_the_first_offender_in_a_later_block(monkeypatch):
