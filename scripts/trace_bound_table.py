@@ -4,7 +4,8 @@
 For each shape and contrast the table lists the polarization-tensor trace,
 its eigenvalues, and the slack of the inverse-trace bound.  Ellipses sit on
 the bound curve (slack at rounding level); cornered and lobed shapes sit
-strictly inside.  Writes trace_bound_table.csv to the output directory.
+strictly inside.  Writes trace_bound_table.csv to the output directory and
+exits 1 when ``bounds_verdict`` fails any shape at any contrast.
 """
 
 import argparse
@@ -13,17 +14,17 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
-from inclab.geometry import Ellipse, FourierStar, Polygon
+from inclab.acceptance import DISK, ELLIPSE21, ELLIPSE41, KITE, SQUARE, STAR3
 from inclab.serialize import to_csv
 from inclab.shapeopt import bound_gap_scan
 
 SHAPES = [
-    ("disk", Ellipse(1.0, 1.0)),
-    ("ellipse 2:1", Ellipse(2.0, 1.0)),
-    ("ellipse 4:1", Ellipse(4.0, 1.0)),
-    ("square", Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))),
-    ("kite", Polygon(((1.0, 0.0), (0.0, 0.7), (-0.6, 0.0), (0.0, -0.7)))),
-    ("three-lobed star", FourierStar(1.0, ((3, 0.2, 0.0),))),
+    ("disk", DISK),
+    ("ellipse 2:1", ELLIPSE21),
+    ("ellipse 4:1", ELLIPSE41),
+    ("square", SQUARE),
+    ("kite", KITE),
+    ("three-lobed star", STAR3),
 ]
 
 
@@ -39,9 +40,12 @@ def main() -> int:
     ks = [float(tok) for tok in args.k.split(",") if tok]
 
     rows = []
+    failed = []
     for k in ks:
         records = bound_gap_scan([shape for _, shape in SHAPES], k, n=args.n)
         for (name, _), rec in zip(SHAPES, records):
+            if not rec["passed"]:
+                failed.append(f"{name} at k = {k:g}")
             rows.append(
                 {
                     "shape": name,
@@ -69,6 +73,9 @@ def main() -> int:
             f"{row['slack2']:>12.3e}  {'yes' if row['saturated2'] else 'no'}"
         )
     print(f"\nwrote {os.path.join(args.out, 'trace_bound_table.csv')}")
+    if failed:
+        print(f"bounds_verdict failed: {', '.join(failed)}")
+        return 1
     return 0
 
 

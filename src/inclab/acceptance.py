@@ -177,11 +177,10 @@ def criterion_07() -> dict:
 def criterion_08() -> dict:
     """Interior gradient slope matches the two-axis closed form."""
     errors = []
-    for (a_ax, b_ax), k in (((2.0, 1.0), 2.0), ((2.0, 1.0), 5.0), ((3.0, 2.0), 4.0)):
-        shape = Ellipse(a_ax, b_ax)
+    for shape, ks in ((ELLIPSE21, [2.0, 5.0]), (Ellipse(3.0, 2.0), [4.0])):
         factors = depolarization_factors_2d(shape)
-        for row in uniformity_verdict(discretize(shape, 256), [k])["rows"]:
-            j = row["direction"] - 1
+        for row in uniformity_verdict(discretize(shape, 256), ks)["rows"]:
+            k, j = row["k"], row["direction"] - 1
             target = np.eye(2)[j] / (1.0 + (k - 1.0) * factors[j])
             errors.append(float(np.max(np.abs([row["mean_gx"], row["mean_gy"]] - target))))
     worst = float(np.max(errors))

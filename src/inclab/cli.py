@@ -209,12 +209,9 @@ def _cmd_bounds(args):
 
 def _cmd_eshelby(args):
     _expect(args.shape.dim == 2, "--shape: eshelby requires a 2D shape")
-    return {
-        "shape": args.label,
-        "ks": list(args.ks),
-        "n": args.n,
-        **uniformity_verdict(discretize(args.shape, args.n), args.ks, args.label),
-    }
+    verdict = uniformity_verdict(discretize(args.shape, args.n), args.ks)
+    verdict["rows"] = [{"shape": args.label, **row} for row in verdict["rows"]]
+    return {"shape": args.label, "ks": list(args.ks), "n": args.n, **verdict}
 
 
 def _cmd_newtonian(args):

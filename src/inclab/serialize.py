@@ -82,9 +82,9 @@ def _wrap(items: list[str], open_ch: str, close_ch: str, indent, level: int) -> 
     return f"{open_ch}\n{pad}{body}\n{closing}{close_ch}"
 
 
-def to_json(obj, indent: int | None = 2) -> str:
+def to_json(obj) -> str:
     """Deterministic JSON with fixed field order and 17-digit floats."""
-    return _render(obj, indent, 0)
+    return _render(obj, 2, 0)
 
 
 def to_jsonl(records) -> str:

@@ -79,13 +79,13 @@ class OptProblem:
     def disk_value(self) -> float:
         return minimal_trace_target(self.k, self.area, 2)
 
-    def start(self, amplitudes=(0.2, 0.1)) -> np.ndarray:
-        """Non-circular search start: cosine amplitudes of modes 2 and 3
-        (mode 3 only when searched), every other coefficient zero."""
+    def start(self) -> np.ndarray:
+        """Non-circular search start: cosine amplitude 0.2 of mode 2 and
+        0.1 of mode 3 (when searched), every other coefficient zero."""
         start = np.zeros(self.dof)
-        start[0] = amplitudes[0]
+        start[0] = 0.2
         if self.dof > 2:
-            start[2] = amplitudes[1]
+            start[2] = 0.1
         return start
 
 
@@ -250,7 +250,7 @@ def bound_gap_scan(shapes, k, n: int = 256) -> list[dict]:
     for shape in shapes:
         pt = polarization_tensor(discretize(shape, n), k)
         report = bounds_verdict(pt)
-        eigs = np.sort(np.linalg.eigvalsh(pt.M))
+        eigs = np.linalg.eigvalsh(pt.M)
         records.append(
             {
                 "tr_M": report["trace_M"],

@@ -177,7 +177,7 @@ def default_interior_sample(grid: BoundaryGrid) -> InteriorSample:
                 raise
 
 
-def uniformity_verdict(grid: BoundaryGrid, ks, label=None) -> dict:
+def uniformity_verdict(grid: BoundaryGrid, ks) -> dict:
     """The ``eshelby`` report's checks, in its order after ks and n.
 
     The interior field is sampled at ``default_interior_sample(grid)``.  The
@@ -191,10 +191,7 @@ def uniformity_verdict(grid: BoundaryGrid, ks, label=None) -> dict:
         for j in range(grid.dim):
             mean, delta = interior_field(grid, phis[:, j], eye[j], sample)
             gx, gy = (float(g) for g in mean)
-            rows.append({
-                "shape": label, "k": k, "direction": j + 1,
-                "mean_gx": gx, "mean_gy": gy, "delta": delta,
-            })
+            rows.append({"k": k, "direction": j + 1, "mean_gx": gx, "mean_gy": gy, "delta": delta})
     worst = float(np.max([row["delta"] for row in rows]))
     return {"max_delta": worst, "delta_tol": 1e-6, "passed": worst <= 1e-6, "rows": rows}
 
