@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Tabulate the inverse-trace bound slack for a family of shapes.
 
-For each shape and contrast the table lists the polarization-tensor trace,
-its eigenvalues, and the slack of the inverse-trace bound.  Ellipses sit on
-the bound curve (slack at rounding level); cornered and lobed shapes sit
-strictly inside.  Writes trace_bound_table.csv to the output directory and
-exits 1 when ``bounds_verdict`` fails any shape at any contrast.
+For each shape (256 boundary nodes) and contrast the table lists the
+polarization-tensor trace, its eigenvalues, and the slack of the
+inverse-trace bound.  Ellipses sit on the bound curve (slack at rounding
+level); cornered and lobed shapes sit strictly inside.  Writes
+trace_bound_table.csv to the output directory and exits 1 when
+``bounds_verdict`` fails any shape at any contrast.
 """
 
 import argparse
@@ -15,8 +16,8 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from inclab.acceptance import DISK, ELLIPSE21, ELLIPSE41, KITE, SQUARE, STAR3
+from inclab.polarization import bound_gap_scan
 from inclab.serialize import to_csv
-from inclab.shapeopt import bound_gap_scan
 
 SHAPES = [
     ("disk", DISK),
@@ -34,7 +35,6 @@ def main() -> int:
         "--k", default="0.5,2,3,10",
         help="comma-separated conductivity contrasts",
     )
-    parser.add_argument("--n", type=int, default=256, help="boundary nodes per shape")
     parser.add_argument("--out", default="artifacts", help="output directory")
     args = parser.parse_args()
     ks = [float(tok) for tok in args.k.split(",") if tok]
@@ -42,7 +42,7 @@ def main() -> int:
     rows = []
     failed = []
     for k in ks:
-        records = bound_gap_scan([shape for _, shape in SHAPES], k, n=args.n)
+        records = bound_gap_scan([shape for _, shape in SHAPES], k)
         for (name, _), rec in zip(SHAPES, records):
             if not rec["passed"]:
                 failed.append(f"{name} at k = {k:g}")

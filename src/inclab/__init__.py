@@ -46,6 +46,7 @@ from .transmission import (
 )
 from .polarization import (
     PolarizationTensor,
+    bound_gap_scan,
     minimal_trace_target,
     polarization_tensor,
 )
@@ -77,7 +78,6 @@ from .hodograph import (
 from .shapeopt import (
     OptProblem,
     OptTrace,
-    bound_gap_scan,
     coefficients_to_star,
     minimize_trace,
     overlay_svg,
@@ -115,6 +115,7 @@ __all__ = [
     "interior_field",
     "solve_density",
     "PolarizationTensor",
+    "bound_gap_scan",
     "minimal_trace_target",
     "polarization_tensor",
     "carlson_rd",
@@ -138,7 +139,6 @@ __all__ = [
     "univalence_check",
     "OptProblem",
     "OptTrace",
-    "bound_gap_scan",
     "coefficients_to_star",
     "minimize_trace",
     "overlay_svg",

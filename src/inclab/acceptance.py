@@ -30,8 +30,8 @@ from .newtonian import (
     quadratic_interior_fit,
     quadratic_verdict,
 )
-from .polarization import polarization_tensor, pt_verdict
-from .shapeopt import OptProblem, bound_gap_scan, disk_verdict, minimize_trace
+from .polarization import bound_gap_scan, polarization_tensor, pt_verdict
+from .shapeopt import OptProblem, disk_verdict, minimize_trace
 from .transmission import DECAY_TOL, decay_check, uniformity_verdict
 
 __all__ = ["run_criterion", "run_all", "CRITERIA"]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -237,15 +238,14 @@ def _cmd_hodograph(args):
 
 def _cmd_shapeopt(args):
     problem = _named("--n", replace, _named("--k", OptProblem, args.k), n=args.n)
-    start = problem.start()
-    trace = minimize_trace(problem, start)
+    trace = minimize_trace(problem, problem.start())
     verdict = disk_verdict(problem, trace)
     passed = verdict.pop("passed")
     trace_path, svg_path = args.files
     with open(trace_path, "w", encoding="utf-8") as fh:
         fh.write(to_jsonl(trace.history))
     with open(svg_path, "w", encoding="utf-8") as fh:
-        fh.write(overlay_svg(problem, trace, start))
+        fh.write(overlay_svg(problem, trace))
     return {
         "k": args.k,
         "area": problem.area,
@@ -308,6 +308,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="inclab",

@@ -33,6 +33,10 @@ from .errors import EmptySampleError, InvalidShapeError, ResolutionError
 PANEL_ORDER = 8
 CORNER_DEPTH = 6
 
+# Most nodes a boundary grid may hold; larger grids are refused before any
+# array is allocated.
+_MAX_GRID_NODES = 1 << 22
+
 # ``margin_ok(pts, margin)`` is True where a conservative bound on a point's
 # clearance to the boundary is at least margin - _MARGIN_SLACK * scale().
 _MARGIN_SLACK = 1e-12
@@ -79,6 +83,7 @@ class _SmoothCurve(_PlaneShape):
         n = int(n)
         if n < 64:
             raise ResolutionError("smooth curves need n >= 64")
+        _check_grid_size(n)
         t = 2 * np.pi * np.arange(n) / n
         p, normals, speed, kappa = self.curve_frame(t)
         w = speed * (2 * np.pi / n)
@@ -137,6 +142,7 @@ class Ellipse(_Quadric, _SmoothCurve):
     def __post_init__(self):
         if not (self.a > 0 and self.b > 0):
             raise InvalidShapeError("ellipse semi-axes must be positive")
+        _check_lengths("ellipse semi-axes", (self.a, self.b))
 
     def curve_frame(self, t: np.ndarray):
         """Positions, outward normals, speed and curvature at parameters ``t``."""
@@ -159,7 +165,6 @@ class Ellipse(_Quadric, _SmoothCurve):
                 f"aspect ratio {max(self.a, self.b) / min(self.a, self.b):.6g} is beyond "
                 f"what {int(n)} boundary nodes resolve"
             )
-        _check_lengths("ellipse semi-axes", (self.a, self.b))
         return super().boundary_grid(n)
 
 
@@ -174,12 +179,12 @@ class Polygon(_PlaneShape):
         if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3:
             raise InvalidShapeError("polygon needs at least 3 planar vertices")
         object.__setattr__(self, "vertices", tuple(map(tuple, v)))
+        edges = np.hypot(*np.diff(v, axis=0, append=v[:1]).T)
+        _check_lengths("polygon edge extremes", (np.min(edges), np.max(edges)))
         if _signed_area(v) <= 0:
             raise InvalidShapeError("polygon vertices must be counterclockwise")
         if not _is_simple(v):
             raise InvalidShapeError("polygon must be simple (no self-intersection)")
-        edges = np.hypot(*np.diff(v, axis=0, append=v[:1]).T)
-        _check_lengths("polygon edge extremes", (np.min(edges), np.max(edges)))
 
     def outline(self, count: int) -> np.ndarray:
         """The vertices; a polygon's outline needs no sampling."""
@@ -220,6 +225,8 @@ class Polygon(_PlaneShape):
         verts = np.asarray(self.vertices, dtype=float)
         q = PANEL_ORDER
         base = max(2, int(np.ceil(n_per_edge / q)))
+        # base panels per edge, the two end panels each cut into CORNER_DEPTH + 1
+        _check_grid_size(len(verts) * (base + 2 * CORNER_DEPTH) * q)
         bp = np.linspace(0.0, 1.0, base + 1)
         pieces: list[tuple[float, float]] = []
         lo, hi = bp[0], bp[1]
@@ -382,6 +389,7 @@ class Ellipsoid(_Quadric):
         n_pol, n_az = int(n), 2 * int(n)
         if n_pol < 16:
             raise ResolutionError("ellipsoids need at least a 16 x 32 grid")
+        _check_grid_size(n_pol * n_az)
         c1, c2, c3 = self.c1, self.c2, self.c3
         u, wu = np.polynomial.legendre.leggauss(n_pol)
         phi = 2 * np.pi * np.arange(n_az) / n_az
@@ -516,6 +524,12 @@ def _check_lengths(name: str, lengths):
             f"{name} {lengths} must lie within {tiny**0.25:.1e} .. {huge**0.25:.1e}, "
             "where their fourth powers are normal floats"
         )
+
+
+def _check_grid_size(count: int):
+    """Refuse a boundary grid of more than _MAX_GRID_NODES nodes."""
+    if count > _MAX_GRID_NODES:
+        raise ResolutionError(f"a grid of {count} nodes exceeds the cap of {_MAX_GRID_NODES}")
 
 
 def _star_radius(shape: FourierStar, t: np.ndarray) -> np.ndarray:

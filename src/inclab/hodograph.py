@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, InvalidShapeError
 from .geometry import Ellipse
 
 __all__ = [
@@ -78,11 +78,17 @@ def ellipse_exterior_map(a: float, b: float) -> ExteriorMap:
 
     F(z) = ((a + b) z + (a - b) / z) / 2 maps the unit circle to
     a cos(t) + i b sin(t) for every a, b > 0; for a tall ellipse (a < b)
-    beta is negative.
+    beta is negative.  Below an axis ratio of about 2^-53, (a + b)/2 and
+    |a - b|/2 round to one float and the map is not univalent: the shape is
+    refused with InvalidShapeError, as are semi-axes that are not positive.
     """
-    if not (a > 0 and b > 0):
-        raise ConfigError("semi-axes must be positive")
-    return ExteriorMap(gamma=complex((a + b) / 2.0), beta=complex((a - b) / 2.0))
+    gamma, beta = (a + b) / 2.0, (a - b) / 2.0
+    if not (a > 0 and b > 0 and gamma > abs(beta)):
+        raise InvalidShapeError(
+            f"ellipse semi-axes ({a!r}, {b!r}) must be positive with (a + b)/2 "
+            "above |a - b|/2 in floating point, as the exterior map needs"
+        )
+    return ExteriorMap(gamma=complex(gamma), beta=complex(beta))
 
 
 def invert_exterior_map(fmap: ExteriorMap, w):

@@ -17,8 +17,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidShapeError, NearBoundaryError
+from .errors import InvalidShapeError, NearBoundaryError, ResolutionError
 from .geometry import _CHUNK, BoundaryGrid, _pair_blocks, _row_blocks, discretize
+
+# Most nodes ``npo_matrix`` assembles K* on: the dense matrix alone is then 2 GiB.
+_MAX_NPO_NODES = 1 << 14
 
 
 def _guarded_blocks(grid: BoundaryGrid, points: np.ndarray):
@@ -78,9 +81,12 @@ def npo_matrix(grid: BoundaryGrid) -> np.ndarray:
     diag = (w/2 - w^T K*) / w.  K* does not depend on the contrast, so one
     matrix serves every solve on the grid.  Rows are assembled in blocks of
     at most max(2^17, n) entries, so the complex temporary never holds the
-    whole matrix.  A 3D grid raises InvalidShapeError.
+    whole matrix.  A 3D grid raises InvalidShapeError, and a grid of more
+    than _MAX_NPO_NODES nodes ResolutionError.
     """
     _plane(grid)
+    if grid.n > _MAX_NPO_NODES:
+        raise ResolutionError(f"K* on {grid.n} nodes exceeds the cap of {_MAX_NPO_NODES}")
     z = grid.nodes[:, 0] + 1j * grid.nodes[:, 1]
     nu = grid.normals[:, 0] + 1j * grid.normals[:, 1]
     w = grid.weights / (2 * np.pi)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SolveError
-from .geometry import BoundaryGrid, ShapeSpec
+from .geometry import BoundaryGrid, ShapeSpec, discretize
 from .newtonian import closed_form_factors
 from .transmission import Contrast, _as_contrast, _basis_densities
 
@@ -26,6 +26,7 @@ __all__ = [
     "closed_form_pt",
     "pt_verdict",
     "bounds_verdict",
+    "bound_gap_scan",
     "minimal_trace_target",
 ]
 
@@ -164,6 +165,32 @@ def bounds_verdict(pt: PolarizationTensor) -> dict:
         "saturation_tol": SATURATION_TOL,
         "passed": slack1 >= -1e-5 and slack2 >= -1e-5,
     }
+
+
+def bound_gap_scan(shapes, k) -> list[dict]:
+    """Trace and inverse-trace-bound slack for a batch of shapes, 256 nodes each.
+
+    One record per shape with the tensor trace, its eigenvalue pair, the
+    slack of the inverse-trace bound and whether ``bounds_verdict`` passed
+    — the numerical face of the fact that ellipses sit on the bound curve
+    and everything else sits strictly inside.
+    """
+    records = []
+    for shape in shapes:
+        pt = polarization_tensor(discretize(shape, 256), k)
+        report = bounds_verdict(pt)
+        eigs = np.linalg.eigvalsh(pt.M)
+        records.append(
+            {
+                "tr_M": report["trace_M"],
+                "eig_low": float(eigs[0]),
+                "eig_high": float(eigs[-1]),
+                "slack2": report["slack2"],
+                "saturated2": report["saturated2"],
+                "passed": report["passed"],
+            }
+        )
+    return records
 
 
 def minimal_trace_target(k, volume: float, d: int) -> float:

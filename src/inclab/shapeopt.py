@@ -14,14 +14,15 @@ class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import ConfigError, InvalidShapeError
 from .geometry import Ellipse, FourierStar, discretize
 from .layerpot import tangential_derivative
-from .polarization import bounds_verdict, minimal_trace_target, polarization_tensor
+from .polarization import minimal_trace_target, polarization_tensor
 from .transmission import Contrast, _as_contrast
 
 __all__ = [
@@ -31,7 +32,6 @@ __all__ = [
     "objective",
     "minimize_trace",
     "disk_verdict",
-    "bound_gap_scan",
     "overlay_svg",
 ]
 
@@ -42,30 +42,28 @@ _GTOL = 1e-6
 
 @dataclass(frozen=True)
 class OptProblem:
-    """Configuration of one trace-minimization run.
+    """Configuration of one trace-minimization run: the contrast ``k`` and
+    the boundary node count ``n``.
 
-    ``m_max`` is the highest Fourier mode searched (modes 2..m_max, two
-    amplitudes each); mode 1 is excluded because it only translates the
-    shape at leading order.  The area constraint is enforced exactly at
-    every evaluation by rescaling the base radius.  ``n`` must be even
-    (the alternating-point rule of the shape gradient); ``max_iter`` caps
-    the BFGS iterations.
+    The search runs at area pi (tr M scales exactly with area, so no other
+    area adds anything) over Fourier modes 2..m_max, two amplitudes each;
+    mode 1 is excluded because it only translates the shape at leading
+    order.  The area constraint is enforced exactly at every evaluation by
+    rescaling the base radius.  ``n`` must be even (the alternating-point
+    rule of the shape gradient); ``max_iter`` caps the BFGS iterations.
     """
 
+    area: ClassVar[float] = float(np.pi)
+    m_max: ClassVar[int] = 6
+    max_iter: ClassVar[int] = 4000
+
     k: Contrast
-    area: float = float(np.pi)
-    m_max: int = 6
     n: int = 256
-    max_iter: int = 4000
 
     def __post_init__(self):
         object.__setattr__(self, "k", _as_contrast(self.k))
         if self.k.k <= 1.0:
             raise ConfigError("trace minimization is posed for k > 1")
-        if self.area <= 0:
-            raise ConfigError("target area must be positive")
-        if self.m_max < 2:
-            raise ConfigError("mode cutoff must be at least 2")
         if self.n < 128:
             raise ConfigError("need at least 128 boundary nodes")
         if self.n % 2:
@@ -81,15 +79,13 @@ class OptProblem:
 
     def start(self) -> np.ndarray:
         """Non-circular search start: cosine amplitude 0.2 of mode 2 and
-        0.1 of mode 3 (when searched), every other coefficient zero."""
+        0.1 of mode 3, every other coefficient zero."""
         start = np.zeros(self.dof)
-        start[0] = 0.2
-        if self.dof > 2:
-            start[2] = 0.1
+        start[0], start[2] = 0.2, 0.1
         return start
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptTrace:
     """Complete record of a minimization run.
 
@@ -98,28 +94,30 @@ class OptTrace:
     sequence is non-increasing by construction.
     """
 
-    history: list[dict] = field(default_factory=list)
-    final_coefficients: np.ndarray | None = None
-    final_shape: FourierStar | None = None
-    final_objective: float = float("nan")
-    gap: float = float("nan")
-    converged: bool = False
-    evaluations: int = 0
+    history: list[dict]
+    final_coefficients: np.ndarray
+    final_shape: FourierStar
+    final_objective: float
+    gap: float
+    converged: bool
+    evaluations: int
 
 
-def coefficients_to_star(coeffs, area: float, m_max: int) -> FourierStar:
-    """Star shape of exactly the requested area from relative amplitudes.
+def coefficients_to_star(coeffs) -> FourierStar:
+    """Star shape of area ``OptProblem.area`` from relative amplitudes.
 
     ``coeffs`` interleaves cosine and sine amplitudes for modes
-    2..m_max, relative to the base radius.  The base radius solving the
-    area constraint is exact (mean-square identity for trigonometric
-    polynomials), so no evaluation ever drifts off the constraint.
+    2..``OptProblem.m_max``, relative to the base radius.  The base radius
+    solving the area constraint is exact (mean-square identity for
+    trigonometric polynomials), so no evaluation ever drifts off the
+    constraint.
     """
     coeffs = np.asarray(coeffs, dtype=float)
+    m_max = OptProblem.m_max
     if coeffs.shape != (2 * (m_max - 1),):
         raise ConfigError(f"expected {2 * (m_max - 1)} coefficients")
     power = 1.0 + 0.5 * float(np.sum(coeffs**2))
-    r0 = float(np.sqrt(area / (np.pi * power)))
+    r0 = float(np.sqrt(OptProblem.area / (np.pi * power)))
     modes = tuple(
         (m, float(coeffs[2 * (m - 2)]), float(coeffs[2 * (m - 2) + 1]))
         for m in range(2, m_max + 1)
@@ -142,11 +140,12 @@ def objective(problem: OptProblem, coeffs) -> tuple[float, np.ndarray]:
     includes the area rescale of r0.  The densities phi_i are the ones
     ``polarization_tensor`` solved, so nothing is assembled or solved twice.
     Invalid candidates (radius touching zero) score a flat penalty of ten
-    disk values with a zero gradient, so the line search backs off.
+    disk values with a zero gradient, so the line search backs off; a wrong
+    coefficient count raises ConfigError.
     """
     try:
-        star = coefficients_to_star(coeffs, problem.area, problem.m_max)
-    except (InvalidShapeError, ConfigError):
+        star = coefficients_to_star(coeffs)
+    except InvalidShapeError:
         return 10.0 * problem.disk_value, np.zeros(problem.dof)
     grid = discretize(star, problem.n)
     pt = polarization_tensor(grid, problem.k)
@@ -177,43 +176,29 @@ def minimize_trace(problem: OptProblem, initial_coeffs) -> OptTrace:
     """
     from scipy.optimize import minimize as _bfgs
 
-    x0 = np.asarray(initial_coeffs, dtype=float).copy()
-    if x0.shape != (problem.dof,):
-        raise ConfigError(f"expected {problem.dof} initial coefficients")
-    trace = OptTrace()
-    best = {"value": float("inf")}
+    history = []
+    best = float("inf")
 
     def logged(x):
+        nonlocal best
         value, gradient = objective(problem, x)
-        improved = value < best["value"]
-        if improved:
-            best["value"] = value
-        trace.history.append(
-            {
-                "eval": len(trace.history),
-                "coefficients": [float(c) for c in x],
-                "objective": float(value),
-                "best": bool(improved),
-            }
-        )
+        history.append({"eval": len(history), "coefficients": [float(c) for c in x],
+                        "objective": float(value), "best": bool(value < best)})
+        best = min(best, value)
         return value, gradient
 
-    result = _bfgs(
-        logged,
-        x0,
-        jac=True,
-        method="BFGS",
-        options={"gtol": _GTOL, "maxiter": problem.max_iter},
+    result = _bfgs(logged, np.asarray(initial_coeffs, dtype=float), jac=True, method="BFGS",
+                   options={"gtol": _GTOL, "maxiter": problem.max_iter})
+    final = np.asarray(result.x, dtype=float)
+    return OptTrace(
+        history=history,
+        final_coefficients=final,
+        final_shape=coefficients_to_star(final),
+        final_objective=float(result.fun),
+        gap=float(result.fun) - problem.disk_value,
+        converged=bool(result.success),
+        evaluations=len(history),
     )
-    trace.final_coefficients = np.asarray(result.x, dtype=float)
-    trace.final_shape = coefficients_to_star(
-        trace.final_coefficients, problem.area, problem.m_max
-    )
-    trace.final_objective = float(result.fun)
-    trace.gap = trace.final_objective - problem.disk_value
-    trace.converged = bool(result.success)
-    trace.evaluations = len(trace.history)
-    return trace
 
 
 def disk_verdict(problem: OptProblem, trace: OptTrace) -> dict:
@@ -238,41 +223,13 @@ def disk_verdict(problem: OptProblem, trace: OptTrace) -> dict:
     }
 
 
-def bound_gap_scan(shapes, k, n: int = 256) -> list[dict]:
-    """Trace and inverse-trace-bound slack for a batch of shapes.
-
-    One record per shape with the tensor trace, its eigenvalue pair, the
-    slack of the inverse-trace bound and whether ``bounds_verdict`` passed
-    — the numerical face of the fact that ellipses sit on the bound curve
-    and everything else sits strictly inside.
-    """
-    records = []
-    for shape in shapes:
-        pt = polarization_tensor(discretize(shape, n), k)
-        report = bounds_verdict(pt)
-        eigs = np.linalg.eigvalsh(pt.M)
-        records.append(
-            {
-                "tr_M": report["trace_M"],
-                "eig_low": float(eigs[0]),
-                "eig_high": float(eigs[-1]),
-                "slack2": report["slack2"],
-                "saturated2": report["saturated2"],
-                "passed": report["passed"],
-            }
-        )
-    return records
-
-
-def overlay_svg(problem: OptProblem, trace: OptTrace, initial_coeffs) -> str:
-    """SVG overlay of the initial shape, the optimized shape, and the disk.
+def overlay_svg(problem: OptProblem, trace: OptTrace) -> str:
+    """SVG overlay of the search start, the optimized shape, and the disk.
 
     The viewBox is the joint bounding box enlarged by 20 percent; the
     exact minimal disk at the target area is drawn for reference.
     """
-    initial = coefficients_to_star(
-        np.asarray(initial_coeffs, dtype=float), problem.area, problem.m_max
-    )
+    initial = coefficients_to_star(problem.start())
     disk_r = float(np.sqrt(problem.area / np.pi))
     curves = [
         (initial.outline(512), "#888888", "4 3", "initial"),

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 
-from inclab import cli
+from inclab import cli, geometry, layerpot
 from inclab.cli import parse_shape, run
 from inclab import ConfigError, Ellipse, FourierStar, Polygon, acceptance, discretize, transmission
 from inclab import Ellipsoid, LameParams
@@ -179,14 +180,15 @@ def test_eshelby_keeps_the_scale_margin_where_it_fits(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("pt", "--shape", "ellipse:1e-200,1", "--k", "3"),
-    ("bounds", "--shape", "ellipse:1,1e-200", "--k", "3"),
+    ("pt", "--shape", "ellipse:1e-60,1", "--k", "3"),
+    ("bounds", "--shape", "ellipse:1,1e-60", "--k", "3"),
     ("pt", "--shape", "ellipse:1000,1", "--k", "3"),
-    ("newtonian", "--shape", "ellipse:1e-200,1"),
+    ("newtonian", "--shape", "ellipse:1e-60,1"),
 ])
 def test_ellipses_the_grid_cannot_resolve_are_refused(capsys, argv):
     # the trapezoid rule resolves an ellipse like rho^n, rho = |a - b|/(a + b);
-    # here rho^n >= 1/2, and ellipse:1e-200,1 passed on rounding noise
+    # here rho^n >= 1/2, and ellipse:1e-60,1 (rho rounds to 1) would pass on
+    # rounding noise; a semi-axis of 1e-200 is refused by the constructor
     code, out, err = _run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("config error: --shape: aspect ratio ")
@@ -354,10 +356,11 @@ def test_hodograph_requires_ellipse(capsys):
     assert "ellipse" in err
 
 
-@pytest.mark.parametrize("a, b", [(2, 1), (1, 2), (0.7, 2.5), (20, 10)])
+@pytest.mark.parametrize("a, b", [(2, 1), (1, 2), (0.7, 2.5), (20, 10), (1, 1e-16)])
 def test_hodograph_runs(capsys, a, b):
-    # tall ellipses (b > a) too, and ellipses wider than 10, the smallest
-    # fit radius in units of the major semi-axis
+    # tall ellipses (b > a) too, ellipses wider than 10, the smallest fit
+    # radius in units of the major semi-axis, and the most slender ellipse
+    # whose exterior map (a + b)/2, (a - b)/2 stays univalent in floats
     code, out, _ = _run(capsys, "hodograph", "--shape", f"ellipse:{a},{b}")
     assert code == 0
     rep = json.loads(out)
@@ -410,9 +413,22 @@ _OUT_CASES = [
 _REFUSALS = [
     (("pt", "--shape", "nonagon:1"), "--shape: unknown shape type 'nonagon'\n"),
     (("pt", "--shape", "box:1,1,1"), "--shape: no boundary grid for Box\n"),
-    (("bounds", "--shape", "ellipse:1,1e-200"), "--shape: aspect ratio "),
+    (("bounds", "--shape", "ellipse:1,1e-200"),
+     "--shape: ellipse semi-axes (1.0, 1e-200) must lie within 1.2e-77 .. 1.2e+77, "),
     (("eshelby", "--shape", "ellipsoid:2,1.5,1"), "--shape: eshelby requires a 2D shape\n"),
-    (("newtonian", "--shape", "ellipse:1e-200,1"), "--shape: aspect ratio "),
+    (("newtonian", "--shape", "ellipse:1e-200,1"),
+     "--shape: ellipse semi-axes (1e-200, 1.0) must lie within 1.2e-77 .. 1.2e+77, "),
+    # the hodograph builds no grid: its shape's lengths are checked on construction
+    (("hodograph", "--shape", "ellipse:1e-200,1e-200"),
+     "--shape: ellipse semi-axes (1e-200, 1e-200) must lie within 1.2e-77 .. 1.2e+77, "),
+    (("hodograph", "--shape", "ellipse:1e200,1e199"),
+     "--shape: ellipse semi-axes (1e+200, 1e+199) must lie within 1.2e-77 .. 1.2e+77, "),
+    # edge lengths come before the signed area, which would overflow
+    (("pt", "--shape", "polygon:0,0,1e200,0,0,1e200"),
+     "--shape: polygon edge extremes (1e+200, 1.414213562373095e+200) must lie within "),
+    # (a + b)/2 and (a - b)/2 round to one float: no univalent exterior map
+    (("hodograph", "--shape", "ellipse:1,1e-17"), "--shape: ellipse semi-axes (1.0, 1e-17) must "),
+    (("hodograph", "--shape", "ellipse:1e-17,1"), "--shape: ellipse semi-axes (1e-17, 1.0) must "),
     (("elastic-identity", "--shape", "disk"),
      "--shape: elastic-identity requires an ellipsoid shape\n"),
     (("hodograph", "--shape", "square"), "--shape: hodograph requires an ellipse shape\n"),
@@ -455,13 +471,36 @@ def test_every_refusal_names_a_flag_its_command_takes(capsys, tmp_path, monkeypa
     (tmp_path / "FILE").write_text("a file\n")
     for _, name in _OUT_CASES:
         (tmp_path / "REPORTS" / name).mkdir(parents=True)
-    code, out, err = _run(capsys, *argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a refusal prints its one line and nothing else
+        code, out, err = _run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"config error: {start}") and err.count("\n") == 1, err
     assert start.split(":")[0] in cli._COMMANDS[argv[0]].flags.split()
     # --out is made before any computation, and a refusal leaves nothing behind
     assert sorted(os.listdir(tmp_path)) == ["FILE", "REPORTS"]
     assert sorted(os.listdir(tmp_path / "REPORTS")) == sorted(name for _, name in _OUT_CASES)
+
+
+@pytest.mark.parametrize("argv, module, cap, start", [
+    (("pt", "--shape", "disk", "--n", "2048"), geometry, "_MAX_GRID_NODES",
+     "--n: a grid of 2048 nodes exceeds the cap of 1024\n"),
+    (("bounds", "--shape", "square"), geometry, "_MAX_GRID_NODES",
+     "--n: a grid of 1408 nodes exceeds the cap of 1024\n"),
+    (("elastic-identity", "--n", "32"), geometry, "_MAX_GRID_NODES",
+     "--n: a grid of 2048 nodes exceeds the cap of 1024\n"),
+    (("eshelby", "--shape", "disk", "--n", "2048"), layerpot, "_MAX_NPO_NODES",
+     "--n: K* on 2048 nodes exceeds the cap of 1024\n"),
+], ids=["smooth-grid", "polygon-grid", "ellipsoid-grid", "npo-matrix"])
+def test_grids_above_a_cap_are_refused_naming_n(capsys, monkeypatch, argv, module, cap, start):
+    # the caps themselves (2^22 grid nodes, K* on 2^14) are too large to run here
+    monkeypatch.setattr(module, cap, 1024)
+    code, out, err = _run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"config error: {start}")
+
+
+def test_the_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_shapeopt_report_stays_finite_at_a_huge_contrast(capsys, tmp_path):

@@ -12,6 +12,7 @@ from inclab import (
     FourierStar,
     InvalidShapeError,
     Polygon,
+    ResolutionError,
     discretize,
     interior_points,
 )
@@ -46,7 +47,7 @@ def test_shape_validation_rejects_bad_axes():
     ],
 )
 def test_lengths_whose_fourth_powers_leave_the_float_range_are_refused(build):
-    # an ellipse is refused by its grid, after the aspect-ratio rule
+    # every shape checks its lengths in its constructor, before anything else
     with pytest.raises(InvalidShapeError, match="fourth powers are normal floats"):
         build()
 
@@ -204,6 +205,27 @@ def test_shape_scale_positive():
 def test_discretize_rejects_tiny_resolution():
     with pytest.raises(Exception):
         discretize(Ellipse(1.0, 1.0), 4)
+
+
+@pytest.mark.parametrize(
+    "shape, n",
+    [
+        (Ellipse(2.0, 1.0), 256),
+        (FourierStar(1.0, ((3, 0.2, 0.0),)), 128),
+        (Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))), 256),
+        (Polygon(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))), 100),
+        (Ellipsoid(2.0, 1.5, 1.0), 16),
+    ],
+    ids=["ellipse", "star", "square", "triangle", "ellipsoid"],
+)
+def test_grids_above_the_node_cap_are_refused_before_they_are_built(monkeypatch, shape, n):
+    # the count each grid checks is the count it builds
+    size = discretize(shape, n).n
+    monkeypatch.setattr(geometry, "_MAX_GRID_NODES", size)
+    assert discretize(shape, n).n == size
+    monkeypatch.setattr(geometry, "_MAX_GRID_NODES", size - 1)
+    with pytest.raises(ResolutionError, match=f"a grid of {size} nodes exceeds the cap of {size - 1}"):
+        discretize(shape, n)
 
 
 # The recorded area or volume, dimension, scale, center, bounding box, fit

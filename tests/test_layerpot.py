@@ -9,6 +9,7 @@ from inclab import (
     InvalidShapeError,
     NearBoundaryError,
     Polygon,
+    ResolutionError,
     discretize,
     jump_check,
     layerpot,
@@ -214,6 +215,14 @@ def test_near_boundary_guard():
     close = grid.nodes[0] + 1e-6 * grid.normals[0]
     with pytest.raises(NearBoundaryError):
         single_layer_eval(grid, phi, close[None, :])
+
+
+def test_npo_matrix_refuses_grids_above_its_node_cap(monkeypatch, ellipse21_grid):
+    monkeypatch.setattr(layerpot, "_MAX_NPO_NODES", ellipse21_grid.n)
+    assert npo_matrix(ellipse21_grid).shape == (ellipse21_grid.n,) * 2
+    monkeypatch.setattr(layerpot, "_MAX_NPO_NODES", ellipse21_grid.n - 1)
+    with pytest.raises(ResolutionError, match=f"K\\* on {ellipse21_grid.n} nodes exceeds"):
+        npo_matrix(ellipse21_grid)
 
 
 def test_layer_sums_refuse_3d_grids():

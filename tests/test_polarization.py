@@ -15,8 +15,15 @@ from inclab import (
     minimal_trace_target,
     polarization_tensor,
 )
+import inclab
 from inclab.cli import parse_shape
-from inclab.polarization import PolarizationTensor, bounds_verdict, closed_form_pt, pt_verdict
+from inclab.polarization import (
+    PolarizationTensor,
+    bound_gap_scan,
+    bounds_verdict,
+    closed_form_pt,
+    pt_verdict,
+)
 from inclab.transmission import Contrast
 
 contrast = st.floats(0.2, 10.0).filter(lambda k: abs(k - 1.0) > 0.05)
@@ -148,6 +155,22 @@ def test_polygon_tensors_are_definite_and_above_the_disk(name):
         assert np.all(np.sign(k - 1.0) * np.linalg.eigvalsh(pt.M) > 0), k
         if k > 1:
             assert np.trace(pt.M) >= minimal_trace_target(k, pt.volume, 2), k
+
+
+def test_bound_gap_scan_orders_shapes():
+    shapes = [
+        Ellipse(1.0, 1.0),
+        FourierStar(1.0, ((3, 0.2, 0.0),)),
+        Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))),
+    ]
+    records = bound_gap_scan(shapes, 3.0)
+    assert len(records) == 3
+    assert records[0]["slack2"] <= 1e-10
+    for rec in records[1:]:
+        assert rec["slack2"] >= 1e-3
+    # the batch form of bounds_verdict lives beside it, and the package
+    # exports that one function
+    assert inclab.bound_gap_scan is bound_gap_scan
 
 
 def test_minimal_target_disk_equality():

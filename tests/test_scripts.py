@@ -11,7 +11,7 @@ def test_trace_bound_table_runs_and_writes_artifacts(tmp_path):
     # the script puts the checkout's src on sys.path itself
     out_dir = tmp_path / "artifacts"
     proc = subprocess.run(
-        [sys.executable, TRACE_BOUND_TABLE, "--k", "3", "--n", "128", "--out", str(out_dir)],
+        [sys.executable, TRACE_BOUND_TABLE, "--k", "3", "--out", str(out_dir)],
         capture_output=True,
         text=True,
         timeout=300,
@@ -23,7 +23,7 @@ def test_trace_bound_table_runs_and_writes_artifacts(tmp_path):
 def test_trace_bound_table_exits_1_on_a_failed_record(tmp_path, monkeypatch, capsys):
     script = runpy.run_path(TRACE_BOUND_TABLE)
 
-    def failing_scan(shapes, k, n):
+    def failing_scan(shapes, k):
         record = {"tr_M": 1.0, "eig_low": 0.5, "eig_high": 0.5, "slack2": 0.0,
                   "saturated2": True, "passed": True}
         return [record] + [{**record, "passed": False} for _ in shapes[1:]]
