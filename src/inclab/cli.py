@@ -20,7 +20,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .elastostatics import LameParams, identity_verdict, kolosov
-from .errors import ConfigError, InclabError, InvalidShapeError, NearBoundaryError, ResolutionError
+from .errors import (ConfigError, EmptySampleError, InclabError, InvalidShapeError,
+                     NearBoundaryError, ResolutionError)
 from .geometry import (
     Box,
     Ellipse,
@@ -165,6 +166,14 @@ def _parse_floats(text: str, flag: str) -> list[float]:
             raise ConfigError(f"{flag}: '{piece}' is not a number") from exc
         _expect(np.isfinite(out[-1]), f"{flag}: '{piece}' is not a finite number")
     return out
+
+
+def _parse_contrasts(text: str) -> tuple[float, ...]:
+    """``--k`` as contrasts, at least one, each finite, positive and not 1, or a ConfigError."""
+    values = _parse_floats(text, "--k")
+    _expect(bool(values), "--k: needs at least one value")
+    _expect(all(0 < v != 1 for v in values), "--k: contrasts must be positive and not 1")
+    return tuple(values)
 
 
 def _expect(cond: bool, message: str):
@@ -349,12 +358,10 @@ def _configure(args: argparse.Namespace):
     if "shape" in args:
         args.label, args.shape = parse_shape(args.shape)
     if "k" in args:
-        values = _parse_floats(args.k, "--k")
-        _expect(bool(values), "--k: needs at least one value")
-        _expect(len(values) == 1 or "list" in _COMMANDS[args.command].k_help,
+        args.ks = _parse_contrasts(args.k)
+        _expect(len(args.ks) == 1 or "list" in _COMMANDS[args.command].k_help,
                 f"--k: {args.command} takes one contrast")
-        _expect(all(0 < v != 1 for v in values), "--k: contrasts must be positive and not 1")
-        args.ks, args.k = tuple(values), values[0]
+        args.k = args.ks[0]
     if "lame" in args:
         values = _parse_floats(args.lame, "--lame")
         _expect(len(values) == 4, "--lame: takes lam,mu,lam_inc,mu_inc")
@@ -388,8 +395,9 @@ def _emit(fmt: str, report: dict) -> str:
     return to_json(report) + "\n"
 
 
-# refusals, by the flag whose value they refuse (a ConfigError names its own)
-_FLAG_AT_FAULT = {ConfigError: "", InvalidShapeError: "--shape: ",
+# refusals, by the flag whose value they refuse (a ConfigError names its own; a
+# shape with no interior room at its own margin, such as a sliver, is --shape's)
+_FLAG_AT_FAULT = {ConfigError: "", InvalidShapeError: "--shape: ", EmptySampleError: "--shape: ",
                   ResolutionError: "--n: ", NearBoundaryError: "--n: "}
 
 

@@ -186,17 +186,13 @@ def univalence_check(f) -> dict:
     c2 = float(np.max(np.imag(rim)))
     max_re = float(np.max(np.abs(np.real(rim))))
 
-    rings_simple = True
     vals = f(grid)
-    for ring in vals:
-        ang = np.unwrap(np.angle(ring))
-        closing = np.angle(ring[0]) - np.angle(ring[-1])
-        closing = (closing + np.pi) % (2 * np.pi) - np.pi
-        total = (ang[-1] - ang[0]) + closing
-        monotone = np.all(np.diff(ang) > 0) or np.all(np.diff(ang) < 0)
-        if not monotone or abs(abs(total) - 2 * np.pi) > 0.5:
-            rings_simple = False
-            break
+    ang = np.unwrap(np.angle(vals), axis=1)
+    closing = (np.angle(vals[:, 0]) - np.angle(vals[:, -1]) + np.pi) % (2 * np.pi) - np.pi
+    total = ang[:, -1] - ang[:, 0] + closing
+    step = np.diff(ang, axis=1)
+    monotone = np.all(step > 0, axis=1) | np.all(step < 0, axis=1)
+    rings_simple = bool(np.all(monotone & (np.abs(np.abs(total) - 2 * np.pi) <= 0.5)))
 
     return {
         "univalent": (min_abs > 0.0) and (max_re <= _RE_TOL) and rings_simple,

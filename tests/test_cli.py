@@ -416,6 +416,9 @@ _REFUSALS = [
     (("bounds", "--shape", "ellipse:1,1e-200"),
      "--shape: ellipse semi-axes (1.0, 1e-200) must lie within 1.2e-77 .. 1.2e+77, "),
     (("eshelby", "--shape", "ellipsoid:2,1.5,1"), "--shape: eshelby requires a 2D shape\n"),
+    # a valid sliver triangle leaves no interior room at its own margin
+    (("newtonian", "--shape", "polygon:0,0,1,0,1,1e-60"),
+     "--shape: only 22 interior points fit margin 1e-61\n"),
     (("newtonian", "--shape", "ellipse:1e-200,1"),
      "--shape: ellipse semi-axes (1e-200, 1.0) must lie within 1.2e-77 .. 1.2e+77, "),
     # the hodograph builds no grid: its shape's lengths are checked on construction

@@ -109,3 +109,32 @@ def test_univalence_rejects_folding_map():
     # scanned annulus; its rings fold and the certificate must fail
     rep = univalence_check(lambda z: z + 2.0 / z)
     assert not rep["univalent"]
+
+
+def _rings_simple_by_loop(f):
+    # the per-ring reference: every image ring has monotone argument and
+    # winds once
+    from inclab.hodograph import _RING_ANGLES, _RING_RADII
+
+    for ring in f(_RING_RADII[:, None] * np.exp(1j * _RING_ANGLES)[None, :]):
+        ang = np.unwrap(np.angle(ring))
+        closing = (np.angle(ring[0]) - np.angle(ring[-1]) + np.pi) % (2 * np.pi) - np.pi
+        step = np.diff(ang)
+        if not (np.all(step > 0) or np.all(step < 0)):
+            return False
+        if abs(abs(ang[-1] - ang[0] + closing) - 2 * np.pi) > 0.5:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("f", [
+    lambda z: z,
+    np.conj,
+    lambda z: 0.5 * (z - 1.0 / z),
+    lambda z: z * z,
+    lambda z: z + 2.0 / z,
+    lambda z: np.where(np.abs(z) > 100.0, z * z, z),  # only the outer rings wind twice
+    lambda z: np.where(np.abs(z) < 1.01, z ** 3, z),  # only the innermost ring
+], ids=["identity", "conjugate", "koebe", "square", "fold", "outer", "inner"])
+def test_univalence_rings_agree_with_a_per_ring_loop(f):
+    assert univalence_check(f)["rings_simple"] is _rings_simple_by_loop(f)

@@ -16,6 +16,8 @@ from inclab import (
     polarization_tensor,
 )
 import inclab
+from inclab import polarization
+from inclab.acceptance import run_criterion
 from inclab.cli import parse_shape
 from inclab.polarization import (
     PolarizationTensor,
@@ -171,6 +173,71 @@ def test_bound_gap_scan_orders_shapes():
     # the batch form of bounds_verdict lives beside it, and the package
     # exports that one function
     assert inclab.bound_gap_scan is bound_gap_scan
+
+
+_SIX = [Ellipse(1.0, 1.0), Ellipse(2.0, 1.0), Ellipse(4.0, 1.0),
+        Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))),
+        Polygon(((1.0, 0.0), (0.0, 0.7), (-0.6, 0.0), (0.0, -0.7))),
+        FourierStar(1.0, ((3, 0.2, 0.0),))]
+
+
+def _counting_basis_densities(monkeypatch):
+    calls = []
+    solve = polarization._basis_densities
+
+    def counted(grid, ks):
+        calls.append(len(ks))
+        return solve(grid, ks)
+
+    monkeypatch.setattr(polarization, "_basis_densities", counted)
+    return calls
+
+
+def test_bound_gap_scan_solves_each_shape_once_for_every_contrast(monkeypatch):
+    ks = (0.5, 2.0, 3.0, 10.0)
+    single = [rec for k in ks for rec in bound_gap_scan(_SIX, k)]
+    calls = _counting_basis_densities(monkeypatch)
+    multi = bound_gap_scan(_SIX, *ks)
+    assert calls == [4] * 6
+    assert len(multi) == len(single) == 24
+    # contrast by contrast; more shifts in one Krylov basis move a field by rounding only
+    for one, many in zip(single, multi):
+        assert (one["saturated2"], one["passed"]) == (many["saturated2"], many["passed"])
+        for field in ("tr_M", "eig_low", "eig_high"):
+            assert abs(many[field] - one[field]) <= 1e-15 * abs(one[field]), field
+        assert abs(many["slack2"] - one["slack2"]) <= 1e-15
+
+
+def test_bound_gap_scan_at_one_contrast_is_bounds_verdict_shape_by_shape():
+    expected = []
+    for shape in _SIX:
+        pt = polarization_tensor(discretize(shape, 256), 3.0)
+        report, eigs = bounds_verdict(pt), np.linalg.eigvalsh(pt.M)
+        expected.append({
+            "tr_M": report["trace_M"], "eig_low": float(eigs[0]), "eig_high": float(eigs[-1]),
+            "slack2": report["slack2"], "saturated2": report["saturated2"],
+            "passed": report["passed"],
+        })
+    assert bound_gap_scan(_SIX, 3.0) == expected
+
+
+def test_bound_gap_scan_fails_saturation_off_the_ellipses(monkeypatch):
+    # the scan's one rule: bounds_verdict passes and the inverse-trace bound
+    # saturates exactly on the shapes with a closed form
+    shapes = [Ellipse(2.0, 1.0), _SIX[3]]
+    monkeypatch.setattr(polarization, "SATURATION_TOL", 1.0)  # the square saturates too
+    assert [(r["saturated2"], r["passed"]) for r in bound_gap_scan(shapes, 3.0)] == [
+        (True, True), (True, False)]
+    monkeypatch.setattr(polarization, "SATURATION_TOL", -1.0)  # nothing saturates
+    assert [(r["saturated2"], r["passed"]) for r in bound_gap_scan(shapes, 3.0)] == [
+        (False, False), (False, True)]
+
+
+@pytest.mark.parametrize("cid, ks", [(4, 4), (5, 2)])
+def test_disk_and_ellipse_criteria_solve_once_for_all_contrasts(monkeypatch, cid, ks):
+    calls = _counting_basis_densities(monkeypatch)
+    assert run_criterion(cid)["passed"]
+    assert calls == [ks]
 
 
 def test_minimal_target_disk_equality():
