@@ -199,9 +199,18 @@ def criterion_09() -> dict:
 
 
 def criterion_10(seed: int = 0) -> dict:
-    """Depolarization factors: sum rule, sphere value, quadrature oracle."""
-    from scipy.integrate import quad
+    """Depolarization factors: sum rule, sphere value, quadrature oracle.
 
+    The oracle is the defining integral
+    N_j = (abc/2) int_0^inf ds / ((s + c_j^2) prod_i sqrt(s + c_i^2)),
+    taken with s = (u / (1 - u))^2, which makes the integrand smooth on
+    [0, 1], and a 128-point Gauss-Legendre rule: a different formula from
+    the Carlson form ``depolarization_factors`` evaluates.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(128)
+    u = 0.5 * (nodes + 1.0)
+    s = (u / (1.0 - u)) ** 2
+    ds = weights * u / (1.0 - u) ** 3  # du/dx * ds/du = (1/2) * 2u / (1 - u)^3
     rng = np.random.default_rng(seed)
     sums = []
     quads = []
@@ -211,14 +220,10 @@ def criterion_10(seed: int = 0) -> dict:
         c = 0.5 + 2.5 * rng.random(3)
         vals = depolarization_factors(Ellipsoid(*c))
         sums.append(abs(float(vals.sum()) - 1.0))
-        for j in range(3):
-
-            def integrand(s, j=j, c=c):
-                prod = np.sqrt((s + c[0] ** 2) * (s + c[1] ** 2) * (s + c[2] ** 2))
-                return 1.0 / ((s + c[j] ** 2) * prod)
-
-            ref = 0.5 * c[0] * c[1] * c[2] * quad(integrand, 0.0, np.inf)[0]
-            quads.append(abs(ref - vals[j]))
+        shifted = s[:, None] + c**2
+        weight = ds / np.sqrt(np.prod(shifted, axis=1))
+        ref = 0.5 * float(np.prod(c)) * (weight @ (1.0 / shifted))
+        quads.extend(np.abs(ref - vals))
     worst_sum, worst_quad = float(np.max(sums)), float(np.max(quads))
     ok = worst_sum <= 1e-10 and sphere_exact and worst_quad <= 1e-8
     return _record(

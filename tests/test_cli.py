@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from inclab import cli, geometry, layerpot
 from inclab.cli import parse_shape, run
 from inclab import ConfigError, Ellipse, FourierStar, Polygon, acceptance, discretize, transmission
-from inclab import Ellipsoid, LameParams
+from inclab import Ellipsoid, LameParams, OptProblem
 from inclab.elastostatics import identity_verdict
 
 
@@ -507,12 +507,29 @@ def test_the_parser_is_built_once():
 
 
 def test_shapeopt_report_stays_finite_at_a_huge_contrast(capsys, tmp_path):
-    # volume * 4 * (k - 1) overflowed first and nulled the disk value
-    code, out, _ = _run(capsys, "shapeopt", "--k", "1e308", "--out", str(tmp_path))
+    # volume * 4 * (k - 1) overflowed first and nulled the disk value; the
+    # gradient is rounding noise times k here, so the search must end
+    # within its cap without an overflow on the way
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, "shapeopt", "--k", "1e308", "--out", str(tmp_path))
     rep = json.loads(out)
     assert code == (0 if rep["passed"] else 1)
     assert "null" not in out
+    assert (err, [str(w.message) for w in caught]) == ("", [])
+    assert rep["evaluations"] <= OptProblem.max_iter
     assert rep["disk_value"] == pytest.approx(4 * np.pi, rel=1e-15)
+
+
+@pytest.mark.parametrize("k", ["1.01", "1.001"])
+def test_shapeopt_leaves_the_start_at_a_contrast_near_one(capsys, tmp_path, k):
+    # the gradient scales like lambda^3 (4.5e-7 at the start for k = 1.01),
+    # so an absolute gradient rule stopped at the start
+    code, out, err = _run(capsys, "shapeopt", "--k", k, "--out", str(tmp_path))
+    rep = json.loads(out)
+    assert (code, err) == (0, "")
+    assert rep["passed"] is True and rep["converged"] is True
+    assert rep["evaluations"] <= 8
 
 
 def test_out_directory_written(capsys, tmp_path):
@@ -552,7 +569,8 @@ def test_shapeopt_finds_the_disk_and_writes_its_artifacts(capsys, tmp_path):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is imported by the shape search only, not by the CLI
+    # the package imports no SciPy at all (see the test below); the CLI
+    # import is where an import would be paid by every subcommand
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     code = "import sys, inclab, inclab.cli; print('scipy.optimize' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
@@ -560,6 +578,24 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [["shapeopt", "--k", "3"], ["suite"]], ids=["shapeopt", "suite"])
+def test_runtime_loads_no_scipy(argv, tmp_path):
+    # SciPy is a test dependency only: the shape search and the whole
+    # acceptance battery run on NumPy alone
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = (
+        "import sys\n"
+        "from inclab.cli import run\n"
+        f"code = run({argv + ['--out', str(tmp_path)]!r})\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stderr.strip() == f"{1 if argv == ['suite'] else 0} []"
 
 
 def test_pt_leaves_scipy_sparse_unloaded():

@@ -121,11 +121,57 @@ def test_gradient_vanishes_at_disk():
     assert np.linalg.norm(gradient) <= 1e-12
 
 
+@pytest.mark.parametrize("k", [1.2, 3.0, 10.0, 1e3, 1e6])
+def test_hessian_at_the_disk_is_the_closed_form_diagonal(k):
+    # the curvature the search divides by: (m - 1) 8 pi lambda^3 for both
+    # amplitudes of mode m, and nothing off the diagonal
+    problem = OptProblem(k=k)
+    lam = (k - 1) / (k + 1)
+    expected = np.array([(m - 1) * 8 * np.pi * lam**3 for m in range(2, 7) for _ in "cs"])
+    h = 1e-5
+    hessian = np.column_stack([
+        (objective(problem, h * e)[1] - objective(problem, -h * e)[1]) / (2 * h)
+        for e in np.eye(problem.dof)
+    ])
+    np.testing.assert_allclose(np.diag(hessian), expected, rtol=1e-7, atol=0)
+    off_diagonal = hessian - np.diag(np.diag(hessian))
+    assert np.max(np.abs(off_diagonal)) <= 1e-7 * expected.min()
+    np.testing.assert_allclose(problem.disk_curvature, expected, rtol=1e-15)
+
+
 def test_criterion_13_problem_converges_in_few_evaluations():
     problem = OptProblem(k=3.0)
     trace = minimize_trace(problem, problem.start())
     assert trace.converged
-    assert trace.evaluations <= 100
+    assert trace.evaluations <= 8
+    assert disk_verdict(problem, trace)["passed"]
+
+
+@pytest.mark.parametrize("k", [1.01, 1.5, 10.0, 1e6, 1e20])
+def test_search_reaches_the_disk_in_few_evaluations_at_any_contrast(k):
+    # k = 3 is criterion 13's, above; the stop rule reads the disk-scaled
+    # step, which does not shrink with lambda^3 as the gradient does near k = 1
+    problem = OptProblem(k=k)
+    trace = minimize_trace(problem, problem.start())
+    assert trace.converged
+    assert trace.evaluations <= 8
+    assert disk_verdict(problem, trace)["passed"]
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    direction=st.lists(st.floats(-1.0, 1.0), min_size=10, max_size=10).filter(
+        lambda d: np.linalg.norm(d) >= 1e-3
+    ),
+    norm=st.floats(0.05, 0.3),
+    log_k=st.floats(np.log10(1.05), 6.0),
+)
+def test_search_reaches_the_disk_from_random_starts(direction, norm, log_k):
+    # |c| <= 0.3 keeps the radius positive: sum_m |amplitude_m| <= sqrt(5) |c| < 1
+    problem = OptProblem(k=10.0**log_k, n=128)
+    start = norm * np.array(direction) / np.linalg.norm(direction)
+    trace = minimize_trace(problem, start)
+    assert trace.evaluations <= 8
     assert disk_verdict(problem, trace)["passed"]
 
 
