@@ -186,16 +186,6 @@ def plain_kernel_moment(grid: BoundaryGrid, values: np.ndarray, points) -> np.nd
     return out if values.ndim == 2 else out[:, 0]
 
 
-def _green_sides(grid: BoundaryGrid, points: np.ndarray):
-    """Both sides, (m, 3) each, of the Green identity for x strictly inside
-
-        int (x_j - y_j) <x - y, n(y)> / |x-y|^3 dsigma(y) = - int n_j(y) / |x-y| dsigma(y);
-
-    guarded, and the caller judges the residual."""
-    ((a, b),) = _surface_sums(grid, points, [grid.normals])
-    return b, -a
-
-
 def _relative(lhs: np.ndarray, rhs: np.ndarray, floor: float) -> float:
     scale = max(float(np.max(np.abs(rhs))), floor)
     return float(np.max(np.abs(lhs - rhs))) / scale

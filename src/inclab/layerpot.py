@@ -146,6 +146,11 @@ def upsample_periodic(values: np.ndarray, n_fine: int) -> np.ndarray:
 _QBX_RADIUS = 2.0
 _QBX_UPSAMPLE = 8
 _QBX_ORDER = 16
+# Bound tau on |t| for a source to count as far: tau^(P + 1) = 2^-51 at
+# P = 16, so a far source's series is its plain kernel to rounding.
+_QBX_TAU = 0.125
+# Node-source pairs per block of the close-evaluation walk (at least one row).
+_QBX_CHUNK = 1 << 15
 
 
 def _one_sided_derivatives(grid: BoundaryGrid, values) -> np.ndarray:
@@ -160,38 +165,67 @@ def _one_sided_derivatives(grid: BoundaryGrid, values) -> np.ndarray:
 
         g(x) ~ sum_j q_j sum_{p <= P} t_j^p / (c - w_j),  t_j = (c - x) / (c - w_j).
 
-    Each expansion continues its own side's field, so the outer and inner
-    limits Re(nu g), and the jump between them, are measured, not imposed.
+    For w_j != x the inner sum is exactly (1 - t_j^(P+1)) / (x - w_j).  A
+    source with |x - w_j| > r (1 + 1/tau) has |t_j| < tau = 1/8 on both
+    sides, so t_j^(P+1) < 2^-51 and its term is the plain kernel
+    q_j / (x - w_j) to rounding: the far sources need no expansion, and
+    their sum serves both sides.  Only the near sources are expanded, once
+    per side.  Each expansion continues its own side's field, so the outer
+    and inner limits Re(nu g), and the jump between them, are measured, not
+    imposed.  Nodes are walked in blocks of at most max(_QBX_CHUNK, 8n)
+    node-source pairs, which also bound the near pairs gathered.
     """
     if grid.params is None:
         raise InvalidShapeError("jump and flux checks need a smooth parametrized grid")
     fine = discretize(grid.shape, _QBX_UPSAMPLE * grid.n)
     q = upsample_periodic(values, fine.n) * fine.weights / (2 * np.pi)
-    offset = _QBX_RADIUS * grid.spacing[:, None] * grid.normals
-    reach = np.concatenate([offset, -offset])  # c - x, outer centers first
-    g = np.empty(2 * grid.n, dtype=complex)
-    for rows, dx, r2 in _pair_blocks(np.concatenate([grid.nodes] * 2) + reach, fine.nodes):
+    to_z = np.array([1.0, 1j])
+    reach = _QBX_RADIUS * grid.spacing * (grid.normals @ to_z)  # c - x, outer side
+    near2 = (np.abs(reach) * (1.0 + 1.0 / _QBX_TAU)) ** 2
+    wx, wy = fine.nodes.T
+    g = np.empty((2, grid.n), dtype=complex)
+    for rows in _row_blocks(grid.n, fine.n, _QBX_CHUNK):
+        dx = grid.nodes[rows, :1] - wx
+        dy = grid.nodes[rows, 1:] - wy
+        r2 = dx * dx
+        r2 += dy * dy
+        pairs = np.flatnonzero(r2 <= near2[rows, None])
+        i, j = np.divmod(pairs, fine.n)
+        d = dx.ravel()[pairs] + 1j * dy.ravel()[pairs]  # x - w on the near pairs
+        # far pairs: q / (x - w) = q conj(x - w) / |x - w|^2, one sum for both
+        # sides; an infinite r2 drops the near pairs from it
+        r2.ravel()[pairs] = np.inf
         dx /= r2
-        inv = np.empty(r2.shape, dtype=complex)  # 1 / (c - w) = conj(c - w) / |c - w|^2
-        inv.real, inv.imag = dx[0], -dx[1]
-        t = (reach[rows, 0] + 1j * reach[rows, 1])[:, None] * inv
-        # sum_{p <= P} t^p = (1 + t)(1 + t^2)(1 + t^4) ... (1 + t^(P/2)) + t^P
-        series = t + 1.0
-        for _ in range(_QBX_ORDER.bit_length() - 2):
+        dy /= r2
+        g[:, rows] = dx @ q - 1j * (dy @ q)
+        h, qj, block = reach[rows][i], q[j], len(r2)
+        for side, c in enumerate((h, -h)):
+            inv = 1.0 / (c + d)  # 1 / (c - w)
+            t = c * inv
+            # sum_{p <= P} t^p = (1 + t)(1 + t^2)(1 + t^4) ... (1 + t^(P/2)) + t^P
+            series = t + 1.0
+            for _ in range(_QBX_ORDER.bit_length() - 2):
+                t *= t
+                series *= t + 1.0
             t *= t
-            series *= t + 1.0
-        t *= t
-        series += t
-        series *= inv
-        g[rows] = series.real @ q + 1j * (series.imag @ q)
-    nu = grid.normals[:, 0] + 1j * grid.normals[:, 1]
-    return (nu * g.reshape(2, grid.n)).real
+            series += t
+            series *= inv * qj
+            g[side, rows] += np.bincount(i, series.real, block) + 1j * np.bincount(
+                i, series.imag, block
+            )
+    return ((grid.normals @ to_z) * g).real
 
 
 def jump_check(grid: BoundaryGrid, phi: np.ndarray) -> float:
     """Max mismatch of the one-sided normal derivatives of the single layer
-    (``_one_sided_derivatives``: order-16 expansions about centers 2 node
-    spacings off each side, 8n source nodes) against (+-1/2 I + K*) phi."""
+    against (+-1/2 I + K*) phi.
+
+    The derivatives come from ``_one_sided_derivatives``: order-16
+    expansions about centers r = 2 node spacings off each side, summed over
+    8n source nodes.  Since sum_{p <= 16} t^p / (c - w) = (1 - t^17) / (x - w),
+    a source farther than r (1 + 1/tau) from the node (tau = 1/8, so
+    tau^17 = 2^-51) contributes its plain kernel to rounding on both sides;
+    only the near sources are expanded."""
     kphi = npo_matrix(grid) @ phi
     limits = np.stack([kphi + 0.5 * phi, kphi - 0.5 * phi])
     return float(np.max(np.abs(_one_sided_derivatives(grid, phi) - limits)))

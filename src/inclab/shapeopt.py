@@ -55,12 +55,17 @@ class OptProblem:
     order.  The area constraint is enforced exactly at every evaluation by
     rescaling the base radius.  ``n`` must be even (the alternating-point
     rule of the shape gradient); ``max_iter`` caps the objective
-    evaluations of a search, backtracking included.
+    evaluations of a search, backtracking included.  ``k`` must not exceed
+    ``k_max``: the gradient term (k - 1)(d_T u)^2 multiplies the rounding
+    error of d_T u, which tends to 0 like 1/k, by k.  From criterion 13's
+    start the search converges at 1e22 and 1e23, stops unconverged from
+    1e24, and fails the disk verdict from about 1e28.
     """
 
     area: ClassVar[float] = float(np.pi)
     m_max: ClassVar[int] = 6
     max_iter: ClassVar[int] = 200
+    k_max: ClassVar[float] = 1e23
 
     k: Contrast
     n: int = 256
@@ -69,6 +74,11 @@ class OptProblem:
         object.__setattr__(self, "k", _as_contrast(self.k))
         if self.k.k <= 1.0:
             raise ConfigError("trace minimization is posed for k > 1")
+        if self.k.k > self.k_max:
+            raise ConfigError(
+                f"trace minimization is posed for k <= {self.k_max:g}, "
+                "where the shape gradient keeps its digits"
+            )
         if self.n < 128:
             raise ConfigError("need at least 128 boundary nodes")
         if self.n % 2:

@@ -199,10 +199,13 @@ def uniformity_verdict(grid: BoundaryGrid, ks) -> dict:
 def flux_continuity_check(grid: BoundaryGrid, phi: np.ndarray, k, a) -> float:
     """Max mismatch of k x (interior normal flux) against the exterior flux.
 
-    The one-sided normal derivatives come from ``_one_sided_derivatives``
-    (order-16 expansions about centers 2 node spacings off each side, 8n
-    source nodes); the mismatch is relative to the largest exterior flux,
-    or absolute below 1.
+    The one-sided normal derivatives come from ``_one_sided_derivatives``:
+    order-16 expansions about centers r = 2 node spacings off each side,
+    summed over 8n source nodes.  Since sum_{p <= 16} t^p / (c - w) =
+    (1 - t^17) / (x - w), a source farther than r (1 + 1/tau) from the node
+    (tau = 1/8, so tau^17 = 2^-51) contributes its plain kernel to rounding
+    on both sides, so only the near sources are expanded.  The mismatch is
+    relative to the largest exterior flux, or absolute below 1.
     """
     contrast = _as_contrast(k)
     applied = grid.normals @ np.asarray(a, dtype=float)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from inclab import cli, geometry, layerpot
 from inclab.cli import parse_shape, run
 from inclab import ConfigError, Ellipse, FourierStar, Polygon, acceptance, discretize, transmission
-from inclab import Ellipsoid, LameParams, OptProblem
+from inclab import Ellipsoid, LameParams
 from inclab.elastostatics import identity_verdict
 
 
@@ -506,19 +506,20 @@ def test_the_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()
 
 
-def test_shapeopt_report_stays_finite_at_a_huge_contrast(capsys, tmp_path):
-    # volume * 4 * (k - 1) overflowed first and nulled the disk value; the
-    # gradient is rounding noise times k here, so the search must end
-    # within its cap without an overflow on the way
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code, out, err = _run(capsys, "shapeopt", "--k", "1e308", "--out", str(tmp_path))
-    rep = json.loads(out)
-    assert code == (0 if rep["passed"] else 1)
-    assert "null" not in out
-    assert (err, [str(w.message) for w in caught]) == ("", [])
-    assert rep["evaluations"] <= OptProblem.max_iter
-    assert rep["disk_value"] == pytest.approx(4 * np.pi, rel=1e-15)
+def test_shapeopt_refuses_a_contrast_above_its_ceiling(capsys, tmp_path):
+    # above OptProblem.k_max the gradient is rounding noise times k: the
+    # search stops unconverged from 1e24, fails from about 1e28, and never
+    # leaves the start from 1e32; such contrasts are refused, not searched
+    for k in ("1e24", "1e30", "1e308"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = _run(capsys, "shapeopt", "--k", k, "--out", str(tmp_path / "so"))
+        assert (code, out, [str(w.message) for w in caught]) == (2, "", [])
+        assert err == (
+            "config error: --k: trace minimization is posed for k <= 1e+23, "
+            "where the shape gradient keeps its digits\n"
+        )
+        assert not (tmp_path / "so").exists()
 
 
 @pytest.mark.parametrize("k", ["1.01", "1.001"])

@@ -1,9 +1,9 @@
 """Every point-by-node boundary sum against a per-point reference.
 
-The evaluators walk point-node pairs in blocks (``geometry._pair_blocks``).
-Each is checked here against a plain NumPy sum taken one target point at a
-time, at the default block budget and at one that ends the targets in a
-partial block.
+The evaluators walk point-node pairs in blocks (``geometry._pair_blocks``,
+or ``layerpot._QBX_CHUNK`` for close evaluation).  Each is checked here
+against a plain NumPy sum taken one target point at a time, at the default
+block budget and at one that ends the targets in a partial block.
 """
 
 import tracemalloc
@@ -20,14 +20,15 @@ from inclab import (
     discretize,
     elastic_single_layer,
     interior_points,
+    jump_check,
     kelvin_matrix,
     newtonian_potential,
     plain_kernel_moment,
     single_layer_eval,
     single_layer_gradient,
 )
-from inclab import geometry
-from inclab.elastostatics import _green_sides, _kelvin, _surface_sums
+from inclab import geometry, layerpot
+from inclab.elastostatics import _kelvin, _surface_sums
 from inclab.layerpot import _one_sided_derivatives, upsample_periodic
 from inclab.newtonian import _flux_grid
 
@@ -81,19 +82,30 @@ def test_single_layer_and_gradient_match_per_point_sums(monkeypatch, name, chunk
     )
 
 
-@pytest.mark.parametrize("chunk", CHUNKS)
-def test_one_sided_derivatives_match_per_center_sums(monkeypatch, chunk):
+@pytest.mark.parametrize(
+    "a, chunk",
+    [(2.0, chunk) for chunk in CHUNKS] + [(6.0, chunk) for chunk in CHUNKS],
+    ids=CHUNKS + [f"slender-{chunk}" for chunk in CHUNKS],
+)
+def test_one_sided_derivatives_match_per_center_sums(monkeypatch, a, chunk):
     # quadrature by expansion: order 16 about centers 2 spacings off each
-    # side of every node, summed over 8n source nodes
-    grid = discretize(SHAPES["ellipse"][0], 128)
+    # side of every node, summed over 8n source nodes; the walk expands only
+    # the sources near each node and takes the plain kernel for the rest
+    grid = discretize(Ellipse(a, 1.0), 128)
     fine = discretize(grid.shape, 8 * grid.n)
     if chunk == "split":
-        # five centers per block, so the 256 centers end in a partial block of one
-        monkeypatch.setattr(geometry, "_CHUNK", 5 * fine.n + fine.n // 2)
+        # five nodes per block, so the 128 nodes end in a partial block of three
+        monkeypatch.setattr(layerpot, "_QBX_CHUNK", 5 * fine.n + fine.n // 2)
     values = _density(grid)
     q = upsample_periodic(values, fine.n) * fine.weights / (2 * np.pi)
     to_z = np.array([1.0, 1j])
     w = fine.nodes @ to_z
+    if a == 6.0:
+        # across the minor axis the far side of the 6:1 ellipse, half a turn
+        # away in parameter, lies within the near radius (9 center distances),
+        # so only a near set chosen by distance expands those sources
+        top, bottom = grid.n // 4, 3 * fine.n // 4
+        assert abs(grid.nodes[top] @ to_z - w[bottom]) < 9 * 2.0 * grid.spacing[top]
     want = []
     for side in (1.0, -1.0):
         for x, nu, h in zip(grid.nodes @ to_z, grid.normals @ to_z, grid.spacing):
@@ -123,9 +135,9 @@ def test_surface_sums_match_per_point_sums(monkeypatch, chunk):
     flux = lambda dx, r: (dx * grid.normals).sum(axis=1) / r**3
     green_lhs = _per_point(pts, grid.nodes, lambda dx, r: (dx * (flux(dx, r) * w)[:, None]).sum(0))
     green_rhs = _per_point(pts, grid.nodes, lambda dx, r: -(grid.normals * (w / r)[:, None]).sum(0))
-    lhs, rhs = _green_sides(grid, pts)
-    _assert_close(lhs, green_lhs)
-    _assert_close(rhs, green_rhs)
+    ((inverse, flux_sum),) = _surface_sums(grid, pts, [grid.normals])
+    _assert_close(flux_sum, green_lhs)
+    _assert_close(-inverse, green_rhs)
 
     # the Kelvin layer is the node sum of kelvin_matrix(x - y) psi(y) w(y)
     lam, mu = 2.0, 1.0
@@ -187,3 +199,22 @@ def test_single_layer_eval_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 64 << 20
+
+
+def test_jump_check_memory_is_bounded():
+    # 1,024 nodes x 8,192 fine sources: 8.4M node-source pairs, 64 MiB per
+    # pair array held whole.  jump_check's peak (12.3 MiB measured) is the
+    # 8 MiB K* matrix it multiplies; the close-evaluation walk alone peaked
+    # at 1.8 MiB, its blocks of 2^15 pairs and the near pairs gathered in them
+    grid = discretize(Ellipse(2.0, 1.0), 1024)
+    density = np.ones(grid.n)
+    peaks = []
+    for check in (jump_check, _one_sided_derivatives):
+        tracemalloc.start()
+        try:
+            check(grid, density)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 16 << 20
+    assert peaks[1] < 4 << 20

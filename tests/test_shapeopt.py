@@ -22,6 +22,8 @@ def test_problem_validation():
         OptProblem(k=3.0, n=64)
     with pytest.raises(ConfigError):
         OptProblem(k=3.0, n=255)
+    with pytest.raises(ConfigError):
+        OptProblem(k=np.nextafter(OptProblem.k_max, np.inf))
 
 
 def test_dof_layout():
@@ -147,10 +149,11 @@ def test_criterion_13_problem_converges_in_few_evaluations():
     assert disk_verdict(problem, trace)["passed"]
 
 
-@pytest.mark.parametrize("k", [1.01, 1.5, 10.0, 1e6, 1e20])
+@pytest.mark.parametrize("k", [1.01, 1.5, 10.0, 1e6, 1e20, OptProblem.k_max])
 def test_search_reaches_the_disk_in_few_evaluations_at_any_contrast(k):
     # k = 3 is criterion 13's, above; the stop rule reads the disk-scaled
-    # step, which does not shrink with lambda^3 as the gradient does near k = 1
+    # step, which does not shrink with lambda^3 as the gradient does near k = 1,
+    # and the largest contrast OptProblem accepts still converges
     problem = OptProblem(k=k)
     trace = minimize_trace(problem, problem.start())
     assert trace.converged
