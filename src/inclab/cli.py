@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from .acceptance import DISK, KITE, SQUARE, STAR3, run_all
 from .elastostatics import LameParams, identity_verdict, kolosov
 from .errors import (ConfigError, EmptySampleError, InclabError, InvalidShapeError,
                      NearBoundaryError, ResolutionError)
@@ -40,12 +41,8 @@ from .transmission import uniformity_verdict
 
 __all__ = ["parse_shape", "run", "main"]
 
-_SHAPE_ALIASES = {
-    "disk": "ellipse:1,1",
-    "square": "polygon:0,0,1,0,1,1,0,1",
-    "kite": "polygon:1,0,0,0.7,-0.6,0,0,-0.7",
-    "star": "star:1,3,0.2,0",
-}
+# the battery's named shapes, so a report on "square" is one on acceptance.SQUARE
+_SHAPE_ALIASES = {"disk": DISK, "square": SQUARE, "kite": KITE, "star": STAR3}
 
 
 def parse_shape(text: str) -> tuple[str, ShapeSpec]:
@@ -68,12 +65,9 @@ def parse_shape(text: str) -> tuple[str, ShapeSpec]:
         return _shape_from_json(payload, path)
     lowered = raw.lower()
     if lowered in _SHAPE_ALIASES:
-        label = lowered
-        raw = _SHAPE_ALIASES[lowered]
-    else:
-        label = raw
+        return lowered, _SHAPE_ALIASES[lowered]
     kind, _, params = raw.partition(":")
-    return label, _build_shape(kind.strip().lower(), _parse_floats(params, "--shape"))
+    return raw, _build_shape(kind.strip().lower(), _parse_floats(params, "--shape"))
 
 
 def _build_shape(kind: str, v: list[float]) -> ShapeSpec:
@@ -273,8 +267,6 @@ def _cmd_shapeopt(args):
 
 
 def _cmd_suite(args):
-    from .acceptance import run_all
-
     records = run_all()
     return {"criteria": records, "passed": all(r["passed"] for r in records)}
 

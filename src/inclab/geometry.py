@@ -202,10 +202,8 @@ class Polygon(_PlaneShape):
         x, y = v[:, 0], v[:, 1]
         xr, yr = np.roll(x, -1), np.roll(y, -1)
         cross = x * yr - xr * y
-        area = cross.sum() / 2.0
-        cx = np.sum((x + xr) * cross) / (6 * area)
-        cy = np.sum((y + yr) * cross) / (6 * area)
-        return np.array([cx, cy])
+        moments = np.array([np.sum((x + xr) * cross), np.sum((y + yr) * cross)])
+        return moments / (6 * self.measure())
 
     def margin_ok(self, pts: np.ndarray, margin: float) -> np.ndarray:
         # exact edge distances
@@ -228,32 +226,28 @@ class Polygon(_PlaneShape):
         # base panels per edge, the two end panels each cut into CORNER_DEPTH + 1
         _check_grid_size(len(verts) * (base + 2 * CORNER_DEPTH) * q)
         bp = np.linspace(0.0, 1.0, base + 1)
-        pieces: list[tuple[float, float]] = []
-        lo, hi = bp[0], bp[1]
-        pieces += [(lo + (hi - lo) * s0, lo + (hi - lo) * s1) for s0, s1 in _panel_breaks()]
-        pieces += [(bp[i], bp[i + 1]) for i in range(1, base - 1)]
-        lo, hi = bp[-2], bp[-1]
-        pieces += [(hi - (hi - lo) * s1, hi - (hi - lo) * s0) for s0, s1 in reversed(_panel_breaks())]
+        # the first base panel cut toward its corner at 0, 2^-CORNER_DEPTH, ...,
+        # 1/2, 1, the middle panels, and the last panel mirrored
+        s = np.concatenate([[0.0], 2.0 ** np.arange(-CORNER_DEPTH, 1)])
+        breaks = np.concatenate([
+            bp[0] + (bp[1] - bp[0]) * s[:-1],
+            bp[1:base - 1],
+            bp[-1] - (bp[-1] - bp[-2]) * s[::-1],
+        ])
+        half = 0.5 * (breaks[1:] - breaks[:-1])
+        mid = 0.5 * (breaks[1:] + breaks[:-1])
         gx, gw = np.polynomial.legendre.leggauss(q)
-        nodes, normals, weights = [], [], []
-        m = len(verts)
-        for e in range(m):
-            v0, v1 = verts[e], verts[(e + 1) % m]
-            edge = v1 - v0
-            elen = float(np.linalg.norm(edge))
-            tang = edge / elen
-            nrm = np.array([tang[1], -tang[0]])
-            for lo, hi in pieces:
-                xs = v0 + (0.5 * (hi - lo) * gx + 0.5 * (hi + lo))[:, None] * edge
-                nodes.append(xs)
-                normals.append(np.broadcast_to(nrm, (q, 2)))
-                weights.append(0.5 * (hi - lo) * gw * elen)
-        return BoundaryGrid(
-            self,
-            np.concatenate(nodes),
-            np.ascontiguousarray(np.concatenate(normals)),
-            np.concatenate(weights),
-        )
+        edge = np.roll(verts, -1, axis=0) - verts
+        # one dot product per edge, the sum np.linalg.norm(edge) takes: a
+        # plain sum of squares differs from it in the last bit on some edges
+        elen = np.sqrt((edge[:, None, :] @ edge[:, :, None]).ravel())
+        tang = edge / elen[:, None]
+        # nodes and weights indexed (edge, panel, Gauss node), the grid's order
+        t = half[:, None] * gx + mid[:, None]
+        nodes = verts[:, None, None] + t[..., None] * edge[:, None, None]
+        weights = half[:, None] * gw * elen[:, None, None]
+        normals = np.repeat(np.stack([tang[:, 1], -tang[:, 0]], axis=1), t.size, axis=0)
+        return BoundaryGrid(self, nodes.reshape(-1, 2), normals, weights.reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -569,15 +563,6 @@ def discretize(shape: ShapeSpec, n) -> BoundaryGrid:
     return shape.boundary_grid(n)
 
 
-def _panel_breaks() -> list[tuple[float, float]]:
-    """Dyadic subdivision of [0, 1] toward 0, CORNER_DEPTH levels."""
-    cuts = [2.0 ** (-j) for j in range(CORNER_DEPTH, 0, -1)]
-    segs = [(0.0, cuts[0])]
-    segs += [(cuts[j], cuts[j + 1]) for j in range(len(cuts) - 1)]
-    segs.append((cuts[-1], 1.0))
-    return segs
-
-
 # ---------------------------------------------------------------------------
 # interior sampling
 
@@ -665,37 +650,41 @@ def _signed_area(v: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def _segments_cross(p, q, r, s) -> bool:
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    d1, d2 = orient(p, q, r), orient(p, q, s)
-    d3, d4 = orient(r, s, p), orient(r, s, q)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
-
-
 def _is_simple(v: np.ndarray) -> bool:
+    """No two non-adjacent edges of the closed polygon ``v`` cross, tested
+    in blocks of at most _RAY_CHUNK edge pairs."""
     m = len(v)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(i - j) in (0, 1) or (i == 0 and j == m - 1):
-                continue
-            if _segments_cross(v[i], v[(i + 1) % m], v[j], v[(j + 1) % m]):
-                return False
+    w = np.roll(v, -1, axis=0)
+    j = np.arange(m)
+    for rows in _row_blocks(m, m, _RAY_CHUNK):
+        p, q = v[rows, None], w[rows, None]
+        i = j[rows, None]
+        cross = (_orient(p, q, v) > 0) != (_orient(p, q, w) > 0)
+        cross &= (_orient(v, w, p) > 0) != (_orient(v, w, q) > 0)
+        # each pair once, less the edges sharing a vertex
+        if np.any(cross & (j > i + 1) & ((i > 0) | (j < m - 1))):
+            return False
     return True
 
 
+def _orient(a, b, c):
+    """Twice the signed area of the triangles (a, b, c), broadcast."""
+    return ((b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
+            - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0]))
+
+
 def _points_in_polygon(pts: np.ndarray, v: np.ndarray) -> np.ndarray:
-    inside = np.zeros(len(pts), dtype=bool)
-    m = len(v)
-    x, y = pts[:, 0], pts[:, 1]
-    for i in range(m):
-        x0, y0 = v[i]
-        x1, y1 = v[(i + 1) % m]
+    """Even-odd test of each point against the closed polygon ``v``, in
+    blocks of at most _RAY_CHUNK point-edge pairs."""
+    x0, y0 = v[:, 0], v[:, 1]
+    x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
+    inside = np.empty(len(pts), dtype=bool)
+    for rows in _row_blocks(len(pts), len(v), _RAY_CHUNK):
+        x, y = pts[rows, :1], pts[rows, 1:]
         crosses = (y0 > y) != (y1 > y)
         with np.errstate(divide="ignore", invalid="ignore"):
             hit = crosses & (x < (x1 - x0) * (y - y0) / (y1 - y0) + x0)
-        inside ^= hit
+        inside[rows] = np.logical_xor.reduce(hit, axis=1)
     return inside
 
 

@@ -30,14 +30,17 @@ def _run(capsys, *argv):
 
 
 def test_parse_shape_aliases():
-    label, shape = parse_shape("disk")
-    assert label == "disk" and shape == Ellipse(1.0, 1.0)
-    label, shape = parse_shape("square")
-    assert isinstance(shape, Polygon) and len(shape.vertices) == 4
-    label, shape = parse_shape("star")
-    assert isinstance(shape, FourierStar)
-    _, kite = parse_shape("kite")
-    assert isinstance(kite, Polygon)
+    # each name is the battery's own shape, which perfbench pairs with the
+    # same label, and equals the inline form it abbreviates
+    for alias, shape, inline in [
+        ("disk", acceptance.DISK, "ellipse:1,1"),
+        ("Square", acceptance.SQUARE, "polygon:0,0,1,0,1,1,0,1"),
+        ("kite", acceptance.KITE, "polygon:1,0,0,0.7,-0.6,0,0,-0.7"),
+        ("star", acceptance.STAR3, "star:1,3,0.2,0"),
+    ]:
+        label, parsed = parse_shape(alias)
+        assert label == alias.lower() and parsed is shape
+        assert parse_shape(inline)[1] == shape
 
 
 def test_parse_shape_inline_forms():
@@ -429,6 +432,9 @@ _REFUSALS = [
     # edge lengths come before the signed area, which would overflow
     (("pt", "--shape", "polygon:0,0,1e200,0,0,1e200"),
      "--shape: polygon edge extremes (1e+200, 1.414213562373095e+200) must lie within "),
+    # a counterclockwise pentagram (signed area 1.47) crosses itself
+    (("pt", "--shape", "polygon:0,1,-0.588,-0.809,0.951,0.309,-0.951,0.309,0.588,-0.809"),
+     "--shape: polygon must be simple (no self-intersection)\n"),
     # (a + b)/2 and (a - b)/2 round to one float: no univalent exterior map
     (("hodograph", "--shape", "ellipse:1,1e-17"), "--shape: ellipse semi-axes (1.0, 1e-17) must "),
     (("hodograph", "--shape", "ellipse:1e-17,1"), "--shape: ellipse semi-axes (1e-17, 1.0) must "),

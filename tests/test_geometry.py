@@ -1,4 +1,6 @@
+import tracemalloc
 import typing
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -362,3 +364,148 @@ def test_block_clearance_matches_the_per_segment_loop(shape, poly, monkeypatch):
         monkeypatch.setattr(geometry, "_dist_to_segments", _loop_dist_to_segments)
         np.testing.assert_array_equal(keep, shape.margin_ok(pts, margin))
         monkeypatch.undo()
+
+
+def _loop_polygon_grid(shape, n):
+    """The polygon grid as first written: one edge, then one panel at a time."""
+    verts = np.asarray(shape.vertices, dtype=float)
+    q, depth = geometry.PANEL_ORDER, geometry.CORNER_DEPTH
+    base = max(2, int(np.ceil(n / q)))
+    cuts = [2.0 ** (-j) for j in range(depth, 0, -1)]
+    breaks = [(0.0, cuts[0])] + list(zip(cuts[:-1], cuts[1:])) + [(cuts[-1], 1.0)]
+    bp = np.linspace(0.0, 1.0, base + 1)
+    lo, hi = bp[0], bp[1]
+    pieces = [(lo + (hi - lo) * s0, lo + (hi - lo) * s1) for s0, s1 in breaks]
+    pieces += [(bp[i], bp[i + 1]) for i in range(1, base - 1)]
+    lo, hi = bp[-2], bp[-1]
+    pieces += [(hi - (hi - lo) * s1, hi - (hi - lo) * s0) for s0, s1 in reversed(breaks)]
+    gx, gw = np.polynomial.legendre.leggauss(q)
+    nodes, normals, weights = [], [], []
+    for e in range(len(verts)):
+        v0, v1 = verts[e], verts[(e + 1) % len(verts)]
+        edge = v1 - v0
+        elen = float(np.linalg.norm(edge))
+        tang = edge / elen
+        for lo, hi in pieces:
+            nodes.append(v0 + (0.5 * (hi - lo) * gx + 0.5 * (hi + lo))[:, None] * edge)
+            normals.append(np.broadcast_to([tang[1], -tang[0]], (q, 2)))
+            weights.append(0.5 * (hi - lo) * gw * elen)
+    return geometry.BoundaryGrid(
+        shape, np.concatenate(nodes), np.concatenate(normals), np.concatenate(weights)
+    )
+
+
+def _assert_same_grid(got, want):
+    for name in ("nodes", "normals", "weights", "spacing"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+_GRID_NS = (16, 17, 40, 256, 1000)
+
+
+@pytest.mark.parametrize("n", _GRID_NS)
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)),
+        ((1.0, 0.0), (0.0, 0.7), (-0.6, 0.0), (0.0, -0.7)),
+        ((0.0, 0.0), (2.0, 0.0), (0.0, 1.0)),  # 26.6 degree corner
+        ((0.0, 0.0), (30.0, 0.0), (0.0, 1.0)),  # 1.9 degree corner
+    ],
+    ids=["square", "kite", "triangle-26.6", "triangle-1.9"],
+)
+def test_polygon_grid_is_the_per_panel_loop_bit_for_bit(vertices, n):
+    shape = Polygon(vertices)
+    _assert_same_grid(discretize(shape, n), _loop_polygon_grid(shape, n))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    gaps=st.lists(st.floats(0.5, 1.0), min_size=4, max_size=12),
+    data=st.data(),
+    n=st.sampled_from(_GRID_NS),
+)
+def test_star_shaped_polygon_grid_is_the_per_panel_loop_bit_for_bit(gaps, data, n):
+    # angular gaps below pi about the origin: simple and counterclockwise
+    angles = 2 * np.pi * np.cumsum(gaps) / np.sum(gaps)
+    radii = np.array(data.draw(st.lists(st.floats(0.2, 3.0), min_size=len(gaps),
+                                        max_size=len(gaps))))
+    shape = Polygon(tuple(zip(radii * np.cos(angles), radii * np.sin(angles))))
+    _assert_same_grid(discretize(shape, n), _loop_polygon_grid(shape, n))
+
+
+def _loop_is_simple(v):
+    """The simplicity test as first written: one edge pair at a time."""
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    m = len(v)
+    for i in range(m):
+        for j in range(i + 2, m):
+            if i == 0 and j == m - 1:
+                continue
+            p, q, r, s = v[i], v[(i + 1) % m], v[j], v[(j + 1) % m]
+            if ((orient(p, q, r) > 0) != (orient(p, q, s) > 0)) and (
+                (orient(r, s, p) > 0) != (orient(r, s, q) > 0)
+            ):
+                return False
+    return True
+
+
+def _loop_points_in_polygon(pts, v):
+    """The even-odd test as first written: one edge at a time."""
+    inside = np.zeros(len(pts), dtype=bool)
+    x, y = pts[:, 0], pts[:, 1]
+    for i in range(len(v)):
+        x0, y0 = v[i]
+        x1, y1 = v[(i + 1) % len(v)]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inside ^= ((y0 > y) != (y1 > y)) & (x < (x1 - x0) * (y - y0) / (y1 - y0) + x0)
+    return inside
+
+
+# vertex sets of any orientation, self-intersecting ones included; small
+# integers give collinear and touching edges, horizontal edges and points on
+# the boundary
+_coordinate = st.one_of(st.integers(-3, 3).map(float), st.floats(-3.0, 3.0))
+_vertex_sets = st.lists(st.tuples(_coordinate, _coordinate), min_size=3, max_size=10).map(
+    np.array
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=_vertex_sets, chunk=st.sampled_from([1, 7, 1 << 14]))
+def test_simplicity_test_is_the_per_pair_loop(v, chunk):
+    with mock.patch.object(geometry, "_RAY_CHUNK", chunk):
+        assert geometry._is_simple(v) == _loop_is_simple(v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    v=_vertex_sets,
+    pts=st.lists(st.tuples(_coordinate, _coordinate), max_size=40).map(
+        lambda p: np.array(p, dtype=float).reshape(-1, 2)
+    ),
+    chunk=st.sampled_from([1, 7, 1 << 14]),
+)
+def test_even_odd_test_is_the_per_edge_loop(v, pts, chunk):
+    pts = np.concatenate([pts, v])  # the vertices themselves lie on the boundary
+    with mock.patch.object(geometry, "_RAY_CHUNK", chunk):
+        got = geometry._points_in_polygon(pts, v)
+    np.testing.assert_array_equal(got, _loop_points_in_polygon(pts, v))
+
+
+def test_a_large_polygon_is_built_and_sampled_in_bounded_memory():
+    # all 2,000^2 edge pairs at once would take 32 MB per array; blocks of
+    # at most 2^14 pairs keep the peak near 1.2 MiB
+    t = 2 * np.pi * np.arange(2000) / 2000
+    r = 1.0 + 0.2 * np.cos(5 * t)
+    tracemalloc.start()
+    try:
+        shape = Polygon(tuple(zip(r * np.cos(t), r * np.sin(t))))
+        sample = interior_points(shape, 64, shape.default_margin())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sample.points.shape == (64, 2)
+    assert peak < 2 * 2**20

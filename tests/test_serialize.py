@@ -60,3 +60,31 @@ def test_csv_numbers_use_same_float_format():
 def test_format_number_integers_compact():
     assert format_number(2.0) == "2"
     assert not math.isfinite(float("nan")) and format_number(float("nan")) == "null"
+
+
+# finite JSON values (a non-finite float prints as null, tested above): text
+# with quotes, backslashes and control characters among the keys and
+# strings, and nested empty lists and dicts
+_text = st.text(st.one_of(st.sampled_from('"\\\n\t\r\x00\x08\x1f\x7f'), st.characters()))
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | _finite | _text,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_text, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_values)
+def test_json_round_trip(value):
+    assert json.loads(to_json(value)) == value
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.dictionaries(_text, _values, max_size=4), min_size=1, max_size=4))
+def test_jsonl_round_trip(records):
+    # one line per record: a newline inside a string is escaped, while
+    # U+2028 and other line separators that str.splitlines knows stay raw
+    lines = to_jsonl(records).split("\n")
+    assert lines.pop() == ""
+    assert [json.loads(line) for line in lines] == records

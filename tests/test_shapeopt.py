@@ -123,10 +123,13 @@ def test_gradient_vanishes_at_disk():
     assert np.linalg.norm(gradient) <= 1e-12
 
 
-@pytest.mark.parametrize("k", [1.2, 3.0, 10.0, 1e3, 1e6])
+@pytest.mark.parametrize("k", [1.2, 3.0, 10.0, 1e3, 1e6, 1e9, 1e12, 1e16])
 def test_hessian_at_the_disk_is_the_closed_form_diagonal(k):
     # the curvature the search divides by: (m - 1) 8 pi lambda^3 for both
-    # amplitudes of mode m, and nothing off the diagonal
+    # amplitudes of mode m, and nothing off the diagonal; up to k = 1e16 the
+    # central difference meets it to 1.9e-9 on the diagonal and 1.2e-9 off
+    # it, but at k = 1e20 it reads 1.2e-5, because the rounding error of the
+    # gradient grows like k and the difference divides it by h
     problem = OptProblem(k=k)
     lam = (k - 1) / (k + 1)
     expected = np.array([(m - 1) * 8 * np.pi * lam**3 for m in range(2, 7) for _ in "cs"])
@@ -193,6 +196,43 @@ def test_search_calls_objective_through_the_module_once_per_record(monkeypatch):
     for c, rec in zip(calls, trace.history):
         assert list(c) == rec["coefficients"]
     assert trace.final_objective in [r["objective"] for r in trace.history]
+
+
+def test_backtracking_halves_the_step_until_armijo_holds(monkeypatch):
+    # a quadratic four times as curved as the disk: the full step (t = 1)
+    # lands at -3 x and t = 1/2 at -x, the same value, so both are rejected;
+    # t = 1/4 is the exact minimizer, where the next step is too short to take
+    problem = OptProblem(k=3.0)
+    curvature = 4 * problem.disk_curvature
+    monkeypatch.setattr(
+        shapeopt, "objective", lambda problem, x: (0.5 * x @ (curvature * x), curvature * x)
+    )
+    start = problem.start()
+    trace = minimize_trace(problem, start)
+    assert trace.converged
+    assert trace.evaluations == 4
+    assert [r["best"] for r in trace.history] == [True, False, False, True]
+    for record, t in zip(trace.history[1:], (1.0, 0.5, 0.25)):
+        np.testing.assert_allclose(record["coefficients"], (1 - 4 * t) * start, rtol=1e-15,
+                                   atol=1e-16)
+    assert np.max(np.abs(trace.final_coefficients)) <= 1e-16
+
+
+def test_a_gradient_that_never_descends_stops_the_search_unconverged(monkeypatch):
+    # every step along minus a wrong-sign gradient climbs, so the step
+    # halves until it is shorter than the stop rule's step and the search
+    # gives up
+    problem = OptProblem(k=3.0)
+    curvature = problem.disk_curvature
+    monkeypatch.setattr(
+        shapeopt, "objective", lambda problem, x: (0.5 * x @ (curvature * x), -curvature * x)
+    )
+    start = problem.start()
+    trace = minimize_trace(problem, start)
+    assert not trace.converged
+    assert 2 < trace.evaluations <= problem.max_iter
+    assert all(np.isfinite(r["objective"]) for r in trace.history)
+    np.testing.assert_array_equal(trace.final_coefficients, start)
 
 
 def test_cli_refuses_odd_node_count(capsys):
