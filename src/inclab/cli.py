@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .acceptance import DISK, KITE, SQUARE, STAR3, run_all
+from .acceptance import DISK, ELLIPSE21, ELLIPSE41, KITE, SQUARE, STAR3, run_all
 from .elastostatics import LameParams, identity_verdict, kolosov
 from .errors import (ConfigError, EmptySampleError, InclabError, InvalidShapeError,
                      NearBoundaryError, ResolutionError)
@@ -34,7 +35,8 @@ from .geometry import (
 )
 from .hodograph import slit_certificate
 from .newtonian import quadratic_verdict
-from .polarization import bounds_verdict, closed_form_pt, polarization_tensor, pt_verdict
+from .polarization import (bound_gap_scan, bounds_verdict, closed_form_pt, polarization_tensor,
+                           pt_verdict)
 from .serialize import to_csv, to_json, to_jsonl
 from .shapeopt import OptProblem, disk_verdict, minimize_trace, overlay_svg
 from .transmission import uniformity_verdict
@@ -43,6 +45,10 @@ __all__ = ["parse_shape", "run", "main"]
 
 # the battery's named shapes, so a report on "square" is one on acceptance.SQUARE
 _SHAPE_ALIASES = {"disk": DISK, "square": SQUARE, "kite": KITE, "star": STAR3}
+
+# the shapes of the bound table, in its row order, by their labels there
+_TABLE_SHAPES = {"disk": DISK, "ellipse 2:1": ELLIPSE21, "ellipse 4:1": ELLIPSE41,
+                 "square": SQUARE, "kite": KITE, "three-lobed star": STAR3}
 
 
 def parse_shape(text: str) -> tuple[str, ShapeSpec]:
@@ -266,6 +272,14 @@ def _cmd_shapeopt(args):
     }
 
 
+def _cmd_bound_table(args):
+    # the scan's records come contrast by contrast, one per shape
+    records = bound_gap_scan(list(_TABLE_SHAPES.values()), *args.ks)
+    labels = itertools.product(args.ks, _TABLE_SHAPES)
+    rows = [{"shape": name, "k": k, **rec} for (k, name), rec in zip(labels, records)]
+    return {"rows": rows, "passed": all(row["passed"] for row in rows)}
+
+
 def _cmd_suite(args):
     records = run_all()
     return {"criteria": records, "passed": all(r["passed"] for r in records)}
@@ -305,6 +319,13 @@ _COMMANDS = {
     ),
     "hodograph": _Command(_cmd_hodograph, "slit-map certificate for an ellipse", "--shape --out"),
     "shapeopt": _Command(_cmd_shapeopt, "trace-minimizing shape search", "--k --n --out"),
+    "bound-table": _Command(
+        _cmd_bound_table,
+        "inverse-trace bound slack of the battery's named shapes",
+        "--k --out",
+        k_help="conductivity contrast (comma list allowed)",
+        fmt="csv",
+    ),
     "suite": _Command(_cmd_suite, "full acceptance battery", "--out", fmt="txt"),
 }
 
@@ -407,7 +428,10 @@ def run(argv=None) -> int:
             with contextlib.suppress(OSError):
                 os.rmdir(path)
         if type(exc) in _FLAG_AT_FAULT:
-            print(f"config error: {_FLAG_AT_FAULT[type(exc)]}{exc}", file=sys.stderr)
+            flag = _FLAG_AT_FAULT[type(exc)]
+            if flag == "--n: " and "--n" not in _COMMANDS[args.command].flags.split():
+                flag = "--shape: "  # the command fixes its grid size, so only the shape can change
+            print(f"config error: {flag}{exc}", file=sys.stderr)
             return 2
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

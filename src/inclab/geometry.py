@@ -45,6 +45,10 @@ _MARGIN_SLACK = 1e-12
 # margin and positivity check.
 _STAR_ANGLES = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
 
+# Star modes must lie below this: r^2 holds frequencies up to twice the
+# highest mode, and the sample integrates them exactly only below 4096.
+_STAR_MODE_CAP = len(_STAR_ANGLES) // 2
+
 # Point-node pairs ``_pair_blocks`` holds at once (a block is never smaller
 # than one target row).
 _CHUNK = 1 << 17
@@ -207,9 +211,8 @@ class Polygon(_PlaneShape):
 
     def margin_ok(self, pts: np.ndarray, margin: float) -> np.ndarray:
         # exact edge distances
-        v = np.asarray(self.vertices)
-        inside = _points_in_polygon(pts, v)
-        return inside & (_dist_to_segments(pts, v) >= margin - _MARGIN_SLACK * self.scale())
+        inside, dist = _edge_walk(pts, np.asarray(self.vertices))
+        return inside & (dist >= margin - _MARGIN_SLACK * self.scale())
 
     def default_margin(self) -> float:
         v = np.asarray(self.vertices)
@@ -255,7 +258,7 @@ class FourierStar(_SmoothCurve):
     """Star-shaped curve r(t) = r0 (1 + sum eps_m cos mt + del_m sin mt).
 
     ``modes`` is a sequence of (m, cos_coefficient, sin_coefficient) with
-    integer m >= 2; the radius must stay strictly positive.
+    integer 2 <= m < 2048; the radius must stay strictly positive.
     """
 
     r0: float
@@ -266,6 +269,11 @@ class FourierStar(_SmoothCurve):
             raise InvalidShapeError("base radius must be positive")
         norm = []
         for m, c, s in self.modes:
+            if not m < _STAR_MODE_CAP:  # before any trigonometry, and before int(m)
+                raise InvalidShapeError(
+                    f"star modes must be below {_STAR_MODE_CAP}, where the area's "
+                    f"{len(_STAR_ANGLES)}-angle sample is exact"
+                )
             if int(m) != m or m < 2:
                 raise InvalidShapeError("star modes must be integers >= 2")
             norm.append((int(m), float(c), float(s)))
@@ -290,6 +298,16 @@ class FourierStar(_SmoothCurve):
         kappa = (r * r + 2 * r1 * r1 - r * r2) / speed**3
         return p, _outward_normals(d1, speed), speed, kappa
 
+    def boundary_grid(self, n) -> BoundaryGrid:
+        # n equispaced nodes resolve modes below n / 2; at or above it the
+        # trapezoid rule aliases a mode onto a lower one
+        top = max((m for m, _, _ in self.modes), default=0)
+        if int(n) <= 2 * top:
+            raise ResolutionError(
+                f"star mode {top} needs more than {2 * top} boundary nodes, not {int(n)}"
+            )
+        return super().boundary_grid(n)
+
     def measure(self) -> float:
         return self._area
 
@@ -307,7 +325,7 @@ class FourierStar(_SmoothCurve):
         poly = np.stack([r * np.cos(t), r * np.sin(t)], axis=1)
         theta = np.arctan2(pts[:, 1], pts[:, 0])
         inside = np.linalg.norm(pts, axis=1) < _star_radius(self, theta)
-        return inside & (_dist_to_segments(pts, poly) >= margin - _MARGIN_SLACK * self.scale())
+        return inside & (_edge_walk(pts, poly)[1] >= margin - _MARGIN_SLACK * self.scale())
 
     def default_margin(self) -> float:
         return 0.25 * self._r_min
@@ -556,9 +574,10 @@ def _outward_normals(d1: np.ndarray, speed: np.ndarray) -> np.ndarray:
 def discretize(shape: ShapeSpec, n) -> BoundaryGrid:
     """Build a boundary quadrature grid.
 
-    ``n`` is the node count for smooth curves (>= 64), the per-edge node
-    count before corner grading for polygons (>= 16), and the polar count
-    for ellipsoids, whose grid is n x 2n (n >= 16).
+    ``n`` is the node count for smooth curves (>= 64, and on a star more
+    than twice its highest mode), the per-edge node count before corner
+    grading for polygons (>= 16), and the polar count for ellipsoids, whose
+    grid is n x 2n (n >= 16).
     """
     return shape.boundary_grid(n)
 
@@ -673,31 +692,26 @@ def _orient(a, b, c):
             - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0]))
 
 
-def _points_in_polygon(pts: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Even-odd test of each point against the closed polygon ``v``, in
-    blocks of at most _RAY_CHUNK point-edge pairs."""
+def _edge_walk(pts: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Even-odd test of each point against the closed polygon ``v``, and the
+    point's distance to that closed polyline, in one walk of blocks of at
+    most _RAY_CHUNK point-edge pairs."""
     x0, y0 = v[:, 0], v[:, 1]
     x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
+    ax, ay = x1 - x0, y1 - y0
+    ab2 = ax * ax + ay * ay
     inside = np.empty(len(pts), dtype=bool)
-    for rows in _row_blocks(len(pts), len(v), _RAY_CHUNK):
-        x, y = pts[rows, :1], pts[rows, 1:]
-        crosses = (y0 > y) != (y1 > y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            hit = crosses & (x < (x1 - x0) * (y - y0) / (y1 - y0) + x0)
-        inside[rows] = np.logical_xor.reduce(hit, axis=1)
-    return inside
-
-
-def _dist_to_segments(pts: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Distance from each point to the closed polyline through the vertices
-    ``v``, in blocks of at most _RAY_CHUNK point-segment pairs."""
-    ab = np.roll(v, -1, axis=0) - v
-    ab2 = (ab * ab).sum(axis=1)
-    best = np.empty(len(pts))
-    for rows in _row_blocks(len(pts), len(v), _RAY_CHUNK):
-        px, py = pts[rows, :1], pts[rows, 1:]
-        tt = np.clip(((px - v[:, 0]) * ab[:, 0] + (py - v[:, 1]) * ab[:, 1]) / ab2, 0.0, 1.0)
-        ex = px - (v[:, 0] + tt * ab[:, 0])
-        ey = py - (v[:, 1] + tt * ab[:, 1])
-        best[rows] = np.sqrt(np.min(ex * ex + ey * ey, axis=1))
-    return best
+    dist = np.empty(len(pts))
+    # the crossing abscissa of a horizontal edge divides by zero, and of a
+    # nearly horizontal one may overflow; only edges that cross the point's
+    # row use it, and an infinite abscissa compares as it should
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for rows in _row_blocks(len(pts), len(v), _RAY_CHUNK):
+            x, y = pts[rows, :1], pts[rows, 1:]
+            dy = y - y0
+            crosses = (y0 > y) != (y1 > y)
+            inside[rows] = np.logical_xor.reduce(crosses & (x < ax * dy / ay + x0), axis=1)
+            tt = np.clip(((x - x0) * ax + dy * ay) / ab2, 0.0, 1.0)
+            ex, ey = x - (x0 + tt * ax), y - (y0 + tt * ay)
+            dist[rows] = np.sqrt(np.min(ex * ex + ey * ey, axis=1))
+    return inside, dist

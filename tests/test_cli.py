@@ -247,6 +247,9 @@ def test_ellipse_resolution_rule_leaves_resolved_aspect_ratios_alone():
         # the verdicts fix their tolerances, and the battery takes no seed
         ("pt", "--shape", "disk", "--tol", "1e-3"),
         ("suite", "--seed", "3"),
+        # the bound table's shapes and grid are fixed, and it prints CSV only
+        ("bound-table", "--n", "128"),
+        ("bound-table", "--k", "3", "--format", "json"),
     ],
 )
 def test_subcommands_refuse_flags_they_do_not_read(capsys, argv):
@@ -406,6 +409,7 @@ _OUT_CASES = [
     (("elastic-identity",), "elastic-identity.json"),
     (("hodograph", "--shape", "disk"), "hodograph.json"),
     (("shapeopt",), "shapeopt_trace.jsonl"),
+    (("bound-table",), "bound-table.csv"),
     (("suite",), "suite.txt"),
 ]
 
@@ -424,6 +428,14 @@ _REFUSALS = [
      "--shape: only 22 interior points fit margin 1e-61\n"),
     (("newtonian", "--shape", "ellipse:1e-200,1"),
      "--shape: ellipse semi-axes (1e-200, 1.0) must lie within 1.2e-77 .. 1.2e+77, "),
+    # a mode the 4096-angle radius sample cannot integrate, refused before any
+    # trigonometry; a mode the grid cannot sample names --n, or --shape where
+    # the command fixes its grid (512 flux nodes here)
+    (("pt", "--shape", "star:1,1e300,0.1,0"), "--shape: star modes must be below 2048, "),
+    (("pt", "--shape", "star:1,128,0.1,0"),
+     "--n: star mode 128 needs more than 256 boundary nodes, not 256\n"),
+    (("newtonian", "--shape", "star:1,1024,0.1,0"),
+     "--shape: star mode 1024 needs more than 2048 boundary nodes, not 512\n"),
     # the hodograph builds no grid: its shape's lengths are checked on construction
     (("hodograph", "--shape", "ellipse:1e-200,1e-200"),
      "--shape: ellipse semi-axes (1e-200, 1e-200) must lie within 1.2e-77 .. 1.2e+77, "),
@@ -462,6 +474,17 @@ _REFUSALS = [
      "--n: need an even number of boundary nodes for the shape gradient\n"),
     (("elastic-identity", "--lame", "1,-1,1,1"), "--lame: mu must be positive\n"),
     (("elastic-identity", "--lame", "2,1"), "--lame: takes lam,mu,lam_inc,mu_inc\n"),
+] + [
+    # the bound table takes the command line's --k rule, before --out is made
+    (("bound-table", "--k", k, "--out", "o"), f"--k: {message}\n")
+    for k, message in (
+        ("abc", "'abc' is not a number"),
+        ("1", "contrasts must be positive and not 1"),
+        ("-2", "contrasts must be positive and not 1"),
+        ("nan", "'nan' is not a finite number"),
+        ("", "needs at least one value"),
+        ("2,1", "contrasts must be positive and not 1"),
+    )
 ] + [
     ((*argv, "--out", out), f"--out: [Errno {errno}] ")
     for argv, _ in _OUT_CASES
@@ -548,6 +571,38 @@ def test_out_directory_written(capsys, tmp_path):
     path = os.path.join(out_dir, "pt.json")
     with open(path, "r", encoding="utf-8") as fh:
         assert fh.read() == out
+
+
+def test_bound_table_writes_its_rows_under_out(capsys, tmp_path):
+    code, out, err = _run(capsys, "bound-table", "--k", "3", "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert (tmp_path / "bound-table.csv").read_text(encoding="utf-8") == out
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["shape", "k", "tr_M", "eig_low", "eig_high", "slack2", "saturated2",
+                       "passed"]
+    assert [row[0] for row in rows[1:]] == ["disk", "ellipse 2:1", "ellipse 4:1", "square",
+                                            "kite", "three-lobed star"]
+    # the inverse-trace bound saturates exactly on the ellipses
+    assert [row[6] for row in rows[1:]] == ["true"] * 3 + ["false"] * 3
+    assert {row[7] for row in rows[1:]} == {"true"}
+
+
+def test_bound_table_exits_1_on_a_failed_record(capsys, monkeypatch):
+    calls = []
+
+    def failing_scan(shapes, *ks):
+        # one call for all contrasts; the records come contrast by contrast
+        calls.append(ks)
+        record = {"tr_M": 1.0, "eig_low": 0.5, "eig_high": 0.5, "slack2": 0.0,
+                  "saturated2": True, "passed": True}
+        return [{**record, "passed": i != 7} for i in range(len(ks) * len(shapes))]
+
+    monkeypatch.setattr(cli, "bound_gap_scan", failing_scan)
+    code, out, err = _run(capsys, "bound-table", "--k", "3,5")
+    assert (code, err, calls) == (1, "", [(3.0, 5.0)])
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert len(rows) == 12
+    assert [row[:2] for row in rows if row[-1] != "true"] == [["ellipse 2:1", "5"]]
 
 
 def test_suite_prints_one_line_per_criterion_and_writes_them(capsys, tmp_path):
@@ -740,6 +795,8 @@ _SHAPE_TEXT = st.one_of(
 @example(command="bounds", shape="ellipse:1e154,1e154")
 @example(command="pt", shape="polygon:0,0,1e154,0,1e154,1e154,0,1e154")
 @example(command="pt", shape=({"type": "ellipse", "a": True, "b": 1.0}, True))
+@example(command="pt", shape="star:1,1e300,0.1,0")
+@example(command="pt", shape="star:1,128,0.1,0")
 def test_any_shape_ends_in_a_finite_report_or_a_refusal_naming_shape(command, shape):
     damaged = False
     with tempfile.TemporaryDirectory() as tmp:

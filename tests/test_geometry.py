@@ -66,6 +66,19 @@ def test_star_rejects_nonpositive_radius():
         FourierStar(1.0, ((2, 0.9, 0.9),))
 
 
+def test_star_modes_must_be_ones_the_samples_resolve():
+    # the 4096-angle radius sample integrates r^2 exactly only below mode
+    # 2048, and n equispaced nodes sample only modes below n / 2
+    area = FourierStar(1.0, ((2047, 0.1, 0.0),)).measure()
+    assert area == pytest.approx(np.pi * (1 + 0.1**2 / 2), rel=1e-14)
+    with pytest.raises(InvalidShapeError, match="star modes must be below 2048"):
+        FourierStar(1.0, ((2048, 0.1, 0.0),))
+    star = FourierStar(1.0, ((2, 0.1, 0.0), (40, 0.01, 0.0)))
+    with pytest.raises(ResolutionError, match="^star mode 40 needs more than 80 boundary nodes"):
+        discretize(star, 80)
+    assert discretize(star, 81).n == 81
+
+
 @settings(max_examples=25, deadline=None)
 @given(axis, axis)
 def test_ellipse_area_and_dim(a, b):
@@ -355,13 +368,13 @@ def test_block_clearance_matches_the_per_segment_loop(shape, poly, monkeypatch):
     # random points, points exactly on vertices, and a count that is not a
     # multiple of the block
     pts = np.concatenate([lo + (hi - lo) * rng.random((1001, 2)), poly[::37]])
-    got = geometry._dist_to_segments(pts, poly)
+    got = geometry._edge_walk(pts, poly)[1]
     want = _loop_dist_to_segments(pts, poly)
     assert np.all(got[-len(poly[::37]):] == 0.0)
     assert np.max(np.abs(got - want)) <= 4e-16 * shape.scale()
     for margin in (0.0, 0.05, 0.1, 0.2):
         keep = shape.margin_ok(pts, margin)
-        monkeypatch.setattr(geometry, "_dist_to_segments", _loop_dist_to_segments)
+        monkeypatch.setattr(geometry, "_edge_walk", _loop_edge_walk)
         np.testing.assert_array_equal(keep, shape.margin_ok(pts, margin))
         monkeypatch.undo()
 
@@ -459,9 +472,13 @@ def _loop_points_in_polygon(pts, v):
     for i in range(len(v)):
         x0, y0 = v[i]
         x1, y1 = v[(i + 1) % len(v)]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             inside ^= ((y0 > y) != (y1 > y)) & (x < (x1 - x0) * (y - y0) / (y1 - y0) + x0)
     return inside
+
+
+def _loop_edge_walk(pts, v):
+    return _loop_points_in_polygon(pts, v), _loop_dist_to_segments(pts, v)
 
 
 # vertex sets of any orientation, self-intersecting ones included; small
@@ -491,13 +508,13 @@ def test_simplicity_test_is_the_per_pair_loop(v, chunk):
 def test_even_odd_test_is_the_per_edge_loop(v, pts, chunk):
     pts = np.concatenate([pts, v])  # the vertices themselves lie on the boundary
     with mock.patch.object(geometry, "_RAY_CHUNK", chunk):
-        got = geometry._points_in_polygon(pts, v)
+        got = geometry._edge_walk(pts, v)[0]
     np.testing.assert_array_equal(got, _loop_points_in_polygon(pts, v))
 
 
 def test_a_large_polygon_is_built_and_sampled_in_bounded_memory():
     # all 2,000^2 edge pairs at once would take 32 MB per array; blocks of
-    # at most 2^14 pairs keep the peak near 1.2 MiB
+    # at most 2^14 pairs keep the peak near 1.4 MiB
     t = 2 * np.pi * np.arange(2000) / 2000
     r = 1.0 + 0.2 * np.cos(5 * t)
     tracemalloc.start()

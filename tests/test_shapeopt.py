@@ -261,13 +261,11 @@ def test_trace_history_records_best_flags():
     start = np.zeros(problem.dof)
     start[:2] = 0.1, 0.05
     trace = minimize_trace(problem, start)
-    best = np.inf
-    for rec in trace.history:
-        if rec["objective"] < best - 1e-15:
-            best = rec["objective"]
-            continue
-    flagged = [r["objective"] for r in trace.history if r["best"]]
-    assert min(flagged) == pytest.approx(min(r["objective"] for r in trace.history))
+    values = [rec["objective"] for rec in trace.history]
+    # a record is flagged exactly when its value is below every earlier value
+    assert [rec["best"] for rec in trace.history] == [
+        value < min(values[:i], default=np.inf) for i, value in enumerate(values)
+    ]
 
 
 def test_overlay_svg_structure():
