@@ -30,7 +30,7 @@ from .newtonian import (
     quadratic_interior_fit,
     quadratic_verdict,
 )
-from .polarization import _tensors, bound_gap_scan, pt_verdict
+from .polarization import _tensors, bound_gap_scan, closed_form_pt, pt_verdict
 from .shapeopt import OptProblem, disk_verdict, minimize_trace
 from .transmission import DECAY_TOL, decay_check, uniformity_verdict
 
@@ -50,8 +50,7 @@ def _record(cid: int, name: str, passed: bool, detail: str) -> dict:
 
 def _tol(value: float) -> str:
     """A tolerance as the details write it: 1e-4, not 0.0001 or 1e-04."""
-    mantissa, exponent = f"{value:.0e}".split("e")
-    return f"{mantissa}e{int(exponent)}"
+    return np.format_float_scientific(value, trim="-", exp_digits=1)
 
 
 def criterion_01() -> dict:
@@ -111,8 +110,8 @@ def criterion_04() -> dict:
     """Disk polarization tensor closed form across contrasts."""
     ks, errors = (0.5, 2.0, 3.0, 10.0), []
     for k, pt in zip(ks, _tensors(discretize(DISK, 256), ks)):
-        target = 2 * np.pi * (k - 1.0) / (k + 1.0)
-        errors.append(float(np.max(np.abs(pt.M - target * np.eye(2)))) / abs(target))
+        target = closed_form_pt(DISK, k).M
+        errors.append(float(np.max(np.abs(pt.M - target)) / np.max(np.abs(target))))
     worst = float(np.max(errors))
     return _record(
         4,

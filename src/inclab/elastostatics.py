@@ -25,7 +25,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .errors import ConfigError, InvalidShapeError
-from .geometry import BoundaryGrid, interior_points
+from .geometry import BoundaryGrid, Ellipsoid, interior_points
 from .layerpot import _guarded_blocks
 
 __all__ = [
@@ -247,6 +247,8 @@ def identity_verdict(grid: BoundaryGrid, params: LameParams) -> dict:
     The matrix-phase, inclusion-phase and inverse-distance residuals must
     each be at most 1e-6; the difference residual has no bound.
     """
+    if not isinstance(grid.shape, Ellipsoid):
+        raise InvalidShapeError("the elastic trace identities need an ellipsoid grid")
     points = interior_points(grid.shape, 20, 0.3 * float(np.min(grid.shape.semi_axes))).points
     res = trace_identity_check(grid, params, points)
     bounded = ("residual_matrix_phase", "residual_inclusion_phase", "residual_inverse_distance")

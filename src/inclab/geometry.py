@@ -183,8 +183,15 @@ class Polygon(_PlaneShape):
         if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3:
             raise InvalidShapeError("polygon needs at least 3 planar vertices")
         object.__setattr__(self, "vertices", tuple(map(tuple, v)))
-        edges = np.hypot(*np.diff(v, axis=0, append=v[:1]).T)
-        _check_lengths("polygon edge extremes", (np.min(edges), np.max(edges)))
+        edges = np.roll(v, -1, axis=0) - v
+        # np.hypot first: the squared lengths may overflow before this refusal
+        hypot = np.hypot(*edges.T)
+        _check_lengths("polygon edge extremes", (np.min(hypot), np.max(hypot)))
+        # edge i runs to vertex i + 1; its length is the dot product that
+        # np.linalg.norm(edge) takes, which a plain sum of squares may miss by an ulp
+        lengths = np.sqrt((edges[:, None, :] @ edges[:, :, None]).ravel())
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "lengths", lengths)
         if _signed_area(v) <= 0:
             raise InvalidShapeError("polygon vertices must be counterclockwise")
         if not _is_simple(v):
@@ -215,9 +222,7 @@ class Polygon(_PlaneShape):
         return inside & (dist >= margin - _MARGIN_SLACK * self.scale())
 
     def default_margin(self) -> float:
-        v = np.asarray(self.vertices)
-        peri = np.sum(np.linalg.norm(np.diff(v, axis=0, append=v[:1]), axis=1))
-        return 0.4 * self.measure() / peri  # fraction of the inradius bound
+        return 0.4 * self.measure() / np.sum(self.lengths)  # fraction of the inradius bound
 
     def boundary_grid(self, n) -> BoundaryGrid:
         n_per_edge = int(n)
@@ -240,15 +245,11 @@ class Polygon(_PlaneShape):
         half = 0.5 * (breaks[1:] - breaks[:-1])
         mid = 0.5 * (breaks[1:] + breaks[:-1])
         gx, gw = np.polynomial.legendre.leggauss(q)
-        edge = np.roll(verts, -1, axis=0) - verts
-        # one dot product per edge, the sum np.linalg.norm(edge) takes: a
-        # plain sum of squares differs from it in the last bit on some edges
-        elen = np.sqrt((edge[:, None, :] @ edge[:, :, None]).ravel())
-        tang = edge / elen[:, None]
+        tang = self.edges / self.lengths[:, None]
         # nodes and weights indexed (edge, panel, Gauss node), the grid's order
         t = half[:, None] * gx + mid[:, None]
-        nodes = verts[:, None, None] + t[..., None] * edge[:, None, None]
-        weights = half[:, None] * gw * elen[:, None, None]
+        nodes = verts[:, None, None] + t[..., None] * self.edges[:, None, None]
+        weights = half[:, None] * gw * self.lengths[:, None, None]
         normals = np.repeat(np.stack([tang[:, 1], -tang[:, 0]], axis=1), t.size, axis=0)
         return BoundaryGrid(self, nodes.reshape(-1, 2), normals, weights.reshape(-1))
 
@@ -434,6 +435,8 @@ class Box:
     half: tuple[float, float, float]
 
     def __post_init__(self):
+        if np.shape(self.half) != (3,):
+            raise InvalidShapeError("box needs three half-extents")
         if not all(h > 0 for h in self.half):
             raise InvalidShapeError("box half-extents must be positive")
         _check_lengths("box half-extents", self.half)

@@ -183,11 +183,10 @@ def _ray_rule(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _newtonian_radial(shape: ShapeSpec, points: np.ndarray) -> np.ndarray:
     if isinstance(shape, Polygon):
-        verts = np.asarray(shape.vertices)
-        width = len(verts) * _POLYGON_GAUSS
+        width = len(shape.vertices) * _POLYGON_GAUSS
 
         def block(x):
-            return _polygon_radial_block(verts, x)
+            return _polygon_radial_block(shape, x)
     else:  # boxes take their closed form; every other shape has ray_exit
         dirs, wts = _ray_rule(shape.dim)
         value = _radial_value_2d if shape.dim == 2 else _radial_value_3d
@@ -201,15 +200,14 @@ def _newtonian_radial(shape: ShapeSpec, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _polygon_radial_block(verts: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _polygon_radial_block(shape: Polygon, x: np.ndarray) -> np.ndarray:
     # Each edge subtends an angular sector seen from x; along a direction in
     # it the ray meets the edge's line at distance p / <direction, normal>.
     gx, gw = np.polynomial.legendre.leggauss(_POLYGON_GAUSS)
-    rel = verts[None, :, :] - x[:, None, :]
+    rel = np.asarray(shape.vertices)[None, :, :] - x[:, None, :]
     a0 = np.arctan2(rel[..., 1], rel[..., 0])
     da = (np.roll(a0, -1, axis=1) - a0) % (2 * np.pi)
-    edge = np.roll(verts, -1, axis=0) - verts
-    nrm = np.stack([edge[:, 1], -edge[:, 0]], axis=1) / np.linalg.norm(edge, axis=1)[:, None]
+    nrm = np.stack([shape.edges[:, 1], -shape.edges[:, 0]], axis=1) / shape.lengths[:, None]
     p = rel[..., 0] * nrm[:, 0] + rel[..., 1] * nrm[:, 1]
     th = a0[..., None] + (0.5 * gx + 0.5) * da[..., None]
     rho = p[..., None] / (np.cos(th) * nrm[:, :1] + np.sin(th) * nrm[:, 1:])

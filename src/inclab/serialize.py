@@ -1,14 +1,18 @@
 """Deterministic plain-text serialization for reports and tables.
 
-All emitters are hand-rolled so that repeated runs with the same inputs
-produce byte-identical output: dict insertion order fixes the field order,
-floats are always printed with 17 significant digits, and no environment
-state (locale, hash seed) can leak into the bytes.
+String escapes come from the standard library's ``json`` and CSV quoting
+from its ``csv``; numbers, nulls and field order are the program's own: dict
+insertion order fixes the field order, floats print with 17 significant
+digits (null if non-finite), and no environment state (locale, hash seed)
+can leak into the bytes.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -16,7 +20,7 @@ __all__ = ["format_number", "to_json", "to_jsonl", "to_csv"]
 
 
 def format_number(x) -> str:
-    """Canonical text for one number: %.17g floats, plain ints."""
+    """Canonical text for one number: %.17g floats, plain ints, JSON booleans."""
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
@@ -27,40 +31,18 @@ def format_number(x) -> str:
     return f"{x:.17g}"
 
 
-def _escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
 def _render(obj, indent: int | None, level: int) -> str:
     if obj is None:
         return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer, float, np.floating)):
+    if isinstance(obj, (bool, np.bool_, int, np.integer, float, np.floating)):
         return format_number(obj)
     if isinstance(obj, str):
-        return f'"{_escape(obj)}"'
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, np.ndarray):
         return _render(obj.tolist(), indent, level)
     if isinstance(obj, dict):
         items = [
-            f'"{_escape(str(k))}":{" " if indent is not None else ""}'
+            f'{json.dumps(str(k), ensure_ascii=False)}:{" " if indent is not None else ""}'
             + _render(v, indent, level + 1)
             for k, v in obj.items()
         ]
@@ -92,17 +74,12 @@ def to_jsonl(records) -> str:
     return "\n".join(_render(r, None, 0) for r in records) + "\n"
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, str):
-        if any(c in value for c in ',"\n'):
-            return '"' + value.replace('"', '""') + '"'
-        return value
-    return format_number(value)
-
-
 def to_csv(header, rows) -> str:
-    """Comma-separated table with the same float formatting as the JSON."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+    """Comma-separated table with the same number text as the JSON."""
+    lines = []
+    # a "\r\n" terminator has the writer quote a bare "\r" too (before Python
+    # 3.12 it quotes no other line break); one write per row, ending in "\n"
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
+    for row in (header, *rows):
+        writer.writerow([v if isinstance(v, str) else format_number(v) for v in row])
+    return "".join(line[:-2] + "\n" for line in lines)

@@ -5,8 +5,11 @@ from hypothesis import strategies as st
 
 from inclab import (
     ConfigError,
+    Ellipse,
     Ellipsoid,
+    InvalidShapeError,
     LameParams,
+    Polygon,
     conormal_linear,
     discretize,
     interior_points,
@@ -19,6 +22,18 @@ from inclab.elastostatics import _surface_sums, identity_verdict
 
 lam_s = st.floats(0.2, 5.0)
 mu_s = st.floats(0.2, 5.0)
+
+
+@pytest.mark.parametrize(
+    "shape, n",
+    [(Ellipse(2.0, 1.0), 64), (Polygon(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))), 16)],
+    ids=["ellipse", "polygon"],
+)
+def test_identity_verdict_refuses_a_grid_that_is_not_an_ellipsoid(shape, n):
+    # refused before sampling: a 2D grid reached a matmul ValueError in
+    # conormal_linear, and a polygon grid an AttributeError on semi_axes
+    with pytest.raises(InvalidShapeError, match="ellipsoid"):
+        identity_verdict(discretize(shape, n), LameParams(2.0, 1.0, 1.0, 0.5))
 
 
 def test_lame_validation():

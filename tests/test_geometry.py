@@ -54,6 +54,14 @@ def test_lengths_whose_fourth_powers_leave_the_float_range_are_refused(build):
         build()
 
 
+@pytest.mark.parametrize("half", [(0.5, 0.5), (0.5, 0.5, 0.5, 0.5)], ids=["two", "four"])
+def test_box_needs_three_half_extents(half):
+    # two built and then failed with an IndexError in measure(); four
+    # measured the first three
+    with pytest.raises(InvalidShapeError, match="three half-extents"):
+        Box(half)
+
+
 def test_polygon_rejects_degenerate_and_self_crossing():
     with pytest.raises(InvalidShapeError):
         Polygon(((0.0, 0.0), (1.0, 0.0)))
@@ -268,7 +276,7 @@ RECORDED = [
             scale=0.9,
             center=[0.13333333333333333, 0.0],
             bbox=([-0.6, -0.7], [1.0, 0.7]),
-            margin=0.10454539054542855,
+            margin=0.10454539054542852,
             keeps=[35, 36],
         ),
     ),
@@ -379,6 +387,16 @@ def test_block_clearance_matches_the_per_segment_loop(shape, poly, monkeypatch):
         monkeypatch.undo()
 
 
+def _loop_edge_lengths(shape):
+    """The loop oracle's edge lengths: one norm per edge."""
+    v = np.asarray(shape.vertices)
+    return [float(np.linalg.norm(b - a)) for a, b in zip(v, np.roll(v, -1, axis=0))]
+
+
+def _assert_margin_reads_grid_lengths(shape):
+    assert shape.default_margin() == 0.4 * shape.measure() / np.sum(_loop_edge_lengths(shape))
+
+
 def _loop_polygon_grid(shape, n):
     """The polygon grid as first written: one edge, then one panel at a time."""
     verts = np.asarray(shape.vertices, dtype=float)
@@ -394,10 +412,9 @@ def _loop_polygon_grid(shape, n):
     pieces += [(hi - (hi - lo) * s1, hi - (hi - lo) * s0) for s0, s1 in reversed(breaks)]
     gx, gw = np.polynomial.legendre.leggauss(q)
     nodes, normals, weights = [], [], []
-    for e in range(len(verts)):
+    for e, elen in enumerate(_loop_edge_lengths(shape)):
         v0, v1 = verts[e], verts[(e + 1) % len(verts)]
         edge = v1 - v0
-        elen = float(np.linalg.norm(edge))
         tang = edge / elen
         for lo, hi in pieces:
             nodes.append(v0 + (0.5 * (hi - lo) * gx + 0.5 * (hi + lo))[:, None] * edge)
@@ -445,6 +462,21 @@ def test_star_shaped_polygon_grid_is_the_per_panel_loop_bit_for_bit(gaps, data, 
                                         max_size=len(gaps))))
     shape = Polygon(tuple(zip(radii * np.cos(angles), radii * np.sin(angles))))
     _assert_same_grid(discretize(shape, n), _loop_polygon_grid(shape, n))
+    _assert_margin_reads_grid_lengths(shape)
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        ((1.0, 0.0), (0.0, 0.7), (-0.6, 0.0), (0.0, -0.7)),
+        ((0.0, 0.0), (30.0, 0.0), (0.0, 1.0)),  # 1.9 degree corner
+    ],
+    ids=["kite", "triangle-1.9"],
+)
+def test_polygon_default_margin_sums_the_grid_edge_lengths(vertices):
+    # the default margin's perimeter sums the lengths that scale the grid's
+    # weights, which the loop oracle matches bit for bit
+    _assert_margin_reads_grid_lengths(Polygon(vertices))
 
 
 def _loop_is_simple(v):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -88,3 +90,27 @@ def test_jsonl_round_trip(records):
     lines = to_jsonl(records).split("\n")
     assert lines.pop() == ""
     assert [json.loads(line) for line in lines] == records
+
+
+def test_json_backspace_and_form_feed_use_their_short_escapes():
+    text = "a\x08b\x0cc"
+    out = to_json({text: text})
+    assert out == '{\n  "a\\bb\\fc": "a\\bb\\fc"\n}'
+    assert json.loads(out) == {text: text}
+
+
+# no NUL: csv.reader refuses it before Python 3.11
+_cell_text = st.text(st.one_of(st.sampled_from(',"\n\r'), st.characters(exclude_characters="\x00")))
+_cells = st.one_of(_cell_text, st.just(""), st.booleans(), st.integers(), st.floats())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_cell_text, min_size=1, max_size=4),
+    st.lists(st.lists(_cells, min_size=1, max_size=4), max_size=4),
+)
+def test_csv_reader_reads_back_every_cell(header, rows):
+    # numbers come back as format_number renders them; strings unchanged
+    want = [header] + [[c if isinstance(c, str) else format_number(c) for c in row]
+                       for row in rows]
+    assert list(csv.reader(io.StringIO(to_csv(header, rows), newline=""))) == want
