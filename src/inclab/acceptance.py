@@ -11,6 +11,9 @@ the pass rule and the default tolerance from one verdict function.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
+
 import numpy as np
 
 from .elastostatics import LameParams, identity_verdict
@@ -44,8 +47,28 @@ KITE = Polygon(((1.0, 0.0), (0.0, 0.7), (-0.6, 0.0), (0.0, -0.7)))
 STAR3 = FourierStar(1.0, ((3, 0.2, 0.0),))
 
 
-def _record(cid: int, name: str, passed: bool, detail: str) -> dict:
-    return {"id": cid, "name": name, "passed": bool(passed), "detail": detail}
+# criterion number -> its function; ``_criterion`` fills it in the module's order
+CRITERIA: dict[int, Callable[..., dict]] = {}
+
+
+def _criterion(name: str):
+    """Register the check below it as the criterion its name ``criterion_NN`` numbers.
+
+    The check returns (passed, detail); the function registered, which is
+    also the module's ``criterion_NN``, returns the battery's record.
+    """
+    def register(check):
+        cid = int(check.__name__.removeprefix("criterion_"))
+
+        @functools.wraps(check)
+        def criterion(*args, **kwargs) -> dict:
+            passed, detail = check(*args, **kwargs)
+            return {"id": cid, "name": name, "passed": bool(passed), "detail": detail}
+
+        CRITERIA[cid] = criterion
+        return criterion
+
+    return register
 
 
 def _tol(value: float) -> str:
@@ -53,22 +76,19 @@ def _tol(value: float) -> str:
     return np.format_float_scientific(value, trim="-", exp_digits=1)
 
 
-def criterion_01() -> dict:
+@_criterion("single-layer jump relation")
+def criterion_01() -> tuple[bool, str]:
     """One-sided normal-derivative jump of the single layer."""
     grid = discretize(ELLIPSE21, 256)
     worst = float(np.max([
         jump_check(grid, values)
         for values in (np.ones(grid.n), grid.normals[:, 0], grid.normals[:, 1])
     ]))
-    return _record(
-        1,
-        "single-layer jump relation",
-        worst <= 1e-4,
-        f"max one-sided mismatch {worst:.3e} (tol 1e-4) on 1, n1, n2",
-    )
+    return worst <= 1e-4, f"max one-sided mismatch {worst:.3e} (tol 1e-4) on 1, n1, n2"
 
 
-def criterion_02() -> dict:
+@_criterion("NP operator on the constant density")
+def criterion_02() -> tuple[bool, str]:
     """Pointwise half-value of the NP operator on the constant density."""
     devs = []
     details = []
@@ -78,15 +98,11 @@ def criterion_02() -> dict:
         devs.append(float(np.max(np.abs(row - 0.5))))
         details.append(f"{type(shape).__name__}({shape.a:g},{shape.b:g}): {devs[-1]:.3e}")
     worst = float(np.max(devs))
-    return _record(
-        2,
-        "NP operator on the constant density",
-        worst <= 1e-8,
-        "max |K*[1] - 1/2| = " + "; ".join(details) + " (tol 1e-8)",
-    )
+    return worst <= 1e-8, "max |K*[1] - 1/2| = " + "; ".join(details) + " (tol 1e-8)"
 
 
-def criterion_03() -> dict:
+@_criterion("NP eigen-relation on normals")
+def criterion_03() -> tuple[bool, str]:
     """Normal-component eigen-relations of the NP operator."""
     grid = discretize(ELLIPSE21, 256)
     mat = npo_matrix(grid)
@@ -97,45 +113,39 @@ def criterion_03() -> dict:
     c1 = float(np.max(np.abs(matc @ gridc.normals[:, 0])))
     c2 = float(np.max(np.abs(matc @ gridc.normals[:, 1])))
     passed = r1 <= 1e-6 and r2 <= 1e-6 and c1 <= 1e-8 and c2 <= 1e-8
-    return _record(
-        3,
-        "NP eigen-relation on normals",
+    return (
         passed,
         f"ellipse residuals ({r1:.2e}, {r2:.2e}) tol 1e-6; "
         f"circle ({c1:.2e}, {c2:.2e}) tol 1e-8",
     )
 
 
-def criterion_04() -> dict:
+@_criterion("disk polarization tensor")
+def criterion_04() -> tuple[bool, str]:
     """Disk polarization tensor closed form across contrasts."""
     ks, errors = (0.5, 2.0, 3.0, 10.0), []
     for k, pt in zip(ks, _tensors(discretize(DISK, 256), ks)):
         target = closed_form_pt(DISK, k).M
         errors.append(float(np.max(np.abs(pt.M - target)) / np.max(np.abs(target))))
     worst = float(np.max(errors))
-    return _record(
-        4,
-        "disk polarization tensor",
-        worst <= 1e-8,
-        f"max relative error {worst:.3e} over k in {{0.5, 2, 3, 10}} (tol 1e-8)",
-    )
+    return worst <= 1e-8, f"max relative error {worst:.3e} over k in {{0.5, 2, 3, 10}} (tol 1e-8)"
 
 
-def criterion_05() -> dict:
+@_criterion("ellipse PT vs closed form")
+def criterion_05() -> tuple[bool, str]:
     """Boundary-solve PT agrees with the ellipse closed form."""
     tensors = _tensors(discretize(ELLIPSE21, 256), (2.0, 5.0))
     verdicts = [pt_verdict(ELLIPSE21, pt) for pt in tensors]
     worst = float(np.max([v["closed_form_deviation"] for v in verdicts]))
-    return _record(
-        5,
-        "ellipse PT vs closed form",
+    return (
         all(v["passed"] for v in verdicts),
         f"max entry difference {worst:.3e} over k in {{2, 5}} "
         f"(tol {_tol(verdicts[0]['closed_form_tol'])})",
     )
 
 
-def criterion_06() -> dict:
+@_criterion("trace bounds and their saturation")
+def criterion_06() -> tuple[bool, str]:
     """Trace bounds hold for a shape library; saturation only for ellipses."""
     shapes = {"disk": DISK, "ellipse(2,1)": ELLIPSE21, "ellipse(4,1)": ELLIPSE41,
               "square": SQUARE, "star3": STAR3, "kite": KITE}
@@ -144,24 +154,24 @@ def criterion_06() -> dict:
     ok = all(rec["passed"] for rec in records.values())
     ok = ok and records["square"]["slack2"] >= 1e-3 and records["star3"]["slack2"] >= 1e-3
     notes = [f"{label}: slack2={rec['slack2']:.2e}" for label, rec in records.items()]
-    return _record(6, "trace bounds and their saturation", ok, "; ".join(notes))
+    return ok, "; ".join(notes)
 
 
-def criterion_07() -> dict:
+@_criterion("interior-field uniformity dichotomy")
+def criterion_07() -> tuple[bool, str]:
     """Uniform interior field on the ellipse, non-uniform on the square."""
     smooth = uniformity_verdict(discretize(ELLIPSE21, 256), (0.5, 2.0, 10.0))
     square = uniformity_verdict(discretize(SQUARE, 256), (0.5, 2.0))
     best_square = float(np.min([row["delta"] for row in square["rows"]]))
-    return _record(
-        7,
-        "interior-field uniformity dichotomy",
+    return (
         smooth["passed"] and best_square >= 1e-2,
         f"ellipse max delta {smooth['max_delta']:.2e} (tol {_tol(smooth['delta_tol'])}); "
         f"square min delta {best_square:.2e} (floor 1e-2)",
     )
 
 
-def criterion_08() -> dict:
+@_criterion("interior slope closed form")
+def criterion_08() -> tuple[bool, str]:
     """Interior gradient slope matches the two-axis closed form."""
     errors = []
     for shape, ks in ((ELLIPSE21, [2.0, 5.0]), (Ellipse(3.0, 2.0), [4.0])):
@@ -171,24 +181,21 @@ def criterion_08() -> dict:
             target = np.eye(2)[j] / (1.0 + (k - 1.0) * factors[j])
             errors.append(float(np.max(np.abs([row["mean_gx"], row["mean_gy"]] - target))))
     worst = float(np.max(errors))
-    return _record(
-        8,
-        "interior slope closed form",
+    return (
         worst <= 1e-6,
         f"max slope error {worst:.3e} over two ellipses, k in {{2, 4, 5}} (tol 1e-6)",
     )
 
 
-def criterion_09() -> dict:
+@_criterion("quadratic interior potential dichotomy")
+def criterion_09() -> tuple[bool, str]:
     """Quadratic interior potential exactly on ellipsoids, not on boxes."""
     ellipsoid = quadratic_verdict(Ellipsoid(2.0, 1.5, 1.0))
     ellipse = quadratic_verdict(ELLIPSE21)
     cube = quadratic_interior_fit(Box((0.5, 0.5, 0.5)))["rms_residual"]
     square = quadratic_interior_fit(SQUARE)["rms_residual"]
     passed = ellipsoid["passed"] and ellipse["passed"] and cube >= 1e-3 and square >= 1e-3
-    return _record(
-        9,
-        "quadratic interior potential dichotomy",
+    return (
         passed,
         f"ellipsoid resid {ellipsoid['quadratic_fit']['rms_residual']:.2e} "
         f"diag err {ellipsoid['diag_vs_half_factors']:.2e}; "
@@ -197,7 +204,8 @@ def criterion_09() -> dict:
     )
 
 
-def criterion_10(seed: int = 0) -> dict:
+@_criterion("depolarization factor identities")
+def criterion_10(seed: int = 0) -> tuple[bool, str]:
     """Depolarization factors: sum rule, sphere value, quadrature oracle.
 
     The oracle is the defining integral
@@ -225,23 +233,20 @@ def criterion_10(seed: int = 0) -> dict:
         quads.extend(np.abs(ref - vals))
     worst_sum, worst_quad = float(np.max(sums)), float(np.max(quads))
     ok = worst_sum <= 1e-10 and sphere_exact and worst_quad <= 1e-8
-    return _record(
-        10,
-        "depolarization factor identities",
+    return (
         ok,
         f"sum rule {worst_sum:.2e} (tol 1e-10); sphere exact thirds: {sphere_exact}; "
         f"quadrature agreement {worst_quad:.2e} (tol 1e-8)",
     )
 
 
-def criterion_11() -> dict:
+@_criterion("elastic trace identities")
+def criterion_11() -> tuple[bool, str]:
     """Hydrostatic trace identities at interior points of an ellipsoid."""
     grid = discretize(Ellipsoid(2.0, 1.5, 1.0), 64)
     rep = identity_verdict(grid, LameParams(2.0, 1.0, 1.0, 0.5))
     eq = identity_verdict(grid, LameParams(2.0, 1.0, 2.0, 1.0))
-    return _record(
-        11,
-        "elastic trace identities",
+    return (
         rep["passed"] and eq["residual_difference"] == 0.0,
         f"residuals: matrix {rep['residual_matrix_phase']:.2e}, inclusion "
         f"{rep['residual_inclusion_phase']:.2e}, inverse-distance "
@@ -250,13 +255,12 @@ def criterion_11() -> dict:
     )
 
 
-def criterion_12() -> dict:
+@_criterion("hodograph slit map")
+def criterion_12() -> tuple[bool, str]:
     """Hodograph boundary identity, univalence, slit, leading coefficient."""
     cert = slit_certificate(2.0, 1.0)
     alpha_err = abs(cert["leading_coefficient"] - cert["leading_coefficient_target"])
-    return _record(
-        12,
-        "hodograph slit map",
+    return (
         cert["passed"],
         f"boundary identity {cert['boundary_identity_deviation']:.2e} "
         f"(tol {_tol(cert['boundary_identity_tol'])}); univalence {cert['univalent']}; "
@@ -266,14 +270,13 @@ def criterion_12() -> dict:
     )
 
 
-def criterion_13() -> dict:
+@_criterion("trace-minimal shape is the disk")
+def criterion_13() -> tuple[bool, str]:
     """Trace minimization over star shapes converges to the disk."""
     problem = OptProblem(k=3.0)
     trace = minimize_trace(problem, problem.start())
     verdict = disk_verdict(problem, trace)
-    return _record(
-        13,
-        "trace-minimal shape is the disk",
+    return (
         verdict["passed"],
         f"relative gap {verdict['relative_gap']:.2e} (tol {_tol(verdict['gap_tol'])}); "
         f"max coefficient {verdict['max_coefficient']:.2e} "
@@ -283,34 +286,15 @@ def criterion_13() -> dict:
     )
 
 
-def criterion_14() -> dict:
+@_criterion("far-field decay rate")
+def criterion_14() -> tuple[bool, str]:
     """Far-field decay of the perturbation potential on the circle."""
     ratio, expected, rel_error, passed = decay_check(DISK, 3.0, (1.0, 0.0))
-    return _record(
-        14,
-        "far-field decay rate",
+    return (
         passed,
         f"magnitude ratio {ratio:.6f} vs {expected:.0f} "
         f"(rel err {rel_error:.2e}, cap {DECAY_TOL:g})",
     )
-
-
-CRITERIA = {
-    1: criterion_01,
-    2: criterion_02,
-    3: criterion_03,
-    4: criterion_04,
-    5: criterion_05,
-    6: criterion_06,
-    7: criterion_07,
-    8: criterion_08,
-    9: criterion_09,
-    10: criterion_10,
-    11: criterion_11,
-    12: criterion_12,
-    13: criterion_13,
-    14: criterion_14,
-}
 
 
 def run_criterion(cid: int, seed: int = 0) -> dict:

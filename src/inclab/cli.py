@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -76,47 +76,42 @@ def parse_shape(text: str) -> tuple[str, ShapeSpec]:
     return raw, _build_shape(kind.strip().lower(), _parse_floats(params, "--shape"))
 
 
+# shape type -> its class, its inline form, the fewest numbers that form
+# takes, and the layout of each of the class's fields, in their order: one
+# number (None), a list of numbers (0), or a list of lists of w numbers (w);
+# only the last field may be a list, and inline it takes the numbers left over
+_GRAMMAR = {
+    "ellipse": (Ellipse, "a,b", 2, (None, None)),
+    "ellipsoid": (Ellipsoid, "c1,c2,c3", 3, (None, None, None)),
+    "box": (Box, "h1,h2,h3", 3, (0,)),
+    "polygon": (Polygon, "x1,y1,x2,y2,... (at least 3 vertices)", 6, (2,)),
+    "star": (FourierStar, "r0,m,c,s[,m,c,s...]", 4, (None, 3)),
+}
+
+
 def _build_shape(kind: str, v: list[float]) -> ShapeSpec:
     """Shape of type ``kind`` from its parameters in the inline ``--shape`` order.
 
-    Every value must be finite and their count must fit the type; a
-    violation, or a constructor's refusal, is a ConfigError naming --shape.
+    Every value must be finite and their count must fit the type: its
+    fewest, or more by whole items of a last field of lists; a violation,
+    or a constructor's refusal, is a ConfigError naming --shape.
     """
     for value in v:
         _expect(np.isfinite(value), f"--shape: '{value}' is not a finite number")
-    n = len(v)
-    forms = {
-        "ellipse": (n == 2, "a,b"),
-        "ellipsoid": (n == 3, "c1,c2,c3"),
-        "box": (n == 3, "h1,h2,h3"),
-        "polygon": (n >= 6 and n % 2 == 0, "x1,y1,x2,y2,... (at least 3 vertices)"),
-        "star": (n >= 4 and (n - 1) % 3 == 0, "r0,m,c,s[,m,c,s...]"),
-    }
-    _expect(kind in forms, f"--shape: unknown shape type '{kind}'")
-    _expect(forms[kind][0], f"--shape: {kind} takes {forms[kind][1]}")
+    _expect(kind in _GRAMMAR, f"--shape: unknown shape type '{kind}'")
+    cls, form, least, widths = _GRAMMAR[kind]
+    n, w = len(v), widths[-1] or 0
+    _expect(n == least or (w and n > least and (n - least) % w == 0),
+            f"--shape: {kind} takes {form}")
+    scalars = widths.count(None)
+    args = v[:scalars]
+    if scalars < len(widths):
+        rest = v[scalars:]
+        args.append(tuple(zip(*(rest[j::w] for j in range(w)))) if w else tuple(rest))
     try:
-        if kind == "ellipse":
-            return Ellipse(v[0], v[1])
-        if kind == "ellipsoid":
-            return Ellipsoid(v[0], v[1], v[2])
-        if kind == "box":
-            return Box((v[0], v[1], v[2]))
-        if kind == "polygon":
-            return Polygon(tuple(zip(v[0::2], v[1::2])))
-        return FourierStar(v[0], tuple(zip(v[1::3], v[2::3], v[3::3])))
+        return cls(*args)
     except InvalidShapeError as exc:
         raise ConfigError(f"--shape: {exc}") from exc
-
-
-# JSON type -> its fields in the inline parameter order, each one number
-# (None), a list of numbers (0), or a list of lists of w numbers (w)
-_JSON_FIELDS = {
-    "ellipse": {"a": None, "b": None},
-    "ellipsoid": {"c1": None, "c2": None, "c3": None},
-    "box": {"half": 0},
-    "polygon": {"vertices": 2},
-    "star": {"r0": None, "modes": 3},
-}
 
 
 def _shape_from_json(payload, path: str) -> tuple[str, ShapeSpec]:
@@ -124,12 +119,13 @@ def _shape_from_json(payload, path: str) -> tuple[str, ShapeSpec]:
     _expect(isinstance(payload, dict) and "type" in payload,
             f"--shape: {path} must be an object with a 'type' field")
     kind = str(payload["type"]).lower()
-    _expect(kind in _JSON_FIELDS, f"--shape: unknown shape type '{kind}'")
-    fields = _JSON_FIELDS[kind]
+    _expect(kind in _GRAMMAR, f"--shape: unknown shape type '{kind}'")
+    cls, _, _, widths = _GRAMMAR[kind]
+    keys = [f.name for f in fields(cls)]
     for key in payload:
-        _expect(key == "type" or key in fields, f"--shape: {kind} in {path} takes no key '{key}'")
+        _expect(key == "type" or key in keys, f"--shape: {kind} in {path} takes no key '{key}'")
     values = []
-    for key, width in fields.items():
+    for key, width in zip(keys, widths):
         _expect(key in payload, f"--shape: {kind} in {path} needs key '{key}'")
         values += _json_numbers(payload[key], width, f"'{key}' in {path}")
     return os.path.basename(path), _build_shape(kind, values)
@@ -288,13 +284,13 @@ def _cmd_suite(args):
 @dataclass(frozen=True)
 class _Command:
     """A subcommand: handler, help, the only flags it takes, --shape default,
-    --k help (a list is taken where it says so), --n default and format."""
+    whether --k takes a comma list, --n default and format."""
 
     handler: Callable[[argparse.Namespace], dict]
     help: str
     flags: str
     shape: str | None = None
-    k_help: str = "conductivity contrast"
+    k_list: bool = False
     n: int = 256
     fmt: str = "json"
 
@@ -306,7 +302,7 @@ _COMMANDS = {
         _cmd_eshelby,
         "interior-field uniformity table",
         "--shape --k --n --out --format",
-        k_help="conductivity contrast (comma list allowed)",
+        k_list=True,
         fmt="csv",
     ),
     "newtonian": _Command(_cmd_newtonian, "quadratic interior-potential fit", "--shape --out"),
@@ -323,7 +319,7 @@ _COMMANDS = {
         _cmd_bound_table,
         "inverse-trace bound slack of the battery's named shapes",
         "--k --out",
-        k_help="conductivity contrast (comma list allowed)",
+        k_list=True,
         fmt="csv",
     ),
     "suite": _Command(_cmd_suite, "full acceptance battery", "--out", fmt="txt"),
@@ -351,7 +347,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 "box:h1,h2,h3, polygon:x1,y1,..., star:r0,m,c,s[,...]), an alias "
                 "(disk, square, kite, star), or @file.json",
             ),
-            "--k": dict(default="3", help=cmd.k_help),
+            "--k": dict(default="3", help="conductivity contrast (comma list allowed)"
+                        if cmd.k_list else "conductivity contrast"),
             "--lame": dict(default="2,1,1,0.5", help="lam,mu,lam_inc,mu_inc"),
             "--n": dict(type=int, help="boundary resolution"),
             "--out": dict(help="artifact output directory"),
@@ -372,7 +369,7 @@ def _configure(args: argparse.Namespace):
         args.label, args.shape = parse_shape(args.shape)
     if "k" in args:
         args.ks = _parse_contrasts(args.k)
-        _expect(len(args.ks) == 1 or "list" in _COMMANDS[args.command].k_help,
+        _expect(len(args.ks) == 1 or _COMMANDS[args.command].k_list,
                 f"--k: {args.command} takes one contrast")
         args.k = args.ks[0]
     if "lame" in args:

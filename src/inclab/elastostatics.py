@@ -56,15 +56,12 @@ class LameParams:
     mu_inc: float
 
     def __post_init__(self):
-        d = 3
-        if not self.mu > 0:
-            raise ConfigError("mu must be positive")
-        if not d * self.lam + 2 * self.mu > 0:
-            raise ConfigError("3*lam + 2*mu must be positive")
-        if not self.mu_inc > 0:
-            raise ConfigError("mu_inc must be positive")
-        if not d * self.lam_inc + 2 * self.mu_inc > 0:
-            raise ConfigError("3*lam_inc + 2*mu_inc must be positive")
+        for phase in ("", "_inc"):
+            lam, mu = getattr(self, "lam" + phase), getattr(self, "mu" + phase)
+            if not mu > 0:
+                raise ConfigError(f"mu{phase} must be positive")
+            if not 3 * lam + 2 * mu > 0:
+                raise ConfigError(f"3*lam{phase} + 2*mu{phase} must be positive")
         if (self.lam - self.lam_inc) * (self.mu - self.mu_inc) < 0:
             raise ConfigError(
                 "(lam - lam_inc) * (mu - mu_inc) must be >= 0: the two "

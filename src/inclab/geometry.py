@@ -4,7 +4,7 @@ Shapes are frozen dataclasses.  Ellipses, ellipsoids and boxes sit at the
 origin with their axes on the coordinate axes: a polarization tensor turns to
 R M R^T under a rotation R and stays put under a translation, so placement
 adds nothing to check.  Each class carries its own geometry:
-``dim``, ``measure``, ``scale``, ``center_point``, ``bbox``, ``margin_ok``,
+``dim``, ``measure``, ``scale``, ``center_point``, ``bbox``, ``clearance``,
 ``default_margin`` and ``boundary_grid``, plus ``outline`` on the 2D
 shapes, ``curve_frame`` on the smooth curves, and ``ray_exit`` (where
 rays from interior points leave the shape) on ellipses, stars and
@@ -37,8 +37,8 @@ CORNER_DEPTH = 6
 # array is allocated.
 _MAX_GRID_NODES = 1 << 22
 
-# ``margin_ok(pts, margin)`` is True where a conservative bound on a point's
-# clearance to the boundary is at least margin - _MARGIN_SLACK * scale().
+# ``interior_points`` keeps a point whose ``clearance`` (a bound that never
+# exceeds its distance to the boundary) is at least margin - _MARGIN_SLACK * scale().
 _MARGIN_SLACK = 1e-12
 
 # Angles at which a star's radius is sampled for its area, extent, default
@@ -111,11 +111,11 @@ class _Quadric:
         c = self.semi_axes
         return -c, c
 
-    def margin_ok(self, pts: np.ndarray, margin: float) -> np.ndarray:
-        # analytic bound: the clearance is at least min(c) (1 - rho)
+    def clearance(self, pts: np.ndarray) -> np.ndarray:
+        # analytic bound: the distance is at least min(c) (1 - rho)
         c = self.semi_axes
         rho = np.sqrt(((pts / c) ** 2).sum(axis=1))
-        return np.min(c) * (1.0 - rho) >= margin - _MARGIN_SLACK * self.scale()
+        return np.min(c) * (1.0 - rho)
 
     def default_margin(self) -> float:
         return 0.25 * float(np.min(self.semi_axes))
@@ -183,8 +183,10 @@ class Polygon(_PlaneShape):
         if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3:
             raise InvalidShapeError("polygon needs at least 3 planar vertices")
         object.__setattr__(self, "vertices", tuple(map(tuple, v)))
-        edges = np.roll(v, -1, axis=0) - v
-        # np.hypot first: the squared lengths may overflow before this refusal
+        # an edge or its squared length may overflow: the differences are
+        # taken quietly and the lengths by np.hypot, and refused before any use
+        with np.errstate(over="ignore"):
+            edges = np.roll(v, -1, axis=0) - v
         hypot = np.hypot(*edges.T)
         _check_lengths("polygon edge extremes", (np.min(hypot), np.max(hypot)))
         # edge i runs to vertex i + 1; its length is the dot product that
@@ -216,10 +218,10 @@ class Polygon(_PlaneShape):
         moments = np.array([np.sum((x + xr) * cross), np.sum((y + yr) * cross)])
         return moments / (6 * self.measure())
 
-    def margin_ok(self, pts: np.ndarray, margin: float) -> np.ndarray:
+    def clearance(self, pts: np.ndarray) -> np.ndarray:
         # exact edge distances
         inside, dist = _edge_walk(pts, np.asarray(self.vertices))
-        return inside & (dist >= margin - _MARGIN_SLACK * self.scale())
+        return np.where(inside, dist, -np.inf)
 
     def default_margin(self) -> float:
         return 0.4 * self.measure() / np.sum(self.lengths)  # fraction of the inradius bound
@@ -318,15 +320,25 @@ class FourierStar(_SmoothCurve):
     def center_point(self) -> np.ndarray:
         return np.zeros(2)
 
-    def margin_ok(self, pts: np.ndarray, margin: float) -> np.ndarray:
-        # dense-polyline distance: chords of a curve underestimate the true
-        # clearance, never overestimate it on the inside
-        t = 2 * np.pi * np.arange(2048) / 2048
+    def clearance(self, pts: np.ndarray) -> np.ndarray:
+        # distance to the polyline through 2048 (or 8 per period of the
+        # highest mode) equispaced curve points, less how far the curve can
+        # stray from it: a chord is the linear interpolant over a parameter
+        # step dt, off the curve c(t) by at most max|c''| dt^2 / 8, and
+        # |c''|^2 = (r'' - r)^2 + 4 r'^2 is bounded through the mode
+        # amplitudes.  On a concave arc the polyline runs outside the curve,
+        # so without this it overestimates the distance.
+        m, c, s = np.reshape(self.modes, (-1, 3)).T
+        count = max(2048, 8 * int(np.max(m, initial=0)))
+        t = 2 * np.pi * np.arange(count) / count
         r = _star_radius(self, t)
         poly = np.stack([r * np.cos(t), r * np.sin(t)], axis=1)
+        amp = np.hypot(c, s)
+        bend = self.r0 * math.hypot(1.0 + np.sum((m * m + 1) * amp), 2.0 * np.sum(m * amp))
+        stray = bend * (2 * np.pi / count) ** 2 / 8
         theta = np.arctan2(pts[:, 1], pts[:, 0])
         inside = np.linalg.norm(pts, axis=1) < _star_radius(self, theta)
-        return inside & (_edge_walk(pts, poly)[1] >= margin - _MARGIN_SLACK * self.scale())
+        return np.where(inside, _edge_walk(pts, poly)[1] - stray, -np.inf)
 
     def default_margin(self) -> float:
         return 0.25 * self._r_min
@@ -455,9 +467,8 @@ class Box:
         h = np.asarray(self.half, dtype=float)
         return -h, h
 
-    def margin_ok(self, pts: np.ndarray, margin: float) -> np.ndarray:
-        d = np.asarray(self.half) - np.abs(pts)
-        return np.min(d, axis=1) >= margin - _MARGIN_SLACK * self.scale()
+    def clearance(self, pts: np.ndarray) -> np.ndarray:
+        return np.min(np.asarray(self.half) - np.abs(pts), axis=1)
 
     def default_margin(self) -> float:
         return 0.2 * min(self.half)
@@ -592,8 +603,9 @@ def interior_points(shape: ShapeSpec, count: int, margin: float) -> InteriorSamp
     """Deterministic quasi-uniform interior points with a boundary margin.
 
     Candidates come from coarse-to-fine lattices over the margin-shrunk
-    bounding box, topped up with scaled copies of the boundary; the first
-    ``count`` survivors (uniform stride over the ordered pool) are returned.
+    bounding box, topped up with scaled copies of the boundary; those whose
+    ``clearance`` is at least ``margin`` survive, and the first ``count``
+    survivors (uniform stride over the ordered pool) are returned.
     Candidates closer than 1e-9 of the shape's scale count as one.
     """
     if count < 1:
@@ -604,12 +616,13 @@ def interior_points(shape: ShapeSpec, count: int, margin: float) -> InteriorSamp
     if np.any(hi < lo):
         raise EmptySampleError("margin leaves no interior room")
     tol = 1e-9 * shape.scale()
+    floor = margin - _MARGIN_SLACK * shape.scale()
     k0 = int(np.ceil(count ** (1.0 / d)))
     pool: list[np.ndarray] = []
     for k in (k0, k0 + 2, k0 + 4):
         axes = [np.linspace(lo[i], hi[i], k) for i in range(d)]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-        pool.append(mesh[shape.margin_ok(mesh, margin)])
+        pool.append(mesh[shape.clearance(mesh) >= floor])
         cand = _dedupe(np.concatenate(pool), tol)
         if len(cand) >= count:
             break
@@ -618,7 +631,7 @@ def interior_points(shape: ShapeSpec, count: int, margin: float) -> InteriorSamp
         bnd = shape.outline(64)
         for s in (0.85, 0.7, 0.5, 0.3):
             ring = center + s * (bnd - center)
-            pool.append(ring[shape.margin_ok(ring, margin)])
+            pool.append(ring[shape.clearance(ring) >= floor])
         cand = _dedupe(np.concatenate(pool), tol)
     if len(cand) < count:
         raise EmptySampleError(f"only {len(cand)} interior points fit margin {margin}")

@@ -45,6 +45,7 @@ definition of "this shape is not an ellipsoid".
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -220,28 +221,21 @@ def _polygon_radial_block(shape: Polygon, x: np.ndarray) -> np.ndarray:
 def _box_inverse_distance(shape: Box, x: np.ndarray) -> float:
     """integral over the box of dy / |x - y|, corner-sum closed form."""
     h = np.asarray(shape.half)
-    lo, hi = -h - x, h - x
+    corners = [((-1.0, lo), (1.0, hi)) for lo, hi in zip(-h - x, h - x)]
     total = 0.0
-    for sx, X in ((-1.0, lo[0]), (1.0, hi[0])):
-        for sy, Y in ((-1.0, lo[1]), (1.0, hi[1])):
-            for sz, Z in ((-1.0, lo[2]), (1.0, hi[2])):
-                R = math.sqrt(X * X + Y * Y + Z * Z)
-                term = 0.0
-                if abs(X) > 0 and abs(Y) > 0:
-                    term += X * Y * math.log(Z + R) if Z + R > 0 else 0.0
-                if abs(Y) > 0 and abs(Z) > 0:
-                    term += Y * Z * math.log(X + R) if X + R > 0 else 0.0
-                if abs(Z) > 0 and abs(X) > 0:
-                    term += Z * X * math.log(Y + R) if Y + R > 0 else 0.0
-                # the primitive needs the principal arctangent branch; atan2
-                # would jump by pi whenever the first factor is negative
-                if abs(X) > 0:
-                    term -= 0.5 * X * X * math.atan(Y * Z / (X * R))
-                if abs(Y) > 0:
-                    term -= 0.5 * Y * Y * math.atan(Z * X / (Y * R))
-                if abs(Z) > 0:
-                    term -= 0.5 * Z * Z * math.atan(X * Y / (Z * R))
-                total += sx * sy * sz * term
+    for (sx, X), (sy, Y), (sz, Z) in itertools.product(*corners):
+        R = math.sqrt(X * X + Y * Y + Z * Z)
+        cyclic = ((X, Y, Z), (Y, Z, X), (Z, X, Y))
+        term = 0.0
+        for a, b, c in cyclic:
+            if abs(a) > 0 and abs(b) > 0 and c + R > 0:
+                term += a * b * math.log(c + R)
+        # the primitive needs the principal arctangent branch; atan2 would
+        # jump by pi whenever the first factor is negative
+        for a, b, c in cyclic:
+            if abs(a) > 0:
+                term -= 0.5 * a * a * math.atan(b * c / (a * R))
+        total += sx * sy * sz * term
     return total
 
 

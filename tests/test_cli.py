@@ -119,6 +119,64 @@ def test_parse_shape_from_json_file(tmp_path):
         assert str(info.value) == message.format(path)
 
 
+_LENGTH = st.floats(0.1, 10.0)
+
+
+@st.composite
+def _shape_payloads(draw):
+    """A JSON payload for an ellipse, ellipsoid, box, counter-clockwise
+    regular polygon or star, and the numbers of its inline form in order."""
+    kind = draw(st.sampled_from(["ellipse", "ellipsoid", "box", "polygon", "star"]))
+    if kind in ("ellipse", "ellipsoid"):
+        keys = ("a", "b") if kind == "ellipse" else ("c1", "c2", "c3")
+        values = [draw(_LENGTH) for _ in keys]
+        return {"type": kind, **dict(zip(keys, values))}, values
+    if kind == "box":
+        half = [draw(_LENGTH) for _ in range(3)]
+        return {"type": kind, "half": half}, half
+    if kind == "polygon":
+        count, radius, turn = draw(st.integers(3, 9)), draw(_LENGTH), draw(st.floats(0.0, 6.3))
+        t = turn + 2 * np.pi * np.arange(count) / count
+        vertices = [[float(x), float(y)] for x, y in zip(radius * np.cos(t), radius * np.sin(t))]
+        return {"type": kind, "vertices": vertices}, [v for vertex in vertices for v in vertex]
+    modes = draw(st.lists(st.tuples(st.integers(2, 12), st.floats(-0.05, 0.05),
+                                    st.floats(-0.05, 0.05)), min_size=1, max_size=3))
+    r0 = draw(_LENGTH)
+    return {"type": kind, "r0": r0, "modes": [list(m) for m in modes]}, [r0, *sum(modes, ())]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_shape_payloads())
+def test_inline_and_json_forms_parse_to_equal_shapes(case):
+    payload, numbers = case
+    inline = f"{payload['type']}:" + ",".join(map(repr, numbers))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "shape.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        from_file = parse_shape(f"@{path}")[1]
+    assert from_file == parse_shape(inline)[1]
+
+
+@pytest.mark.parametrize("from_json", [False, True])
+def test_polygon_edges_beyond_the_float_range_are_refused_in_one_line(capsys, tmp_path, from_json):
+    # the edge vectors overflow to inf; the length check refuses them with no
+    # warning printed ahead of its line
+    text = "polygon:-1e308,0,1e308,0,0,1e308"
+    if from_json:
+        path = tmp_path / "polygon.json"
+        path.write_text('{"type":"polygon","vertices":[[-1e308,0],[1e308,0],[0,1e308]]}')
+        text = f"@{path}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, "pt", "--shape", text)
+    assert (code, out) == (2, "")
+    assert err == (
+        "config error: --shape: polygon edge extremes (1.4142135623730951e+308, inf) must lie "
+        "within 1.2e-77 .. 1.2e+77, where their fourth powers are normal floats\n"
+    )
+
+
 def test_pt_passes_on_ellipse(capsys):
     code, out, _ = _run(capsys, "pt", "--shape", "ellipse:2,1", "--k", "3")
     assert code == 0

@@ -252,8 +252,8 @@ def test_grids_above_the_node_cap_are_refused_before_they_are_built(monkeypatch,
 
 
 # The recorded area or volume, dimension, scale, center, bounding box, fit
-# margin and margin test (indices of the lattice points that keep a 0.1
-# clearance) of one shape per class; the shape methods must reproduce every
+# margin and clearance (indices of the lattice points whose clearance is at
+# least 0.1) of one shape per class; the shape methods must reproduce every
 # bit.
 RECORDED = [
     (
@@ -336,12 +336,14 @@ def test_shape_geometry_matches_recorded_values(shape, want):
     assert shape.center_point().tolist() == want["center"]
     assert (lo.tolist(), hi.tolist()) == want["bbox"]
     assert _default_margin(shape) == want["margin"]
-    assert np.flatnonzero(shape.margin_ok(lattice, 0.1)).tolist() == want["keeps"]
+    # read as interior_points reads it, less its slack
+    keeps = shape.clearance(lattice) >= 0.1 - geometry._MARGIN_SLACK * shape.scale()
+    assert np.flatnonzero(keeps).tolist() == want["keeps"]
 
 
 def test_every_shape_class_has_the_geometry_methods():
     methods = (
-        "measure", "scale", "center_point", "bbox", "margin_ok", "default_margin", "boundary_grid"
+        "measure", "scale", "center_point", "bbox", "clearance", "default_margin", "boundary_grid"
     )
     for cls in typing.get_args(ShapeSpec):
         assert cls.dim in (2, 3)
@@ -381,10 +383,91 @@ def test_block_clearance_matches_the_per_segment_loop(shape, poly, monkeypatch):
     assert np.all(got[-len(poly[::37]):] == 0.0)
     assert np.max(np.abs(got - want)) <= 4e-16 * shape.scale()
     for margin in (0.0, 0.05, 0.1, 0.2):
-        keep = shape.margin_ok(pts, margin)
+        keep = shape.clearance(pts) >= margin
         monkeypatch.setattr(geometry, "_edge_walk", _loop_edge_walk)
-        np.testing.assert_array_equal(keep, shape.margin_ok(pts, margin))
+        np.testing.assert_array_equal(keep, shape.clearance(pts) >= margin)
         monkeypatch.undo()
+
+
+def _curve_distance(shape, pts):
+    """Distance from each point to the nearest of 4096 curve points, refined
+    twice on 401 points within two steps of it: never below the distance to
+    the curve, and within about 1e-9 of it 1e-5 or more inside."""
+    t = 2 * np.pi * np.arange(4096) / 4096
+    d2 = ((pts[:, None] - shape.curve_frame(t)[0]) ** 2).sum(-1)
+    best, step = t[np.argmin(d2, axis=1)], 2 * np.pi / 4096
+    for _ in range(2):
+        tt = best[:, None] + np.linspace(-2 * step, 2 * step, 401)
+        d2 = ((pts[:, None] - shape.curve_frame(tt.ravel())[0].reshape(*tt.shape, 2)) ** 2).sum(-1)
+        best, step = tt[np.arange(len(pts)), np.argmin(d2, axis=1)], step / 100
+    return np.sqrt(np.min(d2, axis=1))
+
+
+def _sampled_distance(shape, pts):
+    """Distance from each point to the nearest boundary sample (2001 per
+    polygon edge, 51 x 51 per box face, 101 x 201 over an ellipsoid):
+    never below the distance to the boundary."""
+    u = np.linspace(0.0, 1.0, 2001)
+    if isinstance(shape, Polygon):
+        v = np.asarray(shape.vertices)
+        bnd = (v[:, None] + u[:, None] * shape.edges[:, None]).reshape(-1, 2)
+    elif isinstance(shape, Box):
+        h = np.asarray(shape.half)
+        a, b = np.meshgrid(2 * u[::40] - 1, 2 * u[::40] - 1)
+        faces = []
+        for j in range(3):
+            for side in (-1.0, 1.0):
+                face = np.insert(np.stack([a.ravel(), b.ravel()], axis=1), j, side, axis=1)
+                faces.append(face * h)
+        bnd = np.concatenate(faces)
+    else:
+        pol, az = np.meshgrid(np.pi * u[::20], 2 * np.pi * u[::10])
+        sphere = [np.sin(pol) * np.cos(az), np.sin(pol) * np.sin(az), np.cos(pol)]
+        bnd = np.stack(sphere, axis=-1).reshape(-1, 3) * shape.semi_axes
+    return np.array([np.sqrt(np.min(((bnd - p) ** 2).sum(-1))) for p in pts])
+
+
+def _random_shapes():
+    rng = np.random.default_rng(11)
+    shapes = [FourierStar(1.0, ((3, 0.2, 0.0),)),
+              FourierStar(1.0, ((3, 0.2, 0.0), (5, 0.05, 0.03)))]
+    for _ in range(3):
+        modes = rng.choice(np.arange(2, 9), size=rng.integers(1, 4), replace=False)
+        amps = rng.uniform(-1.0, 1.0, (len(modes), 2)) * 0.3 / len(modes)
+        modes = tuple((int(m), float(c), float(s)) for m, (c, s) in zip(modes, amps))
+        angles = np.sort(rng.uniform(0.0, 2 * np.pi, rng.integers(3, 9)))
+        radii = rng.uniform(0.5, 1.5, len(angles))
+        shapes += [
+            FourierStar(rng.uniform(0.5, 2.0), modes),
+            Polygon(tuple(zip(radii * np.cos(angles), radii * np.sin(angles)))),
+            Ellipse(*rng.uniform(0.5, 3.0, 2)),
+            Ellipsoid(*rng.uniform(0.5, 3.0, 3)),
+            Box(tuple(rng.uniform(0.2, 2.0, 3))),
+        ]
+    return shapes
+
+
+@pytest.mark.parametrize("shape", _random_shapes(), ids=lambda s: type(s).__name__)
+def test_clearance_never_exceeds_the_distance_to_the_boundary(shape):
+    # random points in the bounding box, and on a smooth curve points 1e-5 to
+    # 1e-2 inside along the normal: on the three-lobed star's concave troughs
+    # (near t = pi/3) a polyline's distance alone exceeds the true one by up
+    # to 1.2e-6
+    rng = np.random.default_rng(7)
+    lo, hi = shape.bbox()
+    pts = lo + (hi - lo) * rng.random((400, shape.dim))
+    if isinstance(shape, geometry._SmoothCurve):
+        t = np.concatenate([np.pi / 3 + rng.uniform(-0.05, 0.05, 60), rng.uniform(0, 2 * np.pi, 60)])
+        p, normals = shape.curve_frame(t)[:2]
+        depth = 10.0 ** rng.uniform(-5.0, -2.0, len(t))
+        pts = np.concatenate([pts, p - depth[:, None] * normals])
+        dist = _curve_distance(shape, pts)
+    else:
+        dist = _sampled_distance(shape, pts)
+    clear = shape.clearance(pts)
+    assert np.sum(clear > 0) > 100
+    # outside, a clearance is negative; an exact distance may round an ulp up
+    assert np.max(clear - dist) <= 1e-14 * shape.scale()
 
 
 def _loop_edge_lengths(shape):
