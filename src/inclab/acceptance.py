@@ -84,7 +84,8 @@ def criterion_01() -> tuple[bool, str]:
         jump_check(grid, values)
         for values in (np.ones(grid.n), grid.normals[:, 0], grid.normals[:, 1])
     ]))
-    return worst <= 1e-4, f"max one-sided mismatch {worst:.3e} (tol 1e-4) on 1, n1, n2"
+    tol = 1e-4
+    return worst <= tol, f"max one-sided mismatch {worst:.3e} (tol {_tol(tol)}) on 1, n1, n2"
 
 
 @_criterion("NP operator on the constant density")
@@ -97,8 +98,8 @@ def criterion_02() -> tuple[bool, str]:
         row = npo_matrix(grid) @ np.ones(grid.n)
         devs.append(float(np.max(np.abs(row - 0.5))))
         details.append(f"{type(shape).__name__}({shape.a:g},{shape.b:g}): {devs[-1]:.3e}")
-    worst = float(np.max(devs))
-    return worst <= 1e-8, "max |K*[1] - 1/2| = " + "; ".join(details) + " (tol 1e-8)"
+    worst, tol = float(np.max(devs)), 1e-8
+    return worst <= tol, "max |K*[1] - 1/2| = " + "; ".join(details) + f" (tol {_tol(tol)})"
 
 
 @_criterion("NP eigen-relation on normals")
@@ -112,11 +113,11 @@ def criterion_03() -> tuple[bool, str]:
     matc = npo_matrix(gridc)
     c1 = float(np.max(np.abs(matc @ gridc.normals[:, 0])))
     c2 = float(np.max(np.abs(matc @ gridc.normals[:, 1])))
-    passed = r1 <= 1e-6 and r2 <= 1e-6 and c1 <= 1e-8 and c2 <= 1e-8
+    ellipse_tol, circle_tol = 1e-6, 1e-8
     return (
-        passed,
-        f"ellipse residuals ({r1:.2e}, {r2:.2e}) tol 1e-6; "
-        f"circle ({c1:.2e}, {c2:.2e}) tol 1e-8",
+        r1 <= ellipse_tol and r2 <= ellipse_tol and c1 <= circle_tol and c2 <= circle_tol,
+        f"ellipse residuals ({r1:.2e}, {r2:.2e}) tol {_tol(ellipse_tol)}; "
+        f"circle ({c1:.2e}, {c2:.2e}) tol {_tol(circle_tol)}",
     )
 
 
@@ -127,8 +128,10 @@ def criterion_04() -> tuple[bool, str]:
     for k, pt in zip(ks, _tensors(discretize(DISK, 256), ks)):
         target = closed_form_pt(DISK, k).M
         errors.append(float(np.max(np.abs(pt.M - target)) / np.max(np.abs(target))))
-    worst = float(np.max(errors))
-    return worst <= 1e-8, f"max relative error {worst:.3e} over k in {{0.5, 2, 3, 10}} (tol 1e-8)"
+    worst, tol = float(np.max(errors)), 1e-8
+    return worst <= tol, (
+        f"max relative error {worst:.3e} over k in {{0.5, 2, 3, 10}} (tol {_tol(tol)})"
+    )
 
 
 @_criterion("ellipse PT vs closed form")
@@ -152,7 +155,7 @@ def criterion_06() -> tuple[bool, str]:
     records = dict(zip(shapes, bound_gap_scan(list(shapes.values()), 3.0)))
     # beyond the scan's rule: the square and the star sit clearly inside the bound
     ok = all(rec["passed"] for rec in records.values())
-    ok = ok and records["square"]["slack2"] >= 1e-3 and records["star3"]["slack2"] >= 1e-3
+    ok = ok and all(records[label]["slack2"] >= 1e-3 for label in ("square", "star3"))
     notes = [f"{label}: slack2={rec['slack2']:.2e}" for label, rec in records.items()]
     return ok, "; ".join(notes)
 
@@ -162,11 +165,11 @@ def criterion_07() -> tuple[bool, str]:
     """Uniform interior field on the ellipse, non-uniform on the square."""
     smooth = uniformity_verdict(discretize(ELLIPSE21, 256), (0.5, 2.0, 10.0))
     square = uniformity_verdict(discretize(SQUARE, 256), (0.5, 2.0))
-    best_square = float(np.min([row["delta"] for row in square["rows"]]))
+    best_square, floor = float(np.min([row["delta"] for row in square["rows"]])), 1e-2
     return (
-        smooth["passed"] and best_square >= 1e-2,
+        smooth["passed"] and best_square >= floor,
         f"ellipse max delta {smooth['max_delta']:.2e} (tol {_tol(smooth['delta_tol'])}); "
-        f"square min delta {best_square:.2e} (floor 1e-2)",
+        f"square min delta {best_square:.2e} (floor {_tol(floor)})",
     )
 
 
@@ -180,10 +183,10 @@ def criterion_08() -> tuple[bool, str]:
             k, j = row["k"], row["direction"] - 1
             target = np.eye(2)[j] / (1.0 + (k - 1.0) * factors[j])
             errors.append(float(np.max(np.abs([row["mean_gx"], row["mean_gy"]] - target))))
-    worst = float(np.max(errors))
+    worst, tol = float(np.max(errors)), 1e-6
     return (
-        worst <= 1e-6,
-        f"max slope error {worst:.3e} over two ellipses, k in {{2, 4, 5}} (tol 1e-6)",
+        worst <= tol,
+        f"max slope error {worst:.3e} over two ellipses, k in {{2, 4, 5}} (tol {_tol(tol)})",
     )
 
 
@@ -194,13 +197,13 @@ def criterion_09() -> tuple[bool, str]:
     ellipse = quadratic_verdict(ELLIPSE21)
     cube = quadratic_interior_fit(Box((0.5, 0.5, 0.5)))["rms_residual"]
     square = quadratic_interior_fit(SQUARE)["rms_residual"]
-    passed = ellipsoid["passed"] and ellipse["passed"] and cube >= 1e-3 and square >= 1e-3
+    floor = 1e-3
     return (
-        passed,
+        ellipsoid["passed"] and ellipse["passed"] and cube >= floor and square >= floor,
         f"ellipsoid resid {ellipsoid['quadratic_fit']['rms_residual']:.2e} "
         f"diag err {ellipsoid['diag_vs_half_factors']:.2e}; "
         f"ellipse resid {ellipse['quadratic_fit']['rms_residual']:.2e}; "
-        f"cube {cube:.2e}, square {square:.2e} (floors 1e-3)",
+        f"cube {cube:.2e}, square {square:.2e} (floors {_tol(floor)})",
     )
 
 
@@ -232,11 +235,11 @@ def criterion_10(seed: int = 0) -> tuple[bool, str]:
         ref = 0.5 * float(np.prod(c)) * (weight @ (1.0 / shifted))
         quads.extend(np.abs(ref - vals))
     worst_sum, worst_quad = float(np.max(sums)), float(np.max(quads))
-    ok = worst_sum <= 1e-10 and sphere_exact and worst_quad <= 1e-8
+    sum_tol, quad_tol = 1e-10, 1e-8
     return (
-        ok,
-        f"sum rule {worst_sum:.2e} (tol 1e-10); sphere exact thirds: {sphere_exact}; "
-        f"quadrature agreement {worst_quad:.2e} (tol 1e-8)",
+        worst_sum <= sum_tol and sphere_exact and worst_quad <= quad_tol,
+        f"sum rule {worst_sum:.2e} (tol {_tol(sum_tol)}); sphere exact thirds: {sphere_exact}; "
+        f"quadrature agreement {worst_quad:.2e} (tol {_tol(quad_tol)})",
     )
 
 

@@ -242,15 +242,15 @@ def identity_verdict(grid: BoundaryGrid, params: LameParams) -> dict:
     its smallest semi-axis clear of the boundary.
 
     The matrix-phase, inclusion-phase and inverse-distance residuals must
-    each be at most 1e-6; the difference residual has no bound.
+    each be at most ``residual_tol``; the difference residual has no bound.
     """
     if not isinstance(grid.shape, Ellipsoid):
         raise InvalidShapeError("the elastic trace identities need an ellipsoid grid")
     points = interior_points(grid.shape, 20, 0.3 * float(np.min(grid.shape.semi_axes))).points
     res = trace_identity_check(grid, params, points)
+    out = {"points": len(points), **res, "residual_tol": 1e-6}
     bounded = ("residual_matrix_phase", "residual_inclusion_phase", "residual_inverse_distance")
-    passed = all(res[key] <= 1e-6 for key in bounded)
-    return {"points": len(points), **res, "residual_tol": 1e-6, "passed": passed}
+    return {**out, "passed": all(out[key] <= out["residual_tol"] for key in bounded)}
 
 
 def kolosov(lam: float, mu: float) -> float:

@@ -10,6 +10,8 @@ shapes, ``curve_frame`` on the smooth curves, and ``ray_exit`` (where
 rays from interior points leave the shape) on ellipses, stars and
 ellipsoids; ``_Quadric`` holds the one copy that ellipses and ellipsoids
 share.  Callers use these methods directly; ``discretize`` calls ``boundary_grid``.
+A polygon's and a star's ``clearance`` run their inside test first (even-odd;
+radial) and walk the distance to a polyline only at the points it keeps.
 
 ``discretize`` turns a shape into a quadrature-ready boundary grid:
 equispaced-parameter trapezoid nodes for smooth curves (spectrally
@@ -219,9 +221,10 @@ class Polygon(_PlaneShape):
         return moments / (6 * self.measure())
 
     def clearance(self, pts: np.ndarray) -> np.ndarray:
-        # exact edge distances
-        inside, dist = _edge_walk(pts, np.asarray(self.vertices))
-        return np.where(inside, dist, -np.inf)
+        v, out = np.asarray(self.vertices), np.full(len(pts), -np.inf)
+        inside = _even_odd(pts, v)
+        out[inside] = _polyline_distance(pts[inside], v)  # exact edge distances
+        return out
 
     def default_margin(self) -> float:
         return 0.4 * self.measure() / np.sum(self.lengths)  # fraction of the inradius bound
@@ -281,9 +284,10 @@ class FourierStar(_SmoothCurve):
                 raise InvalidShapeError("star modes must be integers >= 2")
             norm.append((int(m), float(c), float(s)))
         object.__setattr__(self, "modes", tuple(norm))
-        # one sample of the radius serves the positivity check, measure,
-        # scale and default_margin; only its three summaries are kept
-        r = _star_radius(self, _STAR_ANGLES)
+        # one radius sample serves the checks, measure, scale and default_margin;
+        # a huge amplitude overflows it quietly, and the checks below refuse it
+        with np.errstate(over="ignore"):
+            r = _star_radius(self, _STAR_ANGLES)
         if np.min(r) <= 0:
             raise InvalidShapeError("star radius must stay strictly positive")
         _check_lengths("star radius extremes", (np.min(r), np.max(r)))
@@ -338,7 +342,9 @@ class FourierStar(_SmoothCurve):
         stray = bend * (2 * np.pi / count) ** 2 / 8
         theta = np.arctan2(pts[:, 1], pts[:, 0])
         inside = np.linalg.norm(pts, axis=1) < _star_radius(self, theta)
-        return np.where(inside, _edge_walk(pts, poly)[1] - stray, -np.inf)
+        out = np.full(len(pts), -np.inf)
+        out[inside] = _polyline_distance(pts[inside], poly) - stray
+        return out
 
     def default_margin(self) -> float:
         return 0.25 * self._r_min
@@ -708,26 +714,32 @@ def _orient(a, b, c):
             - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0]))
 
 
-def _edge_walk(pts: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Even-odd test of each point against the closed polygon ``v``, and the
-    point's distance to that closed polyline, in one walk of blocks of at
-    most _RAY_CHUNK point-edge pairs."""
+def _even_odd(pts: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Even-odd test of each point against the polygon ``v``, by blocks of _RAY_CHUNK pairs."""
     x0, y0 = v[:, 0], v[:, 1]
     x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
     ax, ay = x1 - x0, y1 - y0
-    ab2 = ax * ax + ay * ay
     inside = np.empty(len(pts), dtype=bool)
-    dist = np.empty(len(pts))
     # the crossing abscissa of a horizontal edge divides by zero, and of a
     # nearly horizontal one may overflow; only edges that cross the point's
     # row use it, and an infinite abscissa compares as it should
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for rows in _row_blocks(len(pts), len(v), _RAY_CHUNK):
             x, y = pts[rows, :1], pts[rows, 1:]
-            dy = y - y0
-            crosses = (y0 > y) != (y1 > y)
-            inside[rows] = np.logical_xor.reduce(crosses & (x < ax * dy / ay + x0), axis=1)
-            tt = np.clip(((x - x0) * ax + dy * ay) / ab2, 0.0, 1.0)
-            ex, ey = x - (x0 + tt * ax), y - (y0 + tt * ay)
-            dist[rows] = np.sqrt(np.min(ex * ex + ey * ey, axis=1))
-    return inside, dist
+            crosses = ((y0 > y) != (y1 > y)) & (x < ax * (y - y0) / ay + x0)
+            inside[rows] = np.logical_xor.reduce(crosses, axis=1)
+    return inside
+
+
+def _polyline_distance(pts: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Distance of each point to the closed polyline ``v``, by blocks of _RAY_CHUNK pairs."""
+    x0, y0 = v[:, 0], v[:, 1]
+    ax, ay = np.roll(x0, -1) - x0, np.roll(y0, -1) - y0
+    ab2 = ax * ax + ay * ay
+    dist = np.empty(len(pts))
+    for rows in _row_blocks(len(pts), len(v), _RAY_CHUNK):
+        x, y = pts[rows, :1], pts[rows, 1:]
+        tt = np.clip(((x - x0) * ax + (y - y0) * ay) / ab2, 0.0, 1.0)
+        ex, ey = x - (x0 + tt * ax), y - (y0 + tt * ay)
+        dist[rows] = np.sqrt(np.min(ex * ex + ey * ey, axis=1))
+    return dist

@@ -209,29 +209,27 @@ def slit_certificate(a: float, b: float) -> dict:
 
     Fields of the ``hodograph`` report, in its order: the boundary identity
     on 512 points and the slit endpoints (against -ib, ib) must come within
-    1e-10, the univalence certificate of the map composed with the
+    their ``*_tol``, the univalence certificate of the map composed with the
     exterior uniformizer must pass with its rim within _RE_TOL of the
     imaginary axis, and the fitted leading coefficient must come within
-    1e-4 of b/(a+b).
+    ``leading_coefficient_tol`` of b/(a+b).
     """
     w = Ellipse(a, b).outline(512) @ np.array([1.0, 1j])
-    boundary_dev = float(np.max(np.abs(hodograph_map(a, b, w) - 1j * np.imag(w))))
     fmap = ellipse_exterior_map(a, b)
     cert = univalence_check(lambda z: hodograph_map(a, b, fmap(z)))
     lo, hi = (end["im"] for end in cert["slit"])
-    slit_err = float(np.max([abs(lo + b), abs(hi - b)]))
-    alpha, target = leading_coefficient(a, b), b / (a + b)
-    return {
-        "boundary_identity_deviation": boundary_dev,
+    out = {
+        "boundary_identity_deviation": float(np.max(np.abs(hodograph_map(a, b, w) - 1j * w.imag))),
         "boundary_identity_tol": 1e-10,
         **cert,
-        "slit_endpoint_error": slit_err,
+        "slit_endpoint_error": float(np.max([abs(lo + b), abs(hi - b)])),
         "slit_tol": 1e-10,
-        "leading_coefficient": alpha,
-        "leading_coefficient_target": target,
+        "leading_coefficient": leading_coefficient(a, b),
+        "leading_coefficient_target": b / (a + b),
         "leading_coefficient_tol": 1e-4,
-        "passed": (
-            boundary_dev <= 1e-10 and cert["univalent"] and slit_err <= 1e-10
-            and abs(alpha - target) <= 1e-4
-        ),
     }
+    out["passed"] = (out["boundary_identity_deviation"] <= out["boundary_identity_tol"]
+                     and out["univalent"] and out["slit_endpoint_error"] <= out["slit_tol"]
+                     and abs(out["leading_coefficient"] - out["leading_coefficient_target"])
+                     <= out["leading_coefficient_tol"])
+    return out

@@ -220,12 +220,8 @@ def jump_check(grid: BoundaryGrid, phi: np.ndarray) -> float:
     """Max mismatch of the one-sided normal derivatives of the single layer
     against (+-1/2 I + K*) phi.
 
-    The derivatives come from ``_one_sided_derivatives``: order-16
-    expansions about centers r = 2 node spacings off each side, summed over
-    8n source nodes.  Since sum_{p <= 16} t^p / (c - w) = (1 - t^17) / (x - w),
-    a source farther than r (1 + 1/tau) from the node (tau = 1/8, so
-    tau^17 = 2^-51) contributes its plain kernel to rounding on both sides;
-    only the near sources are expanded."""
+    The derivatives come from ``_one_sided_derivatives``, whose expansion
+    order, radius, upsampling and far-source bound are the ``_QBX_*`` constants."""
     kphi = npo_matrix(grid) @ phi
     limits = np.stack([kphi + 0.5 * phi, kphi - 0.5 * phi])
     return float(np.max(np.abs(_one_sided_derivatives(grid, phi) - limits)))

@@ -315,26 +315,21 @@ def quadratic_interior_fit(shape: ShapeSpec) -> dict:
 def quadratic_verdict(shape: ShapeSpec) -> dict:
     """The ``newtonian`` report's checks, in its order, each beside its tolerance.
 
-    The fit's residual must be at most 1e-6.  On an ellipse or ellipsoid
-    (fields after ``passed``) diag(A) must come within 1e-5 of half the
-    depolarization factors, and the ellipsoid's three must sum to 1 within 1e-10.
+    The fit's residual must be at most ``residual_tol``.  On an ellipse or
+    ellipsoid (fields after ``passed``) diag(A) must come within ``diag_tol``
+    of half the depolarization factors, and the ellipsoid's three must sum
+    to 1 within ``factor_sum_tol``.
     """
-    fit = quadratic_interior_fit(shape)
-    out = {
-        "quadratic_fit": {**fit, "residual_tol": 1e-6},
-        "passed": fit["rms_residual"] <= 1e-6,
-    }
+    fit = {**quadratic_interior_fit(shape), "residual_tol": 1e-6}
+    out = {"quadratic_fit": fit, "passed": fit["rms_residual"] <= fit["residual_tol"]}
     vals = closed_form_factors(shape)
     if vals is not None:
-        dev = float(np.max(np.abs(np.diag(fit["A"]) - vals / 2.0)))
         out["depolarization_factors"] = vals
-        sum_ok = True
         if len(vals) == 3:
-            total = float(sum(vals))
-            out["factor_sum"] = total
+            out["factor_sum"] = float(sum(vals))
             out["factor_sum_tol"] = 1e-10
-            sum_ok = abs(total - 1.0) <= 1e-10
-        out["diag_vs_half_factors"] = dev
+            out["passed"] = out["passed"] and abs(out["factor_sum"] - 1.0) <= out["factor_sum_tol"]
+        out["diag_vs_half_factors"] = float(np.max(np.abs(np.diag(fit["A"]) - vals / 2.0)))
         out["diag_tol"] = 1e-5
-        out["passed"] = out["passed"] and dev <= 1e-5 and sum_ok
+        out["passed"] = out["passed"] and out["diag_vs_half_factors"] <= out["diag_tol"]
     return out

@@ -101,8 +101,8 @@ def closed_form_pt(shape: ShapeSpec, k) -> PolarizationTensor | None:
 def pt_verdict(shape: ShapeSpec, pt: PolarizationTensor) -> dict:
     """The ``pt`` report's checks, in its order after k and n, each beside its tolerance.
 
-    The raw asymmetry must be at most 1e-6; on an ellipse or ellipsoid so
-    must the largest entry-wise deviation from the closed form.
+    The raw asymmetry, and on an ellipse or ellipsoid the largest entry-wise
+    deviation from the closed form, must each be at most its ``*_tol`` field.
     An M with a non-finite entry has NaN eigenvalues (``eigvalsh`` returns numbers).
     """
     out = {
@@ -113,14 +113,13 @@ def pt_verdict(shape: ShapeSpec, pt: PolarizationTensor) -> dict:
         "asymmetry": pt.asymmetry,
         "asymmetry_tol": 1e-6,
     }
-    passed = pt.asymmetry <= 1e-6
+    passed = out["asymmetry"] <= out["asymmetry_tol"]
     closed = closed_form_pt(shape, pt.k)
     if closed is not None:
-        dev = float(np.max(np.abs(pt.M - closed.M)))
         out["closed_form_M"] = closed.M
-        out["closed_form_deviation"] = dev
+        out["closed_form_deviation"] = float(np.max(np.abs(pt.M - closed.M)))
         out["closed_form_tol"] = 1e-6
-        passed = passed and dev <= 1e-6
+        passed = passed and out["closed_form_deviation"] <= out["closed_form_tol"]
     out["passed"] = passed
     return out
 
@@ -132,7 +131,7 @@ def bounds_verdict(pt: PolarizationTensor) -> dict:
     |Omega| Tr(M^-1) <= (d-1+k)/(k-1), slacks = rhs - lhs ("direct").
     For k < 1 both sides change sign, so the equivalent statements are
     Tr(M) >= rhs and |Omega| Tr(M^-1) >= rhs with slacks = lhs - rhs
-    ("sign-flipped").  Both slacks must be at least -1e-5; a bound is
+    ("sign-flipped").  Both slacks must be at least ``slack_floor``; a bound is
     saturated when |slack| <= SATURATION_TOL * max(1, |rhs|), and saturation
     of the inverse-trace bound is the ellipse/ellipsoid signature.  A finite
     M whose smallest |eigenvalue| is zero relative to its largest is singular
@@ -154,7 +153,7 @@ def bounds_verdict(pt: PolarizationTensor) -> dict:
         form, slack1, slack2 = "direct", rhs1 - tr_M, rhs2 - tr_Minv_scaled
     else:
         form, slack1, slack2 = "sign-flipped", tr_M - rhs1, tr_Minv_scaled - rhs2
-    return {
+    out = {
         "form": form,
         "trace_M": tr_M,
         "trace_bound_rhs": rhs1,
@@ -166,8 +165,9 @@ def bounds_verdict(pt: PolarizationTensor) -> dict:
         "saturated1": abs(slack1) <= SATURATION_TOL * max(1.0, abs(rhs1)),
         "saturated2": abs(slack2) <= SATURATION_TOL * max(1.0, abs(rhs2)),
         "saturation_tol": SATURATION_TOL,
-        "passed": slack1 >= -1e-5 and slack2 >= -1e-5,
     }
+    out["passed"] = out["slack1"] >= out["slack_floor"] and out["slack2"] >= out["slack_floor"]
+    return out
 
 
 def bound_gap_scan(shapes, *ks) -> list[dict]:

@@ -249,23 +249,23 @@ def minimize_trace(problem: OptProblem, initial_coeffs) -> OptTrace:
 def disk_verdict(problem: OptProblem, trace: OptTrace) -> dict:
     """Whether a finished search found the disk, each number beside its tolerance.
 
-    Relative gap of the final objective to the disk value at most
-    1e-3, largest final coefficient at most 1e-2, and relative
-    undercut of the disk value by the best evaluation at most 1e-5.
+    The relative gap of the final objective to the disk value, the largest
+    final coefficient, and the relative undercut of the disk value by the
+    best evaluation must each be at most its ``*_tol`` field.
     """
     disk = problem.disk_value
-    rel_gap = trace.gap / disk
-    max_coeff = float(np.max(np.abs(trace.final_coefficients)))
-    undercut = (disk - float(np.min([r["objective"] for r in trace.history]))) / disk
-    return {
-        "relative_gap": rel_gap,
+    out = {
+        "relative_gap": trace.gap / disk,
         "gap_tol": 1e-3,
-        "max_coefficient": max_coeff,
+        "max_coefficient": float(np.max(np.abs(trace.final_coefficients))),
         "coefficient_tol": 1e-2,
-        "disk_undercut": undercut,
+        "disk_undercut": (disk - float(np.min([r["objective"] for r in trace.history]))) / disk,
         "undercut_tol": 1e-5,
-        "passed": rel_gap <= 1e-3 and max_coeff <= 1e-2 and undercut <= 1e-5,
     }
+    out["passed"] = (out["relative_gap"] <= out["gap_tol"]
+                     and out["max_coefficient"] <= out["coefficient_tol"]
+                     and out["disk_undercut"] <= out["undercut_tol"])
+    return out
 
 
 def overlay_svg(problem: OptProblem, trace: OptTrace) -> str:

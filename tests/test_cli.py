@@ -855,6 +855,7 @@ _SHAPE_TEXT = st.one_of(
 @example(command="pt", shape=({"type": "ellipse", "a": True, "b": 1.0}, True))
 @example(command="pt", shape="star:1,1e300,0.1,0")
 @example(command="pt", shape="star:1,128,0.1,0")
+@example(command="pt", shape="star:1e13,2,1,1,2,1,1e296")  # its radius sample overflows
 def test_any_shape_ends_in_a_finite_report_or_a_refusal_naming_shape(command, shape):
     damaged = False
     with tempfile.TemporaryDirectory() as tmp:
@@ -954,6 +955,63 @@ def test_report_layout(capsys, argv, layout):
     code, out, _ = _run(capsys, *argv)
     assert code in (0, 1)
     assert _key_paths(json.loads(out)) == layout
+
+
+def _readme_commands():
+    """The argument lists of the README's ``inclab`` command lines, once each."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = re.findall(r"```sh\n(.*?)```", fh.read(), re.S)
+    lines = [line.split("#")[0].split() for block in blocks for line in block.splitlines()]
+    return list(dict.fromkeys(tuple(argv[1:]) for argv in lines if argv[:1] == ["inclab"]))
+
+
+def _below(report, *pairs):
+    return all(report[value] <= report[tol] for value, tol in pairs)
+
+
+# each JSON report's pass rule, restated from the report's own value and
+# *_tol fields (a closed form's fields only where the shape has one)
+_PASS_RULES = {
+    "pt": lambda r: _below(r, ("asymmetry", "asymmetry_tol"))
+    and ("closed_form_tol" not in r or _below(r, ("closed_form_deviation", "closed_form_tol"))),
+    "bounds": lambda r: r["slack1"] >= r["slack_floor"] and r["slack2"] >= r["slack_floor"],
+    "eshelby": lambda r: _below(r, ("max_delta", "delta_tol")),
+    "newtonian": lambda r: _below(r["quadratic_fit"], ("rms_residual", "residual_tol"))
+    and ("diag_tol" not in r or _below(r, ("diag_vs_half_factors", "diag_tol")))
+    and ("factor_sum_tol" not in r or abs(r["factor_sum"] - 1.0) <= r["factor_sum_tol"]),
+    "elastic-identity": lambda r: _below(r, *((key, "residual_tol") for key in (
+        "residual_matrix_phase", "residual_inclusion_phase", "residual_inverse_distance"))),
+    "hodograph": lambda r: _below(
+        r, ("boundary_identity_deviation", "boundary_identity_tol"),
+        ("max_real_deviation", "real_deviation_tol"), ("slit_endpoint_error", "slit_tol"),
+    ) and r["min_abs_derivative"] > 0 and r["rings_simple"]
+    and abs(r["leading_coefficient"] - r["leading_coefficient_target"])
+    <= r["leading_coefficient_tol"],
+    "shapeopt": lambda r: _below(r, ("relative_gap", "gap_tol"),
+                                 ("max_coefficient", "coefficient_tol"),
+                                 ("disk_undercut", "undercut_tol")),
+}
+
+
+def test_readme_commands_are_the_json_reports_bound_table_and_suite():
+    assert {argv[0] for argv in _readme_commands()} == {*_PASS_RULES, "bound-table", "suite"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv for argv in _readme_commands() if argv[0] in _PASS_RULES]
+    + [("newtonian", "--shape", "square")],  # a report that fails
+    ids=" ".join,
+)
+def test_reports_pass_by_the_tol_fields_they_print(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)  # where the README's --out artifacts goes
+    if argv[0] == "eshelby":
+        argv += ("--format", "json")
+    code, out, _ = _run(capsys, *argv)
+    report = json.loads(out)
+    assert report["passed"] is bool(_PASS_RULES[argv[0]](report))
+    assert code == (0 if report["passed"] else 1)
 
 
 def test_nan_delta_fails_eshelby_and_criterion_07(capsys, monkeypatch):

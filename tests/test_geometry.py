@@ -378,13 +378,15 @@ def test_block_clearance_matches_the_per_segment_loop(shape, poly, monkeypatch):
     # random points, points exactly on vertices, and a count that is not a
     # multiple of the block
     pts = np.concatenate([lo + (hi - lo) * rng.random((1001, 2)), poly[::37]])
-    got = geometry._edge_walk(pts, poly)[1]
+    got = geometry._polyline_distance(pts, poly)
     want = _loop_dist_to_segments(pts, poly)
     assert np.all(got[-len(poly[::37]):] == 0.0)
     assert np.max(np.abs(got - want)) <= 4e-16 * shape.scale()
+    np.testing.assert_array_equal(geometry._even_odd(pts, poly), _loop_points_in_polygon(pts, poly))
     for margin in (0.0, 0.05, 0.1, 0.2):
         keep = shape.clearance(pts) >= margin
-        monkeypatch.setattr(geometry, "_edge_walk", _loop_edge_walk)
+        monkeypatch.setattr(geometry, "_even_odd", _loop_points_in_polygon)
+        monkeypatch.setattr(geometry, "_polyline_distance", _loop_dist_to_segments)
         np.testing.assert_array_equal(keep, shape.clearance(pts) >= margin)
         monkeypatch.undo()
 
@@ -592,10 +594,6 @@ def _loop_points_in_polygon(pts, v):
     return inside
 
 
-def _loop_edge_walk(pts, v):
-    return _loop_points_in_polygon(pts, v), _loop_dist_to_segments(pts, v)
-
-
 # vertex sets of any orientation, self-intersecting ones included; small
 # integers give collinear and touching edges, horizontal edges and points on
 # the boundary
@@ -623,7 +621,7 @@ def test_simplicity_test_is_the_per_pair_loop(v, chunk):
 def test_even_odd_test_is_the_per_edge_loop(v, pts, chunk):
     pts = np.concatenate([pts, v])  # the vertices themselves lie on the boundary
     with mock.patch.object(geometry, "_RAY_CHUNK", chunk):
-        got = geometry._edge_walk(pts, v)[0]
+        got = geometry._even_odd(pts, v)
     np.testing.assert_array_equal(got, _loop_points_in_polygon(pts, v))
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -275,6 +277,17 @@ def test_verdicts_fail_on_a_nan_tensor():
     assert pt_verdict(Ellipse(1.0, 1.0), PolarizationTensor(
         M=np.eye(2), k=Contrast(3.0), volume=np.pi, asymmetry=np.nan
     ))["passed"] is False
+
+
+def test_pt_verdict_passes_at_its_asymmetry_tol_and_fails_one_ulp_above():
+    # the square has no closed form, so the asymmetry alone decides
+    def verdict(asymmetry):
+        pt = PolarizationTensor(M=np.eye(2), k=Contrast(3.0), volume=1.0, asymmetry=asymmetry)
+        return pt_verdict(Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))), pt)
+
+    tol = verdict(0.0)["asymmetry_tol"]
+    assert verdict(tol)["passed"] is True
+    assert verdict(math.nextafter(tol, math.inf))["passed"] is False
 
 
 def test_bounds_refuse_a_tensor_only_when_an_eigenvalue_vanishes():

@@ -1,3 +1,6 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +15,7 @@ from inclab import (
 )
 from inclab import shapeopt
 from inclab.cli import run
-from inclab.shapeopt import disk_verdict, objective
+from inclab.shapeopt import OptTrace, disk_verdict, objective
 
 
 def test_problem_validation():
@@ -179,6 +182,47 @@ def test_search_reaches_the_disk_from_random_starts(direction, norm, log_k):
     trace = minimize_trace(problem, start)
     assert trace.evaluations <= 8
     assert disk_verdict(problem, trace)["passed"]
+
+
+def _exact_quotient(target):
+    """A disk value D and a numerator x for which x / D rounds to ``target``
+    exactly, searched among random D in [1.5, 1.75); x and D - x lie on the
+    2^-52 grid, so D - (D - x) is x again."""
+    rng = np.random.default_rng(0)
+    for _ in range(64):
+        disks = 1.5 + rng.integers(0, 1 << 50, 1 << 16) * 2.0**-52
+        nums = np.round(target * disks * 2.0**52) * 2.0**-52
+        hits = np.flatnonzero(nums / disks == target)
+        if len(hits):
+            return float(disks[hits[0]]), float(nums[hits[0]])
+    raise AssertionError(f"no disk value divides to {target!r} exactly")
+
+
+def _disk_report(field, value):
+    """``disk_verdict`` on a one-evaluation trace whose ``field`` is exactly
+    ``value`` and whose other two checked values are zero; the verdict reads
+    only the problem's disk value."""
+    disk, num = (1.0, 0.0) if field == "max_coefficient" else _exact_quotient(value)
+    trace = OptTrace(
+        history=[{"objective": disk - num if field == "disk_undercut" else disk}],
+        final_coefficients=np.array([value if field == "max_coefficient" else 0.0]),
+        final_shape=None, final_objective=disk, gap=num if field == "relative_gap" else 0.0,
+        converged=True, evaluations=1,
+    )
+    report = disk_verdict(SimpleNamespace(disk_value=disk), trace)
+    assert report[field] == value
+    return report
+
+
+@pytest.mark.parametrize("field, tol_field", [
+    ("relative_gap", "gap_tol"),
+    ("max_coefficient", "coefficient_tol"),
+    ("disk_undercut", "undercut_tol"),
+])
+def test_disk_verdict_passes_at_each_tolerance_and_fails_one_ulp_above(field, tol_field):
+    tol = _disk_report(field, 0.0)[tol_field]
+    assert _disk_report(field, tol)["passed"] is True
+    assert _disk_report(field, math.nextafter(tol, math.inf))["passed"] is False
 
 
 def test_search_calls_objective_through_the_module_once_per_record(monkeypatch):
