@@ -406,7 +406,8 @@ def _emit(fmt: str, report: dict) -> str:
 
 
 # refusals, by the flag whose value they refuse (a ConfigError names its own; a
-# shape with no interior room at its own margin, such as a sliver, is --shape's)
+# shape with no interior room at its own margin, or a polygon too thin for any
+# grid under the node cap, such as a sliver, is --shape's)
 _FLAG_AT_FAULT = {ConfigError: "", InvalidShapeError: "--shape: ", EmptySampleError: "--shape: ",
                   ResolutionError: "--n: ", NearBoundaryError: "--n: "}
 

@@ -43,9 +43,12 @@ _MAX_GRID_NODES = 1 << 22
 # exceeds its distance to the boundary) is at least margin - _MARGIN_SLACK * scale().
 _MARGIN_SLACK = 1e-12
 
-# Angles at which a star's radius is sampled for its area, extent, default
-# margin and positivity check.
+# Angles t_k = 2 pi k / 4096 at which a star's radius is sampled for its
+# area, extent, default margin and positivity check, and their cosines and
+# sines, computed once: mode m's sample at t_k reads entry (m k) mod 4096,
+# the exact angle 2 pi m k / 4096, which fl(m t_k) only approximates.
 _STAR_ANGLES = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
+_STAR_COS, _STAR_SIN = np.cos(_STAR_ANGLES), np.sin(_STAR_ANGLES)
 
 # Star modes must lie below this: r^2 holds frequencies up to twice the
 # highest mode, and the sample integrates them exactly only below 4096.
@@ -233,6 +236,16 @@ class Polygon(_PlaneShape):
         n_per_edge = int(n)
         if n_per_edge < 16:
             raise ResolutionError("polygons need n >= 16 per edge")
+        # a grid of at most _MAX_GRID_NODES nodes spaces them perimeter / cap
+        # apart on average; a mean width below that is resolved by none
+        perimeter = float(np.sum(self.lengths))
+        width = 2.0 * self.measure() / perimeter
+        if width < perimeter / _MAX_GRID_NODES:
+            raise InvalidShapeError(
+                f"polygon mean width 2 area / perimeter = {width:.3e} is below "
+                f"{perimeter / _MAX_GRID_NODES:.3e}, the mean node spacing of a grid "
+                f"of {_MAX_GRID_NODES} nodes, the most a grid may hold"
+            )
         verts = np.asarray(self.vertices, dtype=float)
         q = PANEL_ORDER
         base = max(2, int(np.ceil(n_per_edge / q)))
@@ -264,13 +277,19 @@ class FourierStar(_SmoothCurve):
     """Star-shaped curve r(t) = r0 (1 + sum eps_m cos mt + del_m sin mt).
 
     ``modes`` is a sequence of (m, cos_coefficient, sin_coefficient) with
-    integer 2 <= m < 2048; the radius must stay strictly positive.
+    integer 2 <= m < 2048; ``r0`` and the coefficients must be finite, and
+    the radius must stay strictly positive.  The constructor samples the
+    radius once at the 4096 ``_STAR_ANGLES``, reading each mode from the
+    ``_STAR_COS`` and ``_STAR_SIN`` tables, for the area, extent and default
+    margin; ``_star_radius`` and ``_star_radius_derivs`` serve any other angle.
     """
 
     r0: float
     modes: tuple[tuple[int, float, float], ...] = ()
 
     def __post_init__(self):
+        if not math.isfinite(self.r0):
+            raise InvalidShapeError(f"star base radius {self.r0} must be finite")
         if not self.r0 > 0:
             raise InvalidShapeError("base radius must be positive")
         norm = []
@@ -282,18 +301,30 @@ class FourierStar(_SmoothCurve):
                 )
             if int(m) != m or m < 2:
                 raise InvalidShapeError("star modes must be integers >= 2")
+            if not (math.isfinite(c) and math.isfinite(s)):
+                raise InvalidShapeError(
+                    f"star mode {int(m)} coefficients ({c}, {s}) must be finite"
+                )
             norm.append((int(m), float(c), float(s)))
         object.__setattr__(self, "modes", tuple(norm))
-        # one radius sample serves the checks, measure, scale and default_margin;
-        # a huge amplitude overflows it quietly, and the checks below refuse it
+        # one radius sample serves the checks, measure, scale and default_margin,
+        # read from the angle tables; a huge amplitude overflows it quietly, and
+        # the checks below refuse it
+        k = np.arange(len(_STAR_ANGLES))
+        r = np.ones(len(_STAR_ANGLES))
         with np.errstate(over="ignore"):
-            r = _star_radius(self, _STAR_ANGLES)
-        if np.min(r) <= 0:
+            for m, c, s in self.modes:
+                j = m * k & (len(k) - 1)  # (m k) mod 4096, a power of two
+                r += c * _STAR_COS[j]
+                r += s * _STAR_SIN[j]
+            r *= self.r0
+        r_min, r_max = float(np.min(r)), float(np.max(r))
+        if not r_min > 0:
             raise InvalidShapeError("star radius must stay strictly positive")
-        _check_lengths("star radius extremes", (np.min(r), np.max(r)))
+        _check_lengths("star radius extremes", (r_min, r_max))
         object.__setattr__(self, "_area", float(0.5 * np.mean(r * r) * 2 * np.pi))
-        object.__setattr__(self, "_r_max", float(np.max(r)))
-        object.__setattr__(self, "_r_min", float(np.min(r)))
+        object.__setattr__(self, "_r_max", r_max)
+        object.__setattr__(self, "_r_min", r_min)
 
     def curve_frame(self, t: np.ndarray):
         """Positions, outward normals, speed and curvature at parameters ``t``."""

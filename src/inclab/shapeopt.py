@@ -114,16 +114,20 @@ class OptTrace:
 
     ``history`` holds one record per objective evaluation (coefficients,
     value, and whether it improved the running best); the best-so-far
-    sequence is non-increasing by construction.
+    sequence is non-increasing by construction.  A trace stores the final
+    coefficients, not a built star: ``final_shape`` rebuilds it on each read.
     """
 
     history: list[dict]
     final_coefficients: np.ndarray
-    final_shape: FourierStar
     final_objective: float
     gap: float
     converged: bool
     evaluations: int
+
+    @property
+    def final_shape(self) -> FourierStar:
+        return coefficients_to_star(self.final_coefficients)
 
 
 def coefficients_to_star(coeffs) -> FourierStar:
@@ -238,7 +242,6 @@ def minimize_trace(problem: OptProblem, initial_coeffs) -> OptTrace:
     return OptTrace(
         history=history,
         final_coefficients=x,
-        final_shape=coefficients_to_star(x),
         final_objective=float(value),
         gap=float(value) - problem.disk_value,
         converged=bool(converged),

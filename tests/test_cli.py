@@ -481,9 +481,14 @@ _REFUSALS = [
     (("bounds", "--shape", "ellipse:1,1e-200"),
      "--shape: ellipse semi-axes (1.0, 1e-200) must lie within 1.2e-77 .. 1.2e+77, "),
     (("eshelby", "--shape", "ellipsoid:2,1.5,1"), "--shape: eshelby requires a 2D shape\n"),
-    # a valid sliver triangle leaves no interior room at its own margin
+    # a valid sliver triangle leaves no interior room at its own margin, and
+    # no grid under the node cap resolves its height: where a command builds
+    # a grid it is refused there, before any solve
     (("newtonian", "--shape", "polygon:0,0,1,0,1,1e-60"),
      "--shape: only 22 interior points fit margin 1e-61\n"),
+    *(((cmd, "--shape", "polygon:0,0,1,0,1,1e-60", "--k", "3"),
+       "--shape: polygon mean width 2 area / perimeter = 5.000e-61 is below 4.768e-07, ")
+      for cmd in ("pt", "bounds", "eshelby")),
     (("newtonian", "--shape", "ellipse:1e-200,1"),
      "--shape: ellipse semi-axes (1e-200, 1.0) must lie within 1.2e-77 .. 1.2e+77, "),
     # a mode the 4096-angle radius sample cannot integrate, refused before any

@@ -74,6 +74,63 @@ def test_star_rejects_nonpositive_radius():
         FourierStar(1.0, ((2, 0.9, 0.9),))
 
 
+@pytest.mark.parametrize("build, field", [
+    (lambda: FourierStar(float("inf")), "star base radius inf must be finite"),
+    (lambda: FourierStar(float("nan")), "star base radius nan must be finite"),
+    (lambda: FourierStar(1.0, ((2, float("nan"), 0.0),)),
+     r"star mode 2 coefficients \(nan, 0.0\)"),
+    (lambda: FourierStar(1.0, ((3, 0.1, 0.0), (5, 0.0, -float("inf")))),
+     r"star mode 5 coefficients \(0.0, -inf\)"),
+])
+def test_star_refuses_a_non_finite_field_before_sampling(build, field):
+    # refused by field, with no sample taken: a sample would end as
+    # "star radius extremes (nan, nan)" or "(inf, inf)", naming no field
+    with mock.patch.object(geometry, "_STAR_COS", None):
+        with pytest.raises(InvalidShapeError, match=field):
+            build()
+
+
+def test_star_positivity_guard_fails_closed_on_a_nan_sample(monkeypatch):
+    # finite fields never give a NaN radius; a poisoned table stands in for
+    # one, and the guard refuses it rather than passing min(r) = nan on
+    monkeypatch.setattr(geometry, "_STAR_COS", np.where(geometry._STAR_ANGLES > 3, np.nan, 0.5))
+    with pytest.raises(InvalidShapeError, match="star radius must stay strictly positive"):
+        FourierStar(1.0, ((2, 0.1, 0.0),))
+
+
+def test_star_sample_reads_the_angle_tables(monkeypatch):
+    # construction takes no trigonometry of its own: _star_radius serves
+    # only the arbitrary angles of the frame, the inside test and the ray exits
+    def refuse(*args):
+        raise AssertionError("_star_radius called during construction")
+
+    monkeypatch.setattr(geometry, "_star_radius", refuse)
+    star = FourierStar(1.2, ((2, 0.1, 0.05), (7, -0.03, 0.02), (2047, 0.01, 0.0)))
+    assert star.measure() > 0 and star.scale() > star.default_margin() > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(1e-3, 1e3),
+    st.lists(
+        st.tuples(st.integers(2, 2047), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        min_size=1, max_size=8, unique_by=lambda mode: mode[0],
+    ),
+)
+def test_star_area_is_parseval_on_random_stars(r0, raw):
+    # area = pi r0^2 (1 + sum (c^2 + s^2) / 2) for distinct modes below 2048,
+    # an oracle that takes no sample; amplitudes summing to 0.9 keep r > 0
+    total = sum(abs(c) + abs(s) for _, c, s in raw) or 1.0
+    modes = tuple((m, 0.9 * c / total, 0.9 * s / total) for m, c, s in raw)
+    star = FourierStar(r0, modes)
+    power = 1.0 + 0.5 * sum(c * c + s * s for _, c, s in modes)
+    assert star.measure() == pytest.approx(np.pi * r0 * r0 * power, rel=1e-13, abs=0)
+    # the per-angle route at fl(m t_k), whose angles are off by up to m 2 pi eps
+    ref = geometry._star_radius(star, geometry._STAR_ANGLES)
+    assert star.scale() == pytest.approx(np.max(ref), rel=1e-10, abs=0)
+    assert star.default_margin() == pytest.approx(0.25 * np.min(ref), rel=1e-10, abs=0)
+
+
 def test_star_modes_must_be_ones_the_samples_resolve():
     # the 4096-angle radius sample integrates r^2 exactly only below mode
     # 2048, and n equispaced nodes sample only modes below n / 2

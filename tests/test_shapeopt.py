@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -155,6 +156,14 @@ def test_criterion_13_problem_converges_in_few_evaluations():
     assert disk_verdict(problem, trace)["passed"]
 
 
+def test_a_trace_stores_coefficients_and_rebuilds_its_final_star():
+    # a finished search keeps no built star: final_shape reads the coefficients
+    problem = OptProblem(k=1.5, n=128)
+    trace = minimize_trace(problem, problem.start())
+    assert "final_shape" not in {f.name for f in dataclasses.fields(OptTrace)}
+    assert trace.final_shape == coefficients_to_star(trace.final_coefficients)
+
+
 @pytest.mark.parametrize("k", [1.01, 1.5, 10.0, 1e6, 1e20, OptProblem.k_max])
 def test_search_reaches_the_disk_in_few_evaluations_at_any_contrast(k):
     # k = 3 is criterion 13's, above; the stop rule reads the disk-scaled
@@ -206,7 +215,7 @@ def _disk_report(field, value):
     trace = OptTrace(
         history=[{"objective": disk - num if field == "disk_undercut" else disk}],
         final_coefficients=np.array([value if field == "max_coefficient" else 0.0]),
-        final_shape=None, final_objective=disk, gap=num if field == "relative_gap" else 0.0,
+        final_objective=disk, gap=num if field == "relative_gap" else 0.0,
         converged=True, evaluations=1,
     )
     report = disk_verdict(SimpleNamespace(disk_value=disk), trace)
