@@ -23,6 +23,7 @@ from .geometry import (
     Ellipsoid,
     FourierStar,
     Polygon,
+    _gauss_legendre,
     discretize,
 )
 from .hodograph import slit_certificate
@@ -217,7 +218,7 @@ def criterion_10(seed: int = 0) -> tuple[bool, str]:
     [0, 1], and a 128-point Gauss-Legendre rule: a different formula from
     the Carlson form ``depolarization_factors`` evaluates.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(128)
+    nodes, weights = _gauss_legendre(128)
     u = 0.5 * (nodes + 1.0)
     s = (u / (1.0 - u)) ** 2
     ds = weights * u / (1.0 - u) ** 3  # du/dx * ds/du = (1/2) * 2u / (1 - u)^3

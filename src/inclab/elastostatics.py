@@ -116,19 +116,19 @@ def _surface_sums(grid: BoundaryGrid, points: np.ndarray, densities) -> list:
 
         A[p] = sum_s psi_s w_s / |dx|,   B[p, i] = sum_s sum_j dx_i dx_j psi_sj w_s / |dx|^3.
 
-    Each guarded block forms 1/|dx| once and each of the six dx_i dx_j / |dx|^3
-    once, in one buffer while every density reads it, and contracts each
-    density on its own, so equal densities get equal sums."""
+    Each guarded block forms 1/|dx| and then 1/|dx|^3 over r2, and each of
+    the six dx_i dx_j / |dx|^3 once, in the walk's one work array while every
+    density reads it, and contracts each density on its own, so equal
+    densities get equal sums."""
     if grid.dim != 3:
         raise InvalidShapeError("the Kelvin layer is evaluated on 3D surface grids")
-    weighted = [np.ascontiguousarray((psi * grid.weights[:, None]).T) for psi in densities]
+    weighted = [np.multiply(psi.T, grid.weights, order="C") for psi in densities]
     sums = [(np.empty((len(points), 3)), np.zeros((len(points), 3))) for _ in weighted]
-    for rows, dx, r2 in _guarded_blocks(grid, points):
+    for rows, dx, r2, pair in _guarded_blocks(grid, points, spare=1):
         inv = np.divide(1.0, np.sqrt(r2, out=r2), out=r2)
         for (a, _), v in zip(sums, weighted):
             a[rows] = inv @ v.T
-        inv3 = inv * inv * inv
-        pair = np.empty_like(inv)
+        inv3 = np.multiply(np.multiply(inv, inv, out=pair), inv, out=inv)
         for i, j in combinations_with_replacement(range(3), 2):
             np.multiply(dx[i], dx[j], out=pair)
             pair *= inv3
@@ -178,7 +178,7 @@ def plain_kernel_moment(grid: BoundaryGrid, values: np.ndarray, points) -> np.nd
     out = np.empty((len(points), flat.shape[1]))
     wvals = flat * grid.weights[:, None]
     for rows, _, r2 in _guarded_blocks(grid, points):
-        out[rows] = (1.0 / np.sqrt(r2)) @ wvals
+        out[rows] = np.divide(1.0, np.sqrt(r2, out=r2), out=r2) @ wvals
     out /= 4 * np.pi
     return out if values.ndim == 2 else out[:, 0]
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -55,8 +56,9 @@ _STAR_COS, _STAR_SIN = np.cos(_STAR_ANGLES), np.sin(_STAR_ANGLES)
 _STAR_MODE_CAP = len(_STAR_ANGLES) // 2
 
 # Point-node pairs ``_pair_blocks`` holds at once (a block is never smaller
-# than one target row).
-_CHUNK = 1 << 17
+# than one target row): 2^15 keeps a 3D block's dx at 768 KiB and each other
+# block array at 256 KiB.
+_CHUNK = 1 << 15
 
 # Point-direction pairs of a ray-exit block and point-segment pairs of a
 # clearance block (also never smaller than one point's row).
@@ -262,7 +264,7 @@ class Polygon(_PlaneShape):
         ])
         half = 0.5 * (breaks[1:] - breaks[:-1])
         mid = 0.5 * (breaks[1:] + breaks[:-1])
-        gx, gw = np.polynomial.legendre.leggauss(q)
+        gx, gw = _gauss_legendre(q)
         tang = self.edges / self.lengths[:, None]
         # nodes and weights indexed (edge, panel, Gauss node), the grid's order
         t = half[:, None] * gx + mid[:, None]
@@ -453,20 +455,27 @@ class Ellipsoid(_Quadric):
             raise ResolutionError("ellipsoids need at least a 16 x 32 grid")
         _check_grid_size(n_pol * n_az)
         c1, c2, c3 = self.c1, self.c2, self.c3
-        u, wu = np.polynomial.legendre.leggauss(n_pol)
+        u, wu = _gauss_legendre(n_pol)
         phi = 2 * np.pi * np.arange(n_az) / n_az
         wphi = 2 * np.pi / n_az
-        U, P = np.meshgrid(u, phi, indexing="ij")
-        s = np.sqrt(1.0 - U * U)
-        nodes = np.stack([c1 * s * np.cos(P), c2 * s * np.sin(P), c3 * U], axis=-1).reshape(-1, 3)
-        jac = np.sqrt(
-            (c2 * c3) ** 2 * (1 - U * U) * np.cos(P) ** 2
-            + (c1 * c3) ** 2 * (1 - U * U) * np.sin(P) ** 2
-            + (c1 * c2) ** 2 * U * U
-        )
-        weights = (jac * wu[:, None] * wphi).reshape(-1)
-        grad = nodes / np.array([c1 * c1, c2 * c2, c3 * c3])
-        normals = grad / np.linalg.norm(grad, axis=1)[:, None]
+        # polar factors as columns, azimuthal factors as rows
+        cos, sin = np.cos(phi), np.sin(phi)
+        s2 = (1.0 - u * u)[:, None]
+        s = np.sqrt(s2)
+        nodes = np.empty((n_pol, n_az, 3))
+        np.multiply(c1 * s, cos, out=nodes[..., 0])
+        np.multiply(c2 * s, sin, out=nodes[..., 1])
+        nodes[..., 2] = (c3 * u)[:, None]
+        nodes = nodes.reshape(-1, 3)
+        jac = (c2 * c3) ** 2 * s2 * cos**2
+        jac += (c1 * c3) ** 2 * s2 * sin**2
+        jac += ((c1 * c2) ** 2 * u * u)[:, None]
+        np.sqrt(jac, out=jac)
+        jac *= wu[:, None]
+        jac *= wphi
+        weights = jac.reshape(-1)
+        normals = nodes / np.array([c1 * c1, c2 * c2, c3 * c3])  # the gradient, then scaled
+        normals /= np.linalg.norm(normals, axis=1)[:, None]
         spacing = np.full(len(nodes), max(c1, c2, c3) * np.pi / n_pol)
         return BoundaryGrid(self, nodes, normals, weights, spacing=spacing)
 
@@ -548,7 +557,8 @@ class BoundaryGrid:
             d = np.linalg.norm(np.diff(self.nodes, axis=0, append=self.nodes[:1]), axis=1)
             self.spacing = np.minimum(d, np.roll(d, 1))
         nrm = np.linalg.norm(self.normals, axis=1)
-        if np.max(np.abs(nrm - 1.0)) > 1e-12:
+        nrm -= 1.0
+        if np.max(np.abs(nrm, out=nrm)) > 1e-12:
             raise InvalidShapeError("normals must be unit vectors")
         if np.any(self.weights <= 0):
             raise InvalidShapeError("quadrature weights must be positive")
@@ -593,6 +603,16 @@ def _check_grid_size(count: int):
     """Refuse a boundary grid of more than _MAX_GRID_NODES nodes."""
     if count > _MAX_GRID_NODES:
         raise ResolutionError(f"a grid of {count} nodes exceeds the cap of {_MAX_GRID_NODES}")
+
+
+@lru_cache(maxsize=16)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``order``-point Gauss-Legendre rule on [-1, 1],
+    built once per order and read-only."""
+    rule = np.polynomial.legendre.leggauss(order)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
 
 
 def _star_radius(shape: FourierStar, t: np.ndarray) -> np.ndarray:
@@ -691,25 +711,40 @@ def _dedupe(pts: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # point-node pairs
 
-def _pair_blocks(points: np.ndarray, nodes: np.ndarray):
+def _pair_blocks(points: np.ndarray, nodes: np.ndarray, spare: int = 0):
     """Every difference x - y of a target point and a node, block by block.
 
     Walks ``points`` in row blocks of at most max(_CHUNK, n) pairs for n
-    nodes and yields ``(rows, dx, r2)``: the slice of ``points`` covered,
-    the component-major differences dx[j, p, s] = x_p[j] - y_s[j] of shape
-    (d, rows, n), and r2 = |x_p - y_s|^2 of shape (rows, n).  Each block's
-    arrays are fresh, so a caller may overwrite them.
+    nodes and yields ``(rows, dx, r2, *work)``: the slice of ``points``
+    covered, the component-major differences dx[j, p, s] = x_p[j] - y_s[j]
+    of shape (d, rows, n), r2 = |x_p - y_s|^2 of shape (rows, n), and
+    ``spare`` more (rows, n) arrays for the caller's kernel.  All of them are
+    allocated once per walk and overwritten by each block (a shorter last
+    block gets their leading rows), so a caller may overwrite them in place
+    but must copy whatever it keeps past its block.
     """
+    count, n = len(points), len(nodes)
     nodes_t = np.ascontiguousarray(nodes.T)[:, None, :]
-    for rows in _row_blocks(len(points), len(nodes), _CHUNK):
-        dx = points[rows].T[:, :, None] - nodes_t
-        yield rows, dx, np.einsum("jps,jps->ps", dx, dx)
+    height = min(count, _rows_per_block(n, _CHUNK))
+    dx_buf = np.empty((nodes.shape[1], height, n))
+    work = np.empty((1 + spare, height, n))
+    for rows in _row_blocks(count, n, _CHUNK):
+        x = points[rows]
+        m = len(x)
+        dx = np.subtract(x.T[:, :, None], nodes_t, out=dx_buf[:, :m])
+        r2 = np.einsum("jps,jps->ps", dx, dx, out=work[0, :m])
+        yield (rows, dx, r2, *work[1:, :m])
+
+
+def _rows_per_block(width: int, budget: int) -> int:
+    """Rows of ``width`` pairs in a block of at most max(budget, width) pairs."""
+    return max(1, budget // max(width, 1))
 
 
 def _row_blocks(count: int, width: int, budget: int):
     """Slices of ``count`` rows, each holding at most max(budget, width)
     row-by-``width`` pairs."""
-    step = max(1, budget // max(width, 1))
+    step = _rows_per_block(width, budget)
     for i0 in range(0, count, step):
         yield slice(i0, i0 + step)
 

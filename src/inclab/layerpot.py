@@ -18,16 +18,22 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidShapeError, NearBoundaryError, ResolutionError
-from .geometry import _CHUNK, BoundaryGrid, _pair_blocks, _row_blocks, discretize
+from .geometry import BoundaryGrid, _pair_blocks, _row_blocks, discretize
 
 # Most nodes ``npo_matrix`` assembles K* on: the dense matrix alone is then 2 GiB.
 _MAX_NPO_NODES = 1 << 14
 
+# Entries of a row block of K* (at least one row).  This stays above the
+# pair walks' 2^15: with blocks of 2^15 entries, one shape-search pass of five
+# n = 256 assemblies took 1,280 minor page faults, against none at 2^17.
+_NPO_CHUNK = 1 << 17
 
-def _guarded_blocks(grid: BoundaryGrid, points: np.ndarray):
-    """``_pair_blocks`` of points and grid nodes; the first point closer than
-    two node spacings to its nearest node raises NearBoundaryError."""
-    for rows, dx, r2 in _pair_blocks(points, grid.nodes):
+
+def _guarded_blocks(grid: BoundaryGrid, points: np.ndarray, spare: int = 0):
+    """``_pair_blocks`` of points and grid nodes, with ``spare`` work arrays;
+    the first point closer than two node spacings to its nearest node raises
+    NearBoundaryError."""
+    for rows, dx, r2, *work in _pair_blocks(points, grid.nodes, spare):
         idx = np.argmin(r2, axis=1)
         dist = np.sqrt(r2[np.arange(len(idx)), idx])
         bad = dist < 2.0 * grid.spacing[idx]
@@ -37,7 +43,7 @@ def _guarded_blocks(grid: BoundaryGrid, points: np.ndarray):
                 f"point {points[rows][i]} is {dist[i]:.3e} from the boundary; "
                 f"need >= {2 * grid.spacing[idx[i]]:.3e} for this grid"
             )
-        yield rows, dx, r2
+        yield (rows, dx, r2, *work)
 
 
 def _plane(grid: BoundaryGrid):
@@ -53,7 +59,9 @@ def single_layer_eval(grid: BoundaryGrid, phi: np.ndarray, points: np.ndarray) -
     q = phi * grid.weights
     out = np.empty(len(points))
     for rows, _, r2 in _guarded_blocks(grid, points):
-        out[rows] = (np.log(r2) / (4 * np.pi)) @ q
+        np.log(r2, out=r2)
+        r2 /= 4 * np.pi
+        out[rows] = r2 @ q
     return out
 
 
@@ -64,7 +72,8 @@ def single_layer_gradient(grid: BoundaryGrid, phi: np.ndarray, points: np.ndarra
     q = phi * grid.weights
     out = np.empty((len(points), 2))
     for rows, dx, r2 in _guarded_blocks(grid, points):
-        dx *= 1.0 / (2 * np.pi * r2)
+        r2 *= 2 * np.pi
+        dx *= np.divide(1.0, r2, out=r2)
         out[rows] = (dx @ q).T
     return out
 
@@ -91,7 +100,7 @@ def npo_matrix(grid: BoundaryGrid) -> np.ndarray:
     nu = grid.normals[:, 0] + 1j * grid.normals[:, 1]
     w = grid.weights / (2 * np.pi)
     mat = np.empty((grid.n, grid.n))
-    for rows in _row_blocks(grid.n, grid.n, _CHUNK):
+    for rows in _row_blocks(grid.n, grid.n, _NPO_CHUNK):
         diff = z[rows, None] - z[None, :]
         np.fill_diagonal(diff[:, rows.start:], 1.0)
         np.multiply(np.divide(nu[rows, None], diff, out=diff).real, w, out=mat[rows])

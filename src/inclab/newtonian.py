@@ -60,6 +60,7 @@ from .geometry import (
     Polygon,
     ShapeSpec,
     _RAY_CHUNK,
+    _gauss_legendre,
     _pair_blocks,
     _row_blocks,
     discretize,
@@ -132,9 +133,15 @@ def closed_form_factors(shape: ShapeSpec) -> np.ndarray | None:
 # Newtonian potential, boundary-flux path
 
 def _flux_u(r: np.ndarray, dim: int) -> np.ndarray:
+    """u(r), written over ``r``."""
     if dim == 2:
-        return (1.0 - 2.0 * np.log(r)) / (8.0 * np.pi)
-    return 1.0 / (8.0 * np.pi * r)
+        np.log(r, out=r)
+        r *= 2.0
+        np.subtract(1.0, r, out=r)
+        r /= 8.0 * np.pi
+        return r
+    r *= 8.0 * np.pi
+    return np.divide(1.0, r, out=r)
 
 
 # Boundary resolution of the flux route per shape class; boxes have no grid.
@@ -149,9 +156,10 @@ def _flux_grid(shape: ShapeSpec):
 def _newtonian_flux(shape: ShapeSpec, points: np.ndarray) -> np.ndarray:
     grid = _flux_grid(shape)
     out = np.empty(len(points))
-    for rows, dx, r2 in _pair_blocks(points, grid.nodes):
-        flux = np.einsum("jps,sj->ps", dx, grid.normals)
-        out[rows] = (_flux_u(np.sqrt(r2), grid.dim) * flux) @ grid.weights
+    for rows, dx, r2, flux in _pair_blocks(points, grid.nodes, spare=1):
+        np.einsum("jps,sj->ps", dx, grid.normals, out=flux)
+        flux *= _flux_u(np.sqrt(r2, out=r2), grid.dim)
+        out[rows] = flux @ grid.weights
     return out
 
 
@@ -204,7 +212,7 @@ def _newtonian_radial(shape: ShapeSpec, points: np.ndarray) -> np.ndarray:
 def _polygon_radial_block(shape: Polygon, x: np.ndarray) -> np.ndarray:
     # Each edge subtends an angular sector seen from x; along a direction in
     # it the ray meets the edge's line at distance p / <direction, normal>.
-    gx, gw = np.polynomial.legendre.leggauss(_POLYGON_GAUSS)
+    gx, gw = _gauss_legendre(_POLYGON_GAUSS)
     rel = np.asarray(shape.vertices)[None, :, :] - x[:, None, :]
     a0 = np.arctan2(rel[..., 1], rel[..., 0])
     da = (np.roll(a0, -1, axis=1) - a0) % (2 * np.pi)

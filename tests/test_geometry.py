@@ -591,6 +591,42 @@ def test_polygon_grid_is_the_per_panel_loop_bit_for_bit(vertices, n):
     _assert_same_grid(discretize(shape, n), _loop_polygon_grid(shape, n))
 
 
+def _meshgrid_ellipsoid_grid(shape, n):
+    """The ellipsoid grid as first written, on full-size meshgrid arrays."""
+    c1, c2, c3 = shape.c1, shape.c2, shape.c3
+    u, wu = np.polynomial.legendre.leggauss(n)
+    phi = 2 * np.pi * np.arange(2 * n) / (2 * n)
+    U, P = np.meshgrid(u, phi, indexing="ij")
+    s = np.sqrt(1.0 - U * U)
+    nodes = np.stack([c1 * s * np.cos(P), c2 * s * np.sin(P), c3 * U], axis=-1).reshape(-1, 3)
+    jac = np.sqrt(
+        (c2 * c3) ** 2 * (1 - U * U) * np.cos(P) ** 2
+        + (c1 * c3) ** 2 * (1 - U * U) * np.sin(P) ** 2
+        + (c1 * c2) ** 2 * U * U
+    )
+    weights = (jac * wu[:, None] * (2 * np.pi / (2 * n))).reshape(-1)
+    grad = nodes / np.array([c1 * c1, c2 * c2, c3 * c3])
+    normals = grad / np.linalg.norm(grad, axis=1)[:, None]
+    spacing = np.full(len(nodes), max(c1, c2, c3) * np.pi / n)
+    return geometry.BoundaryGrid(shape, nodes, normals, weights, spacing=spacing)
+
+
+@pytest.mark.parametrize("n", [16, 48, 96, 128])
+@pytest.mark.parametrize("axes", [(2.0, 1.5, 1.0), (1.0, 1.0, 1.0), (0.3, 4.0, 1.7)])
+def test_ellipsoid_grid_broadcast_is_the_meshgrid_grid_bit_for_bit(axes, n):
+    shape = Ellipsoid(*axes)
+    _assert_same_grid(discretize(shape, n), _meshgrid_ellipsoid_grid(shape, n))
+
+
+@pytest.mark.parametrize("q", [8, 48, 64, 96, 128])
+def test_gauss_legendre_rules_are_built_once_and_read_only(q):
+    nodes, weights = geometry._gauss_legendre(q)
+    want = np.polynomial.legendre.leggauss(q)
+    assert np.array_equal(nodes, want[0]) and np.array_equal(weights, want[1])
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    assert geometry._gauss_legendre(q)[0] is nodes
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     gaps=st.lists(st.floats(0.5, 1.0), min_size=4, max_size=12),

@@ -76,7 +76,7 @@ def test_npo_matrix_row_blocks_match_one_block(monkeypatch, ellipse21_grid, squa
     # the square's 1,408 nodes take several blocks at the default size; the
     # small size ends the ellipse's 256 rows in a partial block of 4
     if chunk is not None:
-        monkeypatch.setattr(layerpot, "_CHUNK", chunk)
+        monkeypatch.setattr(layerpot, "_NPO_CHUNK", chunk)
     for grid in (ellipse21_grid, square_grid):
         np.testing.assert_array_equal(npo_matrix(grid), _npo_one_block(grid))
 

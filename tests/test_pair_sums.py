@@ -3,7 +3,9 @@
 The evaluators walk point-node pairs in blocks (``geometry._pair_blocks``,
 or ``layerpot._QBX_CHUNK`` for close evaluation).  Each is checked here
 against a plain NumPy sum taken one target point at a time, at the default
-block budget and at one that ends the targets in a partial block.
+block budget and at one that ends the targets in a partial block, and the
+walks that overwrite their block arrays in place against their own
+one-block result.
 """
 
 import tracemalloc
@@ -14,6 +16,7 @@ import pytest
 from inclab import (
     Ellipse,
     Ellipsoid,
+    LameParams,
     NearBoundaryError,
     Polygon,
     conormal_linear,
@@ -26,11 +29,12 @@ from inclab import (
     plain_kernel_moment,
     single_layer_eval,
     single_layer_gradient,
+    trace_identity_check,
 )
 from inclab import geometry, layerpot
 from inclab.elastostatics import _kelvin, _surface_sums
 from inclab.layerpot import _one_sided_derivatives, upsample_periodic
-from inclab.newtonian import _flux_grid
+from inclab.newtonian import _flux_grid, _newtonian_flux
 
 SHAPES = {
     "ellipse": (Ellipse(2.0, 1.0), 128, 0.3),
@@ -164,6 +168,63 @@ def test_surface_sums_match_per_point_sums(monkeypatch, chunk):
     _assert_close(_kelvin(a1, b1, lam, mu), kelvin[1])
     _assert_close(inverse / (4 * np.pi), moments[0])
     _assert_close(flux_sum, green_lhs)
+
+
+@pytest.mark.parametrize("name", ["gradient", "surface", "flux"])
+def test_in_place_walks_match_their_one_block_result(monkeypatch, name):
+    # each block overwrites the walk's dx, r2 and work arrays, so a kernel
+    # that read a stale or shared array would differ from one block
+    shape, n, margin = SHAPES["ellipse" if name == "gradient" else "ellipsoid"]
+    grid = _flux_grid(shape) if name == "flux" else discretize(shape, n)
+    pts = interior_points(shape, COUNT, margin).points
+    psi = grid.normals * _density(grid)[:, None]
+    call = {
+        "gradient": lambda: single_layer_gradient(grid, _density(grid), pts),
+        "surface": lambda: np.hstack(sum(_surface_sums(grid, pts, [psi, grid.normals]), ())),
+        "flux": lambda: _newtonian_flux(shape, pts),
+    }[name]
+    blocks = []
+
+    def counted(count, width, budget):
+        for rows in row_blocks(count, width, budget):
+            blocks.append(rows)
+            yield rows
+
+    row_blocks = geometry._row_blocks
+    monkeypatch.setattr(geometry, "_row_blocks", counted)
+    monkeypatch.setattr(geometry, "_CHUNK", COUNT * grid.n)
+    whole = call()
+    assert len(blocks) == 1
+    monkeypatch.setattr(geometry, "_CHUNK", 7 * grid.n)
+    blocks.clear()
+    split = call()
+    assert len(blocks) >= 3
+    assert np.max(np.abs(split - whole)) <= 1e-14 * np.max(np.abs(whole))
+
+
+def test_3d_walk_memory_is_bounded():
+    # the flux route's 80 fit points x 4,608 nodes and the identities' 20
+    # points x 32,768 nodes peaked at 8.97 and 14.5 MiB with blocks of 2^17
+    # pairs allocated per block; blocks of 2^15 pairs in buffers allocated
+    # once per walk took them to 1.3 and 5.8 MiB
+    shape = Ellipsoid(2.0, 1.5, 1.0)
+    pts = interior_points(shape, 80, shape.default_margin()).points
+    newtonian_potential(shape, pts)  # builds the cached flux grid
+    grid = discretize(shape, 128)
+    inner = interior_points(shape, 20, 0.3).points
+    peaks = []
+    for call in (
+        lambda: newtonian_potential(shape, pts),
+        lambda: trace_identity_check(grid, LameParams(2.0, 1.0, 1.0, 0.5), inner),
+    ):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 3 << 20
+    assert peaks[1] < 8 << 20
 
 
 def test_guard_names_the_first_offender_in_a_later_block(monkeypatch):
