@@ -271,7 +271,13 @@ class Polygon(_PlaneShape):
         nodes = verts[:, None, None] + t[..., None] * self.edges[:, None, None]
         weights = half[:, None] * gw * self.lengths[:, None, None]
         normals = np.repeat(np.stack([tang[:, 1], -tang[:, 0]], axis=1), t.size, axis=0)
-        return BoundaryGrid(self, nodes.reshape(-1, 2), normals, weights.reshape(-1))
+        nodes = nodes.reshape(-1, 2)
+        # the two edges of a needle-sharp corner can round nodes onto one
+        # point, where K* is undefined
+        z = np.sort(nodes.view(complex).ravel())
+        if np.any(z[1:] == z[:-1]):
+            raise InvalidShapeError("polygon corner too sharp: two boundary nodes coincide")
+        return BoundaryGrid(self, nodes, normals, weights.reshape(-1))
 
 
 @dataclass(frozen=True)

@@ -158,8 +158,6 @@ _QBX_ORDER = 16
 # Bound tau on |t| for a source to count as far: tau^(P + 1) = 2^-51 at
 # P = 16, so a far source's series is its plain kernel to rounding.
 _QBX_TAU = 0.125
-# Node-source pairs per block of the close-evaluation walk (at least one row).
-_QBX_CHUNK = 1 << 15
 
 
 def _one_sided_derivatives(grid: BoundaryGrid, values) -> np.ndarray:
@@ -181,8 +179,8 @@ def _one_sided_derivatives(grid: BoundaryGrid, values) -> np.ndarray:
     their sum serves both sides.  Only the near sources are expanded, once
     per side.  Each expansion continues its own side's field, so the outer
     and inner limits Re(nu g), and the jump between them, are measured, not
-    imposed.  Nodes are walked in blocks of at most max(_QBX_CHUNK, 8n)
-    node-source pairs, which also bound the near pairs gathered.
+    imposed.  Nodes are walked in ``_pair_blocks`` of node-source pairs,
+    which also bound the near pairs gathered.
     """
     if grid.params is None:
         raise InvalidShapeError("jump and flux checks need a smooth parametrized grid")
@@ -191,13 +189,8 @@ def _one_sided_derivatives(grid: BoundaryGrid, values) -> np.ndarray:
     to_z = np.array([1.0, 1j])
     reach = _QBX_RADIUS * grid.spacing * (grid.normals @ to_z)  # c - x, outer side
     near2 = (np.abs(reach) * (1.0 + 1.0 / _QBX_TAU)) ** 2
-    wx, wy = fine.nodes.T
     g = np.empty((2, grid.n), dtype=complex)
-    for rows in _row_blocks(grid.n, fine.n, _QBX_CHUNK):
-        dx = grid.nodes[rows, :1] - wx
-        dy = grid.nodes[rows, 1:] - wy
-        r2 = dx * dx
-        r2 += dy * dy
+    for rows, (dx, dy), r2 in _pair_blocks(grid.nodes, fine.nodes):
         pairs = np.flatnonzero(r2 <= near2[rows, None])
         i, j = np.divmod(pairs, fine.n)
         d = dx.ravel()[pairs] + 1j * dy.ravel()[pairs]  # x - w on the near pairs

@@ -49,9 +49,14 @@ class Contrast:
     def coupling(self) -> float:
         """Scalar multiple of the identity in the boundary equation.
 
-        Always exceeds 1/2 in absolute value for admissible k, keeping the
-        boundary operator away from the adjoint double-layer spectrum.
-        Halving last keeps it finite for k up to the float maximum.
+        Its absolute value exceeds 1/2 in exact arithmetic, but in floats it
+        is exactly 1/2 for k >= 1e16 and exactly -1/2 for k <= 1e-17.  At
+        -1/2 the operator stays invertible, as K*'s spectrum lies in
+        (-1/2, 1/2].  At +1/2, an eigenvalue of K*, the system is singular
+        but consistent: each right-hand side n_j has weighted mean w^T n_j = 0,
+        and w^T K* = w^T / 2 keeps every Krylov vector at mean 0, where the
+        solution is the physical density.  Halving last keeps the coupling
+        finite for k up to the float maximum.
         """
         return (self.k + 1.0) / (self.k - 1.0) / 2.0
 

@@ -21,6 +21,7 @@ from inclab.cli import parse_shape, run
 from inclab import ConfigError, Ellipse, FourierStar, Polygon, acceptance, discretize, transmission
 from inclab import Ellipsoid, LameParams
 from inclab.elastostatics import identity_verdict
+from inclab.shapeopt import OptProblem
 
 
 def _run(capsys, *argv):
@@ -368,9 +369,8 @@ def test_numerical_failure_exit_1(capsys):
 
 
 def test_eshelby_passes_on_ellipse(capsys):
-    code, out, _ = _run(
-        capsys, "eshelby", "--shape", "ellipse:2,1", "--k", "0.5,2", "--n", "128"
-    )
+    # the README's command, at the default n
+    code, out, _ = _run(capsys, "eshelby", "--shape", "ellipse:2,1", "--k", "0.5,2")
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 5
@@ -420,7 +420,7 @@ def test_hodograph_requires_ellipse(capsys):
     assert "ellipse" in err
 
 
-@pytest.mark.parametrize("a, b", [(2, 1), (1, 2), (0.7, 2.5), (20, 10), (1, 1e-16)])
+@pytest.mark.parametrize("a, b", [(2, 1), (1, 2), (1, 3), (0.7, 2.5), (20, 10), (1, 1e-16)])
 def test_hodograph_runs(capsys, a, b):
     # tall ellipses (b > a) too, ellipses wider than 10, the smallest fit
     # radius in units of the major semi-axis, and the most slender ellipse
@@ -477,9 +477,13 @@ _OUT_CASES = [
 # _OUT_CASES is a directory
 _REFUSALS = [
     (("pt", "--shape", "nonagon:1"), "--shape: unknown shape type 'nonagon'\n"),
+    # FILE holds a box whose half-widths are a string of digits, not three numbers
+    (("pt", "--shape", "@FILE"), "--shape: 'half' in FILE must be a list\n"),
     (("pt", "--shape", "box:1,1,1"), "--shape: no boundary grid for Box\n"),
     (("bounds", "--shape", "ellipse:1,1e-200"),
      "--shape: ellipse semi-axes (1.0, 1e-200) must lie within 1.2e-77 .. 1.2e+77, "),
+    (("pt", "--shape", "ellipsoid:1e-300,1,1"),
+     "--shape: ellipsoid semi-axes (1e-300, 1.0, 1.0) must lie within 1.2e-77 .. 1.2e+77, "),
     (("eshelby", "--shape", "ellipsoid:2,1.5,1"), "--shape: eshelby requires a 2D shape\n"),
     # a valid sliver triangle leaves no interior room at its own margin, and
     # no grid under the node cap resolves its height: where a command builds
@@ -510,6 +514,10 @@ _REFUSALS = [
     # a counterclockwise pentagram (signed area 1.47) crosses itself
     (("pt", "--shape", "polygon:0,1,-0.588,-0.809,0.951,0.309,-0.951,0.309,0.588,-0.809"),
      "--shape: polygon must be simple (no self-intersection)\n"),
+    # a simple polygon whose corner at (1, -1) is a needle 1e-11 wide: the
+    # graded panels of its two edges put two nodes on one point
+    (("pt", "--shape", "polygon:1,1,-1,1,0.1,1e-13,1,-1,0.1,1e-11"),
+     "--shape: polygon corner too sharp: two boundary nodes coincide\n"),
     # (a + b)/2 and (a - b)/2 round to one float: no univalent exterior map
     (("hodograph", "--shape", "ellipse:1,1e-17"), "--shape: ellipse semi-axes (1.0, 1e-17) must "),
     (("hodograph", "--shape", "ellipse:1e-17,1"), "--shape: ellipse semi-axes (1e-17, 1.0) must "),
@@ -525,6 +533,8 @@ _REFUSALS = [
     (("eshelby", "--shape", "disk", "--k", "2,nan"), "--k: 'nan' is not a finite number\n"),
     (("shapeopt", "--k", "0.5"), "--k: trace minimization is posed for k > 1\n"),
     (("pt", "--shape", "disk", "--n", "32"), "--n: smooth curves need n >= 64\n"),
+    # K* past its node limit is refused before it is allocated (3.2 GB here)
+    (("pt", "--shape", "disk", "--n", "20000"), "--n: K* on 20000 nodes exceeds the cap of 16384\n"),
     (("bounds", "--shape", "disk", "--n", "8"), "--n: must be at least 16\n"),
     (("eshelby", "--shape", "ellipse:20,1"), "--n: margin leaves no interior room "),
     # refused after --out is made: the directories it made are removed again
@@ -537,6 +547,7 @@ _REFUSALS = [
      "--n: need an even number of boundary nodes for the shape gradient\n"),
     (("elastic-identity", "--lame", "1,-1,1,1"), "--lame: mu must be positive\n"),
     (("elastic-identity", "--lame", "2,1"), "--lame: takes lam,mu,lam_inc,mu_inc\n"),
+    (("bound-table", "--k", "1"), "--k: contrasts must be positive and not 1\n"),
 ] + [
     # the bound table takes the command line's --k rule, before --out is made
     (("bound-table", "--k", k, "--out", "o"), f"--k: {message}\n")
@@ -563,7 +574,7 @@ _REFUSALS = [
 )
 def test_every_refusal_names_a_flag_its_command_takes(capsys, tmp_path, monkeypatch, argv, start):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "FILE").write_text("a file\n")
+    (tmp_path / "FILE").write_text('{"type":"box","half":"123"}\n')
     for _, name in _OUT_CASES:
         (tmp_path / "REPORTS" / name).mkdir(parents=True)
     with warnings.catch_warnings():
@@ -625,6 +636,17 @@ def test_shapeopt_leaves_the_start_at_a_contrast_near_one(capsys, tmp_path, k):
     assert rep["evaluations"] <= 8
 
 
+def test_shapeopt_fails_a_search_that_stops_unconverged(capsys, tmp_path):
+    # at k = 1.00001 the gradient (like lambda^3) is rounding noise, so the
+    # search stops unconverged, while every shape's trace lies within the
+    # gap tolerance of the disk's
+    code, out, err = _run(capsys, "shapeopt", "--k", "1.00001", "--out", str(tmp_path))
+    rep = json.loads(out)
+    assert (code, err) == (1, "")
+    assert (rep["converged"], rep["passed"]) == (False, False)
+    assert rep["relative_gap"] <= rep["gap_tol"]
+
+
 def test_out_directory_written(capsys, tmp_path):
     out_dir = str(tmp_path / "artifacts")
     code, out, _ = _run(
@@ -637,16 +659,19 @@ def test_out_directory_written(capsys, tmp_path):
 
 
 def test_bound_table_writes_its_rows_under_out(capsys, tmp_path):
-    code, out, err = _run(capsys, "bound-table", "--k", "3", "--out", str(tmp_path))
+    # the README's command: one row per contrast and shape, contrast by contrast
+    code, out, err = _run(capsys, "bound-table", "--k", "0.5,2,3,10", "--out", str(tmp_path))
     assert (code, err) == (0, "")
     assert (tmp_path / "bound-table.csv").read_text(encoding="utf-8") == out
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["shape", "k", "tr_M", "eig_low", "eig_high", "slack2", "saturated2",
                        "passed"]
-    assert [row[0] for row in rows[1:]] == ["disk", "ellipse 2:1", "ellipse 4:1", "square",
-                                            "kite", "three-lobed star"]
+    assert [row[:2] for row in rows[1:]] == [
+        [shape, k] for k in ("0.5", "2", "3", "10")
+        for shape in ("disk", "ellipse 2:1", "ellipse 4:1", "square", "kite", "three-lobed star")
+    ]
     # the inverse-trace bound saturates exactly on the ellipses
-    assert [row[6] for row in rows[1:]] == ["true"] * 3 + ["false"] * 3
+    assert [row[6] for row in rows[1:]] == (["true"] * 3 + ["false"] * 3) * 4
     assert {row[7] for row in rows[1:]} == {"true"}
 
 
@@ -971,6 +996,38 @@ def _readme_commands():
     return list(dict.fromkeys(tuple(argv[1:]) for argv in lines if argv[:1] == ["inclab"]))
 
 
+def _readme_limits():
+    """The README's limits table, as {constant: (low, relation, high)} read
+    from its "Accepted" column (``n ≤ 2^22``, ``1.2e-77 ≤ length ≤ 1.2e+77``)."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        table = re.search(r"### Limits\n.*?\n\n(\|.*?)\n\n", fh.read(), re.S).group(1)
+    limits = {}
+    for line in table.splitlines()[2:]:
+        _, accepted, constant, _ = (cell.strip() for cell in line.strip("|").split("|"))
+        low, relation, high = re.fullmatch(r"(?:(\S+) ≤ )?\w+ ([≤<]) (\S+)", accepted).groups()
+        limits[constant] = (low and _readme_number(low), relation, _readme_number(high))
+    return limits
+
+
+def _readme_number(text):
+    """A number as the README writes it: 2^p, or a float literal."""
+    base, _, power = text.partition("^")
+    return int(base) ** int(power) if power else float(text)
+
+
+def test_the_readme_limits_are_the_constants_the_code_checks():
+    # the lengths' range is printed to two digits, as the refusal prints it
+    tiny, huge = (float(f"{x ** 0.25:.1e}") for x in (np.finfo(float).tiny, np.finfo(float).max))
+    assert _readme_limits() == {
+        "`geometry._MAX_GRID_NODES`": (None, "≤", geometry._MAX_GRID_NODES),
+        "`layerpot._MAX_NPO_NODES`": (None, "≤", layerpot._MAX_NPO_NODES),
+        "`geometry._STAR_MODE_CAP`": (None, "<", geometry._STAR_MODE_CAP),
+        "`OptProblem.k_max`": (None, "≤", OptProblem.k_max),
+        "`np.finfo(float).tiny ** 0.25`, `np.finfo(float).max ** 0.25`": (tiny, "≤", huge),
+    }
+
+
 def _below(report, *pairs):
     return all(report[value] <= report[tol] for value, tol in pairs)
 
@@ -993,9 +1050,9 @@ _PASS_RULES = {
     ) and r["min_abs_derivative"] > 0 and r["rings_simple"]
     and abs(r["leading_coefficient"] - r["leading_coefficient_target"])
     <= r["leading_coefficient_tol"],
-    "shapeopt": lambda r: _below(r, ("relative_gap", "gap_tol"),
-                                 ("max_coefficient", "coefficient_tol"),
-                                 ("disk_undercut", "undercut_tol")),
+    "shapeopt": lambda r: r["converged"] and _below(r, ("relative_gap", "gap_tol"),
+                                                    ("max_coefficient", "coefficient_tol"),
+                                                    ("disk_undercut", "undercut_tol")),
 }
 
 
@@ -1003,10 +1060,29 @@ def test_readme_commands_are_the_json_reports_bound_table_and_suite():
     assert {argv[0] for argv in _readme_commands()} == {*_PASS_RULES, "bound-table", "suite"}
 
 
+_FAILING_REPORT = ("newtonian", "--shape", "square")
+
+# beside the README's commands, inputs at the edges of what passes: the
+# slowest Krylov solves (corners at extreme contrast), a far-from-unit
+# ellipse fit, the finest elastic grid the benchmark runs, and stars with
+# several modes
+_EDGE_REPORTS = [
+    ("pt", "--shape", "kite", "--k", "1e9"),
+    ("pt", "--shape", "square", "--k", "1e-9"),
+    ("pt", "--shape", "polygon:0,0,2,0,0,1", "--k", "3"),
+    ("bounds", "--shape", "kite", "--k", "1e9"),
+    ("newtonian", "--shape", "ellipse:1e10,1e9"),
+    ("elastic-identity", "--n", "128"),
+    ("pt", "--shape", "star:1,3,0.2,0,5,0.05,0.03", "--k", "0.5"),
+    ("pt", "--shape", "star:1,2,0.1,0,3,0.05,0.02,4,0.03,0,5,0.01,0.01,6,0.02,-0.01,40,0.002,0.001",
+     "--k", "3"),
+]
+
+
 @pytest.mark.parametrize(
     "argv",
-    [argv for argv in _readme_commands() if argv[0] in _PASS_RULES]
-    + [("newtonian", "--shape", "square")],  # a report that fails
+    [argv for argv in _readme_commands() if argv[0] in _PASS_RULES] + _EDGE_REPORTS
+    + [_FAILING_REPORT],
     ids=" ".join,
 )
 def test_reports_pass_by_the_tol_fields_they_print(capsys, monkeypatch, tmp_path, argv):
@@ -1016,6 +1092,7 @@ def test_reports_pass_by_the_tol_fields_they_print(capsys, monkeypatch, tmp_path
     code, out, _ = _run(capsys, *argv)
     report = json.loads(out)
     assert report["passed"] is bool(_PASS_RULES[argv[0]](report))
+    assert report["passed"] is (argv != _FAILING_REPORT)
     assert code == (0 if report["passed"] else 1)
 
 

@@ -1,7 +1,7 @@
 """Every point-by-node boundary sum against a per-point reference.
 
-The evaluators walk point-node pairs in blocks (``geometry._pair_blocks``,
-or ``layerpot._QBX_CHUNK`` for close evaluation).  Each is checked here
+The evaluators, close evaluation among them, walk point-node pairs in
+blocks (``geometry._pair_blocks``).  Each is checked here
 against a plain NumPy sum taken one target point at a time, at the default
 block budget and at one that ends the targets in a partial block, and the
 walks that overwrite their block arrays in place against their own
@@ -31,7 +31,7 @@ from inclab import (
     single_layer_gradient,
     trace_identity_check,
 )
-from inclab import geometry, layerpot
+from inclab import geometry
 from inclab.elastostatics import _kelvin, _surface_sums
 from inclab.layerpot import _one_sided_derivatives, upsample_periodic
 from inclab.newtonian import _flux_grid, _newtonian_flux
@@ -99,7 +99,7 @@ def test_one_sided_derivatives_match_per_center_sums(monkeypatch, a, chunk):
     fine = discretize(grid.shape, 8 * grid.n)
     if chunk == "split":
         # five nodes per block, so the 128 nodes end in a partial block of three
-        monkeypatch.setattr(layerpot, "_QBX_CHUNK", 5 * fine.n + fine.n // 2)
+        monkeypatch.setattr(geometry, "_CHUNK", 5 * fine.n + fine.n // 2)
     values = _density(grid)
     q = upsample_periodic(values, fine.n) * fine.weights / (2 * np.pi)
     to_z = np.array([1.0, 1j])
