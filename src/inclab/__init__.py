@@ -27,6 +27,9 @@ from .geometry import (
     FourierStar,
     InteriorSample,
     Polygon,
+    carlson_rd,
+    depolarization_factors,
+    depolarization_factors_2d,
     discretize,
     interior_points,
 )
@@ -50,13 +53,7 @@ from .polarization import (
     minimal_trace_target,
     polarization_tensor,
 )
-from .newtonian import (
-    carlson_rd,
-    depolarization_factors,
-    depolarization_factors_2d,
-    newtonian_potential,
-    quadratic_interior_fit,
-)
+from .newtonian import newtonian_potential, quadratic_interior_fit
 from .elastostatics import (
     LameParams,
     conormal_linear,

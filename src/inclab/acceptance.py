@@ -24,16 +24,13 @@ from .geometry import (
     FourierStar,
     Polygon,
     _gauss_legendre,
+    depolarization_factors,
+    depolarization_factors_2d,
     discretize,
 )
 from .hodograph import slit_certificate
 from .layerpot import jump_check, npo_matrix
-from .newtonian import (
-    depolarization_factors,
-    depolarization_factors_2d,
-    quadratic_interior_fit,
-    quadratic_verdict,
-)
+from .newtonian import quadratic_interior_fit, quadratic_verdict
 from .polarization import _tensors, bound_gap_scan, closed_form_pt, pt_verdict
 from .shapeopt import OptProblem, disk_verdict, minimize_trace
 from .transmission import DECAY_TOL, decay_check, uniformity_verdict

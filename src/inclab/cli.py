@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import inspect
 import itertools
 import json
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -24,15 +25,7 @@ from .acceptance import DISK, ELLIPSE21, ELLIPSE41, KITE, SQUARE, STAR3, run_all
 from .elastostatics import LameParams, identity_verdict, kolosov
 from .errors import (ConfigError, EmptySampleError, InclabError, InvalidShapeError,
                      NearBoundaryError, ResolutionError)
-from .geometry import (
-    Box,
-    Ellipse,
-    Ellipsoid,
-    FourierStar,
-    Polygon,
-    ShapeSpec,
-    discretize,
-)
+from .geometry import SHAPE_TYPES, Ellipse, Ellipsoid, ShapeSpec, discretize
 from .hodograph import slit_certificate
 from .newtonian import quadratic_verdict
 from .polarization import (bound_gap_scan, bounds_verdict, closed_form_pt, polarization_tensor,
@@ -76,19 +69,6 @@ def parse_shape(text: str) -> tuple[str, ShapeSpec]:
     return raw, _build_shape(kind.strip().lower(), _parse_floats(params, "--shape"))
 
 
-# shape type -> its class, its inline form, the fewest numbers that form
-# takes, and the layout of each of the class's fields, in their order: one
-# number (None), a list of numbers (0), or a list of lists of w numbers (w);
-# only the last field may be a list, and inline it takes the numbers left over
-_GRAMMAR = {
-    "ellipse": (Ellipse, "a,b", 2, (None, None)),
-    "ellipsoid": (Ellipsoid, "c1,c2,c3", 3, (None, None, None)),
-    "box": (Box, "h1,h2,h3", 3, (0,)),
-    "polygon": (Polygon, "x1,y1,x2,y2,... (at least 3 vertices)", 6, (2,)),
-    "star": (FourierStar, "r0,m,c,s[,m,c,s...]", 4, (None, 3)),
-}
-
-
 def _build_shape(kind: str, v: list[float]) -> ShapeSpec:
     """Shape of type ``kind`` from its parameters in the inline ``--shape`` order.
 
@@ -98,8 +78,8 @@ def _build_shape(kind: str, v: list[float]) -> ShapeSpec:
     """
     for value in v:
         _expect(np.isfinite(value), f"--shape: '{value}' is not a finite number")
-    _expect(kind in _GRAMMAR, f"--shape: unknown shape type '{kind}'")
-    cls, form, least, widths = _GRAMMAR[kind]
+    _expect(kind in SHAPE_TYPES, f"--shape: unknown shape type '{kind}'")
+    cls, form, least, widths = SHAPE_TYPES[kind]
     n, w = len(v), widths[-1] or 0
     _expect(n == least or (w and n > least and (n - least) % w == 0),
             f"--shape: {kind} takes {form}")
@@ -115,13 +95,13 @@ def _build_shape(kind: str, v: list[float]) -> ShapeSpec:
 
 
 def _shape_from_json(payload, path: str) -> tuple[str, ShapeSpec]:
-    """Shape from a parsed JSON file: the type's fields and no other key."""
+    """Shape from a parsed JSON file: the type's constructor arguments and no other key."""
     _expect(isinstance(payload, dict) and "type" in payload,
             f"--shape: {path} must be an object with a 'type' field")
     kind = str(payload["type"]).lower()
-    _expect(kind in _GRAMMAR, f"--shape: unknown shape type '{kind}'")
-    cls, _, _, widths = _GRAMMAR[kind]
-    keys = [f.name for f in fields(cls)]
+    _expect(kind in SHAPE_TYPES, f"--shape: unknown shape type '{kind}'")
+    cls, _, _, widths = SHAPE_TYPES[kind]
+    keys = list(inspect.signature(cls).parameters)
     for key in payload:
         _expect(key == "type" or key in keys, f"--shape: {kind} in {path} takes no key '{key}'")
     values = []
@@ -338,13 +318,13 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    forms = ", ".join(f"{kind}:{form}" for kind, (_, form, *_) in SHAPE_TYPES.items())
     for name, cmd in _COMMANDS.items():
         options = {
             "--shape": dict(
                 required=cmd.shape is None,
                 default=cmd.shape,
-                help="inline form 'type:params' (ellipse:a,b, ellipsoid:c1,c2,c3, "
-                "box:h1,h2,h3, polygon:x1,y1,..., star:r0,m,c,s[,...]), an alias "
+                help=f"inline form 'type:params' ({forms}), an alias "
                 "(disk, square, kite, star), or @file.json",
             ),
             "--k": dict(default="3", help="conductivity contrast (comma list allowed)"

@@ -111,8 +111,18 @@ def conormal_linear(A, lam: float, mu: float, n) -> np.ndarray:
     return lam * np.trace(A) * n + mu * n @ sym.T
 
 
-def _surface_sums(grid: BoundaryGrid, points: np.ndarray, densities) -> list:
-    """One (A, B) pair of (m, 3) arrays per (n, 3) density psi, with dx = x_p - y_s:
+def _weighted(grid: BoundaryGrid, densities) -> np.ndarray:
+    """The form ``_surface_sums`` reads (n, 3) densities psi in: psi^T times
+    the weights, stacked into one C-ordered (len(densities), 3, n) array."""
+    weighted = np.empty((len(densities), 3, grid.n))
+    for out, psi in zip(weighted, densities):
+        np.multiply(psi.T, grid.weights, out=out)
+    return weighted
+
+
+def _surface_sums(grid: BoundaryGrid, points: np.ndarray, weighted: np.ndarray) -> list:
+    """One (A, B) pair of (m, 3) arrays per density psi of the ``_weighted``
+    stack, with dx = x_p - y_s:
 
         A[p] = sum_s psi_s w_s / |dx|,   B[p, i] = sum_s sum_j dx_i dx_j psi_sj w_s / |dx|^3.
 
@@ -122,7 +132,6 @@ def _surface_sums(grid: BoundaryGrid, points: np.ndarray, densities) -> list:
     densities get equal sums."""
     if grid.dim != 3:
         raise InvalidShapeError("the Kelvin layer is evaluated on 3D surface grids")
-    weighted = [np.multiply(psi.T, grid.weights, order="C") for psi in densities]
     sums = [(np.empty((len(points), 3)), np.zeros((len(points), 3))) for _ in weighted]
     for rows, dx, r2, pair in _guarded_blocks(grid, points, spare=1):
         inv = np.divide(1.0, np.sqrt(r2, out=r2), out=r2)
@@ -161,7 +170,7 @@ def elastic_single_layer(
     if psi.shape != (grid.n, 3):
         raise ConfigError("density must supply one 3-vector per grid node")
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    return _kelvin(*_surface_sums(grid, points, [psi])[0], lam, mu)
+    return _kelvin(*_surface_sums(grid, points, _weighted(grid, [psi]))[0], lam, mu)
 
 
 def plain_kernel_moment(grid: BoundaryGrid, values: np.ndarray, points) -> np.ndarray:
@@ -208,9 +217,11 @@ def trace_identity_check(
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     eye = np.eye(3)
-    trac = conormal_linear(eye, params.lam, params.mu, grid.normals)
-    trac_inc = conormal_linear(eye, params.lam_inc, params.mu_inc, grid.normals)
-    sums = _surface_sums(grid, points, [trac, trac_inc, grid.normals])
+    # the tractions are freed once weighted, before the walk
+    weighted = _weighted(grid, [conormal_linear(eye, params.lam, params.mu, grid.normals),
+                                conormal_linear(eye, params.lam_inc, params.mu_inc, grid.normals),
+                                grid.normals])
+    sums = _surface_sums(grid, points, weighted)
     layer = _kelvin(*sums[0], params.lam, params.mu)
     layer_inc = _kelvin(*sums[1], params.lam, params.mu)
     inverse, green_lhs = sums[2]  # int n / r, and the Green left side

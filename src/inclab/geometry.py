@@ -10,6 +10,9 @@ shapes, ``curve_frame`` on the smooth curves, and ``ray_exit`` (where
 rays from interior points leave the shape) on ellipses, stars and
 ellipsoids; ``_Quadric`` holds the one copy that ellipses and ellipsoids
 share.  Callers use these methods directly; ``discretize`` calls ``boundary_grid``.
+A class with a grid carries ``flux_n``, the Newtonian flux route's resolution,
+and closed forms override ``_Shape``'s.  The ``shape_type`` decorator registers
+a class and its ``--shape`` grammar in ``SHAPE_TYPES``; ``ShapeSpec`` is their union.
 A polygon's and a star's ``clearance`` run their inside test first (even-odd;
 radial) and walk the distance to a polyline only at the points it keeps.
 
@@ -23,10 +26,11 @@ positive and sum to the surface measure.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from typing import ClassVar
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -72,7 +76,32 @@ _NEWTON_CAP = 80
 _NEWTON_STEP = 16 * np.finfo(float).eps
 
 
-class _PlaneShape:
+# --shape type name -> (class, inline form, fewest numbers, layout of each
+# constructor argument in order: one number (None), a list of numbers (0), or
+# a list of lists of w numbers (w)); only the last argument may be a list, and
+# inline it takes the numbers left over
+SHAPE_TYPES: dict[str, tuple] = {}
+
+
+def shape_type(kind: str, form: str, least: int, layout: tuple):
+    """Class decorator: register a shape class as ``--shape`` type ``kind``."""
+    def register(cls):
+        SHAPE_TYPES[kind] = (cls, form, least, layout)
+        return cls
+    return register
+
+
+class _Shape:
+    """Closed forms, None unless a shape's class gives them: factors and potential."""
+
+    def closed_form_factors(self) -> np.ndarray | None:
+        return None
+
+    def closed_form_potential(self, points: np.ndarray) -> np.ndarray | None:
+        return None
+
+
+class _PlaneShape(_Shape):
     """Geometry shared by the 2D shapes, which each define ``outline``."""
 
     dim: ClassVar[int] = 2
@@ -84,6 +113,8 @@ class _PlaneShape:
 
 class _SmoothCurve(_PlaneShape):
     """A 2D shape with a smooth 2 pi-periodic parametrization ``curve_frame``."""
+
+    flux_n: ClassVar[int] = 512
 
     def outline(self, count: int) -> np.ndarray:
         """Curve positions at ``count`` equispaced parameters."""
@@ -101,7 +132,7 @@ class _SmoothCurve(_PlaneShape):
         return BoundaryGrid(self, p, normals, w, params=t, curvature=kappa)
 
 
-class _Quadric:
+class _Quadric(_Shape):
     """Ellipse and ellipsoid geometry, read from their fields (a, b) or (c1, c2, c3)."""
 
     @property
@@ -143,6 +174,60 @@ class _Quadric:
         return np.where(B > 0, -2.0 * C / (B + root), (root - B) / (2.0 * A))
 
 
+# ---------------------------------------------------------------------------
+# depolarization factors, read from the semi-axes alone
+
+def carlson_rd(x: float, y: float, z: float) -> float:
+    """R_D(x, y, z) by the duplication theorem, relative error ~1e-15.
+
+    Requires finite x, y >= 0, z > 0 and at most one of x, y zero.
+    """
+    if not all(map(math.isfinite, (x, y, z))) or min(x, y) < 0 or z <= 0 or x + y == 0:
+        raise ValueError("carlson_rd needs finite x, y >= 0 (not both zero) and z > 0")
+    acc = 0.0
+    fac = 1.0
+    for _ in range(200):
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * (sy + sz) + sy * sz
+        acc += fac / (sz * (z + lam))
+        fac *= 0.25
+        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
+        mu = (x + y + 3.0 * z) / 5.0
+        dx, dy, dz = (mu - x) / mu, (mu - y) / mu, (mu - z) / mu
+        if max(abs(dx), abs(dy), abs(dz)) < 1e-4:
+            break
+    else:  # pragma: no cover - each step contracts the spread by 4 unless a sum overflows
+        raise RuntimeError("carlson_rd failed to converge")
+    ea = dx * dy
+    eb = dz * dz
+    ec = ea - eb
+    ed = ea - 6.0 * eb
+    ee = ed + ec + ec
+    series = (
+        1.0
+        + ed * (-3.0 / 14.0 + 9.0 / 88.0 * ed - 9.0 / 52.0 * dz * ee)
+        + dz * (ee / 6.0 + dz * (-9.0 / 22.0 * ec + dz * 3.0 / 26.0 * ea))
+    )
+    return 3.0 * acc + fac * series / (mu * math.sqrt(mu))
+
+
+def depolarization_factors(shape: Ellipsoid) -> np.ndarray:
+    """The three ellipsoid depolarization factors (they sum to one)."""
+    c1, c2, c3 = shape.c1, shape.c2, shape.c3
+    pref = c1 * c2 * c3 / 3.0
+    a1 = pref * carlson_rd(c2 * c2, c3 * c3, c1 * c1)
+    a2 = pref * carlson_rd(c3 * c3, c1 * c1, c2 * c2)
+    a3 = pref * carlson_rd(c1 * c1, c2 * c2, c3 * c3)
+    return np.array([a1, a2, a3])
+
+
+def depolarization_factors_2d(shape: Ellipse) -> np.ndarray:
+    """Planar analogues b/(a+b), a/(a+b); the disk gives (1/2, 1/2)."""
+    a, b = shape.a, shape.b
+    return np.array([b / (a + b), a / (a + b)])
+
+
+@shape_type("ellipse", "a,b", 2, (None, None))
 @dataclass(frozen=True)
 class Ellipse(_Quadric, _SmoothCurve):
     """Ellipse x^2/a^2 + y^2/b^2 = 1 with semi-axes ``a``, ``b``."""
@@ -154,6 +239,9 @@ class Ellipse(_Quadric, _SmoothCurve):
         if not (self.a > 0 and self.b > 0):
             raise InvalidShapeError("ellipse semi-axes must be positive")
         _check_lengths("ellipse semi-axes", (self.a, self.b))
+
+    def closed_form_factors(self) -> np.ndarray:
+        return depolarization_factors_2d(self)
 
     def curve_frame(self, t: np.ndarray):
         """Positions, outward normals, speed and curvature at parameters ``t``."""
@@ -179,9 +267,12 @@ class Ellipse(_Quadric, _SmoothCurve):
         return super().boundary_grid(n)
 
 
+@shape_type("polygon", "x1,y1,x2,y2,... (at least 3 vertices)", 6, (2,))
 @dataclass(frozen=True)
 class Polygon(_PlaneShape):
     """Simple polygon, vertices in counterclockwise order."""
+
+    flux_n: ClassVar[int] = 48
 
     vertices: tuple[tuple[float, float], ...]
 
@@ -280,6 +371,7 @@ class Polygon(_PlaneShape):
         return BoundaryGrid(self, nodes, normals, weights.reshape(-1))
 
 
+@shape_type("star", "r0,m,c,s[,m,c,s...]", 4, (None, 3))
 @dataclass(frozen=True)
 class FourierStar(_SmoothCurve):
     """Star-shaped curve r(t) = r0 (1 + sum eps_m cos mt + del_m sin mt).
@@ -437,11 +529,13 @@ class FourierStar(_SmoothCurve):
         return out.reshape(len(points), m)
 
 
+@shape_type("ellipsoid", "c1,c2,c3", 3, (None, None, None))
 @dataclass(frozen=True)
 class Ellipsoid(_Quadric):
     """Axis-aligned ellipsoid with semi-axes ``c1, c2, c3 > 0``."""
 
     dim: ClassVar[int] = 3
+    flux_n: ClassVar[int] = 48
 
     c1: float
     c2: float
@@ -451,6 +545,9 @@ class Ellipsoid(_Quadric):
         if not (self.c1 > 0 and self.c2 > 0 and self.c3 > 0):
             raise InvalidShapeError("ellipsoid semi-axes must be positive")
         _check_lengths("ellipsoid semi-axes", (self.c1, self.c2, self.c3))
+
+    def closed_form_factors(self) -> np.ndarray:
+        return depolarization_factors(self)
 
     def measure(self) -> float:
         return 4.0 / 3.0 * np.pi * self.c1 * self.c2 * self.c3
@@ -486,8 +583,9 @@ class Ellipsoid(_Quadric):
         return BoundaryGrid(self, nodes, normals, weights, spacing=spacing)
 
 
+@shape_type("box", "h1,h2,h3", 3, (0,))
 @dataclass(frozen=True)
-class Box:
+class Box(_Shape):
     """Axis-aligned 3D box given by half-extents about the origin.
 
     Supporting shape for volume-potential checks on cornered solids; it has
@@ -528,8 +626,31 @@ class Box:
     def boundary_grid(self, n) -> BoundaryGrid:
         raise InvalidShapeError("no boundary grid for Box")
 
+    def closed_form_potential(self, points: np.ndarray) -> np.ndarray:
+        """-1/(4 pi) times the integral over the box of dy / |x - y|, by its
+        corner-sum closed form, at all points at once."""
+        h = np.asarray(self.half)
+        corners = [((-1.0, lo), (1.0, hi)) for lo, hi in zip((-h - points).T, (h - points).T)]
+        total = np.zeros(len(points))
+        for (sx, X), (sy, Y), (sz, Z) in itertools.product(*corners):
+            R = np.sqrt(X * X + Y * Y + Z * Z)
+            cyclic = ((X, Y, Z), (Y, Z, X), (Z, X, Y))
+            term = np.zeros(len(points))
+            for a, b, c in cyclic:
+                keep = (np.abs(a) > 0) & (np.abs(b) > 0) & (c + R > 0)
+                term += np.where(keep, a * b * np.log(np.where(keep, c + R, 1.0)), 0.0)
+            # the primitive needs the principal arctangent branch; atan2 would
+            # jump by pi whenever the first factor is negative
+            for a, b, c in cyclic:
+                keep = np.abs(a) > 0
+                angle = np.arctan(b * c / np.where(keep, a * R, 1.0))
+                term -= np.where(keep, 0.5 * a * a * angle, 0.0)
+            total += sx * sy * sz * term
+        return -total / (4 * np.pi)
 
-ShapeSpec = Ellipse | Polygon | FourierStar | Ellipsoid | Box
+
+# the registered shape classes, in the order they are defined
+ShapeSpec = Union[tuple(cls for cls, *_ in SHAPE_TYPES.values())]
 
 
 @dataclass

@@ -37,26 +37,22 @@ factors
     a_j = (c1 c2 c3 / 2) integral_0^inf ds /
           ((c_j^2 + s) sqrt((c1^2+s)(c2^2+s)(c3^2+s))),
 
-evaluated here through Carlson's symmetric integral R_D with the
-duplication algorithm.  ``quadratic_interior_fit`` measures how far a
-shape's potential is from such a quadratic; the misfit is the working
-definition of "this shape is not an ellipsoid".
+evaluated beside the quadrics in ``geometry`` through Carlson's symmetric
+integral R_D with the duplication algorithm.  ``quadratic_interior_fit``
+measures how far a shape's potential is from such a quadratic; the misfit
+is the working definition of "this shape is not an ellipsoid".
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import SolveError
 from .geometry import (
-    Box,
     Ellipse,
     Ellipsoid,
-    FourierStar,
     Polygon,
     ShapeSpec,
     _RAY_CHUNK,
@@ -66,68 +62,8 @@ from .geometry import (
     discretize,
     interior_points,
 )
-
-# ---------------------------------------------------------------------------
-# Carlson symmetric integral
-
-def carlson_rd(x: float, y: float, z: float) -> float:
-    """R_D(x, y, z) by the duplication theorem, relative error ~1e-15.
-
-    Requires finite x, y >= 0, z > 0 and at most one of x, y zero.
-    """
-    if not all(map(math.isfinite, (x, y, z))) or min(x, y) < 0 or z <= 0 or x + y == 0:
-        raise ValueError("carlson_rd needs finite x, y >= 0 (not both zero) and z > 0")
-    acc = 0.0
-    fac = 1.0
-    for _ in range(200):
-        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
-        lam = sx * (sy + sz) + sy * sz
-        acc += fac / (sz * (z + lam))
-        fac *= 0.25
-        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
-        mu = (x + y + 3.0 * z) / 5.0
-        dx, dy, dz = (mu - x) / mu, (mu - y) / mu, (mu - z) / mu
-        if max(abs(dx), abs(dy), abs(dz)) < 1e-4:
-            break
-    else:  # pragma: no cover - each step contracts the spread by 4 unless a sum overflows
-        raise RuntimeError("carlson_rd failed to converge")
-    ea = dx * dy
-    eb = dz * dz
-    ec = ea - eb
-    ed = ea - 6.0 * eb
-    ee = ed + ec + ec
-    series = (
-        1.0
-        + ed * (-3.0 / 14.0 + 9.0 / 88.0 * ed - 9.0 / 52.0 * dz * ee)
-        + dz * (ee / 6.0 + dz * (-9.0 / 22.0 * ec + dz * 3.0 / 26.0 * ea))
-    )
-    return 3.0 * acc + fac * series / (mu * math.sqrt(mu))
-
-
-def depolarization_factors(shape: Ellipsoid) -> np.ndarray:
-    """The three ellipsoid depolarization factors (they sum to one)."""
-    c1, c2, c3 = shape.c1, shape.c2, shape.c3
-    pref = c1 * c2 * c3 / 3.0
-    a1 = pref * carlson_rd(c2 * c2, c3 * c3, c1 * c1)
-    a2 = pref * carlson_rd(c3 * c3, c1 * c1, c2 * c2)
-    a3 = pref * carlson_rd(c1 * c1, c2 * c2, c3 * c3)
-    return np.array([a1, a2, a3])
-
-
-def depolarization_factors_2d(shape: Ellipse) -> np.ndarray:
-    """Planar analogues b/(a+b), a/(a+b); the disk gives (1/2, 1/2)."""
-    a, b = shape.a, shape.b
-    return np.array([b / (a + b), a / (a + b)])
-
-
-def closed_form_factors(shape: ShapeSpec) -> np.ndarray | None:
-    """Factors of an ellipsoid or ellipse; None for shapes without a closed form."""
-    if isinstance(shape, Ellipsoid):
-        return depolarization_factors(shape)
-    if isinstance(shape, Ellipse):
-        return depolarization_factors_2d(shape)
-    return None
-
+# these names stay importable from this module, where callers outside the package read them
+from .geometry import carlson_rd, depolarization_factors, depolarization_factors_2d  # noqa: F401
 
 # ---------------------------------------------------------------------------
 # Newtonian potential, boundary-flux path
@@ -144,13 +80,9 @@ def _flux_u(r: np.ndarray, dim: int) -> np.ndarray:
     return np.divide(1.0, r, out=r)
 
 
-# Boundary resolution of the flux route per shape class; boxes have no grid.
-_FLUX_N = {Ellipse: 512, FourierStar: 512, Polygon: 48, Ellipsoid: 48}
-
-
 @lru_cache(maxsize=16)
 def _flux_grid(shape: ShapeSpec):
-    return discretize(shape, _FLUX_N.get(type(shape)))
+    return discretize(shape, shape.flux_n)
 
 
 def _newtonian_flux(shape: ShapeSpec, points: np.ndarray) -> np.ndarray:
@@ -224,44 +156,22 @@ def _polygon_radial_block(shape: Polygon, x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# box closed form
-
-def _box_inverse_distance(shape: Box, x: np.ndarray) -> float:
-    """integral over the box of dy / |x - y|, corner-sum closed form."""
-    h = np.asarray(shape.half)
-    corners = [((-1.0, lo), (1.0, hi)) for lo, hi in zip(-h - x, h - x)]
-    total = 0.0
-    for (sx, X), (sy, Y), (sz, Z) in itertools.product(*corners):
-        R = math.sqrt(X * X + Y * Y + Z * Z)
-        cyclic = ((X, Y, Z), (Y, Z, X), (Z, X, Y))
-        term = 0.0
-        for a, b, c in cyclic:
-            if abs(a) > 0 and abs(b) > 0 and c + R > 0:
-                term += a * b * math.log(c + R)
-        # the primitive needs the principal arctangent branch; atan2 would
-        # jump by pi whenever the first factor is negative
-        for a, b, c in cyclic:
-            if abs(a) > 0:
-                term -= 0.5 * a * a * math.atan(b * c / (a * R))
-        total += sx * sy * sz * term
-    return total
-
-
-# ---------------------------------------------------------------------------
 # public entry points
 
 def newtonian_potential(shape: ShapeSpec, points, method: str = "flux") -> np.ndarray:
     """N(x) at interior points.
 
     ``method`` picks the evaluation route: "flux" (boundary reduction,
-    default) or "radial" (point-centered product rule).  Boxes always use
-    their closed form.  The radial route assumes every ray from each
-    point leaves the shape exactly once; where one crosses the boundary
-    more than once its value is wrong by the part of the ray it misses.
+    default) or "radial" (point-centered product rule).  A shape with a
+    closed form (a box) always uses it.  The radial route assumes every
+    ray from each point leaves the shape exactly once; where one crosses
+    the boundary more than once its value is wrong by the part of the ray
+    it misses.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if isinstance(shape, Box):
-        return np.array([-_box_inverse_distance(shape, x) / (4 * np.pi) for x in points])
+    closed = shape.closed_form_potential(points)
+    if closed is not None:
+        return closed
     if method == "flux":
         return _newtonian_flux(shape, points)
     if method == "radial":
@@ -330,7 +240,7 @@ def quadratic_verdict(shape: ShapeSpec) -> dict:
     """
     fit = {**quadratic_interior_fit(shape), "residual_tol": 1e-6}
     out = {"quadratic_fit": fit, "passed": fit["rms_residual"] <= fit["residual_tol"]}
-    vals = closed_form_factors(shape)
+    vals = shape.closed_form_factors()
     if vals is not None:
         out["depolarization_factors"] = vals
         if len(vals) == 3:

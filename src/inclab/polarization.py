@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import ConfigError, SolveError
 from .geometry import BoundaryGrid, ShapeSpec, discretize
-from .newtonian import closed_form_factors
 from .transmission import Contrast, _as_contrast, _basis_densities
 
 __all__ = [
@@ -89,7 +88,7 @@ def closed_form_pt(shape: ShapeSpec, k) -> PolarizationTensor | None:
     |Omega|/(1/(k-1) + a_j), where a_j are the depolarization factors
     (finite for k up to the float maximum).
     """
-    factors = closed_form_factors(shape)
+    factors = shape.closed_form_factors()
     if factors is None:
         return None
     contrast = _as_contrast(k)
@@ -180,7 +179,7 @@ def bound_gap_scan(shapes, *ks) -> list[dict]:
     the shape has a closed form: ellipses sit on the bound curve and
     everything else sits strictly inside.
     """
-    closed = [closed_form_factors(shape) is not None for shape in shapes]
+    closed = [shape.closed_form_factors() is not None for shape in shapes]
     records = []
     for tensors in zip(*(_tensors(discretize(shape, 256), ks) for shape in shapes)):
         for pt, exact in zip(tensors, closed):  # one contrast, shape by shape

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import inspect
 import io
 import json
 import os
@@ -66,6 +67,55 @@ def test_shape_fields_are_the_json_keys_of_the_grammar(tmp_path, example):
     path.write_text(json.dumps(example))
     shape = parse_shape(f"@{path}")[1]
     assert [f.name for f in dataclasses.fields(shape)] == [k for k in example if k != "type"]
+
+
+@pytest.mark.parametrize("kind", list(geometry.SHAPE_TYPES))
+def test_every_registered_shape_parses_from_both_forms_to_one_shape(capsys, tmp_path, kind):
+    # the README's JSON example of each registered type, and the same numbers
+    # inline, in the order of the type's layout
+    example = {e["type"]: e for e in _readme_shape_examples()}[kind]
+    cls, form, _, layout = geometry.SHAPE_TYPES[kind]
+    numbers = []
+    for key, width in zip(inspect.signature(cls).parameters, layout):
+        value = example[key]
+        numbers += [value] if width is None else sum(value, []) if width else value
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(example))
+    from_file = parse_shape(f"@{path}")[1]
+    assert type(from_file) is cls
+    assert from_file == parse_shape(f"{kind}:" + ",".join(map(repr, numbers)))[1]
+    with pytest.raises(SystemExit):
+        run(["pt", "--help"])
+    assert f"{kind}:{form}" in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.fixture
+def rect():
+    """A shape class defined outside the package: the rectangle [0, w] x [0, h]
+    as a polygon, registered as --shape type rect until the test ends."""
+
+    @geometry.shape_type("rect", "w,h", 2, (None, None))
+    class Rect(Polygon):
+        def __init__(self, w, h):
+            super().__init__(((0.0, 0.0), (w, 0.0), (w, h), (0.0, h)))
+
+    yield Rect
+    del geometry.SHAPE_TYPES["rect"]
+
+
+@pytest.mark.parametrize("command", ["pt", "bounds", "eshelby", "newtonian"])
+def test_a_registered_class_is_all_a_new_shape_takes(capsys, rect, command):
+    # only the label differs from the same rectangle given as a polygon
+    poly = "polygon:0,0,2,0,2,1,0,1"
+    code, out, err = _run(capsys, command, "--shape", "rect:2,1")
+    assert (code, out.replace("rect:2,1", poly), err) == _run(capsys, command, "--shape", poly)
+    assert "rect:2,1" in out and not err
+
+
+def test_a_registered_class_takes_its_constructor_arguments_as_json_keys(tmp_path, rect):
+    path = tmp_path / "rect.json"
+    path.write_text('{"type": "rect", "w": 2, "h": 1}')
+    assert parse_shape(f"@{path}")[1] == parse_shape("rect:2,1")[1] == rect(2.0, 1.0)
 
 
 def test_parse_shape_rejects_malformed():

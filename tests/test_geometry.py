@@ -400,8 +400,11 @@ def test_shape_geometry_matches_recorded_values(shape, want):
 
 def test_every_shape_class_has_the_geometry_methods():
     methods = (
-        "measure", "scale", "center_point", "bbox", "clearance", "default_margin", "boundary_grid"
+        "measure", "scale", "center_point", "bbox", "clearance", "default_margin", "boundary_grid",
+        "closed_form_factors", "closed_form_potential",
     )
+    # ShapeSpec is the union of the classes the shape_type decorator registered
+    assert typing.get_args(ShapeSpec) == tuple(cls for cls, *_ in geometry.SHAPE_TYPES.values())
     for cls in typing.get_args(ShapeSpec):
         assert cls.dim in (2, 3)
         for name in methods + (("outline",) if cls.dim == 2 else ()):

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,6 +190,37 @@ def test_box_closed_form_against_lattice_oracle():
         r = np.linalg.norm(Y - x, axis=1)
         brute = -(1.0 / (4 * np.pi)) * m**-3 * np.sum(1.0 / r)
         assert val == pytest.approx(brute, abs=5e-6)
+
+
+def _box_loop(half, x):
+    """integral over the box of dy / |x - y| at one point, corner by corner in
+    scalar arithmetic: the per-point form of ``Box.closed_form_potential``."""
+    h = np.asarray(half)
+    corners = [((-1.0, lo), (1.0, hi)) for lo, hi in zip(-h - x, h - x)]
+    total = 0.0
+    for (sx, X), (sy, Y), (sz, Z) in itertools.product(*corners):
+        R = math.sqrt(X * X + Y * Y + Z * Z)
+        cyclic = ((X, Y, Z), (Y, Z, X), (Z, X, Y))
+        term = 0.0
+        for a, b, c in cyclic:
+            if abs(a) > 0 and abs(b) > 0 and c + R > 0:
+                term += a * b * math.log(c + R)
+        for a, b, c in cyclic:
+            if abs(a) > 0:
+                term -= 0.5 * a * a * math.atan(b * c / (a * R))
+        total += sx * sy * sz * term
+    return total
+
+
+def test_box_closed_form_runs_the_per_point_loop_on_all_points_at_once():
+    # the same operations in the same order; NumPy's log and arctan may round
+    # an ulp away from the math module's, so the bound is a few ulps
+    box = Box((0.5, 0.25, 1.0))
+    pts = np.random.default_rng(7).uniform(-1.0, 1.0, (200, 3)) * box.half
+    pts[:3] = [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.5, 0.25, 1.0]]  # a face and a corner
+    ref = np.array([-_box_loop(box.half, x) / (4 * np.pi) for x in pts])
+    np.testing.assert_allclose(box.closed_form_potential(pts), ref, rtol=1e-14, atol=0)
+    assert np.array_equal(newtonian_potential(box, pts), box.closed_form_potential(pts))
 
 
 def test_quadratic_fit_ellipsoid_recovers_half_factors():

@@ -32,7 +32,7 @@ from inclab import (
     trace_identity_check,
 )
 from inclab import geometry
-from inclab.elastostatics import _kelvin, _surface_sums
+from inclab.elastostatics import _kelvin, _surface_sums, _weighted
 from inclab.layerpot import _one_sided_derivatives, upsample_periodic
 from inclab.newtonian import _flux_grid, _newtonian_flux
 
@@ -139,7 +139,7 @@ def test_surface_sums_match_per_point_sums(monkeypatch, chunk):
     flux = lambda dx, r: (dx * grid.normals).sum(axis=1) / r**3
     green_lhs = _per_point(pts, grid.nodes, lambda dx, r: (dx * (flux(dx, r) * w)[:, None]).sum(0))
     green_rhs = _per_point(pts, grid.nodes, lambda dx, r: -(grid.normals * (w / r)[:, None]).sum(0))
-    ((inverse, flux_sum),) = _surface_sums(grid, pts, [grid.normals])
+    ((inverse, flux_sum),) = _surface_sums(grid, pts, _weighted(grid, [grid.normals]))
     _assert_close(flux_sum, green_lhs)
     _assert_close(-inverse, green_rhs)
 
@@ -163,7 +163,8 @@ def test_surface_sums_match_per_point_sums(monkeypatch, chunk):
 
     # trace_identity_check reads two Kelvin layers, the moment of the normal
     # and both Green sides off one walk over three densities
-    (a0, b0), (a1, b1), (inverse, flux_sum) = _surface_sums(grid, pts, [psi, trac, grid.normals])
+    weighted = _weighted(grid, [psi, trac, grid.normals])
+    (a0, b0), (a1, b1), (inverse, flux_sum) = _surface_sums(grid, pts, weighted)
     _assert_close(_kelvin(a0, b0, lam, mu), kelvin[0])
     _assert_close(_kelvin(a1, b1, lam, mu), kelvin[1])
     _assert_close(inverse / (4 * np.pi), moments[0])
@@ -180,7 +181,8 @@ def test_in_place_walks_match_their_one_block_result(monkeypatch, name):
     psi = grid.normals * _density(grid)[:, None]
     call = {
         "gradient": lambda: single_layer_gradient(grid, _density(grid), pts),
-        "surface": lambda: np.hstack(sum(_surface_sums(grid, pts, [psi, grid.normals]), ())),
+        "surface": lambda: np.hstack(
+            sum(_surface_sums(grid, pts, _weighted(grid, [psi, grid.normals])), ())),
         "flux": lambda: _newtonian_flux(shape, pts),
     }[name]
     blocks = []
@@ -206,7 +208,9 @@ def test_3d_walk_memory_is_bounded():
     # the flux route's 80 fit points x 4,608 nodes and the identities' 20
     # points x 32,768 nodes peaked at 8.97 and 14.5 MiB with blocks of 2^17
     # pairs allocated per block; blocks of 2^15 pairs in buffers allocated
-    # once per walk took them to 1.3 and 5.8 MiB
+    # once per walk took them to 1.3 and 5.8 MiB, and weighting the identities'
+    # three densities into one stack, with the tractions freed before the walk,
+    # took the second to 4.2 MiB
     shape = Ellipsoid(2.0, 1.5, 1.0)
     pts = interior_points(shape, 80, shape.default_margin()).points
     newtonian_potential(shape, pts)  # builds the cached flux grid
@@ -224,7 +228,7 @@ def test_3d_walk_memory_is_bounded():
         finally:
             tracemalloc.stop()
     assert peaks[0] < 3 << 20
-    assert peaks[1] < 8 << 20
+    assert peaks[1] < 5 << 20
 
 
 def test_guard_names_the_first_offender_in_a_later_block(monkeypatch):
