@@ -140,7 +140,7 @@ def criterion_05() -> tuple[bool, str]:
     worst = float(np.max([v["closed_form_deviation"] for v in verdicts]))
     return (
         all(v["passed"] for v in verdicts),
-        f"max entry difference {worst:.3e} over k in {{2, 5}} "
+        f"max relative entry difference {worst:.3e} over k in {{2, 5}} "
         f"(tol {_tol(verdicts[0]['closed_form_tol'])})",
     )
 

@@ -28,8 +28,7 @@ from .errors import (ConfigError, EmptySampleError, InclabError, InvalidShapeErr
 from .geometry import SHAPE_TYPES, Ellipse, Ellipsoid, ShapeSpec, discretize
 from .hodograph import slit_certificate
 from .newtonian import quadratic_verdict
-from .polarization import (bound_gap_scan, bounds_verdict, closed_form_pt, polarization_tensor,
-                           pt_verdict)
+from .polarization import bound_gap_scan, closed_form_pt, polarization_tensor, pt_verdict
 from .serialize import to_csv, to_json, to_jsonl
 from .shapeopt import OptProblem, disk_verdict, minimize_trace, overlay_svg
 from .transmission import uniformity_verdict
@@ -171,26 +170,18 @@ def _named(flag: str, build, *args, **kwargs):
 # ---------------------------------------------------------------------------
 
 
-def _tensor(args):
-    """Polarization tensor: the closed form in 3D, a boundary solve otherwise.
-
-    A 3D shape without a closed form goes to ``discretize``, which refuses it.
-    """
+def _cmd_tensor(args):
+    """``pt`` and ``bounds``: the closed-form tensor in 3D (``discretize`` refuses a 3D
+    shape without one), a boundary solve otherwise, and its one verdict; a contrast
+    that puts the tensor or the trace bound beyond the floats is refused naming --k."""
     shape, k = args.shape, args.k
-    closed = closed_form_pt(shape, k) if shape.dim == 3 else None
-    return closed if closed is not None else polarization_tensor(discretize(shape, args.n), k)
-
-
-def _cmd_pt(args):
-    verdict = pt_verdict(args.shape, _tensor(args))
-    return {"shape": args.label, "k": args.k, "n": args.n, **verdict}
-
-
-def _cmd_bounds(args):
-    verdict = bounds_verdict(_tensor(args))
+    pt = closed_form_pt(shape, k) if shape.dim == 3 else None
+    pt = pt if pt is not None else polarization_tensor(discretize(shape, args.n), k)
+    _expect(np.isfinite(pt.M).all(), f"--k: {k!r} puts the polarization tensor out of range")
+    verdict = pt_verdict(shape, pt)
     _expect(np.isfinite(verdict["trace_bound_rhs"]),
-            f"--k: {args.k!r} puts the trace bound out of range")
-    return {"shape": args.label, "k": args.k, "n": args.n, **verdict}
+            f"--k: {k!r} puts the trace bound out of range")
+    return {"shape": args.label, "k": k, "n": args.n, **verdict}
 
 
 def _cmd_eshelby(args):
@@ -276,8 +267,8 @@ class _Command:
 
 
 _COMMANDS = {
-    "pt": _Command(_cmd_pt, "polarization tensor of a shape", "--shape --k --n --out"),
-    "bounds": _Command(_cmd_bounds, "trace bounds and their slack", "--shape --k --n --out"),
+    "pt": _Command(_cmd_tensor, "polarization tensor of a shape", "--shape --k --n --out"),
+    "bounds": _Command(_cmd_tensor, "trace bounds and their slack", "--shape --k --n --out"),
     "eshelby": _Command(
         _cmd_eshelby,
         "interior-field uniformity table",

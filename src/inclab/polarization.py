@@ -4,9 +4,12 @@ The polarization tensor is the d x d matrix governing the leading dipole
 term of the far-field perturbation caused by an inclusion under a uniform
 applied field.  In 2D it is computed from boundary solves; for ellipses and
 ellipsoids closed forms in terms of depolarization factors are exposed and
-are the only 3D path.  Trace bounds of Hashin-Shtrikman type are evaluated
-with explicit slack, and saturation of the inverse-trace bound — the
-equality case that singles out ellipses and ellipsoids — is flagged.
+are the only 3D path.  One verdict, ``pt_verdict``, judges a tensor: its
+symmetry and closed form in units of max|M|, then the trace bounds of
+Hashin-Shtrikman type with explicit slack, judged free of the unit of
+length, flagging saturation of the inverse-trace bound — the equality case
+that singles out ellipses and ellipsoids.  The ``pt`` and ``bounds``
+commands print it, and ``bound_gap_scan`` applies it to a batch of shapes.
 """
 
 from __future__ import annotations
@@ -24,12 +27,11 @@ __all__ = [
     "polarization_tensor",
     "closed_form_pt",
     "pt_verdict",
-    "bounds_verdict",
     "bound_gap_scan",
     "minimal_trace_target",
 ]
 
-# |slack| <= SATURATION_TOL * max(1, |rhs|) counts as equality in a bound
+# |slack| <= SATURATION_TOL * |rhs| counts as equality in a bound
 SATURATION_TOL = 1e-5
 
 
@@ -93,66 +95,58 @@ def closed_form_pt(shape: ShapeSpec, k) -> PolarizationTensor | None:
         return None
     contrast = _as_contrast(k)
     vol = float(shape.measure())
-    M = np.diag(vol / (1.0 / (contrast.k - 1.0) + factors))
+    with np.errstate(divide="ignore"):  # a_j rounds to -1/(k-1) on a flat ellipsoid at tiny k
+        M = np.diag(vol / (1.0 / (contrast.k - 1.0) + factors))
     return PolarizationTensor(M=M, k=contrast, volume=vol, asymmetry=0.0)
 
 
 def pt_verdict(shape: ShapeSpec, pt: PolarizationTensor) -> dict:
-    """The ``pt`` report's checks, in its order after k and n, each beside its tolerance.
+    """The ``pt`` and ``bounds`` report after k and n: each check beside its tolerance.
 
     The raw asymmetry, and on an ellipse or ellipsoid the largest entry-wise
-    deviation from the closed form, must each be at most its ``*_tol`` field.
-    An M with a non-finite entry has NaN eigenvalues (``eigvalsh`` returns numbers).
+    deviation from the closed form, are measured in units of max|M|.  Then the
+    trace bounds.  For k > 1: Tr(M) <= |Omega|(k-1)(d-1+1/k) and
+    |Omega| Tr(M^-1) <= (d-1+k)/(k-1), slacks = rhs - lhs ("direct"); for
+    k < 1 both sides change sign, so slacks = lhs - rhs ("sign-flipped").
+    slack1/|rhs1| and slack2 must be at least ``slack_floor``; a bound is
+    saturated when |slack| <= SATURATION_TOL * |rhs|, and saturation of the
+    inverse-trace bound is the ellipse/ellipsoid signature.  A finite M whose
+    smallest |eigenvalue| is zero relative to its largest is singular and
+    raises SolveError: det(M) underflows on small shapes, and a slender
+    ellipsoid's diagonal closed form inverts exactly below a ratio of eps.
+    A non-finite M fails, with NaN eigenvalues and inverse trace.
     """
+    kk, d, vol = pt.k.k, pt.dim, pt.volume
+    finite = bool(np.isfinite(pt.M).all())
+    eigs = np.linalg.eigvalsh(pt.M) if finite else np.full(d, np.nan)
+    with np.errstate(invalid="ignore"):
+        if finite and not np.min(np.abs(eigs)) / np.max(np.abs(eigs)) > 0.0:
+            raise SolveError("polarization tensor is singular; cannot form Tr(M^-1)")
+    unit = float(np.max(np.abs(pt.M)))
+    tr_M = float(np.trace(pt.M))
     out = {
-        "volume": pt.volume,
+        "volume": vol,
         "M": pt.M,
-        "eigenvalues": np.linalg.eigvalsh(pt.M) if np.isfinite(pt.M).all() else np.full(pt.dim, np.nan),
-        "trace": float(np.trace(pt.M)),
-        "asymmetry": pt.asymmetry,
+        "eigenvalues": eigs,
+        "trace": tr_M,
+        "asymmetry": pt.asymmetry / unit,
         "asymmetry_tol": 1e-6,
     }
-    passed = out["asymmetry"] <= out["asymmetry_tol"]
+    passed = finite and out["asymmetry"] <= out["asymmetry_tol"]
     closed = closed_form_pt(shape, pt.k)
     if closed is not None:
         out["closed_form_M"] = closed.M
-        out["closed_form_deviation"] = float(np.max(np.abs(pt.M - closed.M)))
+        out["closed_form_deviation"] = float(np.max(np.abs(pt.M - closed.M))) / unit
         out["closed_form_tol"] = 1e-6
         passed = passed and out["closed_form_deviation"] <= out["closed_form_tol"]
-    out["passed"] = passed
-    return out
-
-
-def bounds_verdict(pt: PolarizationTensor) -> dict:
-    """The ``bounds`` report's checks, in its order after k and n.
-
-    For k > 1: Tr(M) <= |Omega|(k-1)(d-1+1/k) and
-    |Omega| Tr(M^-1) <= (d-1+k)/(k-1), slacks = rhs - lhs ("direct").
-    For k < 1 both sides change sign, so the equivalent statements are
-    Tr(M) >= rhs and |Omega| Tr(M^-1) >= rhs with slacks = lhs - rhs
-    ("sign-flipped").  Both slacks must be at least ``slack_floor``; a bound is
-    saturated when |slack| <= SATURATION_TOL * max(1, |rhs|), and saturation
-    of the inverse-trace bound is the ellipse/ellipsoid signature.  A finite
-    M whose smallest |eigenvalue| is zero relative to its largest is singular
-    and raises SolveError: det(M) underflows on small shapes, and a slender
-    ellipsoid's diagonal closed form inverts exactly below a ratio of eps.  A
-    NaN in M fails through the slacks.
-    """
-    kk, d, vol = pt.k.k, pt.dim, pt.volume
-    tr_M = float(np.trace(pt.M))
-    if np.isfinite(pt.M).all():
-        lam = np.abs(np.linalg.eigvalsh(pt.M))
-        with np.errstate(invalid="ignore"):
-            if not np.min(lam) / np.max(lam) > 0.0:
-                raise SolveError("polarization tensor is singular; cannot form Tr(M^-1)")
-    tr_Minv_scaled = vol * float(np.trace(np.linalg.inv(pt.M)))
+    tr_Minv_scaled = vol * float(np.trace(np.linalg.inv(pt.M))) if finite else np.nan
     rhs1 = vol * (kk - 1.0) * (d - 1.0 + 1.0 / kk)
     rhs2 = (d - 1.0 + kk) / (kk - 1.0)
     if kk > 1.0:
         form, slack1, slack2 = "direct", rhs1 - tr_M, rhs2 - tr_Minv_scaled
     else:
         form, slack1, slack2 = "sign-flipped", tr_M - rhs1, tr_Minv_scaled - rhs2
-    out = {
+    out.update({
         "form": form,
         "trace_M": tr_M,
         "trace_bound_rhs": rhs1,
@@ -161,11 +155,12 @@ def bounds_verdict(pt: PolarizationTensor) -> dict:
         "inverse_trace_bound_rhs": rhs2,
         "slack2": slack2,
         "slack_floor": -1e-5,
-        "saturated1": abs(slack1) <= SATURATION_TOL * max(1.0, abs(rhs1)),
-        "saturated2": abs(slack2) <= SATURATION_TOL * max(1.0, abs(rhs2)),
+        "saturated1": abs(slack1) <= SATURATION_TOL * abs(rhs1),
+        "saturated2": abs(slack2) <= SATURATION_TOL * abs(rhs2),
         "saturation_tol": SATURATION_TOL,
-    }
-    out["passed"] = out["slack1"] >= out["slack_floor"] and out["slack2"] >= out["slack_floor"]
+    })
+    out["passed"] = (passed and slack1 >= out["slack_floor"] * abs(rhs1)
+                     and slack2 >= out["slack_floor"])
     return out
 
 
@@ -174,20 +169,20 @@ def bound_gap_scan(shapes, *ks) -> list[dict]:
 
     Each shape is solved once for all contrasts ``ks``; the records come
     contrast by contrast, one per shape, with the tensor trace, its eigenvalue
-    pair, the slack of the inverse-trace bound and its saturation.  A record
-    passes when ``bounds_verdict`` does and the bound saturates exactly when
-    the shape has a closed form: ellipses sit on the bound curve and
-    everything else sits strictly inside.
+    pair, the slack of the inverse-trace bound and its saturation, all read
+    from ``pt_verdict``.  A record passes when the verdict does and the bound
+    saturates exactly when the shape has a closed form: ellipses sit on the
+    bound curve and everything else sits strictly inside.
     """
-    closed = [shape.closed_form_factors() is not None for shape in shapes]
     records = []
     for tensors in zip(*(_tensors(discretize(shape, 256), ks) for shape in shapes)):
-        for pt, exact in zip(tensors, closed):  # one contrast, shape by shape
-            report, eigs = bounds_verdict(pt), np.linalg.eigvalsh(pt.M)
+        for shape, pt in zip(shapes, tensors):  # one contrast, shape by shape
+            report = pt_verdict(shape, pt)
+            eig_low, eig_high = map(float, report["eigenvalues"][[0, -1]])
             records.append({
-                "tr_M": report["trace_M"], "eig_low": float(eigs[0]), "eig_high": float(eigs[-1]),
+                "tr_M": report["trace_M"], "eig_low": eig_low, "eig_high": eig_high,
                 "slack2": report["slack2"], "saturated2": report["saturated2"],
-                "passed": report["passed"] and report["saturated2"] == exact,
+                "passed": report["passed"] and report["saturated2"] == ("closed_form_M" in report),
             })
     return records
 

@@ -314,11 +314,12 @@ _SCALED = {
 }
 
 
-@pytest.mark.parametrize("command", ["bounds", "newtonian"])
+@pytest.mark.parametrize("command", ["pt", "bounds", "newtonian"])
 @pytest.mark.parametrize("shape", sorted(_SCALED))
 def test_verdicts_do_not_depend_on_the_scale_of_the_shape(capsys, command, shape):
-    # the sample's dedupe tolerance and margin slack, and the fit's
-    # coordinates, are measured in units of the shape's scale
+    # the sample's dedupe tolerance and margin slack, the fit's coordinates,
+    # and the tensor's entries and trace bound are measured in units of the
+    # shape's scale
     reports = []
     for s in (1e-10, 1.0, 1e10):
         code, out, err = _run(capsys, command, "--shape", _SCALED[shape](s))
@@ -328,6 +329,27 @@ def test_verdicts_do_not_depend_on_the_scale_of_the_shape(capsys, command, shape
     assert [rep["passed"] for rep in reports] == [reports[1]["passed"]] * 3
     if (command, shape) == ("newtonian", "square"):
         assert min(rep["quadratic_fit"]["rms_residual"] for rep in reports) >= 1e-3
+
+
+def test_trace_bound_saturation_does_not_depend_on_the_scale_of_the_shape(capsys):
+    # slack1 is judged against |trace_bound_rhs|, which has units of area
+    reports = [json.loads(_run(capsys, "bounds", "--shape", f"star:{r0!r},3,0.2,0")[1])
+               for r0 in (1e-4, 1.0)]
+    assert [(rep["passed"], rep["saturated1"]) for rep in reports] == [(True, False)] * 2
+    ratios = [rep["slack1"] / rep["trace_bound_rhs"] for rep in reports]
+    assert ratios[0] == pytest.approx(ratios[1], rel=1e-9)
+
+
+@pytest.mark.parametrize("shape", ["star:1,100,0.1,0", "polygon:0,0,30,0,0,1"])
+def test_pt_and_bounds_print_one_report(capsys, shape):
+    # one verdict judges the tensor: an under-resolved star breaks the trace
+    # bound, and a 1.9 degree corner breaks the tensor's symmetry
+    (code, out, err), (code_b, out_b, err_b) = (
+        _run(capsys, command, "--shape", shape, "--k", "3") for command in ("pt", "bounds"))
+    report, report_b = json.loads(out), json.loads(out_b)
+    assert (report.pop("command"), report_b.pop("command")) == ("pt", "bounds")
+    assert (code, report, err) == (code_b, report_b, err_b)
+    assert (code, report["passed"]) == (1, False)
 
 
 def test_bounds_on_a_tiny_sphere_is_not_singular(capsys):
@@ -580,6 +602,10 @@ _REFUSALS = [
     (("shapeopt", "--k", "2,3"), "--k: shapeopt takes one contrast\n"),
     (("bounds", "--shape", "disk", "--k", "1e308"),
      "--k: 1e+308 puts the trace bound out of range\n"),
+    (("pt", "--shape", "disk", "--k", "1e308"), "--k: 1e+308 puts the trace bound out of range\n"),
+    # a_3 rounds to 1 = -1/(k - 1), so M_33 = |Omega|/0
+    (("bounds", "--shape", "ellipsoid:1,1,1e-17", "--k", "1e-20"),
+     "--k: 1e-20 puts the polarization tensor out of range\n"),
     (("eshelby", "--shape", "disk", "--k", "2,nan"), "--k: 'nan' is not a finite number\n"),
     (("shapeopt", "--k", "0.5"), "--k: trace minimization is posed for k > 1\n"),
     (("pt", "--shape", "disk", "--n", "32"), "--n: smooth curves need n >= 64\n"),
@@ -832,6 +858,7 @@ _CONTRAST_TEXT = st.one_of(
     shape=st.sampled_from(["disk", "ellipse:2,1", "star", "square", "kite"]),
     k=_CONTRAST_TEXT,
 )
+@example(command="bounds", shape="ellipsoid:1,1,1e-17", k="1e-20")  # a_3 = 1 = -1/(k - 1)
 def test_any_contrast_ends_in_a_finite_report_or_a_refusal_naming_k(command, shape, k):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -980,6 +1007,9 @@ def _key_paths(obj, prefix=""):
 _PT = ["command", "shape", "k", "n", "volume", "M", "eigenvalues", "trace", "asymmetry",
        "asymmetry_tol"]
 _CLOSED_FORM = ["closed_form_M", "closed_form_deviation", "closed_form_tol"]
+_BOUNDS = ["form", "trace_M", "trace_bound_rhs", "slack1", "scaled_inverse_trace",
+           "inverse_trace_bound_rhs", "slack2", "slack_floor", "saturated1", "saturated2",
+           "saturation_tol", "passed"]
 _FIT = ["command", "shape", "quadratic_fit", "quadratic_fit.A", "quadratic_fit.b",
         "quadratic_fit.c", "quadratic_fit.rms_residual", "quadratic_fit.residual_tol", "passed"]
 
@@ -987,15 +1017,10 @@ _FIT = ["command", "shape", "quadratic_fit", "quadratic_fit.A", "quadratic_fit.b
 @pytest.mark.parametrize(
     "argv, layout",
     [
-        (("pt", "--shape", "ellipse:2,1"), _PT + _CLOSED_FORM + ["passed"]),
-        (("pt", "--shape", "square"), _PT + ["passed"]),
-        (("pt", "--shape", "ellipsoid:2,1.5,1"), _PT + _CLOSED_FORM + ["passed"]),
-        (
-            ("bounds", "--shape", "star"),
-            ["command", "shape", "k", "n", "form", "trace_M", "trace_bound_rhs", "slack1",
-             "scaled_inverse_trace", "inverse_trace_bound_rhs", "slack2", "slack_floor",
-             "saturated1", "saturated2", "saturation_tol", "passed"],
-        ),
+        (("pt", "--shape", "ellipse:2,1"), _PT + _CLOSED_FORM + _BOUNDS),
+        (("pt", "--shape", "square"), _PT + _BOUNDS),
+        (("pt", "--shape", "ellipsoid:2,1.5,1"), _PT + _CLOSED_FORM + _BOUNDS),
+        (("bounds", "--shape", "star"), _PT + _BOUNDS),
         (
             ("eshelby", "--shape", "ellipse:2,1", "--k", "0.5,2", "--format", "json"),
             ["command", "shape", "ks", "n", "max_delta", "delta_tol", "passed", "rows",
@@ -1085,9 +1110,11 @@ def _below(report, *pairs):
 # each JSON report's pass rule, restated from the report's own value and
 # *_tol fields (a closed form's fields only where the shape has one)
 _PASS_RULES = {
-    "pt": lambda r: _below(r, ("asymmetry", "asymmetry_tol"))
-    and ("closed_form_tol" not in r or _below(r, ("closed_form_deviation", "closed_form_tol"))),
-    "bounds": lambda r: r["slack1"] >= r["slack_floor"] and r["slack2"] >= r["slack_floor"],
+    **dict.fromkeys(("pt", "bounds"), lambda r: _below(r, ("asymmetry", "asymmetry_tol"))
+                    and ("closed_form_tol" not in r
+                         or _below(r, ("closed_form_deviation", "closed_form_tol")))
+                    and r["slack1"] >= r["slack_floor"] * abs(r["trace_bound_rhs"])
+                    and r["slack2"] >= r["slack_floor"]),
     "eshelby": lambda r: _below(r, ("max_delta", "delta_tol")),
     "newtonian": lambda r: _below(r["quadratic_fit"], ("rms_residual", "residual_tol"))
     and ("diag_tol" not in r or _below(r, ("diag_vs_half_factors", "diag_tol")))

@@ -24,7 +24,6 @@ from inclab.cli import parse_shape
 from inclab.polarization import (
     PolarizationTensor,
     bound_gap_scan,
-    bounds_verdict,
     closed_form_pt,
     pt_verdict,
 )
@@ -120,7 +119,7 @@ def test_bounds_hold_and_saturate_only_on_ellipses():
         "star": FourierStar(1.0, ((3, 0.2, 0.0),)),
     }
     for name, shape in shapes.items():
-        rep = bounds_verdict(_pt(shape, 3.0, n=256))
+        rep = pt_verdict(shape, _pt(shape, 3.0, n=256))
         assert rep["slack1"] >= -1e-5, name
         assert rep["slack2"] >= -1e-5, name
         if name in ("disk", "ellipse"):
@@ -134,7 +133,7 @@ def test_bounds_hold_and_saturate_only_on_ellipses():
 @given(contrast)
 def test_bounds_hold_for_any_contrast_on_a_square(k):
     sq = Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
-    rep = bounds_verdict(_pt(sq, k, n=192))
+    rep = pt_verdict(sq, _pt(sq, k, n=192))
     assert rep["slack1"] >= -1e-5
     assert rep["slack2"] >= -1e-5
     assert rep["form"] == ("direct" if k > 1 else "sign-flipped")
@@ -172,7 +171,7 @@ def test_bound_gap_scan_orders_shapes():
     assert records[0]["slack2"] <= 1e-10
     for rec in records[1:]:
         assert rec["slack2"] >= 1e-3
-    # the batch form of bounds_verdict lives beside it, and the package
+    # the batch form of pt_verdict lives beside it, and the package
     # exports that one function
     assert inclab.bound_gap_scan is bound_gap_scan
 
@@ -210,11 +209,11 @@ def test_bound_gap_scan_solves_each_shape_once_for_every_contrast(monkeypatch):
         assert abs(many["slack2"] - one["slack2"]) <= 1e-15
 
 
-def test_bound_gap_scan_at_one_contrast_is_bounds_verdict_shape_by_shape():
+def test_bound_gap_scan_at_one_contrast_is_pt_verdict_shape_by_shape():
     expected = []
     for shape in _SIX:
         pt = polarization_tensor(discretize(shape, 256), 3.0)
-        report, eigs = bounds_verdict(pt), np.linalg.eigvalsh(pt.M)
+        report, eigs = pt_verdict(shape, pt), np.linalg.eigvalsh(pt.M)
         expected.append({
             "tr_M": report["trace_M"], "eig_low": float(eigs[0]), "eig_high": float(eigs[-1]),
             "slack2": report["slack2"], "saturated2": report["saturated2"],
@@ -224,7 +223,7 @@ def test_bound_gap_scan_at_one_contrast_is_bounds_verdict_shape_by_shape():
 
 
 def test_bound_gap_scan_fails_saturation_off_the_ellipses(monkeypatch):
-    # the scan's one rule: bounds_verdict passes and the inverse-trace bound
+    # the scan's one rule: pt_verdict passes and the inverse-trace bound
     # saturates exactly on the shapes with a closed form
     shapes = [Ellipse(2.0, 1.0), _SIX[3]]
     monkeypatch.setattr(polarization, "SATURATION_TOL", 1.0)  # the square saturates too
@@ -268,12 +267,17 @@ def test_ellipsoid_closed_form_increases_with_contrast():
 
 def test_verdicts_fail_on_a_nan_tensor():
     pt = PolarizationTensor(M=np.diag([np.nan, 1.0]), k=Contrast(3.0), volume=np.pi)
-    with np.errstate(invalid="ignore"):
-        pt_rep, bounds_rep = pt_verdict(Ellipse(1.0, 1.0), pt), bounds_verdict(pt)
-    assert pt_rep["passed"] is False
-    assert np.isnan(pt_rep["eigenvalues"]).all()
-    assert np.isnan(pt_rep["closed_form_deviation"])
-    assert bounds_rep["passed"] is False
+    rep = pt_verdict(Ellipse(1.0, 1.0), pt)
+    assert rep["passed"] is False
+    assert np.isnan(rep["eigenvalues"]).all()
+    assert np.isnan(rep["closed_form_deviation"])
+    # an infinite entry fails too, also below k = 1, where slack1 is +inf
+    for k in (3.0, 1 / 3):
+        for shape in (Ellipse(1.0, 1.0), _SIX[3]):
+            pt = PolarizationTensor(M=np.diag([np.inf, 1.0]), k=Contrast(k), volume=np.pi)
+            rep = pt_verdict(shape, pt)
+            assert rep["passed"] is False, (k, shape)
+            assert np.isnan(rep["eigenvalues"]).all()
     assert pt_verdict(Ellipse(1.0, 1.0), PolarizationTensor(
         M=np.eye(2), k=Contrast(3.0), volume=np.pi, asymmetry=np.nan
     ))["passed"] is False
@@ -293,7 +297,7 @@ def test_pt_verdict_passes_at_its_asymmetry_tol_and_fails_one_ulp_above():
 def test_bounds_refuse_a_tensor_only_when_an_eigenvalue_vanishes():
     for M in (np.zeros((2, 2)), np.diag([1.0, 0.0]), np.diag([1e300, 1e-300, 1e-300])):
         with pytest.raises(SolveError):
-            bounds_verdict(PolarizationTensor(M=M, k=Contrast(3.0), volume=np.pi))
+            pt_verdict(_SIX[3], PolarizationTensor(M=M, k=Contrast(3.0), volume=np.pi))
     # det(M) = 1e-400 underflows, yet the inverse is exact
     small = PolarizationTensor(M=np.diag([1e-200, 1e-200]), k=Contrast(3.0), volume=1e-200)
-    assert bounds_verdict(small)["scaled_inverse_trace"] == 2.0
+    assert pt_verdict(_SIX[3], small)["scaled_inverse_trace"] == 2.0
