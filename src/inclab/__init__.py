@@ -28,6 +28,7 @@ from .geometry import (
     InteriorSample,
     Polygon,
     carlson_rd,
+    default_interior_sample,
     depolarization_factors,
     depolarization_factors_2d,
     discretize,
@@ -42,7 +43,6 @@ from .layerpot import (
 from .transmission import (
     Contrast,
     decay_check,
-    default_interior_sample,
     flux_continuity_check,
     interior_field,
     solve_density,

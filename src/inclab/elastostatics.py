@@ -25,7 +25,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .errors import ConfigError, InvalidShapeError
-from .geometry import BoundaryGrid, Ellipsoid, interior_points
+from .geometry import BoundaryGrid, Ellipsoid, default_interior_sample
 from .layerpot import _guarded_blocks
 
 __all__ = [
@@ -249,15 +249,15 @@ def trace_identity_check(
 
 def identity_verdict(grid: BoundaryGrid, params: LameParams) -> dict:
     """The ``elastic-identity`` report's checks, in its order after its setup:
-    the identities at 20 interior points of the ellipsoid ``grid.shape``, 0.3 x
-    its smallest semi-axis clear of the boundary.
+    the identities at the 20 points of ``default_interior_sample(grid, 20)``
+    in the ellipsoid ``grid.shape``.
 
     The matrix-phase, inclusion-phase and inverse-distance residuals must
     each be at most ``residual_tol``; the difference residual has no bound.
     """
     if not isinstance(grid.shape, Ellipsoid):
         raise InvalidShapeError("the elastic trace identities need an ellipsoid grid")
-    points = interior_points(grid.shape, 20, 0.3 * float(np.min(grid.shape.semi_axes))).points
+    points = default_interior_sample(grid, 20).points
     res = trace_identity_check(grid, params, points)
     out = {"points": len(points), **res, "residual_tol": 1e-6}
     bounded = ("residual_matrix_phase", "residual_inclusion_phase", "residual_inverse_distance")

@@ -45,8 +45,10 @@ CORNER_DEPTH = 6
 _MAX_GRID_NODES = 1 << 22
 
 # ``interior_points`` keeps a point whose ``clearance`` (a bound that never
-# exceeds its distance to the boundary) is at least margin - _MARGIN_SLACK * scale().
+# exceeds its distance to the boundary) is at least margin - _MARGIN_SLACK * scale(),
+# and reads at most _MAX_CANDIDATES candidates: a shape too few of them fit is refused.
 _MARGIN_SLACK = 1e-12
+_MAX_CANDIDATES = 1 << 16
 
 # Angles t_k = 2 pi k / 4096 at which a star's radius is sampled for its
 # area, extent, default margin and positivity check, and their cosines and
@@ -786,53 +788,54 @@ def discretize(shape: ShapeSpec, n) -> BoundaryGrid:
 def interior_points(shape: ShapeSpec, count: int, margin: float) -> InteriorSample:
     """Deterministic quasi-uniform interior points with a boundary margin.
 
-    Candidates come from coarse-to-fine lattices over the margin-shrunk
-    bounding box, topped up with scaled copies of the boundary; those whose
-    ``clearance`` is at least ``margin`` survive, and the first ``count``
-    survivors (uniform stride over the ordered pool) are returned.
-    Candidates closer than 1e-9 of the shape's scale count as one.
+    The candidates are Roberts' additive recurrence over the margin-shrunk
+    bounding box [lo, hi]: candidate i is lo + frac((i + 1/2) alpha) (hi - lo),
+    with alpha_j = phi^-j and phi^(d+1) = phi + 1.  The first ``count``
+    candidates whose ``clearance`` is at least ``margin`` are returned, read in
+    blocks of 2 count candidates, each block twice the last, up to
+    _MAX_CANDIDATES.  A candidate's place depends on i alone, so a candidate
+    that fails moves no other point of the sample.
     """
     if count < 1:
         raise EmptySampleError("count must be positive")
-    d = shape.dim
     lo, hi = shape.bbox()
     lo, hi = lo + margin, hi - margin
     if np.any(hi < lo):
         raise EmptySampleError("margin leaves no interior room")
-    tol = 1e-9 * shape.scale()
     floor = margin - _MARGIN_SLACK * shape.scale()
-    k0 = int(np.ceil(count ** (1.0 / d)))
-    pool: list[np.ndarray] = []
-    for k in (k0, k0 + 2, k0 + 4):
-        axes = [np.linspace(lo[i], hi[i], k) for i in range(d)]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-        pool.append(mesh[shape.clearance(mesh) >= floor])
-        cand = _dedupe(np.concatenate(pool), tol)
-        if len(cand) >= count:
-            break
-    if len(cand) < count and d == 2:
-        center = shape.center_point()
-        bnd = shape.outline(64)
-        for s in (0.85, 0.7, 0.5, 0.3):
-            ring = center + s * (bnd - center)
-            pool.append(ring[shape.clearance(ring) >= floor])
-        cand = _dedupe(np.concatenate(pool), tol)
-    if len(cand) < count:
-        raise EmptySampleError(f"only {len(cand)} interior points fit margin {margin}")
-    idx = np.linspace(0, len(cand) - 1, count).round().astype(int)
-    return InteriorSample(points=cand[idx], margin=margin)
+    phi = 2.0
+    for _ in range(64):  # the fixed point phi = (1 + phi)^(1/(d+1)), reached in about 30 steps
+        phi = (1.0 + phi) ** (1.0 / (shape.dim + 1))
+    alpha = phi ** -np.arange(1.0, shape.dim + 1)
+    kept, found, start, size = [], 0, 0, 2 * count
+    while found < count:
+        if start >= _MAX_CANDIDATES:
+            raise EmptySampleError(
+                f"only {found} interior points of the first {_MAX_CANDIDATES} candidates "
+                f"fit margin {margin}"
+            )
+        i = np.arange(start, min(start + size, _MAX_CANDIDATES)) + 0.5
+        pts = lo + np.modf(i[:, None] * alpha)[0] * (hi - lo)
+        kept.append(pts[shape.clearance(pts) >= floor])
+        found, start, size = found + len(kept[-1]), start + size, 2 * size
+    return InteriorSample(points=np.concatenate(kept)[:count], margin=margin)
 
 
-def _dedupe(pts: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """``pts`` without each point whose coordinates, rounded to multiples of
-    ``tol``, repeat those of an earlier point; order is kept.
+def default_interior_sample(grid: BoundaryGrid, count: int = 40) -> InteriorSample:
+    """``count`` interior points of ``grid.shape``, clear of the evaluation
+    guard of two node spacings on ``grid``.
 
-    One sort of the rounded coordinates.  This keeps what a greedy
-    first-come loop at distance ``tol`` keeps whenever near points coincide
-    exactly, as the lattice and ring pools of ``interior_points`` do.
+    The margin is the shape's ``default_margin`` or 3 node spacings, whichever
+    is larger.  When the spacings set the margin and too few points fit, the
+    grid is too coarse: ResolutionError instead of EmptySampleError.
     """
-    _, first = np.unique(np.rint(pts / tol), axis=0, return_index=True)
-    return pts[np.sort(first)]
+    shape, guard = grid.shape, 3.0 * float(np.max(grid.spacing))
+    try:
+        return interior_points(shape, count, max(shape.default_margin(), guard))
+    except EmptySampleError as exc:
+        if guard > shape.default_margin():
+            raise ResolutionError(f"{exc} (3 node spacings): the grid is too coarse") from exc
+        raise
 
 
 # ---------------------------------------------------------------------------

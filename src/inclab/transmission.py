@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptySampleError, ResolutionError, SolveError
-from .geometry import BoundaryGrid, Ellipse, InteriorSample, ShapeSpec, discretize, interior_points
+from .errors import ConfigError, SolveError
+from .geometry import (BoundaryGrid, Ellipse, InteriorSample, ShapeSpec, default_interior_sample,
+                       discretize)
 from .layerpot import (
     _one_sided_derivatives,
     npo_matrix,
@@ -157,37 +158,13 @@ def interior_field(
     return mean, float(np.max(np.linalg.norm(grads - mean, axis=1))) / denom
 
 
-# Points in the sample of ``default_interior_sample``.
-_SAMPLE_COUNT = 40
-
-
-def default_interior_sample(grid: BoundaryGrid) -> InteriorSample:
-    """Interior sample of _SAMPLE_COUNT points of ``grid.shape``, clear of its guard.
-
-    The margin is 0.12 of the shape's scale or 3 node spacings, whichever
-    is larger.  On a slender shape the scale term can reach past the
-    clearance; when too few points fit, the shape's ``default_margin``
-    replaces the scale term if it is smaller.  When the spacings set the
-    margin and too few points fit, the grid is too coarse: ResolutionError
-    instead of EmptySampleError.
-    """
-    shape, guard = grid.shape, 3.0 * float(np.max(grid.spacing))
-    for floor in (0.12 * shape.scale(), shape.default_margin()):
-        try:
-            return interior_points(shape, _SAMPLE_COUNT, max(floor, guard))
-        except EmptySampleError as exc:
-            if guard > floor:
-                raise ResolutionError(f"{exc} (3 node spacings): the grid is too coarse") from exc
-            if shape.default_margin() >= floor:
-                raise
-
-
 def uniformity_verdict(grid: BoundaryGrid, ks) -> dict:
     """The ``eshelby`` report's checks, in its order after ks and n.
 
-    The interior field is sampled at ``default_interior_sample(grid)``.  The
-    largest gradient deviation over the contrasts ``ks`` and the basis
-    directions must be at most ``delta_tol``; ``rows`` has one record per pair.
+    The interior field is sampled at the 40 points of
+    ``default_interior_sample(grid)``.  The largest gradient deviation over the
+    contrasts ``ks`` and the basis directions must be at most ``delta_tol``;
+    ``rows`` has one record per pair.
     """
     sample = default_interior_sample(grid)
     eye = np.eye(grid.dim)

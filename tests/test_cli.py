@@ -260,11 +260,16 @@ def test_config_error_exit_2(capsys):
 
 
 def test_eshelby_refuses_an_n_whose_spacing_empties_the_sample(capsys):
-    # the sample margin is 3 node spacings at this n, nearly the minor semi-axis
-    code, out, err = _run(capsys, "eshelby", "--shape", "ellipse:3,1", "--k", "2", "--n", "64")
+    # the sample margin is 3 node spacings at this n, past the minor semi-axis
+    code, out, err = _run(capsys, "eshelby", "--shape", "ellipse:20,1", "--k", "3")
     assert (code, out) == (2, "")
-    assert err.startswith("config error: --n: only 21 interior points fit margin ")
+    assert err.startswith("config error: --n: margin leaves no interior room")
     assert err.endswith(" (3 node spacings): the grid is too coarse\n")
+    # at 3,1 they come to 0.88 of the minor semi-axis, and the points that
+    # still fit sample a uniform field
+    code, out, err = _run(capsys, "eshelby", "--shape", "ellipse:3,1", "--k", "2", "--n", "64",
+                          "--format", "json")
+    assert (code, err, json.loads(out)["passed"]) == (0, "", True)
 
 
 def test_eshelby_on_slender_ellipses_samples_at_the_shape_clearance(capsys):
@@ -284,11 +289,15 @@ def test_eshelby_on_slender_ellipses_samples_at_the_shape_clearance(capsys):
     assert (code, json.loads(out)["passed"]) == (0, True)
 
 
-def test_eshelby_keeps_the_scale_margin_where_it_fits(capsys):
+def test_eshelby_samples_at_the_shape_margin_or_three_spacings():
     shape = Ellipse(5.0, 1.0)
-    grid = discretize(shape, 256)
-    sample = transmission.default_interior_sample(grid)
-    assert sample.margin == 0.12 * 5.0
+    for n, margin in ((256, None), (1024, shape.default_margin())):
+        grid = discretize(shape, n)
+        sample = transmission.default_interior_sample(grid)
+        # the spacings set the margin on the coarse grid, the shape on the fine one
+        assert sample.margin == max(shape.default_margin(), 3.0 * float(np.max(grid.spacing)))
+        assert margin is None or sample.margin == margin
+        assert len(sample.points) == 40
 
 
 @pytest.mark.parametrize("argv", [
@@ -516,12 +525,12 @@ def test_elastic_identity_runs(capsys):
 
 
 def test_elastic_identity_coarse_grid_fails_honestly(capsys):
-    # on a deliberately coarse grid the evaluation points sit closer to the
-    # boundary than the quadrature guard allows; that must surface as a
-    # refusal naming --n, not a silent pass
-    code, out, err = _run(capsys, "elastic-identity", "--lame", "2,1,1,0.5", "--n", "32")
+    # on a deliberately coarse grid 3 node spacings reach past the smallest
+    # semi-axis, so no point is clear of the quadrature guard; that must
+    # surface as a refusal naming --n, not a silent pass
+    code, out, err = _run(capsys, "elastic-identity", "--lame", "2,1,1,0.5", "--n", "16")
     assert (code, out) == (2, "")
-    assert err.startswith("config error: --n: point ")
+    assert err.startswith("config error: --n: margin leaves no interior room")
 
 
 def test_elastic_identity_rejects_bad_lame(capsys):
@@ -557,14 +566,16 @@ _REFUSALS = [
     (("pt", "--shape", "ellipsoid:1e-300,1,1"),
      "--shape: ellipsoid semi-axes (1e-300, 1.0, 1.0) must lie within 1.2e-77 .. 1.2e+77, "),
     (("eshelby", "--shape", "ellipsoid:2,1.5,1"), "--shape: eshelby requires a 2D shape\n"),
-    # a valid sliver triangle leaves no interior room at its own margin, and
-    # no grid under the node cap resolves its height: where a command builds
-    # a grid it is refused there, before any solve
-    (("newtonian", "--shape", "polygon:0,0,1,0,1,1e-60"),
-     "--shape: only 22 interior points fit margin 1e-61\n"),
-    *(((cmd, "--shape", "polygon:0,0,1,0,1,1e-60", "--k", "3"),
+    # no grid under the node cap resolves a valid sliver triangle's height:
+    # it is refused there, before any solve, and newtonian's flux grid
+    # refuses it after its sample
+    *(((cmd, "--shape", "polygon:0,0,1,0,1,1e-60", *(("--k", "3") if cmd != "newtonian" else ())),
        "--shape: polygon mean width 2 area / perimeter = 5.000e-61 is below 4.768e-07, ")
-      for cmd in ("pt", "bounds", "eshelby")),
+      for cmd in ("pt", "bounds", "eshelby", "newtonian")),
+    # a sliver parallelogram along the diagonal fills 6e-10 of its bounding
+    # box: no candidate the sampler reads fits its margin
+    (("newtonian", "--shape", "polygon:0,0,1e-9,0,1.000000001,1,1,1"),
+     "--shape: only 0 interior points of the first 65536 candidates fit margin "),
     (("newtonian", "--shape", "ellipse:1e-200,1"),
      "--shape: ellipse semi-axes (1e-200, 1.0) must lie within 1.2e-77 .. 1.2e+77, "),
     # a mode the 4096-angle radius sample cannot integrate, refused before any
@@ -616,8 +627,8 @@ _REFUSALS = [
     # refused after --out is made: the directories it made are removed again
     (("eshelby", "--shape", "ellipse:20,1", "--out", os.path.join("o", "p")),
      "--n: margin leaves no interior room "),
-    (("elastic-identity", "--n", "32"), "--n: point "),
-    (("elastic-identity", "--shape", "ellipsoid:1,1,100"), "--n: point "),
+    (("elastic-identity", "--n", "16"), "--n: margin leaves no interior room "),
+    (("elastic-identity", "--shape", "ellipsoid:1,1,100"), "--n: margin leaves no interior room "),
     (("shapeopt", "--n", "64"), "--n: need at least 128 boundary nodes\n"),
     (("shapeopt", "--n", "129"),
      "--n: need an even number of boundary nodes for the shape gradient\n"),
@@ -1098,6 +1109,7 @@ def test_the_readme_limits_are_the_constants_the_code_checks():
         "`geometry._MAX_GRID_NODES`": (None, "≤", geometry._MAX_GRID_NODES),
         "`layerpot._MAX_NPO_NODES`": (None, "≤", layerpot._MAX_NPO_NODES),
         "`geometry._STAR_MODE_CAP`": (None, "<", geometry._STAR_MODE_CAP),
+        "`geometry._MAX_CANDIDATES`": (None, "≤", geometry._MAX_CANDIDATES),
         "`OptProblem.k_max`": (None, "≤", OptProblem.k_max),
         "`np.finfo(float).tiny ** 0.25`, `np.finfo(float).max ** 0.25`": (tiny, "≤", huge),
     }

@@ -11,6 +11,7 @@ from inclab import (
     Box,
     Ellipse,
     Ellipsoid,
+    EmptySampleError,
     FourierStar,
     InvalidShapeError,
     Polygon,
@@ -19,7 +20,7 @@ from inclab import (
     interior_points,
 )
 from inclab import geometry
-from inclab.geometry import ShapeSpec, _dedupe
+from inclab.geometry import ShapeSpec
 from inclab.newtonian import _default_margin
 
 axis = st.floats(0.3, 4.0, allow_nan=False)
@@ -221,60 +222,83 @@ def test_interior_points_respect_margin():
     assert np.all(d >= 0.25 - 1e-3)
 
 
-def _greedy_dedupe(pts, tol=1e-9):
-    """First-come loop: keep a point unless a kept point lies within tol."""
-    out = [pts[0]]
-    for p in pts[1:]:
-        if np.min(np.linalg.norm(np.asarray(out) - p, axis=1)) > tol:
-            out.append(p)
-    return np.asarray(out)
+# one strategy per registered --shape type, for the sampler's properties
+@st.composite
+def _random_polygons(draw):
+    # angular gaps below pi about the origin: simple and counterclockwise
+    gaps = draw(st.lists(st.floats(0.3, 1.0), min_size=3, max_size=8))
+    angles = 2 * np.pi * np.cumsum(gaps) / np.sum(gaps)
+    radii = np.array(draw(st.lists(st.floats(0.3, 2.0), min_size=len(gaps),
+                                   max_size=len(gaps))))
+    return Polygon(tuple(zip(radii * np.cos(angles), radii * np.sin(angles))))
 
 
-_KITE = Polygon(((1.0, 0.0), (0.0, 0.7), (-0.6, 0.0), (0.0, -0.7)))
+@st.composite
+def _random_stars(draw):
+    modes = draw(st.lists(st.integers(2, 8), min_size=1, max_size=3, unique=True))
+    amp = st.floats(-0.3 / len(modes), 0.3 / len(modes))
+    return FourierStar(draw(st.floats(0.5, 2.0)), tuple((m, draw(amp), draw(amp)) for m in modes))
 
 
-@pytest.mark.parametrize(
-    "shape, count, margin",
-    [
-        (Ellipse(2.0, 1.0), 110, 0.2),
-        (_KITE, 112, 0.3),  # lattices fall short: the boundary rings top up
-        (FourierStar(1.0, ((3, 0.2, 0.0),)), 110, 0.2),
-        (Ellipsoid(2.0, 1.5, 1.0), 80, 0.25),
-        (Box((0.5, 0.4, 0.3)), 30, 0.1),
-    ],
-)
-def test_dedupe_matches_greedy_loop_on_interior_pools(monkeypatch, shape, count, margin):
-    pools = []
-
-    def spy(pts, tol):
-        pools.append((pts, tol))
-        return _dedupe(pts, tol)
-
-    monkeypatch.setattr(geometry, "_dedupe", spy)
-    interior_points(shape, count, margin)
-    assert pools
-    for pool, tol in pools:
-        assert tol == 1e-9 * shape.scale()
-        np.testing.assert_array_equal(_dedupe(pool, tol), _greedy_dedupe(pool, tol))
+_SHAPE_STRATEGIES = {
+    "ellipse": st.builds(Ellipse, axis, axis),
+    "polygon": _random_polygons(),
+    "star": _random_stars(),
+    "ellipsoid": st.builds(Ellipsoid, axis, axis, axis),
+    "box": st.tuples(axis, axis, axis).map(Box),
+}
 
 
-def test_dedupe_keeps_first_copies_across_blocks(monkeypatch):
-    rng = np.random.default_rng(5)
-    base = rng.random((40, 2))
-    pool = base[rng.integers(0, 40, 300)]
-    want = _greedy_dedupe(pool)
-    assert len(want) < len(pool)
-    np.testing.assert_array_equal(_dedupe(pool), want)
-    monkeypatch.setattr(geometry, "_CHUNK", 7 * len(pool) + 3)
-    np.testing.assert_array_equal(_dedupe(pool), want)
+class _Refusing:
+    """``shape`` with one point's clearance read as -inf."""
+
+    def __init__(self, shape, point):
+        self.shape, self.point = shape, point
+
+    def __getattr__(self, name):
+        return getattr(self.shape, name)
+
+    def clearance(self, pts):
+        out = self.shape.clearance(pts)
+        out[np.all(pts == self.point, axis=1)] = -np.inf
+        return out
 
 
-def test_interior_points_order_is_that_of_the_greedy_dedupe(monkeypatch):
-    got = interior_points(Ellipse(2.0, 1.0), 1600, 0.05).points
-    monkeypatch.setattr(geometry, "_dedupe", _greedy_dedupe)
-    want = interior_points(Ellipse(2.0, 1.0), 1600, 0.05).points
-    assert got.shape == (1600, 2)
-    np.testing.assert_array_equal(got, want)
+@pytest.mark.parametrize("kind", list(geometry.SHAPE_TYPES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_refusing_one_sample_point_moves_no_other(kind, data):
+    shape = data.draw(_SHAPE_STRATEGIES[kind])
+    count = data.draw(st.integers(1, 64))
+    margin = data.draw(st.sampled_from([0.0, 0.5, 1.0])) * shape.default_margin()
+    old = interior_points(shape, count, margin).points
+    assert old.shape == (count, shape.dim)
+    assert np.all(shape.clearance(old) >= margin - geometry._MARGIN_SLACK * shape.scale())
+    point = old[data.draw(st.integers(0, count - 1))]
+    new = interior_points(_Refusing(shape, point), count, margin).points
+    old, new = set(map(tuple, old)), set(map(tuple, new))
+    assert old - new == {tuple(point)}
+    assert len(new - old) == 1
+
+
+@pytest.mark.parametrize("kind", list(geometry.SHAPE_TYPES))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_a_sample_is_the_head_of_every_larger_one(kind, data):
+    shape = data.draw(_SHAPE_STRATEGIES[kind])
+    count = data.draw(st.integers(1, 64))
+    more = data.draw(st.integers(0, 64))
+    small = interior_points(shape, count, shape.default_margin()).points
+    large = interior_points(shape, count + more, shape.default_margin()).points
+    np.testing.assert_array_equal(small, large[:count])
+
+
+def test_the_candidate_cap_refuses_a_sample_it_cuts_short(monkeypatch):
+    # some of an ellipse's first 40 candidates fall outside it
+    assert len(interior_points(Ellipse(2.0, 1.0), 40, 0.25).points) == 40
+    monkeypatch.setattr(geometry, "_MAX_CANDIDATES", 40)
+    with pytest.raises(EmptySampleError, match=r"^only \d+ interior points of the first 40 "):
+        interior_points(Ellipse(2.0, 1.0), 40, 0.25)
 
 
 def test_shape_scale_positive():
