@@ -273,8 +273,8 @@ def test_eshelby_refuses_an_n_whose_spacing_empties_the_sample(capsys):
 
 
 def test_eshelby_on_slender_ellipses_samples_at_the_shape_clearance(capsys):
-    # 0.12 of the semi-major axis reaches the minor one; the ellipse's own
-    # clearance margin takes its place, and the field is uniform
+    # 3 node spacings, 0.59 of the minor semi-axis, set the sample's margin
+    # here, and the field is uniform
     code, out, err = _run(capsys, "eshelby", "--shape", "ellipse:8,1", "--k", "2",
                           "--format", "json")
     rep = json.loads(out)
@@ -326,7 +326,7 @@ _SCALED = {
 @pytest.mark.parametrize("command", ["pt", "bounds", "newtonian"])
 @pytest.mark.parametrize("shape", sorted(_SCALED))
 def test_verdicts_do_not_depend_on_the_scale_of_the_shape(capsys, command, shape):
-    # the sample's dedupe tolerance and margin slack, the fit's coordinates,
+    # the sample's bounding box and margin slack, the fit's coordinates,
     # and the tensor's entries and trace bound are measured in units of the
     # shape's scale
     reports = []
