@@ -4,7 +4,7 @@ Shapes are frozen dataclasses.  Ellipses, ellipsoids and boxes sit at the
 origin with their axes on the coordinate axes: a polarization tensor turns to
 R M R^T under a rotation R and stays put under a translation, so placement
 adds nothing to check.  Each class carries its own geometry:
-``dim``, ``measure``, ``scale``, ``center_point``, ``bbox``, ``clearance``,
+``dim``, ``measure``, ``scale``, ``bbox``, ``clearance``,
 ``default_margin`` and ``boundary_grid``, plus ``outline`` on the 2D
 shapes, ``curve_frame`` on the smooth curves, and ``ray_exit`` (where
 rays from interior points leave the shape) on ellipses, stars and
@@ -143,9 +143,6 @@ class _Quadric(_Shape):
 
     def scale(self) -> float:
         return float(np.max(self.semi_axes))
-
-    def center_point(self) -> np.ndarray:
-        return np.zeros(self.dim)
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         c = self.semi_axes
@@ -310,14 +307,6 @@ class Polygon(_PlaneShape):
         v = np.asarray(self.vertices)
         return float(np.max(np.linalg.norm(v - v.mean(axis=0), axis=1)))
 
-    def center_point(self) -> np.ndarray:
-        v = np.asarray(self.vertices)
-        x, y = v[:, 0], v[:, 1]
-        xr, yr = np.roll(x, -1), np.roll(y, -1)
-        cross = x * yr - xr * y
-        moments = np.array([np.sum((x + xr) * cross), np.sum((y + yr) * cross)])
-        return moments / (6 * self.measure())
-
     def clearance(self, pts: np.ndarray) -> np.ndarray:
         v, out = np.asarray(self.vertices), np.full(len(pts), -np.inf)
         inside = _even_odd(pts, v)
@@ -453,9 +442,6 @@ class FourierStar(_SmoothCurve):
 
     def scale(self) -> float:
         return self._r_max
-
-    def center_point(self) -> np.ndarray:
-        return np.zeros(2)
 
     def clearance(self, pts: np.ndarray) -> np.ndarray:
         # distance to the polyline through 2048 (or 8 per period of the
@@ -611,9 +597,6 @@ class Box(_Shape):
 
     def scale(self) -> float:
         return float(np.linalg.norm(self.half))
-
-    def center_point(self) -> np.ndarray:
-        return np.zeros(3)
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         h = np.asarray(self.half, dtype=float)

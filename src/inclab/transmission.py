@@ -204,7 +204,8 @@ def decay_check(shape: ShapeSpec, k, a) -> tuple[float, float, float, bool]:
     """Ratio test for the far-field decay of the perturbation potential.
 
     The perturbation of a 2D inclusion decays like 1/distance; doubling
-    the evaluation radius should therefore halve its magnitude.  Returns
+    the radius of the evaluation circle, centered on the midpoint of the
+    shape's bounding box, should therefore halve its magnitude.  Returns
     the measured magnitude ratio, the power law's ratio, the relative
     error of the first against the second, and whether that error is at
     most DECAY_TOL.  K* is assembled on 2D grids only, so a 3D shape
@@ -213,10 +214,11 @@ def decay_check(shape: ShapeSpec, k, a) -> tuple[float, float, float, bool]:
     grid = discretize(shape, _DECAY_N)
     phi = solve_density(grid, k, a)
     dirs = Ellipse(1.0, 1.0).outline(_DECAY_ANGLES)
+    lo, hi = shape.bbox()
+    center = 0.5 * (lo + hi)
     radii = [f * shape.scale() for f in _DECAY_FACTORS]
     inner, outer = (
-        float(np.max(np.abs(single_layer_eval(grid, phi, shape.center_point() + r * dirs))))
-        for r in radii
+        float(np.max(np.abs(single_layer_eval(grid, phi, center + r * dirs)))) for r in radii
     )
     ratio, expected = inner / outer, radii[1] / radii[0]
     rel_error = abs(ratio / expected - 1.0)

@@ -162,37 +162,44 @@ def test_parse_shape_from_json_file(tmp_path):
          "--shape: ellipse in {} takes no key 'c'"),
         ("long.json", '{"type":"ellipse","a":1' + "0" * 400 + ',"b":1}',
          "--shape: 'a' in {} holds an integer beyond the float range"),
+        ("text.json", "not json",
+         "--shape: invalid JSON in {}: Expecting value: line 1 column 1 (char 0)"),
     ):
         path = tmp_path / name
         path.write_text(text)
         with pytest.raises(ConfigError) as info:
             parse_shape(f"@{path}")
         assert str(info.value) == message.format(path)
+    with pytest.raises(ConfigError) as info:
+        parse_shape(f"@{tmp_path / 'missing.json'}")
+    assert str(info.value) == f"--shape: file not found: {tmp_path / 'missing.json'}"
 
 
 _LENGTH = st.floats(0.1, 10.0)
 
 
 @st.composite
-def _shape_payloads(draw):
+def _shape_payloads(draw, kinds=("ellipse", "ellipsoid", "box", "polygon", "star"),
+                    length=_LENGTH):
     """A JSON payload for an ellipse, ellipsoid, box, counter-clockwise
-    regular polygon or star, and the numbers of its inline form in order."""
-    kind = draw(st.sampled_from(["ellipse", "ellipsoid", "box", "polygon", "star"]))
+    regular polygon or star, one of ``kinds`` with its lengths drawn from
+    ``length``, and the numbers of its inline form in order."""
+    kind = draw(st.sampled_from(kinds))
     if kind in ("ellipse", "ellipsoid"):
         keys = ("a", "b") if kind == "ellipse" else ("c1", "c2", "c3")
-        values = [draw(_LENGTH) for _ in keys]
+        values = [draw(length) for _ in keys]
         return {"type": kind, **dict(zip(keys, values))}, values
     if kind == "box":
-        half = [draw(_LENGTH) for _ in range(3)]
+        half = [draw(length) for _ in range(3)]
         return {"type": kind, "half": half}, half
     if kind == "polygon":
-        count, radius, turn = draw(st.integers(3, 9)), draw(_LENGTH), draw(st.floats(0.0, 6.3))
+        count, radius, turn = draw(st.integers(3, 9)), draw(length), draw(st.floats(0.0, 6.3))
         t = turn + 2 * np.pi * np.arange(count) / count
         vertices = [[float(x), float(y)] for x, y in zip(radius * np.cos(t), radius * np.sin(t))]
         return {"type": kind, "vertices": vertices}, [v for vertex in vertices for v in vertex]
     modes = draw(st.lists(st.tuples(st.integers(2, 12), st.floats(-0.05, 0.05),
                                     st.floats(-0.05, 0.05)), min_size=1, max_size=3))
-    r0 = draw(_LENGTH)
+    r0 = draw(length)
     return {"type": kind, "r0": r0, "modes": [list(m) for m in modes]}, [r0, *sum(modes, ())]
 
 
@@ -316,28 +323,72 @@ def test_ellipses_the_grid_cannot_resolve_are_refused(capsys, argv):
     assert err.endswith(" boundary nodes resolve\n")
 
 
+# the (command, shape type) pairs the CLI refuses whatever the shape's size,
+# with the refusal each prints
+_REFUSED_TYPES = {
+    **{(command, "box"): "no boundary grid for Box" for command in ("pt", "bounds")},
+    **{("eshelby", kind): "eshelby requires a 2D shape" for kind in ("ellipsoid", "box")},
+    **{("hodograph", kind): "hodograph requires an ellipse shape"
+       for kind in geometry.SHAPE_TYPES if kind != "ellipse"},
+    **{("elastic-identity", kind): "elastic-identity requires an ellipsoid shape"
+       for kind in geometry.SHAPE_TYPES if kind != "ellipsoid"},
+}
+
 _SCALED = {
     "ellipse": lambda s: f"ellipse:{2 * s!r},{s!r}",
     "ellipsoid": lambda s: f"ellipsoid:{2 * s!r},{1.5 * s!r},{s!r}",
-    "square": lambda s: f"polygon:0,0,{s!r},0,{s!r},{s!r},0,{s!r}",
+    "polygon": lambda s: f"polygon:0,0,{s!r},0,{s!r},{s!r},0,{s!r}",
 }
 
 
-@pytest.mark.parametrize("command", ["pt", "bounds", "newtonian"])
-@pytest.mark.parametrize("shape", sorted(_SCALED))
-def test_verdicts_do_not_depend_on_the_scale_of_the_shape(capsys, command, shape):
-    # the sample's bounding box and margin slack, the fit's coordinates,
-    # and the tensor's entries and trace bound are measured in units of the
-    # shape's scale
-    reports = []
-    for s in (1e-10, 1.0, 1e10):
-        code, out, err = _run(capsys, command, "--shape", _SCALED[shape](s))
-        assert out, err
-        reports.append(json.loads(out))
-        assert code == (0 if reports[-1]["passed"] else 1)
-    assert [rep["passed"] for rep in reports] == [reports[1]["passed"]] * 3
-    if (command, shape) == ("newtonian", "square"):
-        assert min(rep["quadratic_fit"]["rms_residual"] for rep in reports) >= 1e-3
+@pytest.mark.parametrize("kind", list(geometry.SHAPE_TYPES))
+@pytest.mark.parametrize(
+    "command", ["pt", "bounds", "hodograph", "eshelby", "newtonian", "elastic-identity"])
+def test_verdicts_do_not_depend_on_the_scale_of_the_shape(command, kind):
+    # the sample's bounding box and margin slack, the fit's coordinates, the
+    # tensor's entries and trace bound, and the hodograph's lengths are
+    # measured in units of the shape's scale; a drawn polygon's grid is kept small
+    takes_k = command in ("pt", "bounds", "eshelby")
+    flags = ["--format", "json"] if command == "eshelby" else []
+
+    def verdict(text, *argv):
+        """The exit code and ``passed`` of the command on the shape ``text``,
+        and its report: one whose exit code is its verdict, or none, when
+        the refusal its shape type always gets is printed instead."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([command, "--shape", text, *flags, *argv])
+        if (command, kind) in _REFUSED_TYPES:
+            refusal = f"config error: --shape: {_REFUSED_TYPES[command, kind]}\n"
+            assert (code, out.getvalue(), err.getvalue()) == (2, "", refusal)
+            return (code, None), None
+        assert out.getvalue(), err.getvalue()
+        report = json.loads(out.getvalue())
+        assert code == (0 if report["passed"] else 1)
+        return (code, report["passed"]), report
+
+    # scales that are not powers of 2, at the default contrast and grid
+    if kind in _SCALED:
+        runs = [verdict(_SCALED[kind](s)) for s in (1e-10, 1.0, 1e10)]
+        assert [outcome for outcome, _ in runs] == [runs[1][0]] * 3
+        if (command, kind) == ("newtonian", "polygon"):
+            assert min(rep["quadratic_fit"]["rms_residual"] for _, rep in runs) >= 1e-3
+
+    @settings(max_examples=4, deadline=None)
+    @given(case=_shape_payloads([kind], st.floats(0.5, 2.0)), p=st.integers(-60, 60),
+           k=st.floats(0.05, 20.0).filter(lambda k: k != 1.0))
+    def scaled_alike(case, p, k):
+        # every inline number is a length but a star's modes, whose
+        # amplitudes are relative to r0
+        numbers = case[1]
+        lengths = 1 if kind == "star" else len(numbers)
+        argv = (["--k", repr(k)] if takes_k else []) + (
+            ["--n", "16"] if takes_k and kind == "polygon" else [])
+        outcomes = [verdict(f"{kind}:" + ",".join(map(repr, [
+            x * 2.0**q for x in numbers[:lengths]] + numbers[lengths:])), *argv)[0] for q in (0, p)]
+        assert outcomes[0] == outcomes[1], (case, p, k)
+
+    scaled_alike()
 
 
 def test_trace_bound_saturation_does_not_depend_on_the_scale_of_the_shape(capsys):

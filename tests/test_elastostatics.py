@@ -13,6 +13,7 @@ from inclab import (
     conormal_linear,
     default_interior_sample,
     discretize,
+    elastic_single_layer,
     interior_points,
     kelvin_matrix,
     kolosov,
@@ -33,8 +34,16 @@ mu_s = st.floats(0.2, 5.0)
 def test_identity_verdict_refuses_a_grid_that_is_not_an_ellipsoid(shape, n):
     # refused before sampling: a 2D grid reached a matmul ValueError in
     # conormal_linear, and a polygon grid an AttributeError on semi_axes
+    grid = discretize(shape, n)
     with pytest.raises(InvalidShapeError, match="ellipsoid"):
-        identity_verdict(discretize(shape, n), LameParams(2.0, 1.0, 1.0, 0.5))
+        identity_verdict(grid, LameParams(2.0, 1.0, 1.0, 0.5))
+    # the sums behind it refuse the 2D grid too, and a density of 2-vectors first
+    with pytest.raises(ConfigError, match="^density must supply one 3-vector per grid node$"):
+        elastic_single_layer(grid, grid.normals, np.zeros((1, 3)), 2.0, 1.0)
+    with pytest.raises(InvalidShapeError, match="^the Kelvin layer is evaluated on 3D surface grids$"):
+        elastic_single_layer(grid, np.zeros((grid.n, 3)), np.zeros((1, 3)), 2.0, 1.0)
+    with pytest.raises(InvalidShapeError, match="^the plain kernel moment is a 3D surface integral$"):
+        plain_kernel_moment(grid, np.ones(grid.n), np.zeros((1, 2)))
 
 
 def test_lame_validation():
@@ -65,6 +74,10 @@ def test_kelvin_matrix_symmetries():
     assert np.allclose(kelvin_matrix(-x, 2.0, 1.0), G, atol=1e-15)
     # degree -1 homogeneity
     assert np.allclose(kelvin_matrix(2 * x, 2.0, 1.0), G / 2, atol=1e-15)
+    with pytest.raises(ConfigError, match="^the Kelvin matrix is defined for 3-vectors$"):
+        kelvin_matrix(x[:2], 2.0, 1.0)
+    with pytest.raises(ConfigError, match="^the Kelvin matrix is singular at the origin$"):
+        kelvin_matrix(np.zeros(3), 2.0, 1.0)
 
 
 def test_kelvin_matrix_annihilated_by_operator():
@@ -181,3 +194,5 @@ def test_kolosov_range(lam, mu):
 
 def test_kolosov_frozen_value():
     assert kolosov(2.0, 1.0) == pytest.approx(5.0 / 3.0, rel=1e-15)
+    with pytest.raises(ConfigError, match=r"^lam \+ mu must be nonzero$"):
+        kolosov(-1.0, 1.0)

@@ -73,6 +73,8 @@ def test_polygon_rejects_degenerate_and_self_crossing():
 def test_star_rejects_nonpositive_radius():
     with pytest.raises(InvalidShapeError):
         FourierStar(1.0, ((2, 0.9, 0.9),))
+    with pytest.raises(InvalidShapeError, match="^base radius must be positive$"):
+        FourierStar(0.0, ((3, 0.1, 0.0),))
 
 
 @pytest.mark.parametrize("build, field", [
@@ -179,8 +181,12 @@ def test_normals_outward_unit(a, b):
     grid = discretize(Ellipse(a, b), 64)
     norms = np.linalg.norm(grid.normals, axis=1)
     assert np.allclose(norms, 1.0, atol=1e-12)
-    radial = np.einsum("ij,ij->i", grid.nodes - Ellipse(a, b).center_point(), grid.normals)
+    radial = np.einsum("ij,ij->i", grid.nodes, grid.normals)
     assert np.all(radial > 0)
+    with pytest.raises(InvalidShapeError, match="^normals must be unit vectors$"):
+        geometry.BoundaryGrid(grid.shape, grid.nodes, 2.0 * grid.normals, grid.weights)
+    with pytest.raises(InvalidShapeError, match="^quadrature weights must be positive$"):
+        geometry.BoundaryGrid(grid.shape, grid.nodes, grid.normals, np.append(grid.weights[1:], 0.0))
 
 
 def test_weights_sum_to_perimeter_converges():
@@ -220,6 +226,8 @@ def test_interior_points_respect_margin():
         axis=1,
     )
     assert np.all(d >= 0.25 - 1e-3)
+    with pytest.raises(EmptySampleError, match="^count must be positive$"):
+        interior_points(shape, 0, 0.25)
 
 
 # one strategy per registered --shape type, for the sampler's properties
@@ -296,6 +304,11 @@ def test_a_sample_is_the_head_of_every_larger_one(kind, data):
 def test_the_candidate_cap_refuses_a_sample_it_cuts_short(monkeypatch):
     # some of an ellipse's first 40 candidates fall outside it
     assert len(interior_points(Ellipse(2.0, 1.0), 40, 0.25).points) == 40
+    # a sliver 5e-4 wide holds 12 points at its own margin; on a grid whose 3
+    # node spacings stay below that margin the refusal is the shape's, not the grid's
+    sliver = Polygon(((0.0, 0.0), (5e-4, 0.0), (1.0005, 1.0), (1.0, 1.0)))
+    with pytest.raises(EmptySampleError, match=r"^only 12 interior points of the first 65536 "):
+        geometry.default_interior_sample(discretize(sliver, 90000))
     monkeypatch.setattr(geometry, "_MAX_CANDIDATES", 40)
     with pytest.raises(EmptySampleError, match=r"^only \d+ interior points of the first 40 "):
         interior_points(Ellipse(2.0, 1.0), 40, 0.25)
@@ -309,6 +322,10 @@ def test_shape_scale_positive():
 def test_discretize_rejects_tiny_resolution():
     with pytest.raises(Exception):
         discretize(Ellipse(1.0, 1.0), 4)
+    with pytest.raises(ResolutionError, match="^polygons need n >= 16 per edge$"):
+        discretize(Polygon(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))), 8)
+    with pytest.raises(ResolutionError, match="^ellipsoids need at least a 16 x 32 grid$"):
+        discretize(Ellipsoid(2.0, 1.5, 1.0), 8)
 
 
 @pytest.mark.parametrize(
@@ -332,7 +349,7 @@ def test_grids_above_the_node_cap_are_refused_before_they_are_built(monkeypatch,
         discretize(shape, n)
 
 
-# The recorded area or volume, dimension, scale, center, bounding box, fit
+# The recorded area or volume, dimension, scale, bounding box, fit
 # margin and clearance (indices of the lattice points whose clearance is at
 # least 0.1) of one shape per class; the shape methods must reproduce every
 # bit.
@@ -343,7 +360,6 @@ RECORDED = [
             measure=6.283185307179586,
             dim=2,
             scale=2.0,
-            center=[0.0, 0.0],
             bbox=([-2.0, -1.0], [2.0, 1.0]),
             margin=0.25,
             keeps=[11, 12, 19, 20, 27, 28, 35, 36, 43, 44, 51, 52],
@@ -355,7 +371,6 @@ RECORDED = [
             measure=1.1199999999999999,
             dim=2,
             scale=0.9,
-            center=[0.13333333333333333, 0.0],
             bbox=([-0.6, -0.7], [1.0, 0.7]),
             margin=0.10454539054542852,
             keeps=[35, 36],
@@ -367,7 +382,6 @@ RECORDED = [
             measure=3.209765214172692,
             dim=2,
             scale=1.2536275643479273,
-            center=[0.0, 0.0],
             bbox=([-0.9165381766587389, -1.0625498182287016],
                   [1.2525785229719628, 1.0654532424356113]),
             margin=0.18659310891301814,
@@ -380,7 +394,6 @@ RECORDED = [
             measure=12.566370614359172,
             dim=3,
             scale=2.0,
-            center=[0.0, 0.0, 0.0],
             bbox=([-2.0, -1.5, -1.0], [2.0, 1.5, 1.0]),
             margin=0.25,
             keeps=[91, 92, 99, 100, 147, 148, 155, 156, 163, 164, 171, 172, 211, 212, 219,
@@ -394,7 +407,6 @@ RECORDED = [
             measure=0.7200000000000001,
             dim=3,
             scale=0.7826237921249264,
-            center=[0.0, 0.0, 0.0],
             bbox=([-0.5, -0.4, -0.45], [0.5, 0.4, 0.45]),
             margin=0.08000000000000002,
             keeps=[219, 220, 227, 228, 283, 284, 291, 292],
@@ -414,7 +426,6 @@ def test_shape_geometry_matches_recorded_values(shape, want):
     assert shape.dim == d
     assert shape.measure() == want["measure"]
     assert shape.scale() == want["scale"]
-    assert shape.center_point().tolist() == want["center"]
     assert (lo.tolist(), hi.tolist()) == want["bbox"]
     assert _default_margin(shape) == want["margin"]
     # read as interior_points reads it, less its slack
@@ -424,7 +435,7 @@ def test_shape_geometry_matches_recorded_values(shape, want):
 
 def test_every_shape_class_has_the_geometry_methods():
     methods = (
-        "measure", "scale", "center_point", "bbox", "clearance", "default_margin", "boundary_grid",
+        "measure", "scale", "bbox", "clearance", "default_margin", "boundary_grid",
         "closed_form_factors", "closed_form_potential",
     )
     # ShapeSpec is the union of the classes the shape_type decorator registered

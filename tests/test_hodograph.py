@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inclab import (
+    ConfigError,
     DomainError,
+    ExteriorMap,
     ellipse_exterior_map,
     hodograph_map,
     invert_exterior_map,
@@ -23,6 +25,8 @@ def test_koebe_boundary_is_vertical_slit():
     vals = koebe(np.exp(1j * theta))
     assert np.max(np.abs(vals.real)) <= 1e-14
     assert np.max(np.abs(vals.imag - np.sin(theta))) <= 1e-14
+    with pytest.raises(DomainError, match=r"^the slit map is defined on \|z\| >= 1$"):
+        koebe(0.5j)
 
 
 def test_exterior_map_boundary_parametrizes_ellipse():
@@ -39,6 +43,8 @@ def test_exterior_map_leading_behavior():
     z = 1e6 * np.exp(1j * 0.3)
     gamma = (2.0 + 1.0) / 2.0
     assert abs(fmap(np.array([z]))[0] / z - gamma) <= 1e-5
+    with pytest.raises(ConfigError, match=r"^\|gamma\| must exceed \|beta\| for univalence$"):
+        ExteriorMap(gamma=1.0, beta=-1.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -65,6 +71,10 @@ def test_inverse_rejects_interior_points():
     fmap = ellipse_exterior_map(2.0, 1.0)
     with pytest.raises(DomainError):
         invert_exterior_map(fmap, np.array([0.1 + 0.05j]))
+    # w^2 overflows, and the NaN it leaves fails the residual check
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            DomainError, match="^inversion residual nan exceeds 1e-12$"):
+        invert_exterior_map(fmap, 1e200)
 
 
 def test_boundary_identity_on_ellipse():

@@ -12,6 +12,7 @@ from inclab import (
     Ellipsoid,
     FourierStar,
     Polygon,
+    SolveError,
     carlson_rd,
     depolarization_factors,
     depolarization_factors_2d,
@@ -146,6 +147,8 @@ def test_flux_and_radial_routes_agree_off_center():
     c = _midpoint_oracle(shape, pts)
     assert np.max(np.abs(a - b)) <= 1e-8
     assert np.max(np.abs(a - c)) <= 5e-6
+    with pytest.raises(ValueError, match="^unknown method 'x'$"):
+        newtonian_potential(shape, pts, method="x")
 
 
 def test_routes_agree_on_star_shape():
@@ -282,6 +285,14 @@ def test_quadratic_fit_fails_on_cube_and_square():
     assert quadratic_interior_fit(Box((0.5, 0.5, 0.5)))["rms_residual"] >= 1e-3
     square = Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
     assert quadratic_interior_fit(square)["rms_residual"] >= 1e-3
+    # a square of side 16 L in edges of L = 1.1e77: its residuals pass 1e154
+    # and their squares overflow
+    k = np.arange(16.0)
+    x, y = np.r_[k, 16 + 0 * k, 16 - k, 0 * k], np.r_[0 * k, k, 16 + 0 * k, 16 - k]
+    big = Polygon(tuple(zip((1.1e77 * x).tolist(), (1.1e77 * y).tolist())))
+    with np.errstate(over="ignore"), pytest.raises(
+            SolveError, match="^quadratic fit residual is not finite: the squared potentials overflow$"):
+        quadratic_interior_fit(big)
 
 
 # ---------------------------------------------------------------------------

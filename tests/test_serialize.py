@@ -4,6 +4,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,8 @@ from inclab.serialize import format_number, to_csv, to_json, to_jsonl
 def test_json_deterministic_bytes():
     obj = {"b": 1.0, "a": [True, None, 0.1], "m": np.eye(2)}
     assert to_json(obj) == to_json(obj)
+    with pytest.raises(TypeError, match="^cannot serialize object$"):
+        to_json(object())
 
 
 def test_json_preserves_insertion_order():

@@ -90,6 +90,10 @@ def test_uniform_interior_field_ellipse(ellipse21_grid):
                 ellipse21_grid, solve_density(ellipse21_grid, k, a), a, sample
             )
             assert delta <= 1e-6
+    # no loading leaves no mean gradient to measure the deviation against
+    zero = np.zeros(2)
+    with pytest.raises(SolveError, match="^mean interior gradient vanished; cannot normalize$"):
+        interior_field(ellipse21_grid, solve_density(ellipse21_grid, 2.0, zero), zero, sample)
 
 
 def test_interior_slope_two_axis_formula(ellipse21_grid):
